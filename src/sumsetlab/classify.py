@@ -29,7 +29,7 @@ from .bounds import BoundMode, bound
 from .core import (AffineMap2D, Point2, PointSet2D, Rational,
                    arithmetic_progression_of, collinear_direction,
                    cover_stats, rat, rat_str)
-from .errors import EmptySet, HypothesisViolated, NotCollinear
+from .errors import EmptySet, HypothesisViolated, InvalidSpec, NotCollinear
 from .families import CaseCSpec, EpsilonSpec, TrapezoidSpec, gen_case_c, gen_eps_trapezoid, gen_trapezoid
 
 
@@ -197,7 +197,7 @@ def _trapezoid_spec_of(s: PointSet2D) -> Optional[tuple[TrapezoidSpec, Point2]]:
     c = rat(0) if c is None else c
     try:
         spec = TrapezoidSpec(m, h, c, d)
-    except Exception:
+    except InvalidSpec:
         return None
     return spec, Point2(x0, mins[0])
 
@@ -340,7 +340,7 @@ def _match_eps(s: PointSet2D, mode_m: int) -> Optional[EpsilonSpec]:
                 continue
             try:
                 base_spec = TrapezoidSpec(mode_m, h, c, d)
-            except Exception:
+            except InvalidSpec:
                 continue
             base = gen_trapezoid(base_spec)
             if len(base) != len(s):
@@ -359,7 +359,7 @@ def _match_eps(s: PointSet2D, mode_m: int) -> Optional[EpsilonSpec]:
             ones = frozenset(i for i in range(1, height) if shifts[i] - shifts[i - 1] == 1)
             try:
                 eps_spec = EpsilonSpec(base_spec, ones)
-            except Exception:
+            except InvalidSpec:
                 continue
             cand = _integer_form(gen_eps_trapezoid(eps_spec))
             if cand == s:
@@ -374,7 +374,7 @@ def _match_case_c(sa: PointSet2D, sb: PointSet2D, m: int, n: int) -> Optional[Ca
         return None
     try:
         spec = CaseCSpec(m, n, k)
-    except Exception:
+    except InvalidSpec:
         return None
     ga, gb = gen_case_c(spec)
     if _integer_form(ga) == sa and _integer_form(gb) == sb:

@@ -7,22 +7,25 @@ every checked quantity is translation-invariant.  The transformation groups
 are deliberately NOT quotiented: classification absorbs equivalence, and raw
 enumeration keeps this oracle trivially correct.
 
-The hot loop runs on plain machine integers (points encoded as x*K + y so
-vector sums become int sums), which keeps the default 3x3 configuration in
-the seconds range; classifiers only see the rare extremal pairs.
+The hot loop counts every |A+B| exactly with a bitset sumset: cell (x, y)
+is bit x*S + y of a Python int, and the row stride S = 2H - 1 exceeds every
+y of A+B, so no two sums share a bit.  mask(A+B) ORs mask(B) shifted by each
+point of A; |A+B| is its bit count.  The bound's right-hand side depends on
+B only through its size class (|B|, m_B), so each A gets one exact num/den
+and one integer threshold lo = floor(num/den) per class.  A pair with
+|A+B| > lo neither violates nor attains the bound; only the others take the
+exact |A+B|*den vs num test, and classifiers see only the extremal pairs.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .bounds import BoundMode, bound, chain_diagnostic
 from .classify import Verdict, classify_1d, classify_thm2, classify_thm3
 from .compression import compression_chain
-from .core import (Point2, PointSet2D, collinear_direction, cover_stats,
-                   dumps_points, parallel_directions)
+from .core import PointSet2D, collinear_direction, cover_stats, dumps_points, parallel_directions
 from .errors import ConsistencyError, InvalidSpec
 
 OUT_OF_HYPOTHESIS = "OutOfHypothesis"
@@ -134,92 +137,103 @@ def _mode_m(sub: _Subset, mode: BoundMode) -> int:
     return sub.lines_m
 
 
-def _bound_holds_tight(mode: BoundMode, a: _Subset, b: _Subset, lhs: int) -> tuple[bool, bool]:
-    """(violated, extremal) via exact integer cross-multiplication."""
+def _rhs(mode: BoundMode, a: _Subset, size_b: int, m_b: int) -> tuple[int, int]:
+    """Bound rhs num/den (den > 0) for A and a B of class (|B|, m_B); doubling is lines with B = A."""
     if mode is BoundMode.ONE_DIMENSIONAL:
-        rhs = a.size + b.size - 1
-        return lhs < rhs, lhs == rhs
-    if mode is BoundMode.DOUBLING:
-        m = a.lines_m
-        lhs_m = lhs * m
-        rhs_m = (2 * a.size - m) * (2 * m - 1)
-        return lhs_m < rhs_m, lhs_m == rhs_m
-    m, n = _mode_m(a, mode), _mode_m(b, mode)
-    lhs_mn = lhs * m * n
-    rhs_mn = (a.size * n + b.size * m - m * n) * (m + n - 1)
-    return lhs_mn < rhs_mn, lhs_mn == rhs_mn
+        return a.size + size_b - 1, 1
+    m = _mode_m(a, mode)
+    return (a.size * m_b + size_b * m - m * m_b) * (m + m_b - 1), m * m_b
+
+
+def _cell_bits(pts: tuple, stride: int) -> list[int]:
+    return [x * stride + y for x, y in pts]
+
+
+def _mask(pts: tuple, stride: int) -> int:
+    return sum(1 << s for s in _cell_bits(pts, stride))
+
+
+def _sumset_size(shifts: list[int], mask_b: int) -> int:
+    """|A+B| from the bits of A's points and the bitset of B."""
+    mask = 0
+    for s in shifts:
+        mask |= mask_b << s
+    return mask.bit_count()
+
+
+def _parallel(da: Optional[tuple], db: Optional[tuple]) -> bool:
+    """parallel_directions on analyzed directions (None: 2D; (0, 0): any)."""
+    return da is not None and db is not None and da[0] * db[1] == da[1] * db[0]
 
 
 def _classify_extremal(mode: BoundMode, a: _Subset, b: _Subset,
                        report: SweepReport) -> None:
-    ps_a, ps_b = PointSet2D(a.pts), PointSet2D(b.pts)
-    both_2d = a.two_dimensional and b.two_dimensional
-    both_1d_parallel = (
-        a.direction is not None and b.direction is not None
-        and parallel_directions(Point2(*a.direction), Point2(*b.direction))
-    )
     if mode is BoundMode.SECTIONS_GS and (a.sections_m == 1 or b.sections_m == 1):
         report.wild_regime_count += 1
         return
-    if both_2d:
+    tag = OUT_OF_HYPOTHESIS  # needs no point sets, so none are built for it
+    if a.two_dimensional and b.two_dimensional:
+        ps_a, ps_b = PointSet2D(a.pts), PointSet2D(b.pts)
         cls = classify_thm2(ps_a, ps_b) if mode in (BoundMode.LINES_GS, BoundMode.DOUBLING) \
             else classify_thm3(ps_a, ps_b)
-        tag = cls.verdict.value
-        report.classified_tally[tag] = report.classified_tally.get(tag, 0) + 1
         if cls.verdict is Verdict.EXTREMAL_UNCLASSIFIED:
             report.unclassified.append(encode_pair(ps_a, ps_b))
         elif cls.verdict is Verdict.NOT_EXTREMAL:
             raise ConsistencyError("sweep extremality disagrees with classifier")
-        return
-    if both_1d_parallel:
-        cls = classify_1d(ps_a, ps_b)
+        tag = cls.verdict.value
+    elif _parallel(a.direction, b.direction):
+        cls = classify_1d(PointSet2D(a.pts), PointSet2D(b.pts))
         if not cls.details["equality"]:
             raise ConsistencyError("sweep extremality disagrees with 1d characterization")
         tag = cls.verdict.value
-        report.classified_tally[tag] = report.classified_tally.get(tag, 0) + 1
-        return
-    report.classified_tally[OUT_OF_HYPOTHESIS] = report.classified_tally.get(OUT_OF_HYPOTHESIS, 0) + 1
+    report.classified_tally[tag] = report.classified_tally.get(tag, 0) + 1
 
 
 def sweep(config: SweepConfig) -> SweepReport:
     """Run this config's shard of the exhaustive pair enumeration."""
+    mode = config.mode
     subs_a = enumerate_subsets(config.grid_width, config.grid_height,
                                config.max_size_a, config.require_two_dimensional)
-    if config.mode is BoundMode.DOUBLING:
-        subs_b = None
-    else:
-        subs_b = enumerate_subsets(config.grid_width, config.grid_height,
-                                   config.max_size_b, config.require_two_dimensional)
+    subs_b = subs_a if mode is BoundMode.DOUBLING else enumerate_subsets(
+        config.grid_width, config.grid_height, config.max_size_b, config.require_two_dimensional)
+    # shards split the unfiltered A list, so every shard keeps its pairs
+    chosen_a = [a for idx, a in enumerate(subs_a)
+                if idx % config.shard_count == config.shard_index
+                and _mode_m(a, mode) >= config.min_mn]
 
-    k = 2 * (config.grid_width + config.grid_height)
+    stride = 2 * config.grid_height - 1
+    classes: dict[tuple[int, int], int] = {}  # (|B|, m_B) -> index
+    rows_b = []  # (B, mask(B), class index), in enumeration order
+    for b in subs_b:
+        m_b = _mode_m(b, mode)
+        if m_b >= config.min_mn:
+            cls = classes.setdefault((b.size, m_b), len(classes))
+            rows_b.append((b, _mask(b.pts, stride), cls))
+
     report = SweepReport(extremal_pairs=[] if config.collect_extremal else None)
-
-    for idx, a in enumerate(subs_a):
-        if idx % config.shard_count != config.shard_index:
-            continue
-        enc_a = [x * k + y for x, y in a.pts]
-        b_iter = [a] if config.mode is BoundMode.DOUBLING else subs_b
-        for b in b_iter:
-            if config.mode is BoundMode.ONE_DIMENSIONAL:
-                if a.direction is None or b.direction is None:
-                    continue
-                da, db = a.direction, b.direction
-                if da != (0, 0) and db != (0, 0) and da[0] * db[1] - da[1] * db[0] != 0:
-                    continue
-            if config.min_mn > 1 and (_mode_m(a, config.mode) < config.min_mn
-                                      or _mode_m(b, config.mode) < config.min_mn):
+    for a in chosen_a:
+        if mode is BoundMode.DOUBLING:
+            rows = [(a, _mask(a.pts, stride), classes[a.size, _mode_m(a, mode)])]
+        elif mode is BoundMode.ONE_DIMENSIONAL:
+            rows = [row for row in rows_b if _parallel(a.direction, row[0].direction)]
+        else:
+            rows = rows_b
+        report.pairs_checked += len(rows)
+        shifts = _cell_bits(a.pts, stride)
+        rhs = [_rhs(mode, a, size_b, m_b) for size_b, m_b in classes]
+        lo = [num // den for num, den in rhs]
+        for b, mask_b, cls in rows:
+            lhs = _sumset_size(shifts, mask_b)
+            if lhs > lo[cls]:
                 continue
-            report.pairs_checked += 1
-            lhs = len({p + x * k + y for p in enc_a for x, y in b.pts})
-            violated, extremal = _bound_holds_tight(config.mode, a, b, lhs)
-            if violated:
+            num, den = rhs[cls]
+            if lhs * den < num:
                 report.violations.append(encode_pair(PointSet2D(a.pts), PointSet2D(b.pts)))
-                continue
-            if extremal:
+            elif lhs * den == num:
                 report.extremal_count += 1
                 if report.extremal_pairs is not None:
                     report.extremal_pairs.append((a.pts, b.pts))
-                _classify_extremal(config.mode, a, b, report)
+                _classify_extremal(mode, a, b, report)
     report.violations.sort()
     report.unclassified.sort()
     return report
@@ -255,6 +269,7 @@ def run_sharded(config: SweepConfig, jobs: int = 1) -> SweepReport:
     if jobs <= 1 or config.shard_count == 1:
         parts = [sweep(s) for s in shards]
     else:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, config.shard_count)) as pool:
             parts = list(pool.map(sweep, shards))
     return merge_reports(parts)

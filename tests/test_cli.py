@@ -121,6 +121,27 @@ class TestSweepCommand:
         assert code1 == code2 == 0
         assert json.loads(out1) == json.loads(out2)
 
+    def test_3x4_sections_report_pinned(self, tmp_path):
+        # the smallest sweep that reaches EpsTrapezoidPair
+        csv = tmp_path / "sweep.csv"
+        code, out = run_cli(["sweep", "--grid", "3x4", "--mode", "sections",
+                             "--min-mn", "2", "--max-size-b", "3", "--csv", str(csv)])
+        assert code == 0
+        assert json.loads(out) == {
+            "pairs_checked": 146430,
+            "violations": [],
+            "extremal_count": 194,
+            "classified_tally": {"EpsTrapezoidPair": 8, "OneDimensional": 5,
+                                 "OutOfHypothesis": 111, "TrapezoidPair": 70},
+            "unclassified": [],
+            "wild_regime_count": 0,
+        }
+        assert csv.read_text() == (
+            "metric,value\npairs_checked,146430\nextremal_count,194\n"
+            "wild_regime_count,0\nviolations,0\nunclassified,0\n"
+            "tally.EpsTrapezoidPair,8\ntally.OneDimensional,5\n"
+            "tally.OutOfHypothesis,111\ntally.TrapezoidPair,70\n")
+
     def test_single_shard_run(self):
         code, out = run_cli(["sweep", "--grid", "2x2", "--mode", "lines",
                              "--shards", "2", "--shard-index", "1"])

@@ -1,10 +1,16 @@
 import random
+from dataclasses import replace
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from sumsetlab import (BoundMode, InvalidSpec, SweepConfig,
                        encode_pair, gen_trapezoid, gen_wild, merge_reports,
-                       oracle_pair_check, run_sharded, sweep)
+                       oracle_pair_check, run_sharded, search, sweep)
+from sumsetlab.classify import Verdict, classify_1d, classify_thm2, classify_thm3
+from sumsetlab.core import Point2, PointSet2D, parallel_directions
+from sumsetlab.errors import ConsistencyError
 from sumsetlab.families import CaseCSpec, EpsilonSpec, TrapezoidSpec, gen_case_c, gen_eps_trapezoid
 
 
@@ -146,3 +152,151 @@ class TestOraclePairCheck:
         record = oracle_pair_check(t, t)
         assert record["chain_diagnostic"] == ["9", "9", "9", "9"]
         assert record["compression_chain"] == ["9", "9", "9", "9"]
+
+
+# ---------------------------------------------------------------------------
+# the bitset kernel against the set-comprehension sweep it replaced
+# ---------------------------------------------------------------------------
+
+GRID_SHAPES = [(w, h) for w in range(1, 17) for h in range(1, 17) if w * h <= 16]
+
+
+@st.composite
+def grid_pair(draw):
+    width, height = draw(st.sampled_from(GRID_SHAPES))
+    cells = st.sampled_from([(x, y) for x in range(width) for y in range(height)])
+    a = draw(st.lists(cells, min_size=1, max_size=width * height, unique=True))
+    b = draw(st.lists(cells, min_size=1, max_size=width * height, unique=True))
+    return height, a, b
+
+
+FULL_1X16 = [(0, y) for y in range(16)]
+FULL_16X1 = [(x, 0) for x in range(16)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_pair())
+@example((16, FULL_1X16, FULL_1X16))
+@example((1, FULL_16X1, FULL_16X1))
+@example((16, [(0, 15)], FULL_1X16))
+@example((1, [(15, 0)], [(0, 0), (15, 0)]))
+def test_bitset_sumset_size_matches_set_comprehension(case):
+    height, a, b = case
+    stride = 2 * height - 1
+    lhs = search._sumset_size(search._cell_bits(tuple(a), stride),
+                              search._mask(tuple(b), stride))
+    assert lhs == len({(xa + xb, ya + yb) for xa, ya in a for xb, yb in b})
+
+
+def _reference_bound_holds_tight(mode, a, b, lhs):
+    """(violated, extremal) via exact integer cross-multiplication."""
+    if mode is BoundMode.ONE_DIMENSIONAL:
+        rhs = a.size + b.size - 1
+        return lhs < rhs, lhs == rhs
+    if mode is BoundMode.DOUBLING:
+        m = a.lines_m
+        lhs_m = lhs * m
+        rhs_m = (2 * a.size - m) * (2 * m - 1)
+        return lhs_m < rhs_m, lhs_m == rhs_m
+    m, n = search._mode_m(a, mode), search._mode_m(b, mode)
+    lhs_mn = lhs * m * n
+    rhs_mn = (a.size * n + b.size * m - m * n) * (m + n - 1)
+    return lhs_mn < rhs_mn, lhs_mn == rhs_mn
+
+
+def _reference_classify_extremal(mode, a, b, report):
+    ps_a, ps_b = PointSet2D(a.pts), PointSet2D(b.pts)
+    both_2d = a.two_dimensional and b.two_dimensional
+    both_1d_parallel = (
+        a.direction is not None and b.direction is not None
+        and parallel_directions(Point2(*a.direction), Point2(*b.direction))
+    )
+    if mode is BoundMode.SECTIONS_GS and (a.sections_m == 1 or b.sections_m == 1):
+        report.wild_regime_count += 1
+        return
+    if both_2d:
+        cls = classify_thm2(ps_a, ps_b) if mode in (BoundMode.LINES_GS, BoundMode.DOUBLING) \
+            else classify_thm3(ps_a, ps_b)
+        tag = cls.verdict.value
+        report.classified_tally[tag] = report.classified_tally.get(tag, 0) + 1
+        if cls.verdict is Verdict.EXTREMAL_UNCLASSIFIED:
+            report.unclassified.append(encode_pair(ps_a, ps_b))
+        elif cls.verdict is Verdict.NOT_EXTREMAL:
+            raise ConsistencyError("sweep extremality disagrees with classifier")
+        return
+    if both_1d_parallel:
+        cls = classify_1d(ps_a, ps_b)
+        if not cls.details["equality"]:
+            raise ConsistencyError("sweep extremality disagrees with 1d characterization")
+        tag = cls.verdict.value
+        report.classified_tally[tag] = report.classified_tally.get(tag, 0) + 1
+        return
+    report.classified_tally[search.OUT_OF_HYPOTHESIS] = \
+        report.classified_tally.get(search.OUT_OF_HYPOTHESIS, 0) + 1
+
+
+def reference_sweep(config):
+    """The sweep as it was before the bitset kernel: one Python set of
+    x*k + y encoded sums per pair, filters inside the pair loop."""
+    subs_a = search.enumerate_subsets(config.grid_width, config.grid_height,
+                                      config.max_size_a, config.require_two_dimensional)
+    if config.mode is BoundMode.DOUBLING:
+        subs_b = None
+    else:
+        subs_b = search.enumerate_subsets(config.grid_width, config.grid_height,
+                                          config.max_size_b, config.require_two_dimensional)
+
+    k = 2 * (config.grid_width + config.grid_height)
+    report = search.SweepReport(extremal_pairs=[] if config.collect_extremal else None)
+
+    for idx, a in enumerate(subs_a):
+        if idx % config.shard_count != config.shard_index:
+            continue
+        enc_a = [x * k + y for x, y in a.pts]
+        b_iter = [a] if config.mode is BoundMode.DOUBLING else subs_b
+        for b in b_iter:
+            if config.mode is BoundMode.ONE_DIMENSIONAL:
+                if a.direction is None or b.direction is None:
+                    continue
+                da, db = a.direction, b.direction
+                if da != (0, 0) and db != (0, 0) and da[0] * db[1] - da[1] * db[0] != 0:
+                    continue
+            if config.min_mn > 1 and (search._mode_m(a, config.mode) < config.min_mn
+                                      or search._mode_m(b, config.mode) < config.min_mn):
+                continue
+            report.pairs_checked += 1
+            lhs = len({p + x * k + y for p in enc_a for x, y in b.pts})
+            violated, extremal = _reference_bound_holds_tight(config.mode, a, b, lhs)
+            if violated:
+                report.violations.append(encode_pair(PointSet2D(a.pts), PointSet2D(b.pts)))
+                continue
+            if extremal:
+                report.extremal_count += 1
+                if report.extremal_pairs is not None:
+                    report.extremal_pairs.append((a.pts, b.pts))
+                _reference_classify_extremal(config.mode, a, b, report)
+    report.violations.sort()
+    report.unclassified.sort()
+    return report
+
+
+# Together the variants cover min_mn=2, both size caps,
+# require_two_dimensional and 1, 2 and 3 shards; every run collects its
+# extremal pairs, so report equality compares their order too.
+SWEEP_VARIANTS = [
+    dict(),
+    dict(min_mn=2, shard_count=2),
+    dict(max_size_a=4, max_size_b=3, shard_count=3),
+    dict(require_two_dimensional=True, max_size_a=5),
+]
+
+
+@pytest.mark.parametrize("mode", list(BoundMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("grid", [(2, 2), (2, 3), (3, 2), (3, 3)], ids=lambda g: "%dx%d" % g)
+def test_sweep_matches_reference_loop(grid, mode):
+    for variant in SWEEP_VARIANTS:
+        base = cfg(grid_width=grid[0], grid_height=grid[1], mode=mode,
+                   collect_extremal=True, **variant)
+        for index in range(base.shard_count):
+            config = replace(base, shard_index=index)
+            assert sweep(config) == reference_sweep(config), config
