@@ -17,7 +17,8 @@ from enum import Enum
 from fractions import Fraction
 
 from .core import (PointSet2D, Rational, collinear_direction, cover_stats,
-                   minkowski_sum, parallel_directions, rat, rat_str)
+                   minkowski_sum, parallel_directions, rat, rat_str,
+                   shared_difference)
 from .errors import EmptySet, ModeMismatch
 
 
@@ -117,7 +118,7 @@ class SupportedSequence:
         return [self.entries[i] for i in self.indices()]
 
     def mean(self) -> Fraction:
-        return Fraction(sum(Fraction(v) for v in self.entries.values()), len(self.entries))
+        return Fraction(sum(self.entries.values()), len(self.entries))
 
 
 @dataclass(frozen=True)
@@ -161,35 +162,15 @@ def u_values(a: SupportedSequence, b: SupportedSequence) -> dict:
     return out
 
 
-def _shared_difference(values: list) -> tuple[bool, object]:
-    """(is an AP, its difference or None when shorter than 2)."""
-    if len(values) <= 1:
-        return True, None
-    d = values[1] - values[0]
-    return all(values[k + 1] - values[k] == d for k in range(len(values) - 1)), d
-
-
-def ap_with_common_difference(*sequences: list) -> bool:
-    """Each sequence an AP, and all their differences equal (singletons match any)."""
-    diffs = set()
-    for seq in sequences:
-        ok, d = _shared_difference(seq)
-        if not ok:
-            return False
-        if d is not None:
-            diffs.add(d)
-    return len(diffs) <= 1
-
-
 def averaging_report(a: SupportedSequence, b: SupportedSequence) -> AveragingReport:
     u = u_values(a, b)
     k = len(a.entries) + len(b.entries) - 1
-    full_mean = Fraction(sum(Fraction(v) for v in u.values()), k)
+    full_mean = Fraction(sum(u.values()), k)
     largest = sorted(u.items(), key=lambda item: (item[1], item[0]), reverse=True)[:k]
-    u_plus_mean = Fraction(sum(Fraction(v) for _, v in largest), k)
+    u_plus_mean = Fraction(sum(v for _, v in largest), k)
     rhs = a.mean() + b.mean()
-    ap = ap_with_common_difference(a.indices(), b.indices()) and \
-        ap_with_common_difference(a.values_by_index(), b.values_by_index())
+    ap = shared_difference([a.indices(), b.indices()])[0] and \
+        shared_difference([a.values_by_index(), b.values_by_index()])[0]
     return AveragingReport(
         u_values=u,
         u_plus_mean=rat(u_plus_mean),
@@ -198,6 +179,24 @@ def averaging_report(a: SupportedSequence, b: SupportedSequence) -> AveragingRep
         equality=full_mean == rhs,
         ap_condition=ap,
     )
+
+
+def _section_chain_sums(sa: dict, sb: dict) -> tuple[int, int]:
+    """The middle terms of a section chain, given each set's sections as
+    level -> ascending values: the sums over t of max |A_i + B_j| and of
+    max (|A_i| + |B_j| - 1), each maximum over the levels i + j = t."""
+    v2 = v3 = 0
+    for t in sorted({i + j for i in sa for j in sb}):
+        best_sum = 0
+        best_card = 0
+        for i in sa:
+            j = t - i
+            if j in sb:
+                best_sum = max(best_sum, len({u + w for u in sa[i] for w in sb[j]}))
+                best_card = max(best_card, len(sa[i]) + len(sb[j]) - 1)
+        v2 += best_sum
+        v3 += best_card
+    return v2, v3
 
 
 def chain_diagnostic(a: PointSet2D, b: PointSet2D) -> list[Rational]:
@@ -212,18 +211,7 @@ def chain_diagnostic(a: PointSet2D, b: PointSet2D) -> list[Rational]:
     if len(a) == 0 or len(b) == 0:
         raise EmptySet("chain_diagnostic needs nonempty sets")
     ca, cb = a.columns(), b.columns()
-    v1 = Fraction(len(minkowski_sum(a, b)))
-    v2 = Fraction(0)
-    v3 = Fraction(0)
-    for t in sorted({i + j for i in ca for j in cb}):
-        best_sum = 0
-        best_card = 0
-        for i in ca:
-            j = t - i
-            if j in cb:
-                best_sum = max(best_sum, len({y1 + y2 for y1 in ca[i] for y2 in cb[j]}))
-                best_card = max(best_card, len(ca[i]) + len(cb[j]) - 1)
-        v2 += best_sum
-        v3 += best_card
+    v1 = len(minkowski_sum(a, b))
+    v2, v3 = _section_chain_sums(ca, cb)
     v4 = (Fraction(len(a), len(ca)) + Fraction(len(b), len(cb)) - 1) * (len(ca) + len(cb) - 1)
-    return [rat(v1), rat(v2), rat(v3), rat(v4)]
+    return [v1, v2, v3, rat(v4)]

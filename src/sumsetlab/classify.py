@@ -12,10 +12,15 @@ Two normalization pipelines are implemented:
 * sections mode (maps (x, y) -> (alpha x + gamma y, beta y), translations,
   and the four axis reflections): levels and rows are normalized the same
   way, then candidate shears are enumerated from the consecutive row-minimum
-  and row-maximum differences observed in either set.  Shear candidates plus
-  reflections are exhaustive here because every family's row-extreme
-  sequences are piecewise arithmetic with a flat piece; the exhaustive sweep
-  cross-validates this (an escape would surface as ExtremalUnclassified).
+  and row-maximum differences observed in either set.  One scan over the
+  reflections and candidate shears tries every family not yet matched at
+  each candidate.  The verdict is the most specific family that matches at
+  any candidate (standard, then shifted trapezoids, then case C), witnessed
+  by its first matching candidate; the other matching families are listed
+  in also_matches.  Shear candidates plus reflections are exhaustive here
+  because every family's row-extreme sequences are piecewise arithmetic
+  with a flat piece; the exhaustive sweep cross-validates this (an escape
+  would surface as ExtremalUnclassified).
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from typing import Optional
 from .bounds import BoundMode, bound
 from .core import (AffineMap2D, Point2, PointSet2D, Rational,
                    arithmetic_progression_of, collinear_direction,
-                   cover_stats, rat, rat_str)
+                   cover_stats, rat, rat_str, shared_difference)
 from .errors import EmptySet, HypothesisViolated, InvalidSpec, NotCollinear
 from .families import CaseCSpec, EpsilonSpec, TrapezoidSpec, gen_case_c, gen_eps_trapezoid, gen_trapezoid
 
@@ -57,16 +62,12 @@ class RowProfile:
     def of(cls, s: PointSet2D) -> "RowProfile":
         rows = s.rows()
         levels = tuple(sorted(rows))
-        diffs = []
-        for v in levels:
-            ok, d = _ap_difference(rows[v])
-            diffs.append(d if ok else None)
         return cls(
             levels=levels,
             counts=tuple(len(rows[v]) for v in levels),
             min_xs=tuple(rows[v][0] for v in levels),
             max_xs=tuple(rows[v][-1] for v in levels),
-            common_differences=tuple(diffs),
+            common_differences=tuple(shared_difference([rows[v]])[1] for v in levels),
         )
 
 
@@ -144,29 +145,6 @@ def is_extremal(a: PointSet2D, b: PointSet2D, mode: BoundMode) -> bool:
 # shared helpers
 # ---------------------------------------------------------------------------
 
-def _ap_difference(values: list) -> tuple[bool, Optional[Rational]]:
-    if len(values) <= 1:
-        return True, None
-    d = values[1] - values[0]
-    return all(values[k + 1] - values[k] == d for k in range(len(values) - 1)), d
-
-
-def _shared_section_difference(sets: list[PointSet2D], axis_rows: bool) -> Optional[Rational]:
-    """One common difference making every section of every set an AP, or None."""
-    diffs = set()
-    for s in sets:
-        groups = s.rows() if axis_rows else s.columns()
-        for vals in groups.values():
-            ok, d = _ap_difference(vals)
-            if not ok:
-                return None
-            if d is not None:
-                diffs.add(d)
-    if len(diffs) > 1:
-        return None
-    return diffs.pop() if diffs else rat(1)
-
-
 def _trapezoid_spec_of(s: PointSet2D) -> Optional[tuple[TrapezoidSpec, Point2]]:
     """Recognize s as a translate of a materialized trapezoid.
 
@@ -179,16 +157,13 @@ def _trapezoid_spec_of(s: PointSet2D) -> Optional[tuple[TrapezoidSpec, Point2]]:
     x0 = xs[0]
     if any(x - x0 != k for k, x in enumerate(xs)):
         return None
-    mins, maxs = [], []
-    for x in xs:
-        ys = cols[x]
-        ok, d = _ap_difference(ys)
-        if not ok or (d is not None and d != 1):
-            return None
-        mins.append(ys[0])
-        maxs.append(ys[-1])
-    okd, d = _ap_difference(mins)
-    okc, c = _ap_difference(maxs)
+    ok, step = shared_difference(cols.values())
+    if not ok or step not in (None, 1):
+        return None
+    mins = [cols[x][0] for x in xs]
+    maxs = [cols[x][-1] for x in xs]
+    okd, d = shared_difference([mins])
+    okc, c = shared_difference([maxs])
     if not (okd and okc):
         return None
     m = len(xs)
@@ -246,21 +221,19 @@ def classify_thm2(a: PointSet2D, b: PointSet2D) -> Classification:
         return Classification(Verdict.NOT_EXTREMAL)
 
     # (1) x-projections: APs with one shared difference alpha
-    ok_a, alpha_a = _ap_difference(a.xs())
-    ok_b, alpha_b = _ap_difference(b.xs())
-    alphas = {v for v in (alpha_a, alpha_b) if v is not None}
-    if not (ok_a and ok_b) or len(alphas) != 1:
+    ok, alpha = shared_difference([a.xs(), b.xs()])
+    if not ok or alpha is None:
         return Classification(Verdict.EXTREMAL_UNCLASSIFIED)
-    alpha = alphas.pop()
 
     inv_alpha = Fraction(1) / alpha
     a1 = PointSet2D(Point2(p.x * inv_alpha, p.y) for p in a)
     b1 = PointSet2D(Point2(p.x * inv_alpha, p.y) for p in b)
 
     # (2) vertical sections: APs with one shared positive difference beta
-    beta = _shared_section_difference([a1, b1], axis_rows=False)
-    if beta is None:
+    ok, beta = shared_difference([*a1.columns().values(), *b1.columns().values()])
+    if not ok:
         return Classification(Verdict.EXTREMAL_UNCLASSIFIED)
+    beta = beta or 1
     inv_beta = Fraction(1) / beta
     a2 = PointSet2D(Point2(p.x, p.y * inv_beta) for p in a1)
     b2 = PointSet2D(Point2(p.x, p.y * inv_beta) for p in b1)
@@ -403,28 +376,38 @@ def _normalized_candidates(a2: PointSet2D, b2: PointSet2D):
             yield a3, b3, rx, ry, gamma
 
 
-def _match_family(tag: str, a3: PointSet2D, b3: PointSet2D, m: int, n: int) -> Optional[dict]:
-    if tag == "a":
-        ta = _match_trapezoid(a3, m)
-        tb = _match_trapezoid(b3, n)
-        if ta is not None and tb is not None and ta.c == tb.c and ta.d == tb.d:
-            return {"spec_a": ta, "spec_b": tb}
-        return None
-    if tag == "b":
-        for sa, sb, mm, nn, swapped in ((a3, b3, m, n, False), (b3, a3, n, m, True)):
-            eps = _match_eps(sa, mm)
-            if eps is not None:
-                partner = _match_trapezoid(sb, nn)
-                want_h = (nn - 1) * int(eps.base.d) + 1
-                if partner is not None and partner.h == want_h \
-                        and partner.c == eps.base.c and partner.d == eps.base.d:
-                    return {"eps_spec": eps, "partner": partner, "roles_swapped": swapped}
-        return None
+def _match_standard(a3: PointSet2D, b3: PointSet2D, m: int, n: int) -> Optional[dict]:
+    ta = _match_trapezoid(a3, m)
+    tb = _match_trapezoid(b3, n)
+    if ta is not None and tb is not None and ta.c == tb.c and ta.d == tb.d:
+        return {"spec_a": ta, "spec_b": tb}
+    return None
+
+
+def _match_shifted(a3: PointSet2D, b3: PointSet2D, m: int, n: int) -> Optional[dict]:
+    for sa, sb, mm, nn, swapped in ((a3, b3, m, n, False), (b3, a3, n, m, True)):
+        eps = _match_eps(sa, mm)
+        if eps is not None:
+            partner = _match_trapezoid(sb, nn)
+            want_h = (nn - 1) * int(eps.base.d) + 1
+            if partner is not None and partner.h == want_h \
+                    and partner.c == eps.base.c and partner.d == eps.base.d:
+                return {"eps_spec": eps, "partner": partner, "roles_swapped": swapped}
+    return None
+
+
+def _match_wedge(a3: PointSet2D, b3: PointSet2D, m: int, n: int) -> Optional[dict]:
     for sa, sb, mm, nn, swapped in ((a3, b3, m, n, False), (b3, a3, n, m, True)):
         cc = _match_case_c(sa, sb, mm, nn)
         if cc is not None:
             return {"spec": cc, "roles_swapped": swapped}
     return None
+
+
+# (tag, verdict, matcher) in specificity order; the tags name families in also_matches
+_FAMILIES = (("a", Verdict.TRAPEZOID_PAIR, _match_standard),
+             ("b", Verdict.EPS_TRAPEZOID_PAIR, _match_shifted),
+             ("c", Verdict.CASE_C_PAIR, _match_wedge))
 
 
 def classify_thm3(a: PointSet2D, b: PointSet2D) -> Classification:
@@ -441,59 +424,52 @@ def classify_thm3(a: PointSet2D, b: PointSet2D) -> Classification:
         return Classification(Verdict.NOT_EXTREMAL)
 
     # (1) level sets: APs with one shared difference
-    ok_a, dy_a = _ap_difference(a.ys())
-    ok_b, dy_b = _ap_difference(b.ys())
-    dys = {v for v in (dy_a, dy_b) if v is not None}
-    if not (ok_a and ok_b) or len(dys) != 1:
+    ok, dy = shared_difference([a.ys(), b.ys()])
+    if not ok or dy is None:
         return Classification(Verdict.EXTREMAL_UNCLASSIFIED)
-    dy = dys.pop()
     a1 = _normalize_levels(a, dy)
     b1 = _normalize_levels(b, dy)
 
     # (2) rows: APs with one shared difference
-    dx = _shared_section_difference([a1, b1], axis_rows=True)
-    if dx is None:
+    ok, dx = shared_difference([*a1.rows().values(), *b1.rows().values()])
+    if not ok:
         return Classification(Verdict.EXTREMAL_UNCLASSIFIED)
+    dx = dx or 1
     inv_dx = Fraction(1) / dx
     a2 = PointSet2D(Point2(p.x * inv_dx, p.y) for p in a1)
     b2 = PointSet2D(Point2(p.x * inv_dx, p.y) for p in b1)
 
-    # (3) families in specificity order, each searched over every reflection
-    # and candidate shear.  The families can overlap up to the group (a
-    # standard pair may be a shifted pair in sheared coordinates), so the
-    # tie-break runs at the orbit level to keep verdicts group-invariant;
-    # any further families the orbit admits are reported in also_matches.
-    found_tag = None
-    details: dict = {}
-    transform = None
-    for tag in ("a", "b", "c"):
-        for a3, b3, rx, ry, gamma in _normalized_candidates(a2, b2):
-            got = _match_family(tag, a3, b3, m, n)
-            if got is not None:
-                found_tag = tag
-                details = dict(got)
-                transform = (rx, ry, gamma)
-                break
-        if found_tag:
+    # (3) one scan over every reflection and candidate shear, trying each
+    # family that has not matched yet and keeping its first matching
+    # candidate.  The families can overlap up to the group (a standard pair
+    # may be a shifted pair in sheared coordinates), so the tie-break runs
+    # at the orbit level to keep verdicts group-invariant: the verdict is
+    # the first family in specificity order that matched at any candidate,
+    # and the other families that matched are reported in also_matches.
+    found: dict = {}  # tag -> (details, (rx, ry, gamma))
+    for a3, b3, rx, ry, gamma in _normalized_candidates(a2, b2):
+        for tag, _, match in _FAMILIES:
+            if tag not in found:
+                got = match(a3, b3, m, n)
+                if got is not None:
+                    found[tag] = (got, (rx, ry, gamma))
+        if len(found) == len(_FAMILIES):
             break
-    if not found_tag:
+    hits = [(tag, verdict) for tag, verdict, _ in _FAMILIES if tag in found]
+    if not hits:
         return Classification(Verdict.EXTREMAL_UNCLASSIFIED)
 
-    extras = [t for t in ("a", "b", "c") if t != found_tag and any(
-        _match_family(t, a3, b3, m, n) is not None
-        for a3, b3, _, _, _ in _normalized_candidates(a2, b2))]
-    if extras:
-        details["also_matches"] = extras
-    rx, ry, gamma = transform
+    tag, verdict = hits[0]
+    got, (rx, ry, gamma) = found[tag]
+    details = dict(got)
+    if len(hits) > 1:
+        details["also_matches"] = [t for t, _ in hits[1:]]
     details["reflection"] = {"x": rx, "y": ry}
     # witness: shear(gamma) . reflection . diag(1/dx, 1/dy), linear part
     refl = AffineMap2D.diagonal(-1 if rx else 1, -1 if ry else 1)
     shear = AffineMap2D.upper_triangular(1, -gamma, 1)
     witness = shear.compose(refl).compose(
         AffineMap2D.diagonal(inv_dx, Fraction(1) / dy))
-    verdict = {"a": Verdict.TRAPEZOID_PAIR,
-               "b": Verdict.EPS_TRAPEZOID_PAIR,
-               "c": Verdict.CASE_C_PAIR}[found_tag]
     return Classification(verdict=verdict, details=details, witness_map=witness)
 
 

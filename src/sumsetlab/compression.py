@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .core import Point2, PointSet2D, Rational, minkowski_sum, rat
+from .bounds import _section_chain_sums
+from .core import Point2, PointSet2D, Rational, minkowski_sum
 from .errors import EmptySet
 
 
@@ -32,19 +31,7 @@ def compression_chain(a: PointSet2D, b: PointSet2D) -> list[Rational]:
     """
     if len(a) == 0 or len(b) == 0:
         raise EmptySet("compression_chain needs nonempty sets")
-    ra, rb = a.rows(), b.rows()
     v1 = len(minkowski_sum(a, b))
-    v2 = 0
-    v3 = 0
-    for t in sorted({i + j for i in ra for j in rb}):
-        best_sum = 0
-        best_card = 0
-        for i in ra:
-            j = t - i
-            if j in rb:
-                best_sum = max(best_sum, len({x1 + x2 for x1 in ra[i] for x2 in rb[j]}))
-                best_card = max(best_card, len(ra[i]) + len(rb[j]) - 1)
-        v2 += best_sum
-        v3 += best_card
+    v2, v3 = _section_chain_sums(a.rows(), b.rows())
     v4 = len(minkowski_sum(compress(a), compress(b)))
-    return [rat(Fraction(v)) for v in (v1, v2, v3, v4)]
+    return [v1, v2, v3, v4]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .core import Point2, Rational, parse_rational, rat, rat_str
+from .core import Point2, Rational, parse_point_lines, rat, rat_str
 from .errors import (ConsistencyError, DegenerateProjection, EmptySet,
                      HypothesisViolated, InvalidAmount, InvalidSpec, ParseError)
 
@@ -530,15 +530,7 @@ def stretch_invariance_check(p: ConvexPolygon, q: ConvexPolygon, h: Rational) ->
 # ---------------------------------------------------------------------------
 
 def loads_polygon(text: str) -> ConvexPolygon:
-    verts = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.split()
-        if len(parts) != 2:
-            raise ParseError(f"expected `x y`, got {raw!r}", lineno)
-        verts.append(Point2(parse_rational(parts[0], lineno), parse_rational(parts[1], lineno)))
+    verts = parse_point_lines(text)
     if not verts:
         raise EmptySet("polygon file has no vertices")
     try:

@@ -298,6 +298,22 @@ def apply_map(x: PointSet2D, m: AffineMap2D) -> PointSet2D:
     return PointSet2D(m(p) for p in x)
 
 
+def shared_difference(sequences: Iterable) -> tuple[bool, Optional[Rational]]:
+    """(ok, d): ok when every sequence is an arithmetic progression and all
+    those with two or more entries share one difference d; d is None when no
+    sequence has two entries, and also when ok is False."""
+    common = None
+    for seq in sequences:
+        if len(seq) < 2:
+            continue
+        d = seq[1] - seq[0]
+        if common is None:
+            common = d
+        if d != common or any(seq[k + 1] - seq[k] != d for k in range(1, len(seq) - 1)):
+            return False, None
+    return True, common
+
+
 def arithmetic_progression_of(x: PointSet2D) -> Optional[Point2]:
     """Common difference of a collinear set, or None if it is not a progression.
 
@@ -330,7 +346,8 @@ def parse_rational(token: str, line: int | None = None) -> Rational:
         raise ParseError(f"not a rational: {token!r}", line)
 
 
-def loads_points(text: str) -> PointSet2D:
+def parse_point_lines(text: str) -> list[Point2]:
+    """The points of an `x y` file, in file order; ParseError names the line."""
     pts = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
@@ -340,7 +357,11 @@ def loads_points(text: str) -> PointSet2D:
         if len(parts) != 2:
             raise ParseError(f"expected `x y`, got {raw!r}", lineno)
         pts.append(Point2(parse_rational(parts[0], lineno), parse_rational(parts[1], lineno)))
-    return PointSet2D(pts)
+    return pts
+
+
+def loads_points(text: str) -> PointSet2D:
+    return PointSet2D(parse_point_lines(text))
 
 
 def dumps_points(ps: PointSet2D) -> str:

@@ -194,7 +194,8 @@ def sweep(config: SweepConfig) -> SweepReport:
     mode = config.mode
     subs_a = enumerate_subsets(config.grid_width, config.grid_height,
                                config.max_size_a, config.require_two_dimensional)
-    subs_b = subs_a if mode is BoundMode.DOUBLING else enumerate_subsets(
+    same_lists = mode is BoundMode.DOUBLING or config.max_size_b == config.max_size_a
+    subs_b = subs_a if same_lists else enumerate_subsets(
         config.grid_width, config.grid_height, config.max_size_b, config.require_two_dimensional)
     # shards split the unfiltered A list, so every shard keeps its pairs
     chosen_a = [a for idx, a in enumerate(subs_a)

@@ -4,10 +4,12 @@ from fractions import Fraction
 import pytest
 
 from sumsetlab import (AffineMap2D, BoundMode, HypothesisViolated,
-                       NotCollinear, PointSet2D, Verdict, apply_map,
-                       classify_1d, classify_thm2, classify_thm3, is_extremal,
-                       split_check)
-from sumsetlab.classify import TrapezoidZones
+                       NotCollinear, Point2, PointSet2D, SweepConfig, Verdict,
+                       apply_map, classify_1d, classify_thm2, classify_thm3,
+                       cover_stats, is_extremal, rat, split_check, sweep)
+from sumsetlab.classify import (Classification, TrapezoidZones, _match_shifted,
+                                _match_standard, _match_wedge, _normalize_levels,
+                                _normalized_candidates)
 from sumsetlab.families import (CaseCSpec, EpsilonSpec, TrapezoidSpec,
                                 gen_case_c, gen_eps_trapezoid, gen_trapezoid,
                                 gen_wild)
@@ -152,6 +154,134 @@ class TestClassifyThm3:
                                                  rng.randint(-5, 5), rng.randint(-5, 5))
                 cls = classify_thm3(apply_map(a, m), apply_map(b, m))
                 assert cls.verdict is want
+
+
+def _ap_difference(values):
+    if len(values) <= 1:
+        return True, None
+    d = values[1] - values[0]
+    return all(values[k + 1] - values[k] == d for k in range(len(values) - 1)), d
+
+
+def _shared_section_difference(sets, axis_rows):
+    diffs = set()
+    for s in sets:
+        groups = s.rows() if axis_rows else s.columns()
+        for vals in groups.values():
+            ok, d = _ap_difference(vals)
+            if not ok:
+                return None
+            if d is not None:
+                diffs.add(d)
+    if len(diffs) > 1:
+        return None
+    return diffs.pop() if diffs else rat(1)
+
+
+def _match_family(tag, a3, b3, m, n):
+    return {"a": _match_standard, "b": _match_shifted, "c": _match_wedge}[tag](a3, b3, m, n)
+
+
+def reference_classify_thm3(a, b):
+    """classify_thm3 with its earlier two-scan family search: families in
+    specificity order, each over every candidate, then a second full scan
+    that fills also_matches.  Callers pass extremal pairs with m, n >= 2."""
+    m = cover_stats(a).max_horizontal_section
+    n = cover_stats(b).max_horizontal_section
+    ok_a, dy_a = _ap_difference(a.ys())
+    ok_b, dy_b = _ap_difference(b.ys())
+    dys = {v for v in (dy_a, dy_b) if v is not None}
+    if not (ok_a and ok_b) or len(dys) != 1:
+        return Classification(Verdict.EXTREMAL_UNCLASSIFIED)
+    dy = dys.pop()
+    a1 = _normalize_levels(a, dy)
+    b1 = _normalize_levels(b, dy)
+    dx = _shared_section_difference([a1, b1], axis_rows=True)
+    if dx is None:
+        return Classification(Verdict.EXTREMAL_UNCLASSIFIED)
+    inv_dx = Fraction(1) / dx
+    a2 = PointSet2D(Point2(p.x * inv_dx, p.y) for p in a1)
+    b2 = PointSet2D(Point2(p.x * inv_dx, p.y) for p in b1)
+
+    found_tag = None
+    details: dict = {}
+    transform = None
+    for tag in ("a", "b", "c"):
+        for a3, b3, rx, ry, gamma in _normalized_candidates(a2, b2):
+            got = _match_family(tag, a3, b3, m, n)
+            if got is not None:
+                found_tag = tag
+                details = dict(got)
+                transform = (rx, ry, gamma)
+                break
+        if found_tag:
+            break
+    if not found_tag:
+        return Classification(Verdict.EXTREMAL_UNCLASSIFIED)
+
+    extras = [t for t in ("a", "b", "c") if t != found_tag and any(
+        _match_family(t, a3, b3, m, n) is not None
+        for a3, b3, _, _, _ in _normalized_candidates(a2, b2))]
+    if extras:
+        details["also_matches"] = extras
+    rx, ry, gamma = transform
+    details["reflection"] = {"x": rx, "y": ry}
+    refl = AffineMap2D.diagonal(-1 if rx else 1, -1 if ry else 1)
+    shear = AffineMap2D.upper_triangular(1, -gamma, 1)
+    witness = shear.compose(refl).compose(
+        AffineMap2D.diagonal(inv_dx, Fraction(1) / dy))
+    verdict = {"a": Verdict.TRAPEZOID_PAIR,
+               "b": Verdict.EPS_TRAPEZOID_PAIR,
+               "c": Verdict.CASE_C_PAIR}[found_tag]
+    return Classification(verdict=verdict, details=details, witness_map=witness)
+
+
+def sweep_pairs_for_thm3(width, height, **caps):
+    """The sections-extremal pairs of a grid sweep that classify_thm3 accepts."""
+    report = sweep(SweepConfig(width, height, BoundMode.SECTIONS_GS, min_mn=2,
+                               collect_extremal=True, **caps))
+    pairs = [(PointSet2D(pa), PointSet2D(pb)) for pa, pb in report.extremal_pairs]
+    return [(a, b) for a, b in pairs
+            if cover_stats(a).is_two_dimensional and cover_stats(b).is_two_dimensional]
+
+
+class TestSingleScanMatchesTwoScans:
+    def assert_same(self, pairs):
+        for a, b in pairs:
+            assert classify_thm3(a, b).to_json_dict() == reference_classify_thm3(a, b).to_json_dict()
+
+    def test_grid_3x3(self):
+        pairs = sweep_pairs_for_thm3(3, 3)
+        assert len(pairs) == 150
+        self.assert_same(pairs)
+
+    def test_grid_3x4(self):
+        pairs = sweep_pairs_for_thm3(3, 4, max_size_b=3)
+        assert len(pairs) == 78
+        verdicts = [classify_thm3(a, b).verdict for a, b in pairs]
+        assert verdicts.count(Verdict.EPS_TRAPEZOID_PAIR) == 8
+        self.assert_same(pairs)
+
+    def test_seeded_upper_triangular_images(self):
+        rng = random.Random(41)
+        instances = [
+            (gen_trapezoid(TrapezoidSpec(3, 4, 0, 1)), gen_trapezoid(TrapezoidSpec(2, 3, 0, 1))),
+            gen_case_c(CaseCSpec(2, 3, 3)),
+            figure2_pair(),
+            gen_case_c(CaseCSpec(4, 4, 7)),
+            gen_case_c(CaseCSpec(2, 2, 1)),
+        ]
+        pairs = []
+        for a, b in instances:
+            pairs.append((a, b))
+            for signs in ((1, 1), (-1, 1), (1, -1), (-1, -1)):
+                alpha = Fraction(rng.randint(1, 4), rng.randint(1, 3)) * signs[0]
+                beta = Fraction(rng.randint(1, 4), rng.randint(1, 3)) * signs[1]
+                gamma = Fraction(rng.randint(-6, 6), rng.randint(1, 3))
+                m = AffineMap2D.upper_triangular(alpha, gamma, beta,
+                                                 rng.randint(-5, 5), rng.randint(-5, 5))
+                pairs.append((apply_map(a, m), apply_map(b, m)))
+        self.assert_same(pairs)
 
 
 class TestClassify1D:

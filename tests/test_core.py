@@ -10,6 +10,7 @@ from sumsetlab import (AffineMap2D, Axis, EmptySet, InvalidSpec, NotCollinear,
                        arithmetic_progression_of,
                        cover_stats, dumps_points, gen_trapezoid, gen_wild,
                        loads_points, minkowski_sum, section)
+from sumsetlab.core import shared_difference
 from sumsetlab.families import TrapezoidSpec
 
 
@@ -100,6 +101,20 @@ class TestArithmeticProgression:
     def test_non_collinear_rejected(self):
         with pytest.raises(NotCollinear):
             arithmetic_progression_of(ps((0, 0), (1, 0), (0, 1)))
+
+
+class TestSharedDifference:
+    @pytest.mark.parametrize("sequences, want", [
+        ([], (True, None)),
+        ([[3], [Fraction(1, 2)], []], (True, None)),
+        ([[5], [0, 2, 4], [1, 3]], (True, 2)),
+        ([[0, Fraction(1, 3)], [7], [1, Fraction(4, 3), Fraction(5, 3)]], (True, Fraction(1, 3))),
+        ([[0, 1, 2], [0, 2]], (False, None)),
+        ([[0, 1, 3]], (False, None)),
+        ([[2], [0, 1, 3], [4, 5]], (False, None)),
+    ])
+    def test_table(self, sequences, want):
+        assert shared_difference(sequences) == want
 
 
 class TestProperties:
