@@ -35,7 +35,7 @@ from .core import (AffineMap2D, Point2, PointSet2D, Rational,
                    arithmetic_progression_of, collinear_direction,
                    cover_stats, rat, rat_str, shared_difference)
 from .errors import EmptySet, HypothesisViolated, InvalidSpec, NotCollinear
-from .families import CaseCSpec, EpsilonSpec, TrapezoidSpec, gen_case_c, gen_eps_trapezoid, gen_trapezoid
+from .families import CaseCSpec, EpsilonSpec, TrapezoidSpec, gen_case_c
 
 
 class Verdict(Enum):
@@ -266,23 +266,6 @@ def _normalize_levels(s: PointSet2D, dy: Rational) -> PointSet2D:
     return PointSet2D(Point2(p.x, (p.y - y0) * inv) for p in s)
 
 
-def _integer_form(s: PointSet2D) -> Optional[PointSet2D]:
-    """Translate so min x = min y = 0 and require integer coordinates."""
-    x0 = min(p.x for p in s)
-    y0 = min(p.y for p in s)
-    pts = []
-    for p in s:
-        x, y = p.x - x0, p.y - y0
-        if Fraction(x).denominator != 1 or Fraction(y).denominator != 1:
-            return None
-        pts.append(Point2(int(x), int(y)))
-    return PointSet2D(pts)
-
-
-def _reflect(s: PointSet2D, rx: bool, ry: bool) -> PointSet2D:
-    return PointSet2D(Point2(-p.x if rx else p.x, -p.y if ry else p.y) for p in s)
-
-
 def _match_trapezoid(s: PointSet2D, mode_m: int) -> Optional[TrapezoidSpec]:
     r = _trapezoid_spec_of(s)
     if r is None:
@@ -294,86 +277,117 @@ def _match_trapezoid(s: PointSet2D, mode_m: int) -> Optional[TrapezoidSpec]:
 
 
 def _match_eps(s: PointSet2D, mode_m: int) -> Optional[EpsilonSpec]:
-    """Recognize s (integer form, min x = min y = 0) as a shifted trapezoid."""
+    """Recognize s (integer form, min x = min y = 0) as a shifted trapezoid.
+
+    mode_m must be the size of the longest row of s, else None.  The base
+    T(mode_m, h, c, d), c, d >= 0, has a full row, and its row y runs from
+    x = max(0, ceil((y-h+1)/c)) to min(mode_m-1, floor(y/d)).  Shifts keep
+    the row counts, so they fix the one candidate: d and c are the lengths
+    of the bottom and top runs of one-point rows, h = height - (mode_m-1)c.
+    s matches when each row is a run as long as the base row, starting at
+    the base row's start plus a shift that climbs by 0 or 1 per row from 0;
+    the rows where it climbs are the spec's ones.
+    """
     rows = s.rows()
-    levels = sorted(rows)
-    height = len(levels)
-    if levels != list(range(height)):
+    height = len(rows)
+    if list(rows) != list(range(height)):
         return None
-    if mode_m < 2:
+    counts = [len(xs) for xs in rows.values()]
+    if mode_m < 2 or max(counts) != mode_m:
         return None
-    counts = {v: len(rows[v]) for v in levels}
-    c_max = (height - 1) // (mode_m - 1)
-    for c in range(0, c_max + 1):
-        h = height - (mode_m - 1) * c
-        if h < 1:
-            continue
-        for d in range(0, height + 1):
-            if c == 0 and d == 0:
-                continue
-            try:
-                base_spec = TrapezoidSpec(mode_m, h, c, d)
-            except InvalidSpec:
-                continue
-            base = gen_trapezoid(base_spec)
-            if len(base) != len(s):
-                continue
-            base_rows = base.rows()
-            if sorted(base_rows) != levels:
-                continue
-            if any(len(base_rows[v]) != counts[v] for v in levels):
-                continue
-            shifts = [rows[v][0] - base_rows[v][0] for v in levels]
-            shifts = [sh - shifts[0] for sh in shifts]
-            if any(sh < 0 for sh in shifts):
-                continue
-            if any(shifts[i + 1] - shifts[i] not in (0, 1) for i in range(height - 1)):
-                continue
-            ones = frozenset(i for i in range(1, height) if shifts[i] - shifts[i - 1] == 1)
-            try:
-                eps_spec = EpsilonSpec(base_spec, ones)
-            except InvalidSpec:
-                continue
-            cand = _integer_form(gen_eps_trapezoid(eps_spec))
-            if cand == s:
-                return eps_spec
-    return None
-
-
-def _match_case_c(sa: PointSet2D, sb: PointSet2D, m: int, n: int) -> Optional[CaseCSpec]:
-    height_a = int(max(p.y for p in sa)) + 1
-    k = height_a - 4 * m + 4
-    if k < 1 or k % 2 == 0:
-        return None
+    d = next(i for i, k in enumerate(counts) if k > 1)
+    c = next(i for i, k in enumerate(reversed(counts)) if k > 1)
+    h = height - (mode_m - 1) * c
     try:
-        spec = CaseCSpec(m, n, k)
+        base = TrapezoidSpec(mode_m, h, c, d)
     except InvalidSpec:
         return None
-    ga, gb = gen_case_c(spec)
-    if _integer_form(ga) == sa and _integer_form(gb) == sb:
-        return spec
-    return None
+    ones = []
+    shift = 0
+    for y, xs in rows.items():
+        lo = 0 if c == 0 else max(0, -((h - 1 - y) // c))
+        hi = mode_m - 1 if d == 0 else min(mode_m - 1, y // d)
+        if len(xs) != hi - lo + 1 or xs[-1] - xs[0] != hi - lo:
+            return None
+        step = xs[0] - lo - shift
+        if step == 1:
+            ones.append(y)
+            shift += 1
+        elif step != 0:
+            return None
+    try:
+        return EpsilonSpec(base, frozenset(ones))
+    except InvalidSpec:
+        return None
+
+
+def _case_c_forms(a2: PointSet2D, b2: PointSet2D, m: int, n: int) -> list:
+    """(spec, want_a, want_b, roles_swapped) per role in which the pair can
+    be case C, want_a and want_b in (a3, b3) order.  k depends only on the
+    height, which reflections and shears keep, so one instance per role
+    serves the scan; gen_case_c's sets are in integer form already."""
+    forms = []
+    for s, mm, nn, swapped in ((a2, m, n, False), (b2, n, m, True)):
+        height = max(p.y for p in s) + 1  # the levels start at 0
+        try:
+            spec = CaseCSpec(mm, nn, height - 4 * mm + 4)
+        except InvalidSpec:
+            continue
+        ga, gb = gen_case_c(spec)
+        if swapped:
+            ga, gb = gb, ga
+        forms.append((spec, ga, gb, swapped))
+    return forms
+
+
+def _row_runs(s: PointSet2D) -> list:
+    """(y, r, ks) per level of s, whose rows are runs of difference 1: r is
+    the row's first x and ks the integer offsets of its points from r."""
+    return [(y, xs[0], [int(x - xs[0]) for x in xs]) for y, xs in s.rows().items()]
+
+
+def _sheared_form(rows: list, gamma: Rational) -> Optional[PointSet2D]:
+    """The set with these _row_runs under x -> x - gamma*y, translated to
+    min x = min y = 0, as a PointSet2D of ints; a shear moves each row as a
+    whole, so one integrality test per row finds None before any build."""
+    y1, r1, _ = rows[0]
+    pts = []
+    for y, r, ks in rows:
+        shift = r - r1 - gamma * (y - y1)
+        if shift.denominator != 1:
+            return None
+        pts.extend((int(shift) + k, y) for k in ks)
+    x0 = min(x for x, _ in pts)
+    y0 = min(y for _, y in pts)
+    return PointSet2D((x - x0, y - y0) for x, y in pts)
 
 
 def _normalized_candidates(a2: PointSet2D, b2: PointSet2D):
     """Yield (a3, b3, rx, ry, gamma) for every reflection and candidate shear
-    that lands both sets on integer coordinates."""
+    that lands both sets on integer coordinates.
+
+    The candidates are 0 and the slopes between consecutive row minima and
+    between consecutive row maxima of either set, negated when one axis is
+    reflected.  Each shear runs on raw coordinates and tests integrality
+    before a point set is built; b is not sheared when a already fails."""
+    slopes = {rat(0)}
+    for s in (a2, b2):
+        profile = RowProfile.of(s)
+        for i in range(len(profile.levels) - 1):
+            step = profile.levels[i + 1] - profile.levels[i]
+            slopes.add(rat(Fraction(profile.min_xs[i + 1] - profile.min_xs[i]) / step))
+            slopes.add(rat(Fraction(profile.max_xs[i + 1] - profile.max_xs[i]) / step))
+    runs = [_row_runs(a2), _row_runs(b2)]
     for rx, ry in ((False, False), (True, False), (False, True), (True, True)):
-        ar = _reflect(a2, rx, ry)
-        br = _reflect(b2, rx, ry)
-        candidates = {rat(0)}
-        for s in (ar, br):
-            profile = RowProfile.of(s)
-            for i in range(len(profile.levels) - 1):
-                step = profile.levels[i + 1] - profile.levels[i]
-                candidates.add(rat(Fraction(profile.min_xs[i + 1] - profile.min_xs[i]) / step))
-                candidates.add(rat(Fraction(profile.max_xs[i + 1] - profile.max_xs[i]) / step))
-        for gamma in sorted(candidates, key=lambda v: (abs(Fraction(v)), Fraction(v))):
-            a3 = _integer_form(PointSet2D(Point2(p.x - gamma * p.y, p.y) for p in ar))
-            b3 = _integer_form(PointSet2D(Point2(p.x - gamma * p.y, p.y) for p in br))
-            if a3 is None or b3 is None:
-                continue
-            yield a3, b3, rx, ry, gamma
+        sx, sy = -1 if rx else 1, -1 if ry else 1
+        ra, rb = ([(sy * y, sx * r, [sx * k for k in ks]) for y, r, ks in rows]
+                  for rows in runs)
+        for gamma in sorted({sx * sy * g for g in slopes},
+                            key=lambda v: (abs(Fraction(v)), Fraction(v))):
+            a3 = _sheared_form(ra, gamma)
+            b3 = None if a3 is None else _sheared_form(rb, gamma)
+            if b3 is not None:
+                yield a3, b3, rx, ry, gamma
 
 
 def _match_standard(a3: PointSet2D, b3: PointSet2D, m: int, n: int) -> Optional[dict]:
@@ -396,18 +410,11 @@ def _match_shifted(a3: PointSet2D, b3: PointSet2D, m: int, n: int) -> Optional[d
     return None
 
 
-def _match_wedge(a3: PointSet2D, b3: PointSet2D, m: int, n: int) -> Optional[dict]:
-    for sa, sb, mm, nn, swapped in ((a3, b3, m, n, False), (b3, a3, n, m, True)):
-        cc = _match_case_c(sa, sb, mm, nn)
-        if cc is not None:
-            return {"spec": cc, "roles_swapped": swapped}
+def _match_wedge(a3: PointSet2D, b3: PointSet2D, forms: list) -> Optional[dict]:
+    for spec, want_a, want_b, swapped in forms:
+        if a3 == want_a and b3 == want_b:
+            return {"spec": spec, "roles_swapped": swapped}
     return None
-
-
-# (tag, verdict, matcher) in specificity order; the tags name families in also_matches
-_FAMILIES = (("a", Verdict.TRAPEZOID_PAIR, _match_standard),
-             ("b", Verdict.EPS_TRAPEZOID_PAIR, _match_shifted),
-             ("c", Verdict.CASE_C_PAIR, _match_wedge))
 
 
 def classify_thm3(a: PointSet2D, b: PointSet2D) -> Classification:
@@ -446,16 +453,21 @@ def classify_thm3(a: PointSet2D, b: PointSet2D) -> Classification:
     # at the orbit level to keep verdicts group-invariant: the verdict is
     # the first family in specificity order that matched at any candidate,
     # and the other families that matched are reported in also_matches.
+    # families holds (tag, verdict, matcher) in specificity order.
+    wedges = _case_c_forms(a2, b2, m, n)
+    families = (("a", Verdict.TRAPEZOID_PAIR, lambda a3, b3: _match_standard(a3, b3, m, n)),
+                ("b", Verdict.EPS_TRAPEZOID_PAIR, lambda a3, b3: _match_shifted(a3, b3, m, n)),
+                ("c", Verdict.CASE_C_PAIR, lambda a3, b3: _match_wedge(a3, b3, wedges)))
     found: dict = {}  # tag -> (details, (rx, ry, gamma))
     for a3, b3, rx, ry, gamma in _normalized_candidates(a2, b2):
-        for tag, _, match in _FAMILIES:
+        for tag, _, match in families:
             if tag not in found:
-                got = match(a3, b3, m, n)
+                got = match(a3, b3)
                 if got is not None:
                     found[tag] = (got, (rx, ry, gamma))
-        if len(found) == len(_FAMILIES):
+        if len(found) == len(families):
             break
-    hits = [(tag, verdict) for tag, verdict, _ in _FAMILIES if tag in found]
+    hits = [(tag, verdict) for tag, verdict, _ in families if tag in found]
     if not hits:
         return Classification(Verdict.EXTREMAL_UNCLASSIFIED)
 

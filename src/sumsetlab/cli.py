@@ -160,7 +160,10 @@ def _cmd_gen(args) -> int:
         spec = TrapezoidSpec(args.m, args.h, parse_rational(args.c), parse_rational(args.d))
         sets = [("A", gen_trapezoid(spec))]
     elif args.family == "eps-trapezoid":
-        ones = frozenset(int(tok) for tok in args.ones.split(",") if tok.strip())
+        try:
+            ones = frozenset(int(tok) for tok in args.ones.split(",") if tok.strip())
+        except ValueError:
+            raise ParseError(f"--ones expects a comma list of integers, got {args.ones!r}")
         spec = EpsilonSpec(TrapezoidSpec(args.m, args.h, parse_rational(args.c),
                                          parse_rational(args.d)), ones)
         sets = [("A", gen_eps_trapezoid(spec))]

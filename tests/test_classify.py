@@ -1,15 +1,18 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 
+import sumsetlab.classify as library
 from sumsetlab import (AffineMap2D, BoundMode, HypothesisViolated,
                        NotCollinear, Point2, PointSet2D, SweepConfig, Verdict,
                        apply_map, classify_1d, classify_thm2, classify_thm3,
                        cover_stats, is_extremal, rat, split_check, sweep)
-from sumsetlab.classify import (Classification, TrapezoidZones, _match_shifted,
-                                _match_standard, _match_wedge, _normalize_levels,
-                                _normalized_candidates)
+from sumsetlab.classify import (Classification, RowProfile, TrapezoidZones,
+                                _match_standard, _match_trapezoid, _normalize_levels)
+from sumsetlab.errors import InvalidSpec
 from sumsetlab.families import (CaseCSpec, EpsilonSpec, TrapezoidSpec,
                                 gen_case_c, gen_eps_trapezoid, gen_trapezoid,
                                 gen_wild)
@@ -178,8 +181,153 @@ def _shared_section_difference(sets, axis_rows):
     return diffs.pop() if diffs else rat(1)
 
 
+# The sections-mode matchers as they stood before the eps slopes were read
+# off the row counts and the shears ran on raw coordinates, kept verbatim:
+# the reference classifier below uses only these.
+
+def _integer_form(s: PointSet2D) -> Optional[PointSet2D]:
+    """Translate so min x = min y = 0 and require integer coordinates."""
+    x0 = min(p.x for p in s)
+    y0 = min(p.y for p in s)
+    pts = []
+    for p in s:
+        x, y = p.x - x0, p.y - y0
+        if Fraction(x).denominator != 1 or Fraction(y).denominator != 1:
+            return None
+        pts.append(Point2(int(x), int(y)))
+    return PointSet2D(pts)
+
+
+def _reflect(s: PointSet2D, rx: bool, ry: bool) -> PointSet2D:
+    return PointSet2D(Point2(-p.x if rx else p.x, -p.y if ry else p.y) for p in s)
+
+
+def _match_eps(s: PointSet2D, mode_m: int) -> Optional[EpsilonSpec]:
+    """Recognize s (integer form, min x = min y = 0) as a shifted trapezoid."""
+    rows = s.rows()
+    levels = sorted(rows)
+    height = len(levels)
+    if levels != list(range(height)):
+        return None
+    if mode_m < 2:
+        return None
+    counts = {v: len(rows[v]) for v in levels}
+    c_max = (height - 1) // (mode_m - 1)
+    for c in range(0, c_max + 1):
+        h = height - (mode_m - 1) * c
+        if h < 1:
+            continue
+        for d in range(0, height + 1):
+            if c == 0 and d == 0:
+                continue
+            try:
+                base_spec = TrapezoidSpec(mode_m, h, c, d)
+            except InvalidSpec:
+                continue
+            base = gen_trapezoid(base_spec)
+            if len(base) != len(s):
+                continue
+            base_rows = base.rows()
+            if sorted(base_rows) != levels:
+                continue
+            if any(len(base_rows[v]) != counts[v] for v in levels):
+                continue
+            shifts = [rows[v][0] - base_rows[v][0] for v in levels]
+            shifts = [sh - shifts[0] for sh in shifts]
+            if any(sh < 0 for sh in shifts):
+                continue
+            if any(shifts[i + 1] - shifts[i] not in (0, 1) for i in range(height - 1)):
+                continue
+            ones = frozenset(i for i in range(1, height) if shifts[i] - shifts[i - 1] == 1)
+            try:
+                eps_spec = EpsilonSpec(base_spec, ones)
+            except InvalidSpec:
+                continue
+            cand = _integer_form(gen_eps_trapezoid(eps_spec))
+            if cand == s:
+                return eps_spec
+    return None
+
+
+def _match_case_c(sa: PointSet2D, sb: PointSet2D, m: int, n: int) -> Optional[CaseCSpec]:
+    height_a = int(max(p.y for p in sa)) + 1
+    k = height_a - 4 * m + 4
+    if k < 1 or k % 2 == 0:
+        return None
+    try:
+        spec = CaseCSpec(m, n, k)
+    except InvalidSpec:
+        return None
+    ga, gb = gen_case_c(spec)
+    if _integer_form(ga) == sa and _integer_form(gb) == sb:
+        return spec
+    return None
+
+
+def _normalized_candidates(a2: PointSet2D, b2: PointSet2D):
+    """Yield (a3, b3, rx, ry, gamma) for every reflection and candidate shear
+    that lands both sets on integer coordinates."""
+    for rx, ry in ((False, False), (True, False), (False, True), (True, True)):
+        ar = _reflect(a2, rx, ry)
+        br = _reflect(b2, rx, ry)
+        candidates = {rat(0)}
+        for s in (ar, br):
+            profile = RowProfile.of(s)
+            for i in range(len(profile.levels) - 1):
+                step = profile.levels[i + 1] - profile.levels[i]
+                candidates.add(rat(Fraction(profile.min_xs[i + 1] - profile.min_xs[i]) / step))
+                candidates.add(rat(Fraction(profile.max_xs[i + 1] - profile.max_xs[i]) / step))
+        for gamma in sorted(candidates, key=lambda v: (abs(Fraction(v)), Fraction(v))):
+            a3 = _integer_form(PointSet2D(Point2(p.x - gamma * p.y, p.y) for p in ar))
+            b3 = _integer_form(PointSet2D(Point2(p.x - gamma * p.y, p.y) for p in br))
+            if a3 is None or b3 is None:
+                continue
+            yield a3, b3, rx, ry, gamma
+
+
+def _match_shifted(a3: PointSet2D, b3: PointSet2D, m: int, n: int) -> Optional[dict]:
+    for sa, sb, mm, nn, swapped in ((a3, b3, m, n, False), (b3, a3, n, m, True)):
+        eps = _match_eps(sa, mm)
+        if eps is not None:
+            partner = _match_trapezoid(sb, nn)
+            want_h = (nn - 1) * int(eps.base.d) + 1
+            if partner is not None and partner.h == want_h \
+                    and partner.c == eps.base.c and partner.d == eps.base.d:
+                return {"eps_spec": eps, "partner": partner, "roles_swapped": swapped}
+    return None
+
+
+def _match_wedge(a3: PointSet2D, b3: PointSet2D, m: int, n: int) -> Optional[dict]:
+    for sa, sb, mm, nn, swapped in ((a3, b3, m, n, False), (b3, a3, n, m, True)):
+        cc = _match_case_c(sa, sb, mm, nn)
+        if cc is not None:
+            return {"spec": cc, "roles_swapped": swapped}
+    return None
+
+
 def _match_family(tag, a3, b3, m, n):
     return {"a": _match_standard, "b": _match_shifted, "c": _match_wedge}[tag](a3, b3, m, n)
+
+
+def reference_normalize(a, b):
+    """Steps (1) and (2) of the reference: (a2, b2, inv_dx, dy), or None
+    when the levels or the rows are not progressions with shared
+    differences."""
+    ok_a, dy_a = _ap_difference(a.ys())
+    ok_b, dy_b = _ap_difference(b.ys())
+    dys = {v for v in (dy_a, dy_b) if v is not None}
+    if not (ok_a and ok_b) or len(dys) != 1:
+        return None
+    dy = dys.pop()
+    a1 = _normalize_levels(a, dy)
+    b1 = _normalize_levels(b, dy)
+    dx = _shared_section_difference([a1, b1], axis_rows=True)
+    if dx is None:
+        return None
+    inv_dx = Fraction(1) / dx
+    a2 = PointSet2D(Point2(p.x * inv_dx, p.y) for p in a1)
+    b2 = PointSet2D(Point2(p.x * inv_dx, p.y) for p in b1)
+    return a2, b2, inv_dx, dy
 
 
 def reference_classify_thm3(a, b):
@@ -188,20 +336,10 @@ def reference_classify_thm3(a, b):
     that fills also_matches.  Callers pass extremal pairs with m, n >= 2."""
     m = cover_stats(a).max_horizontal_section
     n = cover_stats(b).max_horizontal_section
-    ok_a, dy_a = _ap_difference(a.ys())
-    ok_b, dy_b = _ap_difference(b.ys())
-    dys = {v for v in (dy_a, dy_b) if v is not None}
-    if not (ok_a and ok_b) or len(dys) != 1:
+    normalized = reference_normalize(a, b)
+    if normalized is None:
         return Classification(Verdict.EXTREMAL_UNCLASSIFIED)
-    dy = dys.pop()
-    a1 = _normalize_levels(a, dy)
-    b1 = _normalize_levels(b, dy)
-    dx = _shared_section_difference([a1, b1], axis_rows=True)
-    if dx is None:
-        return Classification(Verdict.EXTREMAL_UNCLASSIFIED)
-    inv_dx = Fraction(1) / dx
-    a2 = PointSet2D(Point2(p.x * inv_dx, p.y) for p in a1)
-    b2 = PointSet2D(Point2(p.x * inv_dx, p.y) for p in b1)
+    a2, b2, inv_dx, dy = normalized
 
     found_tag = None
     details: dict = {}
@@ -249,6 +387,11 @@ class TestSingleScanMatchesTwoScans:
     def assert_same(self, pairs):
         for a, b in pairs:
             assert classify_thm3(a, b).to_json_dict() == reference_classify_thm3(a, b).to_json_dict()
+            normalized = reference_normalize(a, b)
+            if normalized is not None:
+                a2, b2 = normalized[:2]
+                got = list(library._normalized_candidates(a2, b2))
+                assert got == list(_normalized_candidates(a2, b2))
 
     def test_grid_3x3(self):
         pairs = sweep_pairs_for_thm3(3, 3)
@@ -270,6 +413,7 @@ class TestSingleScanMatchesTwoScans:
             figure2_pair(),
             gen_case_c(CaseCSpec(4, 4, 7)),
             gen_case_c(CaseCSpec(2, 2, 1)),
+            gen_case_c(CaseCSpec(2, 3, 3))[::-1],
         ]
         pairs = []
         for a, b in instances:
@@ -282,6 +426,32 @@ class TestSingleScanMatchesTwoScans:
                                                  rng.randint(-5, 5), rng.randint(-5, 5))
                 pairs.append((apply_map(a, m), apply_map(b, m)))
         self.assert_same(pairs)
+
+
+def integer_form_subsets(width, height):
+    """Every subset of the width x height grid with min x = min y = 0 and a
+    row of at least 2 points."""
+    cells = [(x, y) for x in range(width) for y in range(height)]
+    for mask in range(1, 1 << len(cells)):
+        pts = [cell for i, cell in enumerate(cells) if mask >> i & 1]
+        if min(x for x, _ in pts) == 0 and min(y for _, y in pts) == 0 \
+                and max(Counter(y for _, y in pts).values()) >= 2:
+            yield PointSet2D(pts)
+
+
+def test_eps_matcher_agrees_with_frozen_search_on_small_grids():
+    sets = matches = 0
+    for width, height in ((3, 4), (4, 3), (2, 6), (6, 2)):
+        for s in integer_form_subsets(width, height):
+            max_row = max(len(xs) for xs in s.rows().values())
+            got = library._match_eps(s, max_row)
+            want = _match_eps(s, max_row)
+            assert (got and got.to_json_dict()) == (want and want.to_json_dict()), s
+            if got is not None:
+                assert gen_eps_trapezoid(got) == s
+                matches += 1
+            sets += 1
+    assert (sets, matches) == (12208, 86)
 
 
 class TestClassify1D:
@@ -365,7 +535,6 @@ class TestWitnessMaps:
         assert got_b == want_b
 
     def test_thm3_witness_lands_on_family_up_to_translation(self):
-        from sumsetlab.classify import _integer_form
         from sumsetlab.families import gen_eps_trapezoid as gen_eps
 
         a, b = figure2_pair()

@@ -246,6 +246,13 @@ class TestErrors:
         code, _ = run_cli(["gen", "trapezoid", "--m", "2", "--h", "1", "--c", "0", "--d", "2"])
         assert code == 2
 
+    def test_non_integer_ones_exit_2(self, capsys):
+        for ones in ("8,x", "8,12.5"):
+            code, out = run_cli(["gen", "eps-trapezoid", "--m", "4", "--h", "16",
+                                 "--c", "1", "--d", "2", "--ones", ones])
+            assert (code, out) == (2, "")
+            assert capsys.readouterr().err.startswith("error: --ones expects")
+
     def test_wild_domain_exit_2(self):
         code, _ = run_cli(["gen", "wild", "--x", "3"])
         assert code == 2
