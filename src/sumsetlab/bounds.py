@@ -16,9 +16,10 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .core import (PointSet2D, Rational, collinear_direction, cover_stats,
-                   minkowski_sum, parallel_directions, rat, rat_str,
-                   shared_difference)
+from .core import (PointSet2D, Rational, bit_mask, collinear_direction,
+                   common_scale, cover_stats, is_sparse, minkowski_sum,
+                   parallel_directions, rat, rat_str, shared_difference,
+                   sumset_mask)
 from .errors import EmptySet, ModeMismatch
 
 
@@ -184,19 +185,42 @@ def averaging_report(a: SupportedSequence, b: SupportedSequence) -> AveragingRep
 def _section_chain_sums(sa: dict, sb: dict) -> tuple[int, int]:
     """The middle terms of a section chain, given each set's sections as
     level -> ascending values: the sums over t of max |A_i + B_j| and of
-    max (|A_i| + |B_j| - 1), each maximum over the levels i + j = t."""
-    v2 = v3 = 0
-    for t in sorted({i + j for i in sa for j in sb}):
-        best_sum = 0
-        best_card = 0
-        for i in sa:
-            j = t - i
-            if j in sb:
-                best_sum = max(best_sum, len({u + w for u in sa[i] for w in sb[j]}))
-                best_card = max(best_card, len(sa[i]) + len(sb[j]) - 1)
-        v2 += best_sum
-        v3 += best_card
-    return v2, v3
+    max (|A_i| + |B_j| - 1), each maximum over the levels i + j = t.
+
+    Each |A_i + B_j| is a 1-D sumset count from core's kernel.  One scale
+    turns the values of both sets into ints, and each section is translated
+    to start at 0, which changes no count.  A pair is counted only when its
+    upper bound |A_i|·|B_j| can beat the best count so far at i + j; a
+    singleton section attains that bound.  Keys and bitsets are built on
+    first use, since small sets rarely need them."""
+    _, scaled = common_scale(*sa.values(), *sb.values())
+    sections_b = list(zip(sb, scaled[len(sa):]))
+    masks: dict = {}  # level of B -> bitset of its section
+    best_sum: dict = {}
+    best_card: dict = {}
+    for i, va in zip(sa, scaled):
+        keys = None
+        for j, vb in sections_b:
+            t = i + j
+            card = len(va) + len(vb) - 1
+            if card > best_card.get(t, 0):
+                best_card[t] = card
+            count = len(va) * len(vb)
+            have = best_sum.get(t, 0)
+            if count <= have:
+                continue
+            if len(va) > 1 and len(vb) > 1:
+                if is_sparse(va[-1] - va[0] + vb[-1] - vb[0] + 1, len(va), len(vb)):
+                    count = len({u + w for u in va for w in vb})
+                else:
+                    if keys is None:
+                        keys = [v - va[0] for v in va]
+                    if j not in masks:
+                        masks[j] = bit_mask(v - vb[0] for v in vb)
+                    count = sumset_mask(keys, masks[j]).bit_count()
+            if count > have:
+                best_sum[t] = count
+    return sum(best_sum.values()), sum(best_card.values())
 
 
 def chain_diagnostic(a: PointSet2D, b: PointSet2D) -> list[Rational]:

@@ -49,14 +49,12 @@ class Verdict(Enum):
 
 @dataclass(frozen=True)
 class RowProfile:
-    """Per-level records: size, extreme x-values, and the row's common
-    difference (None for singletons and for rows that are not progressions)."""
+    """Per-level records: size and extreme x-values."""
 
     levels: tuple
     counts: tuple
     min_xs: tuple
     max_xs: tuple
-    common_differences: tuple
 
     @classmethod
     def of(cls, s: PointSet2D) -> "RowProfile":
@@ -67,7 +65,6 @@ class RowProfile:
             counts=tuple(len(rows[v]) for v in levels),
             min_xs=tuple(rows[v][0] for v in levels),
             max_xs=tuple(rows[v][-1] for v in levels),
-            common_differences=tuple(shared_difference([rows[v]])[1] for v in levels),
         )
 
 

@@ -11,6 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate, repeat
+from math import gcd, lcm
+from operator import add
 from typing import Iterable, Iterator, Optional, Union
 
 from .errors import EmptySet, InvalidSpec, NotCollinear, ParseError
@@ -91,6 +94,20 @@ class PointSet2D:
         object.__setattr__(self, "_pts", tuple(sorted(pts)))
         object.__setattr__(self, "_set", frozenset(pts))
 
+    @classmethod
+    def _canonical(cls, pts: tuple) -> "PointSet2D":
+        """A set of distinct points already in canonical order; its frozenset
+        is built on first use, as most such sets are only counted."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "_pts", pts)
+        object.__setattr__(s, "_set", None)
+        return s
+
+    def _members(self) -> frozenset:
+        if self._set is None:
+            object.__setattr__(self, "_set", frozenset(self._pts))
+        return self._set
+
     @property
     def points(self) -> tuple[Point2, ...]:
         return self._pts
@@ -104,13 +121,13 @@ class PointSet2D:
     def __contains__(self, p) -> bool:
         if not isinstance(p, Point2):
             p = Point2(p[0], p[1])
-        return p in self._set
+        return p in self._members()
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PointSet2D) and self._set == other._set
+        return isinstance(other, PointSet2D) and self._members() == other._members()
 
     def __hash__(self) -> int:
-        return hash(self._set)
+        return hash(self._members())
 
     def __repr__(self) -> str:
         return f"PointSet2D({list(self._pts)!r})"
@@ -225,12 +242,117 @@ class AffineMap2D:
         return {k: rat_str(getattr(self, k)) for k in ("a11", "a12", "a21", "a22", "tx", "ty")}
 
 
+# ---------------------------------------------------------------------------
+# the sumset kernel: sets of lattice keys as Python ints, one bit per key
+# ---------------------------------------------------------------------------
+
+# A sum whose bounding box has more cells than there are pairs (p, q) is
+# summed as a set of keys instead of a bitset.  This is a fixed rule on the
+# input's shape: it keeps far-apart or large-denominator points from
+# allocating a huge mask, and it is where the two ways cost about the same
+# (|A| shifts of a cells-bit mask against |A|·|B| set insertions).
+DENSE_CELLS_PER_PAIR = 1
+
+
+def lattice_keys(pts: Iterable, stride: int, x0: int = 0, y0: int = 0) -> list[int]:
+    """The key (x - x0)*stride + (y - y0) of each int point (x, y), for a
+    stride above every y - y0; ascending keys are ascending (x, y)."""
+    return [(x - x0) * stride + y - y0 for x, y in pts]
+
+
+def bit_mask(keys: Iterable[int]) -> int:
+    """The bitset with bit k set for each key k >= 0."""
+    mask = 0
+    for k in keys:
+        mask |= 1 << k
+    return mask
+
+
+def sumset_mask(keys_a: Iterable[int], mask_b: int) -> int:
+    """mask(A + B) from A's keys and B's bitset: the OR of mask_b shifted by
+    each key of A.  Keys add like the points they pack only when no sum
+    carries out of its row, which the callers' strides guarantee."""
+    mask = 0
+    for k in keys_a:
+        mask |= mask_b << k
+    return mask
+
+
+def is_sparse(cells: int, size_a: int, size_b: int) -> bool:
+    """True when a sum spanning this many cells is summed as a key set."""
+    return cells > DENSE_CELLS_PER_PAIR * size_a * size_b
+
+
+def _set_bits(mask: int) -> list[int]:
+    """The set bits of mask, ascending; each one-bit ends a run of zeros."""
+    runs = bin(mask)[:1:-1].split("1")  # bit k at string index k
+    ends = list(accumulate(map(add, map(len, runs), repeat(1)), initial=-1))
+    return ends[1:-1]
+
+
+def common_scale(*value_lists) -> tuple[int, list[list[int]]]:
+    """(L, lists): L is the lcm of every value's denominator, and each list
+    is multiplied by L into ints.  Lists of ints come back as they are."""
+    scale = lcm(*[v.denominator for values in value_lists for v in values])
+    if scale == 1:
+        return 1, list(value_lists)
+    return scale, [[v.numerator * (scale // v.denominator) for v in values]
+                   for values in value_lists]
+
+
+def _unscale(value: int, scale: int) -> Rational:
+    q, r = divmod(value, scale)
+    return q if r == 0 else Fraction(value, scale)
+
+
+def _point(x: Rational, y: Rational) -> Point2:
+    """A Point2 from coordinates that are already normalized rationals."""
+    p = object.__new__(Point2)
+    object.__setattr__(p, "x", x)
+    object.__setattr__(p, "y", y)
+    return p
+
+
 def minkowski_sum(a: PointSet2D, b: PointSet2D) -> PointSet2D:
-    """The sumset {p + q : p in a, q in b}."""
+    """The sumset {p + q : p in a, q in b}, by an exact bitset kernel.
+
+    Packing: x is scaled by the lcm of both sets' x-denominators and y by
+    that of their y-denominators; each set is translated to its own minimum
+    x and y; and the point (x, y) gets the key x*S + y with the stride
+    S = height(A) + height(B) + 1, so the y of a sum never carries into the
+    next column.  mask(A + B) is then mask(B) shifted by each key of A,
+    ORed together.
+
+    Decoding: ascending keys are ascending (x, y), the canonical order, so
+    the set bits read low to high give the result's points already sorted
+    and distinct, and the set is built without another sort.
+
+    Sparse rule: when the sum's bounding box has more than
+    DENSE_CELLS_PER_PAIR cells per pair (p, q), the same keys are added
+    pairwise into a set of ints and sorted instead.
+    """
     if len(a) == 0 or len(b) == 0:
         raise EmptySet("minkowski_sum needs nonempty sets")
-    pts = {(p.x + q.x, p.y + q.y) for p in a for q in b}
-    return PointSet2D(Point2(x, y) for x, y in pts)
+    pa, pb = a.points, b.points
+    sx, (xs_a, xs_b) = common_scale([p.x for p in pa], [p.x for p in pb])
+    sy, (ys_a, ys_b) = common_scale([p.y for p in pa], [p.y for p in pb])
+    x0_a, x0_b = xs_a[0], xs_b[0]  # points are sorted by x first
+    y0_a, y0_b = min(ys_a), min(ys_b)
+    stride = max(ys_a) - y0_a + max(ys_b) - y0_b + 1
+    keys_a = lattice_keys(zip(xs_a, ys_a), stride, x0_a, y0_a)
+    keys_b = lattice_keys(zip(xs_b, ys_b), stride, x0_b, y0_b)
+    cells = (xs_a[-1] - x0_a + xs_b[-1] - x0_b + 1) * stride
+    if is_sparse(cells, len(pa), len(pb)):
+        keys = sorted({ka + kb for ka in keys_a for kb in keys_b})
+    else:
+        keys = _set_bits(sumset_mask(keys_a, bit_mask(keys_b)))
+    x0, y0 = x0_a + x0_b, y0_a + y0_b
+    cells_xy = map(divmod, keys, repeat(stride))
+    if sx == 1 and sy == 1:
+        pts = [_point(x + x0, y + y0) for x, y in cells_xy]
+    else:
+        pts = [_point(_unscale(x + x0, sx), _unscale(y + y0, sy)) for x, y in cells_xy]
+    return PointSet2D._canonical(tuple(pts))
 
 
 def cover_stats(x: PointSet2D) -> CoverStats:
@@ -268,7 +390,6 @@ def collinear_direction(x: PointSet2D) -> Optional[Point2]:
 def _primitive(d: Point2) -> Point2:
     """Scale a nonzero rational vector to a canonical primitive integer vector."""
     fx, fy = Fraction(d.x), Fraction(d.y)
-    from math import gcd
     den = fx.denominator * fy.denominator // gcd(fx.denominator, fy.denominator)
     nx, ny = fx.numerator * (den // fx.denominator), fy.numerator * (den // fy.denominator)
     g = gcd(abs(nx), abs(ny))

@@ -7,10 +7,11 @@ every checked quantity is translation-invariant.  The transformation groups
 are deliberately NOT quotiented: classification absorbs equivalence, and raw
 enumeration keeps this oracle trivially correct.
 
-The hot loop counts every |A+B| exactly with a bitset sumset: cell (x, y)
-is bit x*S + y of a Python int, and the row stride S = 2H - 1 exceeds every
-y of A+B, so no two sums share a bit.  mask(A+B) ORs mask(B) shifted by each
-point of A; |A+B| is its bit count.  The bound's right-hand side depends on
+The hot loop counts every |A+B| exactly with core's bitset sumset kernel,
+the one minkowski_sum uses: cell (x, y) is key x*S + y (core.lattice_keys),
+and the fixed stride S = 2H - 1 exceeds every y of A+B, so no two sums share
+a bit.  mask(A+B) is core.sumset_mask of A's keys and mask(B); |A+B| is its
+bit count.  The bound's right-hand side depends on
 B only through its size class (|B|, m_B), so each A gets one exact num/den
 and one integer threshold lo = floor(num/den) per class.  A pair with
 |A+B| > lo neither violates nor attains the bound; only the others take the
@@ -25,7 +26,8 @@ from typing import Optional
 from .bounds import BoundMode, bound, chain_diagnostic
 from .classify import Verdict, classify_1d, classify_thm2, classify_thm3
 from .compression import compression_chain
-from .core import PointSet2D, collinear_direction, cover_stats, dumps_points, parallel_directions
+from .core import (PointSet2D, bit_mask, collinear_direction, cover_stats, dumps_points,
+                   lattice_keys, parallel_directions, sumset_mask)
 from .errors import ConsistencyError, InvalidSpec
 
 OUT_OF_HYPOTHESIS = "OutOfHypothesis"
@@ -145,22 +147,6 @@ def _rhs(mode: BoundMode, a: _Subset, size_b: int, m_b: int) -> tuple[int, int]:
     return (a.size * m_b + size_b * m - m * m_b) * (m + m_b - 1), m * m_b
 
 
-def _cell_bits(pts: tuple, stride: int) -> list[int]:
-    return [x * stride + y for x, y in pts]
-
-
-def _mask(pts: tuple, stride: int) -> int:
-    return sum(1 << s for s in _cell_bits(pts, stride))
-
-
-def _sumset_size(shifts: list[int], mask_b: int) -> int:
-    """|A+B| from the bits of A's points and the bitset of B."""
-    mask = 0
-    for s in shifts:
-        mask |= mask_b << s
-    return mask.bit_count()
-
-
 def _parallel(da: Optional[tuple], db: Optional[tuple]) -> bool:
     """parallel_directions on analyzed directions (None: 2D; (0, 0): any)."""
     return da is not None and db is not None and da[0] * db[1] == da[1] * db[0]
@@ -209,22 +195,22 @@ def sweep(config: SweepConfig) -> SweepReport:
         m_b = _mode_m(b, mode)
         if m_b >= config.min_mn:
             cls = classes.setdefault((b.size, m_b), len(classes))
-            rows_b.append((b, _mask(b.pts, stride), cls))
+            rows_b.append((b, bit_mask(lattice_keys(b.pts, stride)), cls))
 
     report = SweepReport(extremal_pairs=[] if config.collect_extremal else None)
     for a in chosen_a:
+        keys_a = lattice_keys(a.pts, stride)
         if mode is BoundMode.DOUBLING:
-            rows = [(a, _mask(a.pts, stride), classes[a.size, _mode_m(a, mode)])]
+            rows = [(a, bit_mask(keys_a), classes[a.size, _mode_m(a, mode)])]
         elif mode is BoundMode.ONE_DIMENSIONAL:
             rows = [row for row in rows_b if _parallel(a.direction, row[0].direction)]
         else:
             rows = rows_b
         report.pairs_checked += len(rows)
-        shifts = _cell_bits(a.pts, stride)
         rhs = [_rhs(mode, a, size_b, m_b) for size_b, m_b in classes]
         lo = [num // den for num, den in rhs]
         for b, mask_b, cls in rows:
-            lhs = _sumset_size(shifts, mask_b)
+            lhs = sumset_mask(keys_a, mask_b).bit_count()
             if lhs > lo[cls]:
                 continue
             num, den = rhs[cls]

@@ -9,6 +9,7 @@ from sumsetlab import (BoundMode, EmptySet, ModeMismatch, PointSet2D,
                        SupportedSequence, averaging_report, bound,
                        chain_diagnostic, compress, freiman_threshold_rhs,
                        gen_trapezoid, gen_wild, u_values)
+from sumsetlab.bounds import _section_chain_sums
 from sumsetlab.families import TrapezoidSpec
 
 
@@ -150,6 +151,47 @@ class TestChainDiagnostic:
         vals = chain_diagnostic(a, b)
         if bound(BoundMode.LINES_GS, a, b).extremal:
             assert vals[0] == vals[1] == vals[2] == vals[3]
+
+
+def reference_section_chain_sums(sa: dict, sb: dict) -> tuple[int, int]:
+    """bounds._section_chain_sums as it was before the bitset kernel."""
+    v2 = v3 = 0
+    for t in sorted({i + j for i in sa for j in sb}):
+        best_sum = 0
+        best_card = 0
+        for i in sa:
+            j = t - i
+            if j in sb:
+                best_sum = max(best_sum, len({u + w for u in sa[i] for w in sb[j]}))
+                best_card = max(best_card, len(sa[i]) + len(sb[j]) - 1)
+        v2 += best_sum
+        v3 += best_card
+    return v2, v3
+
+
+chain_coord = st.integers(min_value=-5, max_value=5)
+chain_rational = st.one_of(chain_coord, st.builds(Fraction, st.integers(-20, 20),
+                                                  st.integers(1, 8)))
+far_coord = st.integers(min_value=-10**9, max_value=10**9)
+
+
+class TestSectionChainSums:
+    @pytest.mark.parametrize("coords", [chain_coord, chain_rational, far_coord],
+                             ids=["int", "rational", "far"])
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference(self, coords, data):
+        sets = st.lists(st.tuples(coords, chain_coord), min_size=1, max_size=14).map(PointSet2D)
+        a, b = data.draw(sets), data.draw(sets)
+        for sections in (PointSet2D.rows, PointSet2D.columns):
+            sa, sb = sections(a), sections(b)
+            assert _section_chain_sums(sa, sb) == reference_section_chain_sums(sa, sb)
+
+    def test_matches_reference_on_a_large_trapezoid(self):
+        t = gen_trapezoid(TrapezoidSpec(10, 61, 0, 1))
+        for sections in (PointSet2D.rows, PointSet2D.columns):
+            s = sections(t)
+            assert _section_chain_sums(s, s) == reference_section_chain_sums(s, s)
 
 
 class TestModeRelations:

@@ -1,4 +1,10 @@
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +16,8 @@ from sumsetlab import (AffineMap2D, Axis, EmptySet, InvalidSpec, NotCollinear,
                        arithmetic_progression_of,
                        cover_stats, dumps_points, gen_trapezoid, gen_wild,
                        loads_points, minkowski_sum, section)
+import sumsetlab
+from sumsetlab import core
 from sumsetlab.core import shared_difference
 from sumsetlab.families import TrapezoidSpec
 
@@ -35,6 +43,88 @@ class TestMinkowskiSum:
     def test_empty_rejected(self):
         with pytest.raises(EmptySet):
             minkowski_sum(PointSet2D(), ps((0, 0)))
+
+    def test_sparse_guard(self):
+        """Far-apart points and a large denominator take the key-set path;
+        a bitset would need about 10**36 bits."""
+        q = Fraction(1, 10**9 + 7)
+        start = time.perf_counter()
+        far = minkowski_sum(ps((0, 0), (10**18, 0)), ps((0, 0), (0, 10**18)))
+        fine = minkowski_sum(ps((0, 0), (q, 0)), ps((0, 0), (0, 10**18 * q)))
+        assert time.perf_counter() - start < 1.0
+        assert far.points == tuple(Point2(x, y) for x in (0, 10**18) for y in (0, 10**18))
+        assert fine.points == tuple(Point2(x, y) for x in (0, q) for y in (0, 10**18 * q))
+
+
+def reference_minkowski_sum(a, b):
+    """minkowski_sum as a set comprehension over all pairs, as it was before
+    the bitset kernel."""
+    pts = {(p.x + q.x, p.y + q.y) for p in a for q in b}
+    return PointSet2D(Point2(x, y) for x, y in pts)
+
+
+small_int = st.integers(min_value=-6, max_value=6)
+mixed_rational = st.one_of(small_int, st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)))
+far_int = st.integers(min_value=-10**12, max_value=10**12)
+
+
+def sets_of(xs, ys, max_size=10):
+    return st.lists(st.tuples(xs, ys), min_size=1, max_size=max_size).map(PointSet2D)
+
+
+kernel_sets = st.one_of(
+    sets_of(small_int, small_int),
+    sets_of(mixed_rational, mixed_rational),
+    st.builds(lambda x, ys: PointSet2D((x, y) for y in ys), mixed_rational,
+              st.lists(mixed_rational, min_size=1, max_size=10)),  # 1 x N
+    st.builds(lambda y, xs: PointSet2D((x, y) for x in xs), mixed_rational,
+              st.lists(mixed_rational, min_size=1, max_size=10)),  # N x 1
+    sets_of(mixed_rational, mixed_rational, max_size=1),  # singletons
+)
+# (0, 0) and (10**9, 0) make the sum at least 10**9 cells wide, far more
+# than the at most 36 pairs, so these always take the key-set path
+sparse_sets = st.lists(st.tuples(far_int, far_int), max_size=4).map(
+    lambda pts: PointSet2D(pts + [(0, 0), (10**9, 0)]))
+
+
+def assert_same_sumset(a, b):
+    got, want = minkowski_sum(a, b), reference_minkowski_sum(a, b)
+    assert got == want and hash(got) == hash(want)
+    assert got.points == want.points
+    assert [(type(p.x), type(p.y)) for p in got] == [(type(p.x), type(p.y)) for p in want]
+
+
+class TestKernelMatchesReference:
+    @given(kernel_sets, kernel_sets)
+    @settings(max_examples=400, deadline=None)
+    def test_same_points_in_same_order(self, a, b):
+        assert_same_sumset(a, b)
+
+    @given(sparse_sets, st.one_of(sparse_sets, kernel_sets))
+    @settings(max_examples=150, deadline=None)
+    def test_sparse_path(self, a, b):
+        with mock.patch.object(core, "sumset_mask", side_effect=AssertionError("dense path")):
+            assert_same_sumset(a, b)
+
+    def test_dense_path_is_taken_on_a_full_grid(self):
+        grid = ps(*[(x, y) for x in range(4) for y in range(3)])
+        with mock.patch.object(core, "sumset_mask", wraps=core.sumset_mask) as kernel:
+            assert_same_sumset(grid, grid)
+        assert kernel.call_count == 1
+
+
+def test_import_and_sumset_do_not_load_numpy():
+    """numpy is installed on some machines but is not a dependency."""
+    code = ("import sys, sumsetlab\n"
+            "a = sumsetlab.PointSet2D([(0, 0), (1, 2)])\n"
+            "sumsetlab.minkowski_sum(a, a)\n"
+            "print('numpy' in sys.modules)\n")
+    src = str(Path(sumsetlab.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestCoverStats:

@@ -9,7 +9,8 @@ from sumsetlab import (BoundMode, InvalidSpec, SweepConfig,
                        encode_pair, gen_trapezoid, gen_wild, merge_reports,
                        oracle_pair_check, run_sharded, search, sweep)
 from sumsetlab.classify import Verdict, classify_1d, classify_thm2, classify_thm3
-from sumsetlab.core import Point2, PointSet2D, parallel_directions
+from sumsetlab.core import (Point2, PointSet2D, bit_mask, lattice_keys, parallel_directions,
+                            sumset_mask)
 from sumsetlab.errors import ConsistencyError
 from sumsetlab.families import CaseCSpec, EpsilonSpec, TrapezoidSpec, gen_case_c, gen_eps_trapezoid
 
@@ -183,8 +184,7 @@ FULL_16X1 = [(x, 0) for x in range(16)]
 def test_bitset_sumset_size_matches_set_comprehension(case):
     height, a, b = case
     stride = 2 * height - 1
-    lhs = search._sumset_size(search._cell_bits(tuple(a), stride),
-                              search._mask(tuple(b), stride))
+    lhs = sumset_mask(lattice_keys(a, stride), bit_mask(lattice_keys(b, stride))).bit_count()
     assert lhs == len({(xa + xb, ya + yb) for xa, ya in a for xb, yb in b})
 
 
