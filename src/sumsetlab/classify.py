@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .bounds import BoundMode, bound
-from .core import (AffineMap2D, Point2, PointSet2D, Rational,
+from .core import (AffineMap2D, Point2, PointSet2D, Rational, _point,
                    arithmetic_progression_of, collinear_direction,
                    cover_stats, rat, rat_str, shared_difference)
 from .errors import EmptySet, HypothesisViolated, InvalidSpec, NotCollinear
@@ -120,6 +120,8 @@ class Classification:
 
 
 def _jsonify(value):
+    if isinstance(value, Point2):  # before tuple: a point is a tuple too
+        return [rat_str(value.x), rat_str(value.y)]
     if isinstance(value, dict):
         return {k: _jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -128,8 +130,6 @@ def _jsonify(value):
         return value.to_json_dict()
     if isinstance(value, Fraction):
         return rat_str(value)
-    if isinstance(value, Point2):
-        return [rat_str(value.x), rat_str(value.y)]
     return value
 
 
@@ -171,7 +171,7 @@ def _trapezoid_spec_of(s: PointSet2D) -> Optional[tuple[TrapezoidSpec, Point2]]:
         spec = TrapezoidSpec(m, h, c, d)
     except InvalidSpec:
         return None
-    return spec, Point2(x0, mins[0])
+    return spec, _point(x0, mins[0])
 
 
 # ---------------------------------------------------------------------------
@@ -223,8 +223,8 @@ def classify_thm2(a: PointSet2D, b: PointSet2D) -> Classification:
         return Classification(Verdict.EXTREMAL_UNCLASSIFIED)
 
     inv_alpha = Fraction(1) / alpha
-    a1 = PointSet2D(Point2(p.x * inv_alpha, p.y) for p in a)
-    b1 = PointSet2D(Point2(p.x * inv_alpha, p.y) for p in b)
+    a1 = PointSet2D(_point(x * inv_alpha, y) for x, y in a)
+    b1 = PointSet2D(_point(x * inv_alpha, y) for x, y in b)
 
     # (2) vertical sections: APs with one shared positive difference beta
     ok, beta = shared_difference([*a1.columns().values(), *b1.columns().values()])
@@ -232,8 +232,8 @@ def classify_thm2(a: PointSet2D, b: PointSet2D) -> Classification:
         return Classification(Verdict.EXTREMAL_UNCLASSIFIED)
     beta = beta or 1
     inv_beta = Fraction(1) / beta
-    a2 = PointSet2D(Point2(p.x, p.y * inv_beta) for p in a1)
-    b2 = PointSet2D(Point2(p.x, p.y * inv_beta) for p in b1)
+    a2 = PointSet2D(_point(x, y * inv_beta) for x, y in a1)
+    b2 = PointSet2D(_point(x, y * inv_beta) for x, y in b1)
 
     # (3) column extrema: shared slopes d (minima) and c (maxima)
     ra = _trapezoid_spec_of(a2)
@@ -258,9 +258,9 @@ def classify_thm2(a: PointSet2D, b: PointSet2D) -> Classification:
 # ---------------------------------------------------------------------------
 
 def _normalize_levels(s: PointSet2D, dy: Rational) -> PointSet2D:
-    y0 = min(p.y for p in s)
+    y0 = min(y for _, y in s)
     inv = Fraction(1) / dy
-    return PointSet2D(Point2(p.x, (p.y - y0) * inv) for p in s)
+    return PointSet2D(_point(x, (y - y0) * inv) for x, y in s)
 
 
 def _match_trapezoid(s: PointSet2D, mode_m: int) -> Optional[TrapezoidSpec]:
@@ -440,8 +440,8 @@ def classify_thm3(a: PointSet2D, b: PointSet2D) -> Classification:
         return Classification(Verdict.EXTREMAL_UNCLASSIFIED)
     dx = dx or 1
     inv_dx = Fraction(1) / dx
-    a2 = PointSet2D(Point2(p.x * inv_dx, p.y) for p in a1)
-    b2 = PointSet2D(Point2(p.x * inv_dx, p.y) for p in b1)
+    a2 = PointSet2D(_point(x * inv_dx, y) for x, y in a1)
+    b2 = PointSet2D(_point(x * inv_dx, y) for x, y in b1)
 
     # (3) one scan over every reflection and candidate shear, trying each
     # family that has not matched yet and keeping its first matching

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .bounds import _section_chain_sums
-from .core import Point2, PointSet2D, Rational, minkowski_sum
+from .core import PointSet2D, Rational, _point, minkowski_sum
 from .errors import EmptySet
 
 
@@ -16,7 +16,7 @@ def compress(x: PointSet2D) -> PointSet2D:
         raise EmptySet("compress needs a nonempty set")
     pts = []
     for level, xs in x.rows().items():
-        pts.extend(Point2(i, level) for i in range(len(xs)))
+        pts.extend(_point(i, level) for i in range(len(xs)))
     return PointSet2D(pts)
 
 

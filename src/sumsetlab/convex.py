@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .core import Point2, Rational, parse_point_lines, rat, rat_str
+from .core import Point2, Rational, _as_point, _point, _turn, parse_point_lines, rat, rat_str
 from .errors import (ConsistencyError, DegenerateProjection, EmptySet,
                      HypothesisViolated, InvalidAmount, InvalidSpec, ParseError)
 
@@ -30,24 +30,16 @@ class ConvexPolygon:
     __slots__ = ("_verts", "degenerate_ok")
 
     def __init__(self, vertices: Iterable, degenerate_ok: bool = True):
-        verts = []
-        for v in vertices:
-            if not isinstance(v, Point2):
-                v = Point2(v[0], v[1])
-            verts.append(v)
+        verts = [_as_point(v) for v in vertices]
         if len(verts) < 2:
             raise InvalidSpec("a polygon needs at least 2 vertices")
         if len(set(verts)) != len(verts):
             raise InvalidSpec("duplicate vertices")
-        if len(verts) == 2:
-            if not degenerate_ok:
-                raise InvalidSpec("degenerate segment not allowed here")
-        else:
-            n = len(verts)
-            for i in range(n):
-                a, b, c = verts[i], verts[(i + 1) % n], verts[(i + 2) % n]
-                if (b - a).cross(c - b) <= 0:
-                    raise InvalidSpec("vertices must be strictly convex in CCW order")
+        if len(verts) == 2 and not degenerate_ok:
+            raise InvalidSpec("degenerate segment not allowed here")
+        if len(verts) > 2 and any(_turn(a, b, c) <= 0 for a, b, c in
+                                  zip(verts, verts[1:] + verts[:1], verts[2:] + verts[:2])):
+            raise InvalidSpec("vertices must be strictly convex in CCW order")
         start = min(range(len(verts)), key=lambda i: (verts[i].y, verts[i].x))
         object.__setattr__(self, "_verts", tuple(verts[start:] + verts[:start]))
         object.__setattr__(self, "degenerate_ok", degenerate_ok)
@@ -82,7 +74,7 @@ class ConvexPolygon:
 
     def area(self) -> Rational:
         vs = self._verts
-        twice = sum((vs[i].cross(vs[(i + 1) % len(vs)]) for i in range(len(vs))), Fraction(0))
+        twice = sum(vs[i].cross(vs[(i + 1) % len(vs)]) for i in range(len(vs)))
         return rat(Fraction(twice) / 2)
 
     def width(self) -> Rational:
@@ -105,16 +97,11 @@ class ConvexPolygon:
         if xmin == xmax:
             raise DegenerateProjection("vertical segment has no boundary graphs")
         if len(vs) == 2:
-            lo = sorted(vs, key=lambda v: v.x)
-            return BoundaryChains(tuple(lo), tuple(lo))
-        left = [v for v in vs if v.x == xmin]
-        right = [v for v in vs if v.x == xmax]
-        l0 = min(left, key=lambda v: v.y)
-        l1 = max(left, key=lambda v: v.y)
-        r0 = min(right, key=lambda v: v.y)
-        r1 = max(right, key=lambda v: v.y)
-        lower = _walk(vs, l0, r0)
-        upper = list(reversed(_walk(vs, r1, l1)))
+            return BoundaryChains(tuple(sorted(vs)), tuple(sorted(vs)))
+        left = sorted(v for v in vs if v.x == xmin)  # one x, so sorted by y
+        right = sorted(v for v in vs if v.x == xmax)
+        lower = _walk(vs, left[0], right[0])
+        upper = list(reversed(_walk(vs, right[-1], left[-1])))
         return BoundaryChains(tuple(lower), tuple(upper))
 
 
@@ -154,10 +141,7 @@ class BoundaryChains:
 
 
 def _slopes(chain: tuple[Point2, ...]) -> list[Rational]:
-    out = []
-    for a, b in zip(chain, chain[1:]):
-        out.append(rat(Fraction(b.y - a.y) / Fraction(b.x - a.x)))
-    return out
+    return [rat(Fraction(b.y - a.y) / Fraction(b.x - a.x)) for a, b in zip(chain, chain[1:])]
 
 
 def _interp(chain: tuple[Point2, ...], x: Rational) -> Rational:
@@ -174,21 +158,14 @@ def _interp(chain: tuple[Point2, ...], x: Rational) -> Rational:
 
 
 def _merge_collinear(verts: list[Point2]) -> list[Point2]:
-    out = []
-    for v in verts:
-        if out and v == out[-1]:
-            continue
-        out.append(v)
+    out = [v for i, v in enumerate(verts) if i == 0 or v != verts[i - 1]]
     if len(out) > 1 and out[0] == out[-1]:
         out.pop()
     changed = True
     while changed and len(out) > 2:
         changed = False
         for i in range(len(out)):
-            a = out[(i - 1) % len(out)]
-            b = out[i]
-            c = out[(i + 1) % len(out)]
-            if (b - a).cross(c - b) == 0:
+            if _turn(out[i - 1], out[i], out[(i + 1) % len(out)]) == 0:
                 out.pop(i)
                 changed = True
                 break
@@ -205,7 +182,7 @@ def from_chains(lower: Iterable[Point2], upper: Iterable[Point2]) -> ConvexPolyg
     pts = lower + upper
     base = pts[0]
     ref = next((p for p in pts if p != base), None)
-    if ref is not None and all((ref - base).cross(p - base) == 0 for p in pts):
+    if ref is not None and all(_turn(base, ref, p) == 0 for p in pts):
         ends = sorted(set(pts))
         return ConvexPolygon([ends[0], ends[-1]])
     verts = lower + list(reversed(upper))
@@ -218,8 +195,7 @@ def from_chains(lower: Iterable[Point2], upper: Iterable[Point2]) -> ConvexPolyg
 # ---------------------------------------------------------------------------
 
 def _angle_key(v: Point2):
-    half = 0 if (v.y > 0 or (v.y == 0 and v.x > 0)) else 1
-    return half
+    return 0 if (v.y > 0 or (v.y == 0 and v.x > 0)) else 1
 
 
 def _edge_before(u: Point2, v: Point2) -> int:
@@ -345,9 +321,9 @@ def stretch_vertical(p: ConvexPolygon, h: Rational) -> ConvexPolygon:
         return p
     if p.is_degenerate and p.vertices[0].x == p.vertices[1].x:
         lo, hi = sorted(p.vertices, key=lambda v: v.y)
-        return ConvexPolygon([lo, Point2(hi.x, hi.y + h)])
+        return ConvexPolygon([lo, _point(hi.x, hi.y + h)])
     ch = p.chains()
-    lifted = tuple(Point2(v.x, v.y + h) for v in ch.upper)
+    lifted = tuple(_point(v.x, v.y + h) for v in ch.upper)
     return from_chains(ch.lower, lifted)
 
 
@@ -362,13 +338,13 @@ class StretchDecomposition:
 
 def decompose_vertical(p: ConvexPolygon) -> StretchDecomposition:
     """Compress by the minimum of (upper - lower); the core touches somewhere
-    and may degenerate to a segment (e.g. rectangles compress to segments)."""
+    and may degenerate to a segment (e.g. rectangles compress to segments).
+    upper - lower is concave, so its minimum is the shorter vertical end edge."""
     ch = p.chains()
-    amount = min(Fraction(ch.eval_upper(x)) - Fraction(ch.eval_lower(x))
-                 for x in ch.breakpoint_xs())
+    amount = min(ch.upper[0].y - ch.lower[0].y, ch.upper[-1].y - ch.lower[-1].y)
     if amount == 0:
         return StretchDecomposition(p, rat(0))
-    dropped = tuple(Point2(v.x, v.y - amount) for v in ch.upper)
+    dropped = tuple(_point(v.x, v.y - amount) for v in ch.upper)
     return StretchDecomposition(from_chains(ch.lower, dropped), rat(amount))
 
 
@@ -490,9 +466,9 @@ def clip_vertical_slab(p: ConvexPolygon, x0: Rational, x1: Rational) -> ConvexPo
         raise InvalidSpec("slab outside the polygon's projection")
 
     def restrict(chain: tuple[Point2, ...]) -> list[Point2]:
-        pts = [Point2(x0, _interp(chain, x0))]
+        pts = [_point(x0, _interp(chain, x0))]
         pts += [v for v in chain if x0 < v.x < x1]
-        pts.append(Point2(x1, _interp(chain, x1)))
+        pts.append(_point(x1, _interp(chain, x1)))
         return pts
 
     return from_chains(restrict(ch.lower), restrict(ch.upper))

@@ -13,7 +13,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import gcd, lcm
-from operator import add
+from operator import add, itemgetter
 from typing import Iterable, Iterator, Optional, Union
 
 from .errors import EmptySet, InvalidSpec, NotCollinear, ParseError
@@ -29,6 +29,8 @@ def rat(value) -> Rational:
     """
     if isinstance(value, int):
         return value
+    if value.__class__ is Fraction:
+        return value.numerator if value.denominator == 1 else value
     if isinstance(value, float):
         raise TypeError(f"float {value!r} rejected; use an int, Fraction or 'p/q' string")
     f = Fraction(value)
@@ -41,38 +43,76 @@ def rat_str(value: Rational) -> str:
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
-@dataclass(frozen=True, order=True)
-class Point2:
-    """A planar point with exact rational coordinates.
+class Point2(tuple):
+    """A planar point with exact rational coordinates, backed by the tuple
+    (x, y): it compares, sorts and hashes as that tuple, so Point2(1, 2) ==
+    (1, 2).  Lexicographic (x, y) order is the canonical output order.
 
-    Ordering is lexicographic by (x, y), which is the canonical iteration
-    order used everywhere for deterministic output.
+    rat() normalizes coordinates once, where they enter the library: here,
+    in the parsers and in AffineMap2D.__call__.  Arithmetic results are
+    built by _point and not normalized again.
     """
 
-    x: Rational
-    y: Rational
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", rat(self.x))
-        object.__setattr__(self, "y", rat(self.y))
+    def __new__(cls, x, y) -> "Point2":
+        return tuple.__new__(cls, (rat(x), rat(y)))
+
+    x = property(itemgetter(0), doc="The x-coordinate.")
+    y = property(itemgetter(1), doc="The y-coordinate.")
+
+    def __getnewargs__(self) -> tuple:
+        return self[0], self[1]
 
     def __add__(self, other: "Point2") -> "Point2":
-        return Point2(self.x + other.x, self.y + other.y)
+        return _point(self[0] + other[0], self[1] + other[1])
 
     def __sub__(self, other: "Point2") -> "Point2":
-        return Point2(self.x - other.x, self.y - other.y)
+        return _point(self[0] - other[0], self[1] - other[1])
 
     def __neg__(self) -> "Point2":
-        return Point2(-self.x, -self.y)
+        return tuple.__new__(Point2, (-self[0], -self[1]))
+
+    def __mul__(self, other):
+        return NotImplemented  # points do not repeat like tuples; see scale
+
+    __rmul__ = __mul__
 
     def scale(self, factor: Rational) -> "Point2":
-        return Point2(self.x * factor, self.y * factor)
+        factor = rat(factor)
+        return _point(self[0] * factor, self[1] * factor)
 
     def cross(self, other: "Point2") -> Rational:
-        return self.x * other.y - self.y * other.x
+        return self[0] * other[1] - self[1] * other[0]
 
     def __repr__(self) -> str:
-        return f"({rat_str(self.x)}, {rat_str(self.y)})"
+        return f"({rat_str(self[0])}, {rat_str(self[1])})"
+
+
+def _point(x: Rational, y: Rational) -> Point2:
+    """A Point2 from exact rationals without rat(), for arithmetic results:
+    an int stays and a Fraction with denominator 1 becomes its numerator."""
+    if x.__class__ is not int and x.denominator == 1:
+        x = x.numerator
+    if y.__class__ is not int and y.denominator == 1:
+        y = y.numerator
+    return tuple.__new__(Point2, (x, y))
+
+
+def _turn(a: Point2, b: Point2, c: Point2) -> Rational:
+    """(b - a).cross(c - b) without building the differences: > 0 for a
+    counterclockwise turn at b, 0 when a, b, c are collinear."""
+    return (b[0] - a[0]) * (c[1] - b[1]) - (b[1] - a[1]) * (c[0] - b[0])
+
+
+def _as_point(p) -> Point2:
+    """p as a Point2; a pair (x, y) goes through rat() unless both are ints."""
+    if p.__class__ is Point2:
+        return p
+    x, y = p[0], p[1]
+    if x.__class__ is int and y.__class__ is int:
+        return tuple.__new__(Point2, (x, y))
+    return Point2(x, y)
 
 
 class Axis(Enum):
@@ -86,11 +126,7 @@ class PointSet2D:
     __slots__ = ("_pts", "_set")
 
     def __init__(self, points: Iterable = ()):
-        pts = set()
-        for p in points:
-            if not isinstance(p, Point2):
-                p = Point2(p[0], p[1])
-            pts.add(p)
+        pts = {_as_point(p) for p in points}
         object.__setattr__(self, "_pts", tuple(sorted(pts)))
         object.__setattr__(self, "_set", frozenset(pts))
 
@@ -119,9 +155,7 @@ class PointSet2D:
         return iter(self._pts)
 
     def __contains__(self, p) -> bool:
-        if not isinstance(p, Point2):
-            p = Point2(p[0], p[1])
-        return p in self._members()
+        return _as_point(p) in self._members()
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PointSet2D) and self._members() == other._members()
@@ -235,9 +269,6 @@ class AffineMap2D:
             self.a21 * inner.tx + self.a22 * inner.ty + self.ty,
         )
 
-    def linear_part(self) -> "AffineMap2D":
-        return AffineMap2D(self.a11, self.a12, self.a21, self.a22, 0, 0)
-
     def to_json_dict(self) -> dict:
         return {k: rat_str(getattr(self, k)) for k in ("a11", "a12", "a21", "a22", "tx", "ty")}
 
@@ -305,14 +336,6 @@ def _unscale(value: int, scale: int) -> Rational:
     return q if r == 0 else Fraction(value, scale)
 
 
-def _point(x: Rational, y: Rational) -> Point2:
-    """A Point2 from coordinates that are already normalized rationals."""
-    p = object.__new__(Point2)
-    object.__setattr__(p, "x", x)
-    object.__setattr__(p, "y", y)
-    return p
-
-
 def minkowski_sum(a: PointSet2D, b: PointSet2D) -> PointSet2D:
     """The sumset {p + q : p in a, q in b}, by an exact bitset kernel.
 
@@ -348,10 +371,11 @@ def minkowski_sum(a: PointSet2D, b: PointSet2D) -> PointSet2D:
         keys = _set_bits(sumset_mask(keys_a, bit_mask(keys_b)))
     x0, y0 = x0_a + x0_b, y0_a + y0_b
     cells_xy = map(divmod, keys, repeat(stride))
+    new = tuple.__new__  # the coordinates below are normalized already
     if sx == 1 and sy == 1:
-        pts = [_point(x + x0, y + y0) for x, y in cells_xy]
+        pts = [new(Point2, (x + x0, y + y0)) for x, y in cells_xy]
     else:
-        pts = [_point(_unscale(x + x0, sx), _unscale(y + y0, sy)) for x, y in cells_xy]
+        pts = [new(Point2, (_unscale(x + x0, sx), _unscale(y + y0, sy))) for x, y in cells_xy]
     return PointSet2D._canonical(tuple(pts))
 
 
@@ -379,12 +403,12 @@ def collinear_direction(x: PointSet2D) -> Optional[Point2]:
         raise EmptySet("collinear_direction needs a nonempty set")
     pts = x.points
     if len(pts) == 1:
-        return Point2(0, 0)
-    d = pts[1] - pts[0]
+        return _point(0, 0)
+    p0, p1 = pts[0], pts[1]
     for p in pts[2:]:
-        if d.cross(p - pts[0]) != 0:
+        if _turn(p0, p1, p) != 0:
             return None
-    return _primitive(d)
+    return _primitive(p1 - p0)
 
 
 def _primitive(d: Point2) -> Point2:
@@ -396,7 +420,7 @@ def _primitive(d: Point2) -> Point2:
     nx, ny = nx // g, ny // g
     if ny < 0 or (ny == 0 and nx < 0):
         nx, ny = -nx, -ny
-    return Point2(nx, ny)
+    return _point(nx, ny)
 
 
 def parallel_directions(d1: Point2, d2: Point2) -> bool:
@@ -447,7 +471,7 @@ def arithmetic_progression_of(x: PointSet2D) -> Optional[Point2]:
         raise NotCollinear("arithmetic_progression_of needs a collinear set")
     pts = x.points
     if len(pts) == 1:
-        return Point2(0, 0)
+        return _point(0, 0)
     delta = pts[1] - pts[0]
     for prev, cur in zip(pts, pts[1:]):
         if cur - prev != delta:
@@ -477,7 +501,7 @@ def parse_point_lines(text: str) -> list[Point2]:
         parts = stripped.split()
         if len(parts) != 2:
             raise ParseError(f"expected `x y`, got {raw!r}", lineno)
-        pts.append(Point2(parse_rational(parts[0], lineno), parse_rational(parts[1], lineno)))
+        pts.append(_point(parse_rational(parts[0], lineno), parse_rational(parts[1], lineno)))
     return pts
 
 

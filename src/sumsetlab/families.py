@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .core import Point2, PointSet2D, Rational, rat, rat_str
+from .core import Point2, PointSet2D, Rational, _point, rat, rat_str
 from .errors import InvalidSpec
 
 
@@ -49,7 +49,7 @@ def gen_trapezoid(spec: TrapezoidSpec) -> PointSet2D:
     pts = []
     for x in range(spec.m):
         base = spec.d * x
-        pts.extend(Point2(x, base + j) for j in range(spec.column_length(x)))
+        pts.extend(_point(x, base + j) for j in range(spec.column_length(x)))
     return PointSet2D(pts)
 
 
@@ -95,7 +95,7 @@ def gen_eps_trapezoid(spec: EpsilonSpec) -> PointSet2D:
     pre-translation is needed; cardinality equals the base's.
     """
     base = gen_trapezoid(spec.base)
-    return PointSet2D(Point2(p.x + spec.shift_at(int(p.y)), p.y) for p in base)
+    return PointSet2D(_point(x + spec.shift_at(int(y)), y) for x, y in base)
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,7 @@ def gen_case_c(spec: CaseCSpec) -> tuple[PointSet2D, PointSet2D]:
         lo, hi = 2 * x, min(x + top, 2 * x + 2 * m - 1)
         if lo > hi:
             break
-        a_pts.extend(Point2(x, y) for y in range(lo, hi + 1))
+        a_pts.extend(_point(x, y) for y in range(lo, hi + 1))
         x += 1
     b_pts = []
     x = 0
@@ -137,7 +137,7 @@ def gen_case_c(spec: CaseCSpec) -> tuple[PointSet2D, PointSet2D]:
         lo, hi = 2 * x, x + 2 * n - 2
         if lo > hi:
             break
-        b_pts.extend(Point2(x, y) for y in range(lo, hi + 1))
+        b_pts.extend(_point(x, y) for y in range(lo, hi + 1))
         x += 1
     return PointSet2D(a_pts), PointSet2D(b_pts)
 

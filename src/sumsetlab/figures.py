@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .bounds import BoundMode, bound
 from .convex import ConvexPolygon
-from .core import Point2, PointSet2D
+from .core import Point2, PointSet2D, _turn
 from .errors import EmptySet, InvalidSpec
 from .families import CaseCSpec, EpsilonSpec, TrapezoidSpec, gen_case_c, gen_eps_trapezoid, gen_trapezoid
 
@@ -59,7 +59,7 @@ def _hull(points: list[Point2]) -> list[Point2]:
     def half(seq):
         out = []
         for p in seq:
-            while len(out) >= 2 and (out[-1] - out[-2]).cross(p - out[-1]) <= 0:
+            while len(out) >= 2 and _turn(out[-2], out[-1], p) <= 0:
                 out.pop()
             out.append(p)
         return out

@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
+from math import gcd
+from unittest import mock
 
 import pytest
 
 from conftest import convex_hull, random_convex_polygon
-from sumsetlab import (ConvexPolygon, DegenerateProjection,
+from sumsetlab import (BoundaryChains, ConvexPolygon, DegenerateProjection,
+                       StretchDecomposition, rat,
                        HypothesisViolated, InvalidAmount, InvalidSpec, Point2,
                        area_and_projection, bonnesen_report, clip_vertical_slab,
                        decompose_and_classify, decompose_vertical,
@@ -135,6 +138,85 @@ class TestStretch:
             d = decompose_vertical(p)
             assert stretch_vertical(d.core, d.amount) == p
             assert decompose_vertical(d.core).amount == 0
+
+
+def reference_decompose_vertical(p):
+    """decompose_vertical as it was before it read the two end gaps: the
+    minimum of upper - lower over every breakpoint, each chain evaluated by
+    a walk along it."""
+    ch = p.chains()
+    amount = min(Fraction(ch.eval_upper(x)) - Fraction(ch.eval_lower(x))
+                 for x in ch.breakpoint_xs())
+    if amount == 0:
+        return StretchDecomposition(p, rat(0))
+    dropped = tuple(Point2(v.x, v.y - amount) for v in ch.upper)
+    return StretchDecomposition(from_chains(ch.lower, dropped), rat(amount))
+
+
+def zonogon(rng, k, span=6):
+    """A centrally symmetric 2k-gon with edges along k distinct primitive
+    directions, (1, 0) and (0, 1) among the candidates, counterclockwise."""
+    dirs = set()
+    while len(dirs) < k:
+        a, b = rng.randint(-span, span), rng.randint(0, span)
+        if gcd(a, b) == 1 and (b > 0 or a == 1):
+            dirs.add((a, b))
+    order = sorted(dirs, key=lambda d: (d[1] > 0, Fraction(-d[0], d[1]) if d[1] else 0))
+    steps = [(a * m, b * m) for (a, b), m in zip(order, (rng.randint(1, 3) for _ in order))]
+    steps += [(-dx, -dy) for dx, dy in steps]
+    verts, x, y = [], 0, 0
+    for dx, dy in steps:
+        verts.append((x, y))
+        x, y = x + dx, y + dy
+    return ConvexPolygon(verts)
+
+
+def affine_image(p, lam, tx, ty):
+    return ConvexPolygon([(lam * v.x + tx, lam * v.y + ty) for v in p.vertices])
+
+
+def decomposition_inputs():
+    rng = random.Random(11)
+
+    def frac(lo, hi, den_hi):
+        return Fraction(rng.randint(lo, hi), rng.randint(1, den_hi))
+
+    polys = [zonogon(rng, rng.randint(2, 9)) for _ in range(60)]  # int
+    polys += [affine_image(zonogon(rng, rng.randint(2, 9)), frac(1, 9, 7), frac(-9, 9, 5), frac(-9, 9, 3))
+              for _ in range(60)]  # rational
+    for _ in range(40):  # homothetic pairs
+        z = zonogon(rng, rng.randint(2, 9))
+        polys += [z, affine_image(z, frac(1, 5, 3), rng.randint(-4, 4), 1)]
+    polys += [random_convex_polygon(rng, max_coord=rng.randint(2, 8)) for _ in range(200)]  # hulls
+    polys += [stretch_vertical(q, frac(1, 7, 3)) for q in polys[::5]]
+    polys += [poly((0, 0), (3, 0), (3, 2), (0, 5)), poly((0, 0), (4, 1), (4, 3), (0, 2)),
+              poly((0, -1), (2, 0), (0, 1)), UNIT_SQUARE, TRI_BIG]  # vertical ends
+    polys += [poly((0, 0), (3, 1)), poly((0, 0), (Fraction(1, 2), -2)), poly((-1, 5), (7, 5))]  # segments
+    return polys
+
+
+class TestLinearDecomposition:
+    def test_matches_breakpoint_minimum(self):
+        polys = decomposition_inputs()
+        assert sum(1 for p in polys if any(e.x == 0 for e in p.edge_vectors())) > 50  # vertical edges
+        for p in polys:
+            got, want = decompose_vertical(p), reference_decompose_vertical(p)
+            assert got == want
+            assert type(got.amount) is type(want.amount)
+            assert [(type(v.x), type(v.y)) for v in got.core.vertices] == \
+                [(type(v.x), type(v.y)) for v in want.core.vertices]
+
+    def test_vertical_segment_still_rejected(self):
+        for fn in (decompose_vertical, reference_decompose_vertical):
+            with pytest.raises(DegenerateProjection):
+                fn(poly((2, 0), (2, 3)))
+
+    def test_chains_are_not_evaluated(self):
+        walk = AssertionError("decompose_vertical walked a chain")
+        with mock.patch.object(BoundaryChains, "eval_upper", side_effect=walk), \
+                mock.patch.object(BoundaryChains, "eval_lower", side_effect=walk):
+            for p in decomposition_inputs()[:20] + [UNIT_SQUARE, TRI_BIG]:
+                decompose_vertical(p)
 
 
 class TestDecomposeAndClassify:

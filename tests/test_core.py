@@ -1,7 +1,10 @@
+import copy
 import os
+import pickle
 import subprocess
 import sys
 import time
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -18,7 +21,8 @@ from sumsetlab import (AffineMap2D, Axis, EmptySet, InvalidSpec, NotCollinear,
                        loads_points, minkowski_sum, section)
 import sumsetlab
 from sumsetlab import core
-from sumsetlab.core import shared_difference
+from sumsetlab.classify import _jsonify
+from sumsetlab.core import Rational, rat, rat_str, shared_difference
 from sumsetlab.families import TrapezoidSpec
 
 
@@ -293,3 +297,120 @@ class TestPointSetBasics:
     @settings(max_examples=100)
     def test_cardinality_equals_distinct_points(self, pts):
         assert len(PointSet2D(pts)) == len(set(pts))
+
+
+@dataclass(frozen=True, order=True)
+class ReferencePoint2:
+    """Point2 as it was before it was backed by a tuple: a frozen, ordered
+    dataclass that normalizes both coordinates on every construction."""
+
+    x: Rational
+    y: Rational
+
+    def __post_init__(self):
+        object.__setattr__(self, "x", rat(self.x))
+        object.__setattr__(self, "y", rat(self.y))
+
+    def __add__(self, other: "ReferencePoint2") -> "ReferencePoint2":
+        return ReferencePoint2(self.x + other.x, self.y + other.y)
+
+    def __sub__(self, other: "ReferencePoint2") -> "ReferencePoint2":
+        return ReferencePoint2(self.x - other.x, self.y - other.y)
+
+    def __neg__(self) -> "ReferencePoint2":
+        return ReferencePoint2(-self.x, -self.y)
+
+    def scale(self, factor: Rational) -> "ReferencePoint2":
+        return ReferencePoint2(self.x * factor, self.y * factor)
+
+    def cross(self, other: "ReferencePoint2") -> Rational:
+        return self.x * other.y - self.y * other.x
+
+    def __repr__(self) -> str:
+        return f"({rat_str(self.x)}, {rat_str(self.y)})"
+
+
+point_coord = st.one_of(st.integers(-10**6, 10**6), mixed_rational)
+coord_pairs = st.tuples(point_coord, point_coord)
+
+
+def typed(value):
+    """A value with its exact type, so that 1 and Fraction(1) differ."""
+    if isinstance(value, (Point2, ReferencePoint2)):
+        return type(value).__name__, typed(value.x), typed(value.y)
+    return type(value), value
+
+
+def same_point(got, want):
+    assert type(got) is Point2 and type(want) is ReferencePoint2
+    assert typed(got.x) == typed(want.x) and typed(got.y) == typed(want.y)
+
+
+class TestPointMatchesReference:
+    @given(st.lists(coord_pairs, min_size=1, max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_order_equality_hash_and_repr(self, pairs):
+        got = [Point2(x, y) for x, y in pairs]
+        want = [ReferencePoint2(x, y) for x, y in pairs]
+        for p, r in zip(got, want):
+            same_point(p, r)
+            assert hash(p) == hash(r) == hash((r.x, r.y))
+            assert repr(p) == repr(r) == str(p)
+        assert [(p.x, p.y) for p in sorted(got)] == [(r.x, r.y) for r in sorted(want)]
+        assert [p == q for p in got for q in got] == [r == s for r in want for s in want]
+        assert [p < q for p in got for q in got] == [r < s for r in want for s in want]
+        # equal hashes and equality give equal set iteration order
+        assert [(p.x, p.y) for p in set(got)] == [(r.x, r.y) for r in set(want)]
+
+    @given(coord_pairs, coord_pairs, point_coord)
+    @settings(max_examples=300, deadline=None)
+    def test_arithmetic_values_and_types(self, a, b, factor):
+        p, q = Point2(*a), Point2(*b)
+        r, s = ReferencePoint2(*a), ReferencePoint2(*b)
+        same_point(p + q, r + s)
+        same_point(p - q, r - s)
+        same_point(-p, -r)
+        same_point(p.scale(factor), r.scale(factor))
+        assert typed(p.cross(q)) == typed(r.cross(s))
+
+    @given(coord_pairs)
+    @settings(max_examples=100, deadline=None)
+    def test_jsonify_form(self, a):
+        p, r = Point2(*a), ReferencePoint2(*a)
+        want = [rat_str(r.x), rat_str(r.y)]
+        assert _jsonify(p) == want
+        assert _jsonify({"anchor": p, "points": [p, (p,)]}) == \
+            {"anchor": want, "points": [want, [want]]}
+
+    @pytest.mark.parametrize("p", [Point2(0, 0), Point2(-3, Fraction(5, 7)),
+                                   Point2(Fraction(-1, 2), 10**20)])
+    def test_pickle_and_copy_round_trips(self, p):
+        copies = [pickle.loads(pickle.dumps(p, protocol)) for protocol in
+                  range(pickle.HIGHEST_PROTOCOL + 1)]
+        copies += [copy.copy(p), copy.deepcopy(p)]
+        for c in copies:
+            assert type(c) is Point2 and c == p and typed(c) == typed(p)
+
+    def test_floats_rejected(self):
+        for make in (lambda: Point2(0.5, 0), lambda: Point2(0, 1.0),
+                     lambda: Point2(1, 2).scale(0.5), lambda: PointSet2D([(0.5, 0)]),
+                     lambda: (0.5, 0) in ps((0, 0))):
+            with pytest.raises(TypeError):
+                make()
+
+    def test_no_tuple_repetition(self):
+        p = Point2(1, 2)
+        for make in (lambda: p * 2, lambda: 2 * p, lambda: p * Fraction(1, 2), lambda: p * p):
+            with pytest.raises(TypeError):
+                make()
+
+    def test_no_instance_dict(self):
+        assert not hasattr(Point2(0, 0), "__dict__")
+        with pytest.raises(AttributeError):
+            Point2(0, 0).x = 1
+
+    def test_equals_its_plain_tuple(self):
+        """Pinned: a point is the tuple (x, y), so it equals and hashes like it."""
+        assert Point2(1, 2) == (1, 2) and hash(Point2(1, 2)) == hash((1, 2))
+        assert Point2(Fraction(4, 2), 0) == (2, 0) and type(Point2(Fraction(4, 2), 0).x) is int
+        assert (1, 2) in ps((1, 2)) and (Fraction(2, 2), 2) in ps((1, 2))
