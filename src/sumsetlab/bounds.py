@@ -64,6 +64,14 @@ def mode_mn(mode: BoundMode, a: PointSet2D, b: PointSet2D) -> tuple[int, int]:
     return 1, 1  # one-dimensional: each set lies on a single line
 
 
+def rhs_num_den(mode: BoundMode, size_a: int, m: int, size_b: int, n: int) -> tuple[int, int]:
+    """The right-hand side as an exact num/den (den > 0) for sizes |A|, |B|
+    and the mode's counts m, n; doubling is lines with B = A."""
+    if mode is BoundMode.ONE_DIMENSIONAL:
+        return size_a + size_b - 1, 1
+    return (size_a * n + size_b * m - m * n) * (m + n - 1), m * n
+
+
 def bound(mode: BoundMode, a: PointSet2D, b: PointSet2D) -> BoundReport:
     """Evaluate the chosen lower bound exactly; lhs is |A+B| by enumeration."""
     if len(a) == 0 or len(b) == 0:
@@ -78,12 +86,7 @@ def bound(mode: BoundMode, a: PointSet2D, b: PointSet2D) -> BoundReport:
             raise ModeMismatch("1d mode requires the two lines to be parallel")
 
     m, n = mode_mn(mode, a, b)
-    if mode is BoundMode.DOUBLING:
-        rhs = (2 * Fraction(len(a), m) - 1) * (2 * m - 1)
-    elif mode is BoundMode.ONE_DIMENSIONAL:
-        rhs = Fraction(len(a) + len(b) - 1)
-    else:
-        rhs = (Fraction(len(a), m) + Fraction(len(b), n) - 1) * (m + n - 1)
+    rhs = Fraction(*rhs_num_den(mode, len(a), m, len(b), n))
     lhs = Fraction(len(minkowski_sum(a, b)))
     gap = lhs - rhs
     return BoundReport(mode, m, n, rat(lhs), rat(rhs), rat(gap), gap == 0)

@@ -20,7 +20,9 @@ Two normalization pipelines are implemented:
   in also_matches.  Shear candidates plus reflections are exhaustive here
   because every family's row-extreme sequences are piecewise arithmetic
   with a flat piece; the exhaustive sweep cross-validates this (an escape
-  would surface as ExtremalUnclassified).
+  would surface as ExtremalUnclassified).  The sweep classifies one pair per
+  orbit of the axis reflections; the raw reference sweeps in the tests still
+  classify every image on small grids.
 """
 
 from __future__ import annotations

@@ -2,28 +2,36 @@
 universally, harvest extremal pairs, and cross-check the classifiers.
 
 Enumeration covers the translation-normalized subsets of a W x H grid
-(min x = min y = 0); every grid subset is a translate of one of these and
-every checked quantity is translation-invariant.  The transformation groups
-are deliberately NOT quotiented: classification absorbs equivalence, and raw
-enumeration keeps this oracle trivially correct.
+(min x = min y = 0); every checked quantity is translation-invariant.
 
-The hot loop counts every |A+B| exactly with core's bitset sumset kernel,
-the one minkowski_sum uses: cell (x, y) is key x*S + y (core.lattice_keys),
-and the fixed stride S = 2H - 1 exceeds every y of A+B, so no two sums share
-a bit.  mask(A+B) is core.sumset_mask of A's keys and mask(B); |A+B| is its
-bit count.  The bound's right-hand side depends on
-B only through its size class (|B|, m_B), so each A gets one exact num/den
-and one integer threshold lo = floor(num/den) per class.  A pair with
-|A+B| > lo neither violates nor attains the bound; only the others take the
-exact |A+B|*den vs num test, and classifiers see only the extremal pairs.
+The sweep is quotiented by H = {id, x-reflection, y-reflection, both},
+each image re-translated to min x = min y = 0.  One g in H applied to both
+sets is an affine map of the pair, which changes no size, count m or n,
+|A+B|, dimension, parallelism or family tag.  So the row of an A (its
+outcome against every B) is computed once per orbit, for the member rep of
+lowest index, and a memo local to the sweep keeps rep's pair count and
+hits (B index, outcome).  Every A = g.rep (g is its own inverse) maps each
+hit's B to g.B, sorted back into enumeration order, and records the actual
+pair (A, g.B).  A shard computes every rep it needs, also reps of other
+shards, so each shard's report equals the raw enumeration's.  The A<->B
+swap is not used: it would move pairs between shards.
+
+A row counts |A+B| with core's bitset sumset kernel: cell (x, y) is key
+x*S + y (core.lattice_keys), the stride S = 2H - 1 exceeds every y of A+B,
+and |A+B| is the bit count of core.sumset_mask(keys(A), mask(B)).  The
+right-hand side depends on B only through its class (|B|, m_B), so each A
+gets one exact num/den and one threshold lo = floor(num/den) per class.
+A pair with |A+B| > lo neither violates nor attains the bound; only the
+others take the exact test, and classifiers see only the extremal pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from math import gcd
 from typing import Optional
 
-from .bounds import BoundMode, bound, chain_diagnostic
+from .bounds import BoundMode, bound, chain_diagnostic, rhs_num_den
 from .classify import Verdict, classify_1d, classify_thm2, classify_thm3
 from .compression import compression_chain
 from .core import (PointSet2D, bit_mask, collinear_direction, cover_stats, dumps_points,
@@ -31,6 +39,9 @@ from .core import (PointSet2D, bit_mask, collinear_direction, cover_stats, dumps
 from .errors import ConsistencyError, InvalidSpec
 
 OUT_OF_HYPOTHESIS = "OutOfHypothesis"
+# a hit's outcome: one of these two, or the family tag of an extremal pair
+_VIOLATION = 0
+_WILD = 1
 
 
 @dataclass(frozen=True)
@@ -99,19 +110,25 @@ class _Subset:
 
 
 def _analyze(pts: tuple) -> _Subset:
+    """Counts and line direction (as collinear_direction gives it) of int points."""
     xs = {x for x, _ in pts}
     row_counts: dict[int, int] = {}
     for _, y in pts:
         row_counts[y] = row_counts.get(y, 0) + 1
-    ps = PointSet2D(pts)
-    d = collinear_direction(ps)
+    (x0, y0), *rest = pts
+    direction = (0, 0)
+    if rest:
+        dx, dy = rest[0][0] - x0, rest[0][1] - y0
+        g = gcd(dx, dy) if dy > 0 or (dy == 0 and dx > 0) else -gcd(dx, dy)
+        collinear = all(dx * (y - y0) == dy * (x - x0) for x, y in rest)
+        direction = (dx // g, dy // g) if collinear else None
     return _Subset(
         pts=pts,
         size=len(pts),
         lines_m=len(xs),
         sections_m=max(row_counts.values()),
-        two_dimensional=d is None,
-        direction=None if d is None else (d.x, d.y),
+        two_dimensional=direction is None,
+        direction=direction,
     )
 
 
@@ -133,18 +150,35 @@ def enumerate_subsets(width: int, height: int, max_size: Optional[int] = None,
     return out
 
 
+def _mirror_table(subs: list[_Subset], width: int, height: int) -> list[int]:
+    """table[4*i + g]: index in subs of g.subs[i] for g = 0..3, the identity and
+    the x-, y- and xy-reflection, each image re-translated to min x = min y = 0;
+    g composes by XOR.  subs are subsets of the width x height grid, closed
+    under these maps."""
+    def cell_mask(pts):
+        return sum(1 << (x * height + y) for x, y in pts)
+
+    index = [0] * (1 << (width * height))  # cell mask -> index in subs
+    for i, s in enumerate(subs):
+        index[cell_mask(s.pts)] = i
+    table = [-1] * (4 * len(subs))
+    for i, s in enumerate(subs):
+        if table[4 * i] >= 0:
+            continue  # filled with the orbit of an earlier subset
+        wx, hy = s.pts[-1][0], max(y for _, y in s.pts)  # pts ascend in (x, y)
+        orbit = (i, index[cell_mask((wx - x, y) for x, y in s.pts)],
+                 index[cell_mask((x, hy - y) for x, y in s.pts)],
+                 index[cell_mask((wx - x, hy - y) for x, y in s.pts)])
+        for g0, j in enumerate(orbit):  # j = g0.i, so g.j = (g ^ g0).i
+            for g in range(4):
+                table[4 * j + g] = orbit[g ^ g0]
+    return table
+
+
 def _mode_m(sub: _Subset, mode: BoundMode) -> int:
     if mode is BoundMode.SECTIONS_GS:
         return sub.sections_m
     return sub.lines_m
-
-
-def _rhs(mode: BoundMode, a: _Subset, size_b: int, m_b: int) -> tuple[int, int]:
-    """Bound rhs num/den (den > 0) for A and a B of class (|B|, m_B); doubling is lines with B = A."""
-    if mode is BoundMode.ONE_DIMENSIONAL:
-        return a.size + size_b - 1, 1
-    m = _mode_m(a, mode)
-    return (a.size * m_b + size_b * m - m * m_b) * (m + m_b - 1), m * m_b
 
 
 def _parallel(da: Optional[tuple], db: Optional[tuple]) -> bool:
@@ -152,75 +186,105 @@ def _parallel(da: Optional[tuple], db: Optional[tuple]) -> bool:
     return da is not None and db is not None and da[0] * db[1] == da[1] * db[0]
 
 
-def _classify_extremal(mode: BoundMode, a: _Subset, b: _Subset,
-                       report: SweepReport) -> None:
+def _classify_extremal(mode: BoundMode, a: _Subset, b: _Subset):
+    """An extremal pair's outcome: _WILD, or the tag it is tallied under."""
     if mode is BoundMode.SECTIONS_GS and (a.sections_m == 1 or b.sections_m == 1):
-        report.wild_regime_count += 1
-        return
-    tag = OUT_OF_HYPOTHESIS  # needs no point sets, so none are built for it
+        return _WILD
     if a.two_dimensional and b.two_dimensional:
         ps_a, ps_b = PointSet2D(a.pts), PointSet2D(b.pts)
         cls = classify_thm2(ps_a, ps_b) if mode in (BoundMode.LINES_GS, BoundMode.DOUBLING) \
             else classify_thm3(ps_a, ps_b)
-        if cls.verdict is Verdict.EXTREMAL_UNCLASSIFIED:
-            report.unclassified.append(encode_pair(ps_a, ps_b))
-        elif cls.verdict is Verdict.NOT_EXTREMAL:
+        if cls.verdict is Verdict.NOT_EXTREMAL:
             raise ConsistencyError("sweep extremality disagrees with classifier")
-        tag = cls.verdict.value
-    elif _parallel(a.direction, b.direction):
+        return cls.verdict.value
+    if _parallel(a.direction, b.direction):
         cls = classify_1d(PointSet2D(a.pts), PointSet2D(b.pts))
         if not cls.details["equality"]:
             raise ConsistencyError("sweep extremality disagrees with 1d characterization")
-        tag = cls.verdict.value
-    report.classified_tally[tag] = report.classified_tally.get(tag, 0) + 1
+        return cls.verdict.value
+    return OUT_OF_HYPOTHESIS  # needs no point sets, so none are built for it
+
+
+def _record(report: SweepReport, a: _Subset, b: _Subset, outcome) -> None:
+    """Add the pair (A, B) with its outcome to the report."""
+    if outcome == _VIOLATION:
+        report.violations.append(encode_pair(PointSet2D(a.pts), PointSet2D(b.pts)))
+        return
+    report.extremal_count += 1
+    if report.extremal_pairs is not None:
+        report.extremal_pairs.append((a.pts, b.pts))
+    if outcome == _WILD:
+        report.wild_regime_count += 1
+        return
+    report.classified_tally[outcome] = report.classified_tally.get(outcome, 0) + 1
+    if outcome == Verdict.EXTREMAL_UNCLASSIFIED.value:
+        report.unclassified.append(encode_pair(PointSet2D(a.pts), PointSet2D(b.pts)))
 
 
 def sweep(config: SweepConfig) -> SweepReport:
     """Run this config's shard of the exhaustive pair enumeration."""
     mode = config.mode
-    subs_a = enumerate_subsets(config.grid_width, config.grid_height,
-                               config.max_size_a, config.require_two_dimensional)
-    same_lists = mode is BoundMode.DOUBLING or config.max_size_b == config.max_size_a
-    subs_b = subs_a if same_lists else enumerate_subsets(
-        config.grid_width, config.grid_height, config.max_size_b, config.require_two_dimensional)
-    # shards split the unfiltered A list, so every shard keeps its pairs
-    chosen_a = [a for idx, a in enumerate(subs_a)
-                if idx % config.shard_count == config.shard_index
-                and _mode_m(a, mode) >= config.min_mn]
+    cap_a = config.max_size_a
+    cap_b = cap_a if mode is BoundMode.DOUBLING else config.max_size_b
+    # one enumeration; a list with a smaller cap filters it, in the same order
+    subs = enumerate_subsets(config.grid_width, config.grid_height,
+                             None if cap_a is None or cap_b is None else max(cap_a, cap_b),
+                             config.require_two_dimensional)
+    mirror = _mirror_table(subs, config.grid_width, config.grid_height)
+    ids_a = (i for i, s in enumerate(subs) if cap_a is None or s.size <= cap_a)
 
     stride = 2 * config.grid_height - 1
     classes: dict[tuple[int, int], int] = {}  # (|B|, m_B) -> index
-    rows_b = []  # (B, mask(B), class index), in enumeration order
-    for b in subs_b:
+    rows_b = []  # (index of B, B, mask(B), class index), in enumeration order
+    for j, b in enumerate(subs):
         m_b = _mode_m(b, mode)
-        if m_b >= config.min_mn:
+        if m_b >= config.min_mn and (cap_b is None or b.size <= cap_b):
             cls = classes.setdefault((b.size, m_b), len(classes))
-            rows_b.append((b, bit_mask(lattice_keys(b.pts, stride)), cls))
+            rows_b.append((j, b, bit_mask(lattice_keys(b.pts, stride)), cls))
 
-    report = SweepReport(extremal_pairs=[] if config.collect_extremal else None)
-    for a in chosen_a:
+    def row(i: int) -> tuple[int, tuple]:
+        """(pairs checked, hits) of A = subs[i]; a hit is (index of B, outcome)."""
+        a = subs[i]
         keys_a = lattice_keys(a.pts, stride)
+        m_a = _mode_m(a, mode)
         if mode is BoundMode.DOUBLING:
-            rows = [(a, bit_mask(keys_a), classes[a.size, _mode_m(a, mode)])]
+            rows = [(i, a, bit_mask(keys_a), classes[a.size, m_a])]
         elif mode is BoundMode.ONE_DIMENSIONAL:
-            rows = [row for row in rows_b if _parallel(a.direction, row[0].direction)]
+            rows = [r for r in rows_b if _parallel(a.direction, r[1].direction)]
         else:
             rows = rows_b
-        report.pairs_checked += len(rows)
-        rhs = [_rhs(mode, a, size_b, m_b) for size_b, m_b in classes]
+        rhs = [rhs_num_den(mode, a.size, m_a, size_b, m_b) for size_b, m_b in classes]
         lo = [num // den for num, den in rhs]
-        for b, mask_b, cls in rows:
+        hits = []
+        for j, b, mask_b, cls in rows:
             lhs = sumset_mask(keys_a, mask_b).bit_count()
             if lhs > lo[cls]:
                 continue
             num, den = rhs[cls]
             if lhs * den < num:
-                report.violations.append(encode_pair(PointSet2D(a.pts), PointSet2D(b.pts)))
+                hits.append((j, _VIOLATION))
             elif lhs * den == num:
-                report.extremal_count += 1
-                if report.extremal_pairs is not None:
-                    report.extremal_pairs.append((a.pts, b.pts))
-                _classify_extremal(mode, a, b, report)
+                hits.append((j, _classify_extremal(mode, a, b)))
+        return len(rows), tuple(hits)
+
+    memo: dict[int, tuple[int, tuple]] = {}  # rep -> row(rep)
+    report = SweepReport(extremal_pairs=[] if config.collect_extremal else None)
+    # shards split the unfiltered A list, so every shard keeps its pairs
+    for pos, i in enumerate(ids_a):
+        a = subs[i]
+        if pos % config.shard_count != config.shard_index or _mode_m(a, mode) < config.min_mn:
+            continue
+        images = mirror[4 * i:4 * i + 4]
+        rep = min(images)
+        g = images.index(rep)  # g.A = rep, so A = g.rep
+        if rep not in memo:
+            memo[rep] = row(rep)
+        pairs, hits = memo[rep]
+        report.pairs_checked += pairs
+        if g:
+            hits = sorted((mirror[4 * j + g], outcome) for j, outcome in hits)
+        for j, outcome in hits:
+            _record(report, a, subs[j], outcome)
     report.violations.sort()
     report.unclassified.sort()
     return report

@@ -9,7 +9,7 @@ from sumsetlab import (BoundMode, EmptySet, ModeMismatch, PointSet2D,
                        SupportedSequence, averaging_report, bound,
                        chain_diagnostic, compress, freiman_threshold_rhs,
                        gen_trapezoid, gen_wild, u_values)
-from sumsetlab.bounds import _section_chain_sums
+from sumsetlab.bounds import _section_chain_sums, rhs_num_den
 from sumsetlab.families import TrapezoidSpec
 
 
@@ -63,6 +63,26 @@ class TestBound:
         d = bound(BoundMode.SECTIONS_GS, a, b).to_json_dict()
         assert d == {"mode": "sections", "m": 1, "n": 4, "lhs": "17",
                      "rhs": "17", "gap": "0", "extremal": True}
+
+
+def reference_rhs(mode, size_a, m, size_b, n):
+    """bound's right-hand side as Fraction formulas, before rhs_num_den."""
+    if mode is BoundMode.DOUBLING:
+        return (2 * Fraction(size_a, m) - 1) * (2 * m - 1)
+    if mode is BoundMode.ONE_DIMENSIONAL:
+        return Fraction(size_a + size_b - 1)
+    return (Fraction(size_a, m) + Fraction(size_b, n) - 1) * (m + n - 1)
+
+
+@pytest.mark.parametrize("mode", list(BoundMode), ids=lambda m: m.value)
+def test_rhs_num_den_matches_fraction_formulas(mode):
+    # every size up to 16 with every count up to that size; doubling has B = A
+    classes = [(size, m) for size in range(1, 17) for m in range(1, size + 1)]
+    for size_a, m in classes:
+        for size_b, n in [(size_a, m)] if mode is BoundMode.DOUBLING else classes:
+            num, den = rhs_num_den(mode, size_a, m, size_b, n)
+            assert den > 0
+            assert Fraction(num, den) == reference_rhs(mode, size_a, m, size_b, n)
 
 
 class TestFreimanThreshold:

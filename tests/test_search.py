@@ -9,8 +9,8 @@ from sumsetlab import (BoundMode, InvalidSpec, SweepConfig,
                        encode_pair, gen_trapezoid, gen_wild, merge_reports,
                        oracle_pair_check, run_sharded, search, sweep)
 from sumsetlab.classify import Verdict, classify_1d, classify_thm2, classify_thm3
-from sumsetlab.core import (Point2, PointSet2D, bit_mask, lattice_keys, parallel_directions,
-                            sumset_mask)
+from sumsetlab.core import (Point2, PointSet2D, bit_mask, collinear_direction, cover_stats,
+                            lattice_keys, parallel_directions, sumset_mask)
 from sumsetlab.errors import ConsistencyError
 from sumsetlab.families import CaseCSpec, EpsilonSpec, TrapezoidSpec, gen_case_c, gen_eps_trapezoid
 
@@ -300,3 +300,193 @@ def test_sweep_matches_reference_loop(grid, mode):
         for index in range(base.shard_count):
             config = replace(base, shard_index=index)
             assert sweep(config) == reference_sweep(config), config
+
+
+# ---------------------------------------------------------------------------
+# the reflection-quotiented sweep against the bitset sweep it replaced
+# ---------------------------------------------------------------------------
+
+def _raw_rhs(mode, a, size_b, m_b):
+    """Bound rhs num/den (den > 0) for A and a B of class (|B|, m_B); doubling is lines with B = A."""
+    if mode is BoundMode.ONE_DIMENSIONAL:
+        return a.size + size_b - 1, 1
+    m = search._mode_m(a, mode)
+    return (a.size * m_b + size_b * m - m * m_b) * (m + m_b - 1), m * m_b
+
+
+def _raw_classify_extremal(mode, a, b, report):
+    if mode is BoundMode.SECTIONS_GS and (a.sections_m == 1 or b.sections_m == 1):
+        report.wild_regime_count += 1
+        return
+    tag = search.OUT_OF_HYPOTHESIS  # needs no point sets, so none are built for it
+    if a.two_dimensional and b.two_dimensional:
+        ps_a, ps_b = PointSet2D(a.pts), PointSet2D(b.pts)
+        cls = search.classify_thm2(ps_a, ps_b) if mode in (BoundMode.LINES_GS, BoundMode.DOUBLING) \
+            else search.classify_thm3(ps_a, ps_b)
+        if cls.verdict is Verdict.EXTREMAL_UNCLASSIFIED:
+            report.unclassified.append(encode_pair(ps_a, ps_b))
+        elif cls.verdict is Verdict.NOT_EXTREMAL:
+            raise ConsistencyError("sweep extremality disagrees with classifier")
+        tag = cls.verdict.value
+    elif search._parallel(a.direction, b.direction):
+        cls = search.classify_1d(PointSet2D(a.pts), PointSet2D(b.pts))
+        if not cls.details["equality"]:
+            raise ConsistencyError("sweep extremality disagrees with 1d characterization")
+        tag = cls.verdict.value
+    report.classified_tally[tag] = report.classified_tally.get(tag, 0) + 1
+
+
+def raw_sweep(config):
+    """The bitset sweep before the reflection quotient: every A's row is
+    computed, and each side's list is enumerated on its own."""
+    mode = config.mode
+    subs_a = search.enumerate_subsets(config.grid_width, config.grid_height,
+                                      config.max_size_a, config.require_two_dimensional)
+    same_lists = mode is BoundMode.DOUBLING or config.max_size_b == config.max_size_a
+    subs_b = subs_a if same_lists else search.enumerate_subsets(
+        config.grid_width, config.grid_height, config.max_size_b, config.require_two_dimensional)
+    # shards split the unfiltered A list, so every shard keeps its pairs
+    chosen_a = [a for idx, a in enumerate(subs_a)
+                if idx % config.shard_count == config.shard_index
+                and search._mode_m(a, mode) >= config.min_mn]
+
+    stride = 2 * config.grid_height - 1
+    classes = {}  # (|B|, m_B) -> index
+    rows_b = []  # (B, mask(B), class index), in enumeration order
+    for b in subs_b:
+        m_b = search._mode_m(b, mode)
+        if m_b >= config.min_mn:
+            cls = classes.setdefault((b.size, m_b), len(classes))
+            rows_b.append((b, bit_mask(lattice_keys(b.pts, stride)), cls))
+
+    report = search.SweepReport(extremal_pairs=[] if config.collect_extremal else None)
+    for a in chosen_a:
+        keys_a = lattice_keys(a.pts, stride)
+        if mode is BoundMode.DOUBLING:
+            rows = [(a, bit_mask(keys_a), classes[a.size, search._mode_m(a, mode)])]
+        elif mode is BoundMode.ONE_DIMENSIONAL:
+            rows = [row for row in rows_b if search._parallel(a.direction, row[0].direction)]
+        else:
+            rows = rows_b
+        report.pairs_checked += len(rows)
+        rhs = [_raw_rhs(mode, a, size_b, m_b) for size_b, m_b in classes]
+        lo = [num // den for num, den in rhs]
+        for b, mask_b, cls in rows:
+            lhs = search.sumset_mask(keys_a, mask_b).bit_count()
+            if lhs > lo[cls]:
+                continue
+            num, den = rhs[cls]
+            if lhs * den < num:
+                report.violations.append(encode_pair(PointSet2D(a.pts), PointSet2D(b.pts)))
+            elif lhs * den == num:
+                report.extremal_count += 1
+                if report.extremal_pairs is not None:
+                    report.extremal_pairs.append((a.pts, b.pts))
+                _raw_classify_extremal(mode, a, b, report)
+    report.violations.sort()
+    report.unclassified.sort()
+    return report
+
+
+def test_quotient_computes_one_row_per_orbit(monkeypatch):
+    # 3x3 has 400 normalized subsets in 138 reflection orbits
+    calls = []
+    kernel = search.sumset_mask
+    monkeypatch.setattr(search, "sumset_mask",
+                        lambda keys, mask: calls.append(1) or kernel(keys, mask))
+    config = cfg(grid_width=3, grid_height=3)
+    rep = sweep(config)
+    quotiented = len(calls)
+    want = raw_sweep(config)
+    assert (quotiented, len(calls) - quotiented) == (138 * 400, 400 * 400)
+    assert rep == want
+
+
+def test_mirror_table_is_the_reflection_group():
+    subs = search.enumerate_subsets(3, 4)
+    flat = search._mirror_table(subs, 3, 4)
+    table = [tuple(flat[4 * i:4 * i + 4]) for i in range(len(subs))]
+    assert (len(table), len({min(images) for images in table})) == (3392, 951)
+    kept = [images for images, s in zip(table, subs) if s.sections_m >= 2]
+    assert (len(kept), len({min(images) for images in kept})) == (3254, 903)
+    for i, images in enumerate(table):
+        assert images[0] == i
+        for g in (1, 2, 3):
+            assert table[images[g]][g] == i  # each reflection is an involution
+        assert table[images[1]][2] == images[3]  # x then y is xy
+        assert len({subs[j].size for j in images}) == 1
+
+
+def _raw_shard_reports(base):
+    """raw_sweep's report on every shard (index, count), assembled from one raw
+    pass split into 6 shards: shard (k, c) is the union of the 6-shards j with
+    j % c == k, its pairs in enumeration order."""
+    parts = [raw_sweep(replace(base, shard_index=j, shard_count=6)) for j in range(6)]
+    order = {s.pts: i for i, s in enumerate(search.enumerate_subsets(
+        base.grid_width, base.grid_height, max(base.max_size_a, base.max_size_b)))}
+    out = {}
+    for count in (1, 2, 3):
+        for index in range(count):
+            mine = [p for j, p in enumerate(parts) if j % count == index]
+            want = search.SweepReport(
+                pairs_checked=sum(p.pairs_checked for p in mine),
+                violations=sorted(v for p in mine for v in p.violations),
+                extremal_count=sum(p.extremal_count for p in mine),
+                unclassified=sorted(u for p in mine for u in p.unclassified),
+                wild_regime_count=sum(p.wild_regime_count for p in mine),
+                extremal_pairs=sorted((e for p in mine for e in p.extremal_pairs),
+                                      key=lambda e: (order[e[0]], order[e[1]])))
+            for p in mine:
+                for tag, n in p.classified_tally.items():
+                    want.classified_tally[tag] = want.classified_tally.get(tag, 0) + n
+            out[index, count] = want
+    return out
+
+
+@pytest.mark.parametrize("mode", list(BoundMode), ids=lambda m: m.value)
+def test_sweep_matches_raw_sweep_3x4(mode):
+    base = cfg(grid_width=3, grid_height=4, mode=mode, max_size_a=5, max_size_b=5,
+               collect_extremal=True)
+    for (index, count), want in _raw_shard_reports(base).items():
+        config = replace(base, shard_index=index, shard_count=count)
+        assert sweep(config) == want, config
+
+
+def test_unclassified_records_name_the_image_pairs(monkeypatch):
+    from sumsetlab.classify import Classification
+    monkeypatch.setattr(search, "classify_thm2",
+                        lambda a, b: Classification(Verdict.EXTREMAL_UNCLASSIFIED))
+    config = cfg(grid_width=3, grid_height=3)
+    rep, want = sweep(config), raw_sweep(config)
+    count = want.classified_tally["ExtremalUnclassified"]
+    assert count > 100 and len(want.unclassified) == count
+    assert rep.unclassified == want.unclassified
+    assert rep == want
+
+
+def test_sweep_reaches_eps_and_case_c_families():
+    eps = sweep(cfg(grid_width=3, grid_height=4, mode=BoundMode.SECTIONS_GS,
+                    min_mn=2, max_size_b=3))
+    assert eps.classified_tally.get("EpsTrapezoidPair", 0) > 0 and eps.ok
+    case_c = sweep(cfg(grid_width=3, grid_height=5, mode=BoundMode.SECTIONS_GS, min_mn=2,
+                       max_size_a=6, max_size_b=6, shard_index=0, shard_count=20))
+    assert case_c.classified_tally.get("CaseCPair", 0) > 0 and case_c.ok
+
+
+def _all_subsets(width, height):
+    cells = [(x, y) for x in range(width) for y in range(height)]
+    for mask in range(1, 1 << len(cells)):
+        yield tuple(cells[i] for i in range(len(cells)) if mask >> i & 1)
+
+
+@pytest.mark.parametrize("grid", [(3, 3), (3, 4)], ids=lambda g: "%dx%d" % g)
+def test_analyze_matches_point_set_stats(grid):
+    for pts in _all_subsets(*grid):
+        sub = search._analyze(pts)
+        ps = PointSet2D(pts)
+        d = collinear_direction(ps)
+        stats = cover_stats(ps)
+        assert sub.direction == (None if d is None else (d.x, d.y)), pts
+        assert sub.two_dimensional == stats.is_two_dimensional
+        assert (sub.size, sub.lines_m, sub.sections_m) == \
+            (len(ps), stats.vertical_line_count, stats.max_horizontal_section)
