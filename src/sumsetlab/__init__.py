@@ -1,34 +1,55 @@
 """sumsetlab: exact-arithmetic planar sumset bounds, extremal families,
-classifiers, exhaustive verification sweeps, and the convex counterpart."""
+classifiers, exhaustive verification sweeps, and the convex counterpart.
 
-from .bounds import (AveragingReport, BoundMode, BoundReport,
-                     SupportedSequence, averaging_report, bound,
-                     chain_diagnostic, freiman_threshold_rhs, u_values)
-from .classify import (Classification, RowProfile, TrapezoidZones, Verdict,
-                       classify_1d, classify_thm2, classify_thm3, is_extremal,
-                       split_check)
-from .compression import compress, compression_chain
-from .convex import (BoundaryChains, ContinuousReport, ConvexPolygon,
-                     HomothetyCertificate, StretchDecomposition,
-                     area_and_projection, bonnesen_report,
-                     clip_vertical_slab, decompose_and_classify,
-                     decompose_vertical, graph_body_bounds,
-                     homothety_certificate, is_bonnesen_extremal,
-                     loads_polygon, dumps_polygon, load_polygon, save_polygon,
-                     partition_check, poly_minkowski_sum, stretch_vertical,
-                     stretch_invariance_check, from_chains)
-from .core import (AffineMap2D, Axis, CoverStats, Point2, PointSet2D,
-                   Rational, apply_map, arithmetic_progression_of,
-                   collinear_direction, cover_stats, dumps_points,
-                   load_points, loads_points, minkowski_sum,
-                   parallel_directions, rat, rat_str, save_points, section)
-from .errors import (ConsistencyError, DegenerateProjection, EmptySet,
-                     HypothesisViolated, InvalidAmount, InvalidSpec,
-                     ModeMismatch, NotCollinear, ParseError, SumsetError)
-from .families import (CaseCSpec, EpsilonSpec, TrapezoidSpec, gen_case_c,
-                       gen_eps_trapezoid, gen_trapezoid, gen_wild)
-from .figures import emit_figure_svg, figure_sets, figure_verification
-from .search import (SweepConfig, SweepReport, encode_pair, merge_reports,
-                     oracle_pair_check, run_sharded, sweep)
+The namespace is lazy (PEP 562): ``sumsetlab.bound`` imports
+``sumsetlab.bounds`` on first use and then binds the name here, so a
+process imports only the modules it touches.
+"""
 
+from importlib import import_module
+
+_EXPORTS = {
+    "bounds": ("AveragingReport", "BoundMode", "BoundReport", "SupportedSequence",
+               "averaging_report", "bound", "chain_diagnostic", "freiman_threshold_rhs",
+               "u_values"),
+    "classify": ("Classification", "TrapezoidZones", "Verdict", "classify_1d",
+                 "classify_thm2", "classify_thm3", "is_extremal", "split_check"),
+    "compression": ("compress", "compression_chain"),
+    "convex": ("BoundaryChains", "ContinuousReport", "ConvexPolygon", "HomothetyCertificate",
+               "StretchDecomposition", "area_and_projection", "bonnesen_report",
+               "clip_vertical_slab", "decompose_and_classify", "decompose_vertical",
+               "graph_body_bounds", "homothety_certificate", "is_bonnesen_extremal",
+               "loads_polygon", "dumps_polygon", "load_polygon", "save_polygon",
+               "partition_check", "poly_minkowski_sum", "stretch_vertical",
+               "stretch_invariance_check", "from_chains"),
+    "core": ("AffineMap2D", "Axis", "CoverStats", "Point2", "PointSet2D", "Rational",
+             "apply_map", "arithmetic_progression_of", "collinear_direction", "cover_stats",
+             "dumps_points", "load_points", "loads_points", "minkowski_sum",
+             "parallel_directions", "rat", "rat_str", "save_points", "section"),
+    "errors": ("ConsistencyError", "DegenerateProjection", "EmptySet", "HypothesisViolated",
+               "InvalidAmount", "InvalidSpec", "ModeMismatch", "NotCollinear", "ParseError",
+               "SumsetError"),
+    "families": ("CaseCSpec", "EpsilonSpec", "TrapezoidSpec", "gen_case_c",
+                 "gen_eps_trapezoid", "gen_trapezoid", "gen_wild"),
+    "figures": ("emit_figure_svg", "figure_sets", "figure_verification"),
+    "search": ("SweepConfig", "SweepReport", "encode_pair", "merge_reports",
+               "oracle_pair_check", "run_sharded", "sweep"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_OWNER)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return import_module(f"{__name__}.{name}")
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_OWNER[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted({*globals(), *_EXPORTS, *_OWNER})

@@ -50,27 +50,6 @@ class Verdict(Enum):
 
 
 @dataclass(frozen=True)
-class RowProfile:
-    """Per-level records: size and extreme x-values."""
-
-    levels: tuple
-    counts: tuple
-    min_xs: tuple
-    max_xs: tuple
-
-    @classmethod
-    def of(cls, s: PointSet2D) -> "RowProfile":
-        rows = s.rows()
-        levels = tuple(sorted(rows))
-        return cls(
-            levels=levels,
-            counts=tuple(len(rows[v]) for v in levels),
-            min_xs=tuple(rows[v][0] for v in levels),
-            max_xs=tuple(rows[v][-1] for v in levels),
-        )
-
-
-@dataclass(frozen=True)
 class TrapezoidZones:
     """The three level intervals of a compression-normalized trapezoid
     (integer slopes c <= 0 <= d): the ramp governed by d, the full-width
@@ -369,14 +348,12 @@ def _normalized_candidates(a2: PointSet2D, b2: PointSet2D):
     between consecutive row maxima of either set, negated when one axis is
     reflected.  Each shear runs on raw coordinates and tests integrality
     before a point set is built; b is not sheared when a already fails."""
-    slopes = {rat(0)}
-    for s in (a2, b2):
-        profile = RowProfile.of(s)
-        for i in range(len(profile.levels) - 1):
-            step = profile.levels[i + 1] - profile.levels[i]
-            slopes.add(rat(Fraction(profile.min_xs[i + 1] - profile.min_xs[i]) / step))
-            slopes.add(rat(Fraction(profile.max_xs[i + 1] - profile.max_xs[i]) / step))
     runs = [_row_runs(a2), _row_runs(b2)]
+    slopes = {rat(0)}
+    for rows in runs:
+        for (y0, r0, ks0), (y1, r1, ks1) in zip(rows, rows[1:]):
+            slopes.add(rat(Fraction(r1 - r0) / (y1 - y0)))
+            slopes.add(rat(Fraction(r1 + ks1[-1] - r0 - ks0[-1]) / (y1 - y0)))
     for rx, ry in ((False, False), (True, False), (False, True), (True, True)):
         sx, sy = -1 if rx else 1, -1 if ry else 1
         ra, rb = ([(sy * y, sx * r, [sx * k for k in ks]) for y, r, ks in rows]

@@ -21,19 +21,13 @@ import re
 import sys
 from fractions import Fraction
 
-from . import convex
-from .bounds import BoundMode, SupportedSequence, averaging_report, bound
-from .classify import (Verdict, classify_1d, classify_thm2, classify_thm3,
-                       split_check)
-from .compression import compress
-from .core import dumps_points, loads_points, parse_rational, rat_str
+from .core import (dumps_points, loads_points, minkowski_sum, parse_rational, rat_str,
+                   save_points)
 from .errors import ConsistencyError, ParseError, SumsetError
-from .families import (CaseCSpec, EpsilonSpec, TrapezoidSpec, gen_case_c,
-                       gen_eps_trapezoid, gen_trapezoid, gen_wild)
-from .figures import emit_figure_svg, figure_sets, figure_verification
-from .search import SweepConfig, run_sharded
 
-_MODES = {m.value: m for m in BoundMode}
+# Each command imports the library modules it runs, so a process loads only
+# those; the mode choices are BoundMode's values, spelled out for the parser.
+_MODE_CHOICES = ("1d", "doubling", "lines", "sections")
 _SET_MARKER = re.compile(r"^#\s*set:\s*(.*)$")
 
 
@@ -112,18 +106,17 @@ def _pair_args(sub):
 # ---------------------------------------------------------------------------
 
 def _cmd_sumset(args) -> int:
-    from .core import minkowski_sum
     a, b = _load_pair(args, loads_points)
     s = minkowski_sum(a, b)
     if args.out:
-        from .core import save_points
         save_points(s, args.out)
     _emit_json({"size": len(s), "points": dumps_points(s)})
     return 0
 
 
 def _cmd_bound(args) -> int:
-    mode = _MODES[args.mode]
+    from .bounds import BoundMode, bound
+    mode = BoundMode(args.mode)
     if mode is BoundMode.DOUBLING and args.b is None and args.a is not None:
         a = loads_points(_read_source(args.a))
         b = a
@@ -144,6 +137,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_compress(args) -> int:
+    from .compression import compress
     text = _read_source(args.input)
     chunks = _split_stream(text)
     out = [(label or chr(ord("A") + i), dumps_points(compress(loads_points(body))))
@@ -156,6 +150,8 @@ def _cmd_compress(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from .families import (CaseCSpec, EpsilonSpec, TrapezoidSpec, gen_case_c,
+                           gen_eps_trapezoid, gen_trapezoid, gen_wild)
     if args.family == "trapezoid":
         spec = TrapezoidSpec(args.m, args.h, parse_rational(args.c), parse_rational(args.d))
         sets = [("A", gen_trapezoid(spec))]
@@ -176,7 +172,6 @@ def _cmd_gen(args) -> int:
     paths = {"A": args.out_a or args.out, "B": args.out_b}
     for label, ps in sets:
         if paths.get(label):
-            from .core import save_points
             save_points(ps, paths[label])
     _write_stream([(label, dumps_points(ps)) for label, ps in sets])
     return 0
@@ -184,6 +179,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_check(args) -> int:
     if args.kind == "continuous":
+        from . import convex
         p, q = _load_pair(args, convex.loads_polygon)
         cert = convex.decompose_and_classify(p, q)
         payload = {
@@ -192,6 +188,7 @@ def _cmd_check(args) -> int:
         }
         _emit_json(payload)
         return 0
+    from .classify import Verdict, classify_1d, classify_thm2, classify_thm3, split_check
     a, b = _load_pair(args, loads_points)
     if args.kind == "split":
         ok = split_check(a, b)
@@ -203,18 +200,19 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .bounds import BoundMode
+    from .search import SweepConfig, run_sharded, sweep
     try:
         width, height = (int(tok) for tok in args.grid.lower().split("x"))
     except ValueError:
         raise ParseError(f"--grid expects WxH, got {args.grid!r}")
     config = SweepConfig(
-        grid_width=width, grid_height=height, mode=_MODES[args.mode],
+        grid_width=width, grid_height=height, mode=BoundMode(args.mode),
         max_size_a=args.max_size_a, max_size_b=args.max_size_b,
         require_two_dimensional=args.require_2d, min_mn=args.min_mn,
         shard_index=args.shard_index or 0, shard_count=args.shards,
     )
     if args.shard_index is not None:
-        from .search import sweep
         report = sweep(config)
     else:
         report = run_sharded(config, jobs=args.jobs)
@@ -233,6 +231,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_poly(args) -> int:
+    from . import convex
     if args.op == "sum":
         p, q = _load_pair(args, convex.loads_polygon)
         s = convex.poly_minkowski_sum(p, q)
@@ -269,7 +268,8 @@ def _cmd_poly(args) -> int:
     return 0
 
 
-def _parse_sequence(text: str) -> SupportedSequence:
+def _parse_sequence(text: str):
+    from .bounds import SupportedSequence
     entries = {}
     for token in text.split(","):
         token = token.strip()
@@ -283,6 +283,7 @@ def _parse_sequence(text: str) -> SupportedSequence:
 
 
 def _cmd_lemma_avg(args) -> int:
+    from .bounds import averaging_report
     rep = averaging_report(_parse_sequence(args.a), _parse_sequence(args.b))
     _emit_json(rep.to_json_dict(), approx=args.approx)
     return 0
@@ -290,6 +291,7 @@ def _cmd_lemma_avg(args) -> int:
 
 def _cmd_figure(args) -> int:
     import os
+    from .figures import emit_figure_svg, figure_sets, figure_verification
     sets = figure_sets(args.number)
     verification = figure_verification(args.number)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -298,7 +300,6 @@ def _cmd_figure(args) -> int:
     files = [svg_path]
     for i, (label, ps) in enumerate(sets):
         name = os.path.join(args.out_dir, f"figure{args.number}_{'ab'[i]}.txt")
-        from .core import save_points
         save_points(ps, name)
         files.append(name)
     _emit_json({"files": files, **verification})
@@ -322,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("bound", help="evaluate a sumset lower bound exactly")
     _pair_args(p)
-    p.add_argument("--mode", choices=sorted(_MODES), required=True)
+    p.add_argument("--mode", choices=_MODE_CHOICES, required=True)
     p.add_argument("--csv", help="also write the report as CSV")
     p.add_argument("--approx", action="store_true",
                    help="annotate the report with float approximations")
@@ -365,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("sweep", help="exhaustive small-grid verification")
     p.add_argument("--grid", default="3x3", help="WxH (default 3x3)")
-    p.add_argument("--mode", choices=sorted(_MODES), required=True)
+    p.add_argument("--mode", choices=_MODE_CHOICES, required=True)
     p.add_argument("--max-size-a", type=int)
     p.add_argument("--max-size-b", type=int)
     p.add_argument("--require-2d", action="store_true")

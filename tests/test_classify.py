@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -10,7 +11,7 @@ from sumsetlab import (AffineMap2D, BoundMode, HypothesisViolated,
                        NotCollinear, Point2, PointSet2D, SweepConfig, Verdict,
                        apply_map, classify_1d, classify_thm2, classify_thm3,
                        cover_stats, is_extremal, rat, split_check, sweep)
-from sumsetlab.classify import (Classification, RowProfile, TrapezoidZones,
+from sumsetlab.classify import (Classification, TrapezoidZones,
                                 _match_standard, _match_trapezoid, _normalize_levels)
 from sumsetlab.errors import InvalidSpec
 from sumsetlab.families import (CaseCSpec, EpsilonSpec, TrapezoidSpec,
@@ -196,6 +197,28 @@ def _integer_form(s: PointSet2D) -> Optional[PointSet2D]:
             return None
         pts.append(Point2(int(x), int(y)))
     return PointSet2D(pts)
+
+
+# classify.RowProfile, deleted once the shear slopes were read off _row_runs.
+@dataclass(frozen=True)
+class RowProfile:
+    """Per-level records: size and extreme x-values."""
+
+    levels: tuple
+    counts: tuple
+    min_xs: tuple
+    max_xs: tuple
+
+    @classmethod
+    def of(cls, s: PointSet2D) -> "RowProfile":
+        rows = s.rows()
+        levels = tuple(sorted(rows))
+        return cls(
+            levels=levels,
+            counts=tuple(len(rows[v]) for v in levels),
+            min_xs=tuple(rows[v][0] for v in levels),
+            max_xs=tuple(rows[v][-1] for v in levels),
+        )
 
 
 def _reflect(s: PointSet2D, rx: bool, ry: bool) -> PointSet2D:

@@ -1,11 +1,18 @@
 import io
 import json
+import os
+import runpy
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from sumsetlab import (BoundMode, bound, gen_wild, loads_points,
                        minkowski_sum)
-from sumsetlab.cli import main
+from sumsetlab.cli import _MODE_CHOICES, main
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(argv, stdin_text=""):
@@ -266,3 +273,68 @@ class TestErrors:
         stream = "# set: A\n0 0\n1 0\n# set: B\n0 0\n0 1\n"
         code, _ = run_cli(["bound", "--mode", "1d"], stdin_text=stream)
         assert code == 2
+
+
+# The stderr argparse printed for an unknown mode before the choices became a
+# literal tuple.
+INVALID_MODE_STDERR = {
+    "bound": "usage: sumsetlab bound [-h] [--a A] [--b B] --mode\n"
+             "                       {1d,doubling,lines,sections} [--csv CSV] [--approx]\n"
+             "sumsetlab bound: error: argument --mode: invalid choice: 'nope' "
+             "(choose from '1d', 'doubling', 'lines', 'sections')\n",
+    "sweep": "usage: sumsetlab sweep [-h] [--grid GRID] --mode {1d,doubling,lines,sections}\n"
+             "                       [--max-size-a MAX_SIZE_A] [--max-size-b MAX_SIZE_B]\n"
+             "                       [--require-2d] [--min-mn MIN_MN] [--shards SHARDS]\n"
+             "                       [--shard-index SHARD_INDEX] [--jobs JOBS] [--csv CSV]\n"
+             "sumsetlab sweep: error: argument --mode: invalid choice: 'nope' "
+             "(choose from '1d', 'doubling', 'lines', 'sections')\n",
+}
+
+# Runs one command through main() and prints its exit code and the sumsetlab
+# submodules the process imported.
+IMPORT_PROBE = """
+import contextlib, io, sys
+from sumsetlab.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, *sorted(n.split(".")[1] for n in sys.modules if n.startswith("sumsetlab.")))
+"""
+
+
+def _child(argv, stdin_text=""):
+    return subprocess.run([sys.executable, *argv], input=stdin_text, capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
+
+
+class TestImports:
+    TRIANGLES = "# set: A\n0 0\n1 0\n0 1\n# set: B\n0 0\n2 0\n0 2\n"
+
+    @pytest.mark.parametrize("argv,stdin_key,unused", [
+        (["gen", "wild", "--x", "4"], None, {"bounds", "classify", "convex", "search", "figures"}),
+        (["gen", "case-c", "--m", "4", "--n", "4", "--k", "7"], None,
+         {"bounds", "classify", "convex", "search", "figures"}),
+        (["bound", "--mode", "sections"], "wild", {"classify", "convex", "search", "families"}),
+        (["poly", "sum"], "triangles", {"bounds", "classify", "search", "families", "figures"}),
+        (["lemma-avg", "--a", "0=1,1=3,2=5", "--b", "0=2,1=4"], None,
+         {"classify", "convex", "search"}),
+    ])
+    def test_command_imports_only_what_it_runs(self, argv, stdin_key, unused):
+        stdin_text = {None: "", "wild": run_cli(["gen", "wild", "--x", "4"])[1],
+                      "triangles": self.TRIANGLES}[stdin_key]
+        proc = _child(["-c", IMPORT_PROBE, *argv], stdin_text)
+        code, *loaded = proc.stdout.split()
+        assert code == "0", proc.stderr
+        assert not unused & set(loaded), loaded
+
+    def test_mode_choices_are_the_bound_modes(self):
+        assert _MODE_CHOICES == tuple(sorted(m.value for m in BoundMode))
+
+    @pytest.mark.parametrize("command", ["bound", "sweep"])
+    def test_unknown_mode_is_an_argparse_error(self, command):
+        proc = _child(["-m", "sumsetlab", command, "--mode", "nope"])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", INVALID_MODE_STDERR[command])
+
+    def test_main_module_runs_nothing_when_imported_by_a_worker(self):
+        """multiprocessing's spawn and forkserver start methods re-import a
+        `-m` main module under this run name in each worker."""
+        runpy.run_module("sumsetlab.__main__", run_name="__mp_main__")
