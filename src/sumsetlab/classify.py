@@ -1,7 +1,9 @@
 """Decide extremality and match extremal pairs against the characterized
 families, up to the allowed transformation groups.
 
-Two normalization pipelines are implemented:
+Two normalization pipelines are implemented.  Both read a set by its
+sections along parallel lines, as level -> ascending values, and no point
+set is rebuilt on the way:
 
 * lines mode (diagonal maps + translations): the x-projections must be
   arithmetic progressions with one shared difference, every vertical section
@@ -11,8 +13,10 @@ Two normalization pipelines are implemented:
 
 * sections mode (maps (x, y) -> (alpha x + gamma y, beta y), translations,
   and the four axis reflections): levels and rows are normalized the same
-  way, then candidate shears are enumerated from the consecutive row-minimum
-  and row-maximum differences observed in either set.  One scan over the
+  way, after which each set is carried as its row runs (y, x, k), one per
+  level, for the row {x, ..., x+k-1}.  Candidate shears are enumerated from
+  the consecutive row-minimum and row-maximum differences observed in
+  either set; a reflection or a shear moves whole runs.  One scan over the
   reflections and candidate shears tries every family not yet matched at
   each candidate.  The verdict is the most specific family that matches at
   any candidate (standard, then shifted trapezoids, then case C), witnessed
@@ -123,14 +127,31 @@ def is_extremal(a: PointSet2D, b: PointSet2D, mode: BoundMode) -> bool:
 # shared helpers
 # ---------------------------------------------------------------------------
 
-def _trapezoid_spec_of(s: PointSet2D) -> Optional[tuple[TrapezoidSpec, Point2]]:
-    """Recognize s as a translate of a materialized trapezoid.
+def _axis_steps(lines_a: dict, lines_b: dict) -> Optional[tuple[Rational, Rational]]:
+    """(level step, in-line step) of two sets given as level -> ascending
+    values along parallel lines (their rows() or columns()), or None.
 
-    Returns (spec, anchor) with s == gen_trapezoid(spec) + anchor, requiring
-    consecutive integer x-positions, difference-1 columns, and arithmetic
-    column minima (difference d) and maxima (difference c).
+    The levels of each set must be an arithmetic progression, and so must
+    the values on each line, with one level difference and one in-line
+    difference shared by both sets.  The in-line step is 1 when every line
+    holds one point."""
+    ok, level_step = shared_difference([list(lines_a), list(lines_b)])
+    if not ok or level_step is None:
+        return None
+    ok, step = shared_difference([*lines_a.values(), *lines_b.values()])
+    if not ok:
+        return None
+    return level_step, step or 1
+
+
+def _trapezoid_spec_of(cols: dict) -> Optional[tuple[TrapezoidSpec, Point2]]:
+    """Recognize the set with these columns (x -> ascending y-values) as a
+    translate of a materialized trapezoid.
+
+    Returns (spec, anchor) with the set == gen_trapezoid(spec) + anchor,
+    requiring consecutive integer x-positions, difference-1 columns, and
+    arithmetic column minima (difference d) and maxima (difference c).
     """
-    cols = s.columns()
     xs = sorted(cols)
     x0 = xs[0]
     if any(x - x0 != k for k, x in enumerate(xs)):
@@ -198,27 +219,17 @@ def classify_thm2(a: PointSet2D, b: PointSet2D) -> Classification:
     if not is_extremal(a, b, BoundMode.LINES_GS):
         return Classification(Verdict.NOT_EXTREMAL)
 
-    # (1) x-projections: APs with one shared difference alpha
-    ok, alpha = shared_difference([a.xs(), b.xs()])
-    if not ok or alpha is None:
+    # (1) x-projections and (2) vertical sections: APs with shared
+    # differences alpha and beta; (3) on the rescaled columns, shared
+    # slopes d (minima) and c (maxima)
+    cols_a, cols_b = a.columns(), b.columns()
+    steps = _axis_steps(cols_a, cols_b)
+    if steps is None:
         return Classification(Verdict.EXTREMAL_UNCLASSIFIED)
-
-    inv_alpha = Fraction(1) / alpha
-    a1 = PointSet2D(_point(x * inv_alpha, y) for x, y in a)
-    b1 = PointSet2D(_point(x * inv_alpha, y) for x, y in b)
-
-    # (2) vertical sections: APs with one shared positive difference beta
-    ok, beta = shared_difference([*a1.columns().values(), *b1.columns().values()])
-    if not ok:
-        return Classification(Verdict.EXTREMAL_UNCLASSIFIED)
-    beta = beta or 1
-    inv_beta = Fraction(1) / beta
-    a2 = PointSet2D(_point(x, y * inv_beta) for x, y in a1)
-    b2 = PointSet2D(_point(x, y * inv_beta) for x, y in b1)
-
-    # (3) column extrema: shared slopes d (minima) and c (maxima)
-    ra = _trapezoid_spec_of(a2)
-    rb = _trapezoid_spec_of(b2)
+    inv_alpha, inv_beta = (rat(Fraction(1) / step) for step in steps)
+    ra, rb = (_trapezoid_spec_of({x * inv_alpha: [y * inv_beta for y in ys]
+                                  for x, ys in cols.items()})
+              for cols in (cols_a, cols_b))
     if ra is None or rb is None:
         return Classification(Verdict.EXTREMAL_UNCLASSIFIED)
     spec_a, anchor_a = ra
@@ -238,56 +249,49 @@ def classify_thm2(a: PointSet2D, b: PointSet2D) -> Classification:
 # sections-mode characterization (upper-triangular group + reflections)
 # ---------------------------------------------------------------------------
 
-def _normalize_levels(s: PointSet2D, dy: Rational) -> PointSet2D:
-    y0 = min(y for _, y in s)
-    inv = Fraction(1) / dy
-    return PointSet2D(_point(x, (y - y0) * inv) for x, y in s)
+# From step (2) on a set is its row runs: (y, x, k) per level y = 0, 1, ...
+# in ascending order, for the row {x, x+1, ..., x+k-1}.
+
+def _match_trapezoid(runs, mode_m: int) -> Optional[TrapezoidSpec]:
+    cols: dict = {}
+    for y, x, k in runs:
+        for col in range(x, x + k):
+            cols.setdefault(col, []).append(y)
+    r = _trapezoid_spec_of(cols)
+    return r[0] if r is not None and r[0].m == mode_m else None
 
 
-def _match_trapezoid(s: PointSet2D, mode_m: int) -> Optional[TrapezoidSpec]:
-    r = _trapezoid_spec_of(s)
-    if r is None:
-        return None
-    spec, _ = r
-    if spec.m != mode_m:
-        return None
-    return spec
+def _match_eps(runs, mode_m: int) -> Optional[EpsilonSpec]:
+    """Recognize the set with these integer runs (min x = 0) as a shifted
+    trapezoid.
 
-
-def _match_eps(s: PointSet2D, mode_m: int) -> Optional[EpsilonSpec]:
-    """Recognize s (integer form, min x = min y = 0) as a shifted trapezoid.
-
-    mode_m must be the size of the longest row of s, else None.  The base
+    mode_m must be the length of the longest run, else None.  The base
     T(mode_m, h, c, d), c, d >= 0, has a full row, and its row y runs from
     x = max(0, ceil((y-h+1)/c)) to min(mode_m-1, floor(y/d)).  Shifts keep
     the row counts, so they fix the one candidate: d and c are the lengths
     of the bottom and top runs of one-point rows, h = height - (mode_m-1)c.
-    s matches when each row is a run as long as the base row, starting at
+    The set matches when each run is as long as the base row and starts at
     the base row's start plus a shift that climbs by 0 or 1 per row from 0;
     the rows where it climbs are the spec's ones.
     """
-    rows = s.rows()
-    height = len(rows)
-    if list(rows) != list(range(height)):
-        return None
-    counts = [len(xs) for xs in rows.values()]
+    counts = [k for _, _, k in runs]
     if mode_m < 2 or max(counts) != mode_m:
         return None
     d = next(i for i, k in enumerate(counts) if k > 1)
     c = next(i for i, k in enumerate(reversed(counts)) if k > 1)
-    h = height - (mode_m - 1) * c
+    h = len(runs) - (mode_m - 1) * c
     try:
         base = TrapezoidSpec(mode_m, h, c, d)
     except InvalidSpec:
         return None
     ones = []
     shift = 0
-    for y, xs in rows.items():
+    for y, x, k in runs:
         lo = 0 if c == 0 else max(0, -((h - 1 - y) // c))
         hi = mode_m - 1 if d == 0 else min(mode_m - 1, y // d)
-        if len(xs) != hi - lo + 1 or xs[-1] - xs[0] != hi - lo:
+        if k != hi - lo + 1:
             return None
-        step = xs[0] - lo - shift
+        step = x - lo - shift
         if step == 1:
             ones.append(y)
             shift += 1
@@ -299,66 +303,68 @@ def _match_eps(s: PointSet2D, mode_m: int) -> Optional[EpsilonSpec]:
         return None
 
 
-def _case_c_forms(a2: PointSet2D, b2: PointSet2D, m: int, n: int) -> list:
+def _case_c_forms(runs_a, runs_b, m: int, n: int) -> list:
     """(spec, want_a, want_b, roles_swapped) per role in which the pair can
-    be case C, want_a and want_b in (a3, b3) order.  k depends only on the
-    height, which reflections and shears keep, so one instance per role
-    serves the scan; gen_case_c's sets are in integer form already."""
+    be case C, want_a and want_b as the runs of (a3, b3).  k depends only
+    on the height, which reflections and shears keep, so one instance per
+    role serves the scan.  gen_case_c's sets are in integer form already,
+    and each of their rows is a run: it is cut out by bounds on x."""
     forms = []
-    for s, mm, nn, swapped in ((a2, m, n, False), (b2, n, m, True)):
-        height = max(p.y for p in s) + 1  # the levels start at 0
+    for runs, mm, nn, swapped in ((runs_a, m, n, False), (runs_b, n, m, True)):
         try:
-            spec = CaseCSpec(mm, nn, height - 4 * mm + 4)
+            spec = CaseCSpec(mm, nn, len(runs) - 4 * mm + 4)
         except InvalidSpec:
             continue
-        ga, gb = gen_case_c(spec)
+        ga, gb = (tuple((y, xs[0], len(xs)) for y, xs in s.rows().items())
+                  for s in gen_case_c(spec))
         if swapped:
             ga, gb = gb, ga
         forms.append((spec, ga, gb, swapped))
     return forms
 
 
-def _row_runs(s: PointSet2D) -> list:
-    """(y, r, ks) per level of s, whose rows are runs of difference 1: r is
-    the row's first x and ks the integer offsets of its points from r."""
-    return [(y, xs[0], [int(x - xs[0]) for x in xs]) for y, xs in s.rows().items()]
-
-
-def _sheared_form(rows: list, gamma: Rational) -> Optional[PointSet2D]:
-    """The set with these _row_runs under x -> x - gamma*y, translated to
-    min x = min y = 0, as a PointSet2D of ints; a shear moves each row as a
-    whole, so one integrality test per row finds None before any build."""
-    y1, r1, _ = rows[0]
-    pts = []
-    for y, r, ks in rows:
-        shift = r - r1 - gamma * (y - y1)
+def _sheared_form(runs, gamma: Rational) -> Optional[tuple]:
+    """These runs under x -> x - gamma*y, translated to min x = 0, or None
+    when a run does not land on integers; a shear moves each row as a
+    whole, so one integrality test per row decides."""
+    x0 = runs[0][1]
+    starts = []
+    for y, x, _ in runs:
+        shift = x - x0 - gamma * y
         if shift.denominator != 1:
             return None
-        pts.extend((int(shift) + k, y) for k in ks)
-    x0 = min(x for x, _ in pts)
-    y0 = min(y for _, y in pts)
-    return PointSet2D((x - x0, y - y0) for x, y in pts)
+        starts.append(int(shift))
+    lo = min(starts)
+    return tuple((y, x - lo, k) for (y, _, k), x in zip(runs, starts))
 
 
-def _normalized_candidates(a2: PointSet2D, b2: PointSet2D):
-    """Yield (a3, b3, rx, ry, gamma) for every reflection and candidate shear
-    that lands both sets on integer coordinates.
+def _reflect(runs, rx: bool, ry: bool) -> list:
+    """The runs of the set reflected in x (rx) and in y (ry), translated
+    back to the levels 0, 1, ..."""
+    if rx:
+        runs = [(y, 1 - x - k, k) for y, x, k in runs]
+    if ry:
+        top = len(runs) - 1
+        runs = [(top - y, x, k) for y, x, k in reversed(runs)]
+    return runs
+
+
+def _normalized_candidates(runs_a, runs_b):
+    """Yield (a3, b3, rx, ry, gamma), a3 and b3 as integer runs, for every
+    reflection and candidate shear that lands both sets on integers.
 
     The candidates are 0 and the slopes between consecutive row minima and
     between consecutive row maxima of either set, negated when one axis is
-    reflected.  Each shear runs on raw coordinates and tests integrality
-    before a point set is built; b is not sheared when a already fails."""
-    runs = [_row_runs(a2), _row_runs(b2)]
+    reflected.  b is not sheared when a already fails."""
     slopes = {rat(0)}
-    for rows in runs:
-        for (y0, r0, ks0), (y1, r1, ks1) in zip(rows, rows[1:]):
-            slopes.add(rat(Fraction(r1 - r0) / (y1 - y0)))
-            slopes.add(rat(Fraction(r1 + ks1[-1] - r0 - ks0[-1]) / (y1 - y0)))
+    for runs in (runs_a, runs_b):
+        for (_, x0, k0), (_, x1, k1) in zip(runs, runs[1:]):
+            slopes.add(rat(x1 - x0))
+            slopes.add(rat(x1 + k1 - x0 - k0))
     for rx, ry in ((False, False), (True, False), (False, True), (True, True)):
-        sx, sy = -1 if rx else 1, -1 if ry else 1
-        ra, rb = ([(sy * y, sx * r, [sx * k for k in ks]) for y, r, ks in rows]
-                  for rows in runs)
-        for gamma in sorted({sx * sy * g for g in slopes},
+        ra, rb = (_reflect(runs, rx, ry) for runs in (runs_a, runs_b))
+        sign = -1 if rx != ry else 1
+        for gamma in sorted({sign * g for g in slopes},
                             key=lambda v: (abs(Fraction(v)), Fraction(v))):
             a3 = _sheared_form(ra, gamma)
             b3 = None if a3 is None else _sheared_form(rb, gamma)
@@ -366,7 +372,7 @@ def _normalized_candidates(a2: PointSet2D, b2: PointSet2D):
                 yield a3, b3, rx, ry, gamma
 
 
-def _match_standard(a3: PointSet2D, b3: PointSet2D, m: int, n: int) -> Optional[dict]:
+def _match_standard(a3, b3, m: int, n: int) -> Optional[dict]:
     ta = _match_trapezoid(a3, m)
     tb = _match_trapezoid(b3, n)
     if ta is not None and tb is not None and ta.c == tb.c and ta.d == tb.d:
@@ -374,7 +380,7 @@ def _match_standard(a3: PointSet2D, b3: PointSet2D, m: int, n: int) -> Optional[
     return None
 
 
-def _match_shifted(a3: PointSet2D, b3: PointSet2D, m: int, n: int) -> Optional[dict]:
+def _match_shifted(a3, b3, m: int, n: int) -> Optional[dict]:
     for sa, sb, mm, nn, swapped in ((a3, b3, m, n, False), (b3, a3, n, m, True)):
         eps = _match_eps(sa, mm)
         if eps is not None:
@@ -386,7 +392,7 @@ def _match_shifted(a3: PointSet2D, b3: PointSet2D, m: int, n: int) -> Optional[d
     return None
 
 
-def _match_wedge(a3: PointSet2D, b3: PointSet2D, forms: list) -> Optional[dict]:
+def _match_wedge(a3, b3, forms: list) -> Optional[dict]:
     for spec, want_a, want_b, swapped in forms:
         if a3 == want_a and b3 == want_b:
             return {"spec": spec, "roles_swapped": swapped}
@@ -396,31 +402,24 @@ def _match_wedge(a3: PointSet2D, b3: PointSet2D, forms: list) -> Optional[dict]:
 def classify_thm3(a: PointSet2D, b: PointSet2D) -> Classification:
     if len(a) == 0 or len(b) == 0:
         raise EmptySet("classify_thm3 needs nonempty sets")
-    sa, sb = cover_stats(a), cover_stats(b)
-    m, n = sa.max_horizontal_section, sb.max_horizontal_section
+    rows_a, rows_b = a.rows(), b.rows()
+    m, n = (max(map(len, rows.values())) for rows in (rows_a, rows_b))
     if m < 2 or n < 2:
         raise HypothesisViolated("sections-mode characterization needs m, n >= 2 "
                                  "(the m = 1 regime admits wild extremal pairs)")
-    if not (sa.is_two_dimensional and sb.is_two_dimensional):
+    if collinear_direction(a) is not None or collinear_direction(b) is not None:
         raise HypothesisViolated("sections-mode characterization needs two-dimensional sets")
     if not is_extremal(a, b, BoundMode.SECTIONS_GS):
         return Classification(Verdict.NOT_EXTREMAL)
 
-    # (1) level sets: APs with one shared difference
-    ok, dy = shared_difference([a.ys(), b.ys()])
-    if not ok or dy is None:
+    # (1) level sets and (2) rows: APs with shared differences dy and dx;
+    # rescaled, the levels are 0, 1, ... and every row is a run
+    steps = _axis_steps(rows_a, rows_b)
+    if steps is None:
         return Classification(Verdict.EXTREMAL_UNCLASSIFIED)
-    a1 = _normalize_levels(a, dy)
-    b1 = _normalize_levels(b, dy)
-
-    # (2) rows: APs with one shared difference
-    ok, dx = shared_difference([*a1.rows().values(), *b1.rows().values()])
-    if not ok:
-        return Classification(Verdict.EXTREMAL_UNCLASSIFIED)
-    dx = dx or 1
-    inv_dx = Fraction(1) / dx
-    a2 = PointSet2D(_point(x * inv_dx, y) for x, y in a1)
-    b2 = PointSet2D(_point(x * inv_dx, y) for x, y in b1)
+    inv_dy, inv_dx = (rat(Fraction(1) / step) for step in steps)
+    runs_a, runs_b = ([(y, xs[0] * inv_dx, len(xs)) for y, xs in enumerate(rows.values())]
+                      for rows in (rows_a, rows_b))
 
     # (3) one scan over every reflection and candidate shear, trying each
     # family that has not matched yet and keeping its first matching
@@ -430,12 +429,12 @@ def classify_thm3(a: PointSet2D, b: PointSet2D) -> Classification:
     # the first family in specificity order that matched at any candidate,
     # and the other families that matched are reported in also_matches.
     # families holds (tag, verdict, matcher) in specificity order.
-    wedges = _case_c_forms(a2, b2, m, n)
+    wedges = _case_c_forms(runs_a, runs_b, m, n)
     families = (("a", Verdict.TRAPEZOID_PAIR, lambda a3, b3: _match_standard(a3, b3, m, n)),
                 ("b", Verdict.EPS_TRAPEZOID_PAIR, lambda a3, b3: _match_shifted(a3, b3, m, n)),
                 ("c", Verdict.CASE_C_PAIR, lambda a3, b3: _match_wedge(a3, b3, wedges)))
     found: dict = {}  # tag -> (details, (rx, ry, gamma))
-    for a3, b3, rx, ry, gamma in _normalized_candidates(a2, b2):
+    for a3, b3, rx, ry, gamma in _normalized_candidates(runs_a, runs_b):
         for tag, _, match in families:
             if tag not in found:
                 got = match(a3, b3)
@@ -456,8 +455,7 @@ def classify_thm3(a: PointSet2D, b: PointSet2D) -> Classification:
     # witness: shear(gamma) . reflection . diag(1/dx, 1/dy), linear part
     refl = AffineMap2D.diagonal(-1 if rx else 1, -1 if ry else 1)
     shear = AffineMap2D.upper_triangular(1, -gamma, 1)
-    witness = shear.compose(refl).compose(
-        AffineMap2D.diagonal(inv_dx, Fraction(1) / dy))
+    witness = shear.compose(refl).compose(AffineMap2D.diagonal(inv_dx, inv_dy))
     return Classification(verdict=verdict, details=details, witness_map=witness)
 
 

@@ -278,7 +278,10 @@ def _parse_sequence(text: str):
         if "=" not in token:
             raise ParseError(f"sequence entries look like index=value, got {token!r}")
         idx, val = token.split("=", 1)
-        entries[parse_rational(idx.strip())] = parse_rational(val.strip())
+        idx = parse_rational(idx.strip())
+        if idx in entries:
+            raise ParseError(f"sequence index {rat_str(idx)} repeats")
+        entries[idx] = parse_rational(val.strip())
     return SupportedSequence(entries)
 
 

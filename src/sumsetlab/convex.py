@@ -136,9 +136,6 @@ class BoundaryChains:
     def upper_slopes(self) -> list[Rational]:
         return _slopes(self.upper)
 
-    def lower_slopes(self) -> list[Rational]:
-        return _slopes(self.lower)
-
 
 def _slopes(chain: tuple[Point2, ...]) -> list[Rational]:
     return [rat(Fraction(b.y - a.y) / Fraction(b.x - a.x)) for a, b in zip(chain, chain[1:])]

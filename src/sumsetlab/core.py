@@ -190,9 +190,9 @@ class PointSet2D:
     def rows(self) -> dict[Rational, list[Rational]]:
         """y-value -> ascending x-values on that horizontal line."""
         out: dict[Rational, list[Rational]] = {}
-        for p in sorted(self._pts, key=lambda q: (q.y, q.x)):
-            out.setdefault(p.y, []).append(p.x)
-        return out
+        for x, y in self._pts:  # canonical order: ascending x within each y
+            out.setdefault(y, []).append(x)
+        return {y: out[y] for y in sorted(out)}
 
 
 @dataclass(frozen=True)
@@ -217,8 +217,8 @@ class AffineMap2D:
     """An invertible affine map (x, y) -> (a11 x + a12 y + tx, a21 x + a22 y + ty).
 
     The intended constructors are the restricted groups used by the
-    normalizations: diagonal maps, upper-triangular maps (shears combined
-    with axis scalings), and free translations.
+    normalizations: diagonal maps and upper-triangular maps (shears combined
+    with axis scalings), each with a free translation part.
     """
 
     a11: Rational = 1
@@ -246,10 +246,6 @@ class AffineMap2D:
     def upper_triangular(cls, a11: Rational, a12: Rational, a22: Rational,
                          tx: Rational = 0, ty: Rational = 0) -> "AffineMap2D":
         return cls(a11, a12, 0, a22, tx, ty)
-
-    @classmethod
-    def translation(cls, tx: Rational, ty: Rational) -> "AffineMap2D":
-        return cls(1, 0, 0, 1, tx, ty)
 
     def determinant(self) -> Rational:
         return self.a11 * self.a22 - self.a12 * self.a21

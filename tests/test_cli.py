@@ -205,6 +205,12 @@ class TestLemmaAvg:
         assert code == 0
         assert json.loads(out)["equality"] is True
 
+    @pytest.mark.parametrize("a", ["0=1,0=5,1=3", "0=1,1=3,0/1=5"])
+    def test_repeated_index_exit_2(self, a, capsys):
+        code, out = run_cli(["lemma-avg", "--a", a, "--b", "0=2,1=4"])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == "error: sequence index 0 repeats\n"
+
 
 class TestFigures:
     def test_figure_outputs_verify_and_are_stable(self, tmp_path):
