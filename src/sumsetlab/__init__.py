@@ -22,10 +22,10 @@ _EXPORTS = {
                "loads_polygon", "dumps_polygon", "load_polygon", "save_polygon",
                "partition_check", "poly_minkowski_sum", "stretch_vertical",
                "stretch_invariance_check", "from_chains"),
-    "core": ("AffineMap2D", "Axis", "CoverStats", "Point2", "PointSet2D", "Rational",
+    "core": ("AffineMap2D", "CoverStats", "Point2", "PointSet2D", "Rational",
              "apply_map", "arithmetic_progression_of", "collinear_direction", "cover_stats",
              "dumps_points", "load_points", "loads_points", "minkowski_sum",
-             "parallel_directions", "rat", "rat_str", "save_points", "section"),
+             "parallel_directions", "rat", "rat_str", "save_points"),
     "errors": ("ConsistencyError", "DegenerateProjection", "EmptySet", "HypothesisViolated",
                "InvalidAmount", "InvalidSpec", "ModeMismatch", "NotCollinear", "ParseError",
                "SumsetError"),

@@ -21,28 +21,25 @@ from .errors import (ConsistencyError, DegenerateProjection, EmptySet,
 
 
 class ConvexPolygon:
-    """A strictly convex CCW polygon (or a 2-vertex segment when allowed).
+    """A strictly convex CCW polygon, or a 2-vertex segment.
 
     The vertex list starts at the lexicographically least vertex ordered by
     (y, x), so equal polygons compare equal vertex-by-vertex.
     """
 
-    __slots__ = ("_verts", "degenerate_ok")
+    __slots__ = ("_verts",)
 
-    def __init__(self, vertices: Iterable, degenerate_ok: bool = True):
+    def __init__(self, vertices: Iterable):
         verts = [_as_point(v) for v in vertices]
         if len(verts) < 2:
             raise InvalidSpec("a polygon needs at least 2 vertices")
         if len(set(verts)) != len(verts):
             raise InvalidSpec("duplicate vertices")
-        if len(verts) == 2 and not degenerate_ok:
-            raise InvalidSpec("degenerate segment not allowed here")
         if len(verts) > 2 and any(_turn(a, b, c) <= 0 for a, b, c in
                                   zip(verts, verts[1:] + verts[:1], verts[2:] + verts[:2])):
             raise InvalidSpec("vertices must be strictly convex in CCW order")
         start = min(range(len(verts)), key=lambda i: (verts[i].y, verts[i].x))
         object.__setattr__(self, "_verts", tuple(verts[start:] + verts[:start]))
-        object.__setattr__(self, "degenerate_ok", degenerate_ok)
 
     @property
     def vertices(self) -> tuple[Point2, ...]:

@@ -9,7 +9,6 @@ the usual epsilon machinery exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 from itertools import accumulate, repeat
 from math import gcd, lcm
@@ -113,11 +112,6 @@ def _as_point(p) -> Point2:
     if x.__class__ is int and y.__class__ is int:
         return tuple.__new__(Point2, (x, y))
     return Point2(x, y)
-
-
-class Axis(Enum):
-    HORIZONTAL = "horizontal"  # section at fixed y
-    VERTICAL = "vertical"      # section at fixed x
 
 
 class PointSet2D:
@@ -375,18 +369,43 @@ def minkowski_sum(a: PointSet2D, b: PointSet2D) -> PointSet2D:
     return PointSet2D._canonical(tuple(pts))
 
 
+def line_counts(pts) -> tuple[int, int, int, int, Optional[tuple]]:
+    """(columns, rows, longest row, longest column, step) of nonempty points
+    in canonical (x, y) order: a column is a run of equal x, a row counts the
+    points of one y, and step is _line_step(pts), which stops at the first
+    point off the line."""
+    rows, last = {}, None
+    cols = longest_col = run = 0
+    for x, y in pts:
+        rows[y] = rows.get(y, 0) + 1
+        if x == last:
+            run += 1
+        else:
+            cols += 1
+            if run > longest_col:
+                longest_col = run
+            run, last = 1, x
+    return cols, len(rows), max(rows.values()), max(longest_col, run), _line_step(pts)
+
+
+def _line_step(pts) -> Optional[tuple]:
+    """pts[1] - pts[0] as a pair when the nonempty pts lie on one line, (0, 0)
+    for a singleton, and None when they are not collinear."""
+    x0, y0 = pts[0]
+    if len(pts) == 1:
+        return 0, 0
+    dx, dy = pts[1][0] - x0, pts[1][1] - y0
+    for x, y in pts:
+        if dx * (y - y0) != dy * (x - x0):
+            return None
+    return dx, dy
+
+
 def cover_stats(x: PointSet2D) -> CoverStats:
     if len(x) == 0:
         raise EmptySet("cover_stats needs a nonempty set")
-    cols = x.columns()
-    rows = x.rows()
-    return CoverStats(
-        vertical_line_count=len(cols),
-        horizontal_line_count=len(rows),
-        max_horizontal_section=max(len(v) for v in rows.values()),
-        max_vertical_section=max(len(v) for v in cols.values()),
-        is_two_dimensional=collinear_direction(x) is None,
-    )
+    cols, rows, longest_row, longest_col, step = line_counts(x.points)
+    return CoverStats(cols, rows, longest_row, longest_col, step is None)
 
 
 def collinear_direction(x: PointSet2D) -> Optional[Point2]:
@@ -397,41 +416,26 @@ def collinear_direction(x: PointSet2D) -> Optional[Point2]:
     """
     if len(x) == 0:
         raise EmptySet("collinear_direction needs a nonempty set")
-    pts = x.points
-    if len(pts) == 1:
-        return _point(0, 0)
-    p0, p1 = pts[0], pts[1]
-    for p in pts[2:]:
-        if _turn(p0, p1, p) != 0:
-            return None
-    return _primitive(p1 - p0)
+    step = _line_step(x.points)
+    return None if step is None else _primitive(step)
 
 
-def _primitive(d: Point2) -> Point2:
-    """Scale a nonzero rational vector to a canonical primitive integer vector."""
-    fx, fy = Fraction(d.x), Fraction(d.y)
+def _primitive(d: tuple) -> Point2:
+    """Scale a rational vector to a canonical primitive integer vector; (0, 0) stays."""
+    fx, fy = Fraction(d[0]), Fraction(d[1])
     den = fx.denominator * fy.denominator // gcd(fx.denominator, fy.denominator)
     nx, ny = fx.numerator * (den // fx.denominator), fy.numerator * (den // fy.denominator)
-    g = gcd(abs(nx), abs(ny))
+    g = gcd(nx, ny) or 1
     nx, ny = nx // g, ny // g
     if ny < 0 or (ny == 0 and nx < 0):
         nx, ny = -nx, -ny
     return _point(nx, ny)
 
 
-def parallel_directions(d1: Point2, d2: Point2) -> bool:
-    """True when either direction is the singleton wildcard (0,0) or both are parallel."""
-    if (d1.x, d1.y) == (0, 0) or (d2.x, d2.y) == (0, 0):
-        return True
-    return d1.cross(d2) == 0
-
-
-def section(x: PointSet2D, axis: Axis, level: Rational) -> PointSet2D:
-    """The subset of x with y = level (HORIZONTAL) or x = level (VERTICAL)."""
-    level = rat(level)
-    if axis is Axis.HORIZONTAL:
-        return PointSet2D(p for p in x if p.y == level)
-    return PointSet2D(p for p in x if p.x == level)
+def parallel_directions(d1, d2) -> bool:
+    """True when the directions (pairs) are parallel; the singleton wildcard
+    (0, 0) is parallel to every direction, as its cross product is 0."""
+    return d1[0] * d2[1] == d1[1] * d2[0]
 
 
 def apply_map(x: PointSet2D, m: AffineMap2D) -> PointSet2D:
@@ -463,12 +467,11 @@ def arithmetic_progression_of(x: PointSet2D) -> Optional[Point2]:
     """
     if len(x) == 0:
         raise EmptySet("arithmetic_progression_of needs a nonempty set")
-    if collinear_direction(x) is None:
-        raise NotCollinear("arithmetic_progression_of needs a collinear set")
     pts = x.points
-    if len(pts) == 1:
-        return _point(0, 0)
-    delta = pts[1] - pts[0]
+    step = _line_step(pts)
+    if step is None:
+        raise NotCollinear("arithmetic_progression_of needs a collinear set")
+    delta = _point(*step)
     for prev, cur in zip(pts, pts[1:]):
         if cur - prev != delta:
             return None

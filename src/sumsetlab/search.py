@@ -2,7 +2,11 @@
 universally, harvest extremal pairs, and cross-check the classifiers.
 
 Enumeration covers the translation-normalized subsets of a W x H grid
-(min x = min y = 0); every checked quantity is translation-invariant.
+(min x = min y = 0); every checked quantity is translation-invariant.  A
+subset's counts come from core.line_counts, the walk cover_stats reads, and
+its direction is that walk's raw step pts[1] - pts[0], not the primitive
+vector collinear_direction gives: the sweep only tests directions for
+parallelism, which does not depend on their scale.
 
 The sweep is quotiented by H = {id, x-reflection, y-reflection, both},
 each image re-translated to min x = min y = 0.  One g in H applied to both
@@ -28,14 +32,13 @@ others take the exact test, and classifiers see only the extremal pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from math import gcd
 from typing import Optional
 
 from .bounds import BoundMode, bound, chain_diagnostic, rhs_num_den
 from .classify import Verdict, classify_1d, classify_thm2, classify_thm3
 from .compression import compression_chain
 from .core import (PointSet2D, bit_mask, collinear_direction, cover_stats, dumps_points,
-                   lattice_keys, parallel_directions, sumset_mask)
+                   lattice_keys, line_counts, parallel_directions, sumset_mask)
 from .errors import ConsistencyError, InvalidSpec
 
 OUT_OF_HYPOTHESIS = "OutOfHypothesis"
@@ -67,6 +70,8 @@ class SweepConfig:
             raise InvalidSpec("need 0 <= shard_index < shard_count")
         if self.min_mn < 1:
             raise InvalidSpec("min_mn must be >= 1")
+        if any(cap is not None and cap < 1 for cap in (self.max_size_a, self.max_size_b)):
+            raise InvalidSpec("max_size_a and max_size_b must be >= 1")
 
 
 @dataclass
@@ -106,30 +111,7 @@ class _Subset:
     lines_m: int
     sections_m: int
     two_dimensional: bool
-    direction: Optional[tuple]  # primitive line direction, (0, 0) wildcard, or None
-
-
-def _analyze(pts: tuple) -> _Subset:
-    """Counts and line direction (as collinear_direction gives it) of int points."""
-    xs = {x for x, _ in pts}
-    row_counts: dict[int, int] = {}
-    for _, y in pts:
-        row_counts[y] = row_counts.get(y, 0) + 1
-    (x0, y0), *rest = pts
-    direction = (0, 0)
-    if rest:
-        dx, dy = rest[0][0] - x0, rest[0][1] - y0
-        g = gcd(dx, dy) if dy > 0 or (dy == 0 and dx > 0) else -gcd(dx, dy)
-        collinear = all(dx * (y - y0) == dy * (x - x0) for x, y in rest)
-        direction = (dx // g, dy // g) if collinear else None
-    return _Subset(
-        pts=pts,
-        size=len(pts),
-        lines_m=len(xs),
-        sections_m=max(row_counts.values()),
-        two_dimensional=direction is None,
-        direction=direction,
-    )
+    direction: Optional[tuple]  # line step pts[1] - pts[0], (0, 0) wildcard, or None
 
 
 def enumerate_subsets(width: int, height: int, max_size: Optional[int] = None,
@@ -143,10 +125,10 @@ def enumerate_subsets(width: int, height: int, max_size: Optional[int] = None,
         pts = tuple(cells[i] for i in range(len(cells)) if mask >> i & 1)
         if min(x for x, _ in pts) != 0 or min(y for _, y in pts) != 0:
             continue
-        sub = _analyze(pts)
-        if require_two_dimensional and not sub.two_dimensional:
+        lines_m, _, sections_m, _, step = line_counts(pts)
+        if require_two_dimensional and step is not None:
             continue
-        out.append(sub)
+        out.append(_Subset(pts, len(pts), lines_m, sections_m, step is None, step))
     return out
 
 
@@ -183,7 +165,7 @@ def _mode_m(sub: _Subset, mode: BoundMode) -> int:
 
 def _parallel(da: Optional[tuple], db: Optional[tuple]) -> bool:
     """parallel_directions on analyzed directions (None: 2D; (0, 0): any)."""
-    return da is not None and db is not None and da[0] * db[1] == da[1] * db[0]
+    return da is not None and db is not None and parallel_directions(da, db)
 
 
 def _classify_extremal(mode: BoundMode, a: _Subset, b: _Subset):

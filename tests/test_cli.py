@@ -149,6 +149,13 @@ class TestSweepCommand:
             "tally.EpsTrapezoidPair,8\ntally.OneDimensional,5\n"
             "tally.OutOfHypothesis,111\ntally.TrapezoidPair,70\n")
 
+    @pytest.mark.parametrize("cap", [["--max-size-a", "0"], ["--max-size-a", "-1"],
+                                     ["--max-size-b", "0"]])
+    def test_size_cap_below_one_exit_2(self, cap, capsys):
+        code, out = run_cli(["sweep", "--grid", "2x2", "--mode", "lines", *cap])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == "error: max_size_a and max_size_b must be >= 1\n"
+
     def test_single_shard_run(self):
         code, out = run_cli(["sweep", "--grid", "2x2", "--mode", "lines",
                              "--shards", "2", "--shard-index", "1"])

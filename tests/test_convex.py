@@ -380,10 +380,6 @@ class TestPolygonValidationAndIO:
         with pytest.raises(InvalidSpec):
             ConvexPolygon([(0, 0), (1, 0), (2, 0), (1, 1)])
 
-    def test_degenerate_flag(self):
-        with pytest.raises(InvalidSpec):
-            ConvexPolygon([(0, 0), (1, 1)], degenerate_ok=False)
-
     def test_canonical_start(self):
         p = ConvexPolygon([(1, 1), (0, 1), (0, 0), (1, 0)])
         assert p.vertices[0] == Point2(0, 0)

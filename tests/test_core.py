@@ -6,6 +6,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 from unittest import mock
 
@@ -14,11 +15,11 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from conftest import nonempty_pairs, point_sets, points
-from sumsetlab import (AffineMap2D, Axis, EmptySet, InvalidSpec, NotCollinear,
-                       ParseError, Point2, PointSet2D, apply_map,
-                       arithmetic_progression_of,
+from sumsetlab import (AffineMap2D, BoundMode, CoverStats, EmptySet, InvalidSpec,
+                       NotCollinear, ParseError, Point2, PointSet2D, apply_map,
+                       arithmetic_progression_of, bound, collinear_direction,
                        cover_stats, dumps_points, gen_trapezoid, gen_wild,
-                       loads_points, minkowski_sum, section)
+                       loads_points, minkowski_sum, parallel_directions)
 import sumsetlab
 from sumsetlab import core
 from sumsetlab.classify import _jsonify
@@ -117,6 +118,143 @@ class TestKernelMatchesReference:
         assert kernel.call_count == 1
 
 
+# cover_stats, collinear_direction, _primitive, parallel_directions and
+# arithmetic_progression_of as they were before core's one line walk, verbatim
+# but for their names: cover_stats read columns(), rows() and a second walk.
+def reference_cover_stats(x: PointSet2D) -> CoverStats:
+    if len(x) == 0:
+        raise EmptySet("cover_stats needs a nonempty set")
+    cols = x.columns()
+    rows = x.rows()
+    return CoverStats(
+        vertical_line_count=len(cols),
+        horizontal_line_count=len(rows),
+        max_horizontal_section=max(len(v) for v in rows.values()),
+        max_vertical_section=max(len(v) for v in cols.values()),
+        is_two_dimensional=reference_collinear_direction(x) is None,
+    )
+
+
+def reference_collinear_direction(x: PointSet2D):
+    if len(x) == 0:
+        raise EmptySet("collinear_direction needs a nonempty set")
+    pts = x.points
+    if len(pts) == 1:
+        return core._point(0, 0)
+    p0, p1 = pts[0], pts[1]
+    for p in pts[2:]:
+        if core._turn(p0, p1, p) != 0:
+            return None
+    return reference_primitive(p1 - p0)
+
+
+def reference_primitive(d: Point2) -> Point2:
+    fx, fy = Fraction(d.x), Fraction(d.y)
+    den = fx.denominator * fy.denominator // gcd(fx.denominator, fy.denominator)
+    nx, ny = fx.numerator * (den // fx.denominator), fy.numerator * (den // fy.denominator)
+    g = gcd(abs(nx), abs(ny))
+    nx, ny = nx // g, ny // g
+    if ny < 0 or (ny == 0 and nx < 0):
+        nx, ny = -nx, -ny
+    return core._point(nx, ny)
+
+
+def reference_parallel_directions(d1: Point2, d2: Point2) -> bool:
+    if (d1.x, d1.y) == (0, 0) or (d2.x, d2.y) == (0, 0):
+        return True
+    return d1.cross(d2) == 0
+
+
+def reference_arithmetic_progression_of(x: PointSet2D):
+    if len(x) == 0:
+        raise EmptySet("arithmetic_progression_of needs a nonempty set")
+    if reference_collinear_direction(x) is None:
+        raise NotCollinear("arithmetic_progression_of needs a collinear set")
+    pts = x.points
+    if len(pts) == 1:
+        return core._point(0, 0)
+    delta = pts[1] - pts[0]
+    for prev, cur in zip(pts, pts[1:]):
+        if cur - prev != delta:
+            return None
+    return delta
+
+
+def typed_or_none(value):
+    return None if value is None else (typed(value.x), typed(value.y))
+
+
+def assert_walk_matches_reference(x: PointSet2D) -> None:
+    """cover_stats, collinear_direction and arithmetic_progression_of equal
+    the references on x, with the same coordinate types."""
+    assert cover_stats(x) == reference_cover_stats(x)
+    d, want = collinear_direction(x), reference_collinear_direction(x)
+    assert typed_or_none(d) == typed_or_none(want)
+    if want is None:
+        with pytest.raises(NotCollinear):
+            arithmetic_progression_of(x)
+    else:
+        got = arithmetic_progression_of(x)
+        assert typed_or_none(got) == typed_or_none(reference_arithmetic_progression_of(x))
+
+
+def grid_subset_sets(width, height):
+    cells = [(x, y) for x in range(width) for y in range(height)]
+    for mask in range(1, 1 << len(cells)):
+        yield PointSet2D(cells[i] for i in range(len(cells)) if mask >> i & 1)
+
+
+# points p + k*d on one slanted line, d != 0
+slanted_lines = st.builds(
+    lambda p, d, ks: PointSet2D(Point2(*p) + Point2(*d).scale(k) for k in ks),
+    st.tuples(mixed_rational, mixed_rational),
+    st.tuples(mixed_rational, mixed_rational).filter(lambda d: d != (0, 0)),
+    st.lists(small_int, min_size=1, max_size=8))
+walk_sets = st.one_of(kernel_sets, slanted_lines)
+
+
+class TestLineWalkMatchesReference:
+    @pytest.mark.parametrize("grid", [(3, 3), (3, 4), (4, 3)], ids=lambda g: "%dx%d" % g)
+    def test_every_grid_subset(self, grid):
+        directions = set()
+        for x in grid_subset_sets(*grid):
+            assert_walk_matches_reference(x)
+            directions.add(collinear_direction(x))
+        directions.discard(None)
+        assert len(directions) > 5
+        for d1 in directions:
+            for d2 in directions:
+                assert parallel_directions(d1, d2) == reference_parallel_directions(d1, d2)
+
+    @given(walk_sets, walk_sets)
+    @settings(max_examples=300, deadline=None)
+    def test_int_negative_and_mixed_denominator_sets(self, a, b):
+        assert_walk_matches_reference(a)
+        assert_walk_matches_reference(b)
+        da, db = reference_collinear_direction(a), reference_collinear_direction(b)
+        if da is not None and db is not None:
+            assert parallel_directions(da, db) == reference_parallel_directions(da, db)
+            # the raw steps, as the sweep keeps them, are parallel just as often
+            steps = [core._line_step(x.points) for x in (a, b)]
+            assert parallel_directions(*steps) == reference_parallel_directions(da, db)
+
+    def test_counts_read_neither_rows_nor_columns(self):
+        shear = AffineMap2D.upper_triangular(Fraction(3, 2), Fraction(-5, 3), Fraction(4, 3))
+        pairs = [gen_wild(4), (gen_trapezoid(TrapezoidSpec(6, 19, -1, 2)),
+                               apply_map(gen_trapezoid(TrapezoidSpec(3, 5, 0, 1)), shear))]
+        modes = (BoundMode.LINES_GS, BoundMode.SECTIONS_GS)
+
+        def run(stats):
+            return [(stats(a), stats(b), [bound(mode, a, b) for mode in modes])
+                    for a, b in pairs]
+
+        want = run(reference_cover_stats)
+        no_lines = AssertionError("rows() or columns() called")
+        with mock.patch.object(PointSet2D, "rows", side_effect=no_lines), \
+                mock.patch.object(PointSet2D, "columns", side_effect=no_lines):
+            assert run(cover_stats) == want
+
+
 def test_import_and_sumset_do_not_load_numpy():
     """numpy is installed on some machines but is not a dependency."""
     code = ("import sys, sumsetlab\n"
@@ -149,19 +287,6 @@ class TestCoverStats:
     def test_two_dimensionality(self):
         assert not cover_stats(ps((0, 0), (1, 2), (2, 4))).is_two_dimensional
         assert cover_stats(ps((0, 0), (1, 2), (2, 5))).is_two_dimensional
-
-
-class TestSection:
-    def test_wild_b_level_zero(self):
-        _, b = gen_wild(4)
-        assert section(b, Axis.HORIZONTAL, 0) == ps((0, 0), (1, 0), (2, 0), (4, 0))
-
-    def test_missing_level_is_empty(self):
-        assert len(section(ps((0, 0), (1, 1)), Axis.HORIZONTAL, 7)) == 0
-
-    def test_vertical_section_of_square(self):
-        t = gen_trapezoid(TrapezoidSpec(2, 2, 0, 0))
-        assert section(t, Axis.VERTICAL, 1) == ps((1, 0), (1, 1))
 
 
 class TestApplyMap:

@@ -14,7 +14,8 @@ import sumsetlab
 ROOT = Path(__file__).resolve().parent.parent
 
 # The names the package imported eagerly, per submodule, before the namespace
-# became lazy; classify.RowProfile has been deleted since.
+# became lazy; classify.RowProfile, core.Axis and core.section have been
+# deleted since.
 EAGER_EXPORTS = {
     "bounds": ["AveragingReport", "BoundMode", "BoundReport", "SupportedSequence",
                "averaging_report", "bound", "chain_diagnostic", "freiman_threshold_rhs",
@@ -29,10 +30,10 @@ EAGER_EXPORTS = {
                "loads_polygon", "dumps_polygon", "load_polygon", "save_polygon",
                "partition_check", "poly_minkowski_sum", "stretch_vertical",
                "stretch_invariance_check", "from_chains"],
-    "core": ["AffineMap2D", "Axis", "CoverStats", "Point2", "PointSet2D", "Rational",
+    "core": ["AffineMap2D", "CoverStats", "Point2", "PointSet2D", "Rational",
              "apply_map", "arithmetic_progression_of", "collinear_direction", "cover_stats",
              "dumps_points", "load_points", "loads_points", "minkowski_sum",
-             "parallel_directions", "rat", "rat_str", "save_points", "section"],
+             "parallel_directions", "rat", "rat_str", "save_points"],
     "errors": ["ConsistencyError", "DegenerateProjection", "EmptySet", "HypothesisViolated",
                "InvalidAmount", "InvalidSpec", "ModeMismatch", "NotCollinear", "ParseError",
                "SumsetError"],
@@ -47,7 +48,7 @@ OWNED = [(module, name) for module, names in EAGER_EXPORTS.items() for name in n
 
 
 def test_all_is_the_eager_export_list():
-    assert len(NAMES) == 87
+    assert len(NAMES) == 85
     assert sorted(sumsetlab.__all__) == NAMES
 
 

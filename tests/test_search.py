@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from math import gcd
 
 import hypothesis.strategies as st
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import example, given, settings
 from sumsetlab import (BoundMode, InvalidSpec, SweepConfig,
                        encode_pair, gen_trapezoid, gen_wild, merge_reports,
                        oracle_pair_check, run_sharded, search, sweep)
+from sumsetlab import core
 from sumsetlab.classify import Verdict, classify_1d, classify_thm2, classify_thm3
 from sumsetlab.core import (Point2, PointSet2D, bit_mask, collinear_direction, cover_stats,
                             lattice_keys, parallel_directions, sumset_mask)
@@ -58,6 +60,13 @@ class TestSweepSmall:
     def test_size_caps(self):
         rep = sweep(cfg(max_size_a=2, max_size_b=2))
         assert rep.ok and rep.pairs_checked > 0
+
+    @pytest.mark.parametrize("caps", [dict(max_size_a=0), dict(max_size_a=-1),
+                                      dict(max_size_b=0), dict(max_size_a=1, max_size_b=-3)])
+    def test_size_cap_below_one_rejected(self, caps):
+        """A cap below 1 leaves no subset, so the sweep would check nothing."""
+        with pytest.raises(InvalidSpec, match="max_size_a and max_size_b must be >= 1"):
+            cfg(**caps)
 
     def test_require_two_dimensional(self):
         rep = sweep(cfg(grid_width=3, grid_height=2, require_two_dimensional=True))
@@ -479,14 +488,60 @@ def _all_subsets(width, height):
         yield tuple(cells[i] for i in range(len(cells)) if mask >> i & 1)
 
 
-@pytest.mark.parametrize("grid", [(3, 3), (3, 4)], ids=lambda g: "%dx%d" % g)
+def reference_analyze(pts: tuple) -> search._Subset:
+    """search._analyze as it was before enumerate_subsets read core.line_counts,
+    verbatim: its own counts and a primitive direction by gcd."""
+    xs = {x for x, _ in pts}
+    row_counts: dict[int, int] = {}
+    for _, y in pts:
+        row_counts[y] = row_counts.get(y, 0) + 1
+    (x0, y0), *rest = pts
+    direction = (0, 0)
+    if rest:
+        dx, dy = rest[0][0] - x0, rest[0][1] - y0
+        g = gcd(dx, dy) if dy > 0 or (dy == 0 and dx > 0) else -gcd(dx, dy)
+        collinear = all(dx * (y - y0) == dy * (x - x0) for x, y in rest)
+        direction = (dx // g, dy // g) if collinear else None
+    return search._Subset(
+        pts=pts,
+        size=len(pts),
+        lines_m=len(xs),
+        sections_m=max(row_counts.values()),
+        two_dimensional=direction is None,
+        direction=direction,
+    )
+
+
+def reference_parallel(da, db) -> bool:
+    """search._parallel as it was, on primitive directions."""
+    return da is not None and db is not None and da[0] * db[1] == da[1] * db[0]
+
+
+@pytest.mark.parametrize("grid", [(3, 3), (3, 4), (4, 3)], ids=lambda g: "%dx%d" % g)
 def test_analyze_matches_point_set_stats(grid):
-    for pts in _all_subsets(*grid):
-        sub = search._analyze(pts)
-        ps = PointSet2D(pts)
+    """enumerate_subsets fills each _Subset from core's walk: the counts of
+    the frozen _analyze and of cover_stats, and a raw step whose primitive
+    vector is the frozen direction, parallel to the same directions."""
+    subs = search.enumerate_subsets(*grid)
+    assert [s.pts for s in subs] == [pts for pts in _all_subsets(*grid)
+                                     if min(pts)[0] == 0 and min(y for _, y in pts) == 0]
+    pairs = {}  # raw step -> frozen direction
+    for sub in subs:
+        want = reference_analyze(sub.pts)
+        ps = PointSet2D(sub.pts)
         d = collinear_direction(ps)
         stats = cover_stats(ps)
-        assert sub.direction == (None if d is None else (d.x, d.y)), pts
+        assert (sub.size, sub.lines_m, sub.sections_m, sub.two_dimensional) == \
+            (want.size, want.lines_m, want.sections_m, want.two_dimensional)
         assert sub.two_dimensional == stats.is_two_dimensional
         assert (sub.size, sub.lines_m, sub.sections_m) == \
             (len(ps), stats.vertical_line_count, stats.max_horizontal_section)
+        if sub.direction is None:
+            assert want.direction is None and d is None
+        else:
+            assert core._primitive(sub.direction) == want.direction == (d.x, d.y), sub.pts
+        pairs[sub.direction] = want.direction
+    assert len(pairs) > 5
+    for sa, wa in pairs.items():
+        for sb, wb in pairs.items():
+            assert search._parallel(sa, sb) == reference_parallel(wa, wb), (sa, sb)
