@@ -12,8 +12,8 @@ _EXPORTS = {
     "bounds": ("AveragingReport", "BoundMode", "BoundReport", "SupportedSequence",
                "averaging_report", "bound", "chain_diagnostic", "freiman_threshold_rhs",
                "u_values"),
-    "classify": ("Classification", "TrapezoidZones", "Verdict", "classify_1d",
-                 "classify_thm2", "classify_thm3", "is_extremal", "split_check"),
+    "classify": ("Classification", "Verdict", "classify_1d", "classify_thm2",
+                 "classify_thm3", "is_extremal", "split_check"),
     "compression": ("compress", "compression_chain"),
     "convex": ("BoundaryChains", "ContinuousReport", "ConvexPolygon", "HomothetyCertificate",
                "StretchDecomposition", "area_and_projection", "bonnesen_report",

@@ -118,9 +118,6 @@ class SupportedSequence:
     def indices(self) -> list[Rational]:
         return sorted(self.entries)
 
-    def values_by_index(self) -> list[Rational]:
-        return [self.entries[i] for i in self.indices()]
-
     def mean(self) -> Fraction:
         return Fraction(sum(self.entries.values()), len(self.entries))
 
@@ -174,7 +171,7 @@ def averaging_report(a: SupportedSequence, b: SupportedSequence) -> AveragingRep
     u_plus_mean = Fraction(sum(v for _, v in largest), k)
     rhs = a.mean() + b.mean()
     ap = shared_difference([a.indices(), b.indices()])[0] and \
-        shared_difference([a.values_by_index(), b.values_by_index()])[0]
+        shared_difference([[s.entries[i] for i in s.indices()] for s in (a, b)])[0]
     return AveragingReport(
         u_values=u,
         u_plus_mean=rat(u_plus_mean),

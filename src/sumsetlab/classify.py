@@ -54,43 +54,6 @@ class Verdict(Enum):
 
 
 @dataclass(frozen=True)
-class TrapezoidZones:
-    """The three level intervals of a compression-normalized trapezoid
-    (integer slopes c <= 0 <= d): the ramp governed by d, the full-width
-    middle band, and the ramp governed by c."""
-
-    i1: tuple[int, int]
-    i2: tuple[int, int]
-    i3: tuple[int, int]
-    spec: TrapezoidSpec
-
-    @classmethod
-    def of(cls, spec: TrapezoidSpec) -> "TrapezoidZones":
-        if not (isinstance(spec.c, int) and isinstance(spec.d, int)
-                and spec.c <= 0 <= spec.d):
-            raise HypothesisViolated("zones need integer slopes c <= 0 <= d")
-        m, h, c, d = spec.m, spec.h, spec.c, spec.d
-        return cls(
-            i1=(0, (m - 1) * d),
-            i2=((m - 1) * d, h - 1 + (m - 1) * c),
-            i3=(h - 1 + (m - 1) * c, h - 1),
-            spec=spec,
-        )
-
-    def expected_row_count(self, level: int) -> int:
-        """The piecewise row-cardinality profile: a d-ramp, a flat band of
-        width m, and a c-ramp."""
-        m, h, c, d = self.spec.m, self.spec.h, self.spec.c, self.spec.d
-        if not self.i1[0] <= level <= self.i3[1]:
-            return 0
-        if self.i2[0] <= level <= self.i2[1]:
-            return m
-        if level < self.i2[0]:
-            return level // d + 1
-        return (h - 1 - level) // (-c) + 1
-
-
-@dataclass(frozen=True)
 class Classification:
     verdict: Verdict
     details: dict = field(default_factory=dict)

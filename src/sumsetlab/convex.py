@@ -118,17 +118,8 @@ class BoundaryChains:
     lower: tuple[Point2, ...]
     upper: tuple[Point2, ...]
 
-    def eval_lower(self, x: Rational) -> Rational:
-        return _interp(self.lower, x)
-
-    def eval_upper(self, x: Rational) -> Rational:
-        return _interp(self.upper, x)
-
     def x_range(self) -> tuple[Rational, Rational]:
         return self.lower[0].x, self.lower[-1].x
-
-    def breakpoint_xs(self) -> list[Rational]:
-        return sorted({p.x for p in self.lower} | {p.x for p in self.upper})
 
     def upper_slopes(self) -> list[Rational]:
         return _slopes(self.upper)

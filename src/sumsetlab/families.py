@@ -37,9 +37,6 @@ class TrapezoidSpec:
         if self.h - 1 + (self.m - 1) * self.c < (self.m - 1) * self.d:
             raise InvalidSpec("infeasible trapezoid: h-1+(m-1)c < (m-1)d")
 
-    def column_length(self, x: int) -> int:
-        return self.h + int(self.c - self.d) * x
-
     def to_json_dict(self) -> dict:
         return {"m": self.m, "h": self.h, "c": rat_str(self.c), "d": rat_str(self.d)}
 
@@ -49,7 +46,7 @@ def gen_trapezoid(spec: TrapezoidSpec) -> PointSet2D:
     pts = []
     for x in range(spec.m):
         base = spec.d * x
-        pts.extend(_point(x, base + j) for j in range(spec.column_length(x)))
+        pts.extend(_point(x, base + j) for j in range(spec.h + int(spec.c - spec.d) * x))
     return PointSet2D(pts)
 
 
@@ -81,9 +78,6 @@ class EpsilonSpec:
         if any(j - i < window for i, j in zip(run, run[1:])):
             raise InvalidSpec(f"at most one shift per {window} consecutive indices")
 
-    def shift_at(self, level: int) -> int:
-        return sum(1 for i in self.ones if i <= level)
-
     def to_json_dict(self) -> dict:
         return {"base": self.base.to_json_dict(), "ones": sorted(self.ones)}
 
@@ -95,7 +89,7 @@ def gen_eps_trapezoid(spec: EpsilonSpec) -> PointSet2D:
     pre-translation is needed; cardinality equals the base's.
     """
     base = gen_trapezoid(spec.base)
-    return PointSet2D(_point(x + spec.shift_at(int(y)), y) for x, y in base)
+    return PointSet2D(_point(x + sum(1 for i in spec.ones if i <= y), y) for x, y in base)
 
 
 @dataclass(frozen=True)

@@ -20,31 +20,44 @@ pair (A, g.B).  A shard computes every rep it needs, also reps of other
 shards, so each shard's report equals the raw enumeration's.  The A<->B
 swap is not used: it would move pairs between shards.
 
-A row counts |A+B| with core's bitset sumset kernel: cell (x, y) is key
-x*S + y (core.lattice_keys), the stride S = 2H - 1 exceeds every y of A+B,
-and |A+B| is the bit count of core.sumset_mask(keys(A), mask(B)).  The
-right-hand side depends on B only through its class (|B|, m_B), so each A
-gets one exact num/den and one threshold lo = floor(num/den) per class.
-A pair with |A+B| > lo neither violates nor attains the bound; only the
-others take the exact test, and classifiers see only the extremal pairs.
+A row counts |A+B| against every B in one pass.  Cell (x, y) is key
+x*S + y (core.lattice_keys) with stride S = 2H - 1 above every y of A+B, so
+mask(A+B) = core.sumset_mask(keys(A), mask(B)) spans at most
+(2W-1)(2H-1) <= 49 bits on a grid of at most 16 cells.  mask(B) of the t-th
+kept B, in enumeration order, sits in 64-bit lane t of one int; no lane
+overflows, so that int OR-shifted by each key of A holds every mask(A+B),
+and a per-lane (SWAR) popcount leaves each |A+B| in its lane's low byte.
+The right-hand side depends on B only through its class (|B|, m_B), so A
+gets one exact num/den and threshold lo = floor(num/den) per class, and the
+lanes' class bytes translate to threshold bytes T (lo clamped to 127; a
+count C is at most 49).  ((T | 0x80..) - C) & 0x80.. keeps the guard bit
+exactly on the lanes with C <= lo, with no borrow between bytes.  Only those
+pairs can violate or attain the bound; they take the exact test in lane
+order, which is enumeration order, so hits and reports match a per-pair
+loop.  In 1d mode only collinear B are packed, a class also holds B's
+primitive direction, and a class not parallel to A gets threshold 0, which
+no count meets; a 2D A checks no pair.  Doubling's one B per A is A itself,
+counted with the single-pair kernel.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from .bounds import BoundMode, bound, chain_diagnostic, rhs_num_den
 from .classify import Verdict, classify_1d, classify_thm2, classify_thm3
 from .compression import compression_chain
-from .core import (PointSet2D, bit_mask, collinear_direction, cover_stats, dumps_points,
-                   lattice_keys, line_counts, parallel_directions, sumset_mask)
+from .core import (PointSet2D, _primitive, bit_mask, collinear_direction, cover_stats,
+                   dumps_points, lattice_keys, line_counts, parallel_directions, sumset_mask)
 from .errors import ConsistencyError, InvalidSpec
 
 OUT_OF_HYPOTHESIS = "OutOfHypothesis"
 # a hit's outcome: one of these two, or the family tag of an extremal pair
 _VIOLATION = 0
 _WILD = 1
+_MARK = re.compile(rb"\x80")  # a marked lane's byte in _Lanes.at_most
 
 
 @dataclass(frozen=True)
@@ -203,6 +216,37 @@ def _record(report: SweepReport, a: _Subset, b: _Subset, outcome) -> None:
         report.unclassified.append(encode_pair(PointSet2D(a.pts), PointSet2D(b.pts)))
 
 
+class _Lanes:
+    """Bitsets packed one per 64-bit lane of one int, lane t at bits 64t and up."""
+
+    def __init__(self, masks: list[int]):
+        self.count = len(masks)
+        self.packed = int.from_bytes(b"".join(m.to_bytes(8, "little") for m in masks), "little")
+        self._m1, self._m2, self._m4 = (int.from_bytes(byte * (8 * self.count), "little")
+                                        for byte in (b"\x55", b"\x33", b"\x0f"))
+        self._guard = int.from_bytes(b"\x80" * self.count, "little")
+
+    def counts(self, keys: list[int]) -> bytes:
+        """Byte t is sumset_mask(keys, mask t).bit_count(), for keys whose
+        sums with every mask stay below bit 64."""
+        x = 0
+        for k in keys:
+            x |= self.packed << k
+        x -= (x >> 1) & self._m1
+        x = (x & self._m2) + ((x >> 2) & self._m2)
+        x = (x + (x >> 4)) & self._m4
+        x += x >> 8  # each byte holds at most 8, so no sum below carries
+        x += x >> 16
+        x += x >> 32
+        return x.to_bytes(8 * self.count, "little")[::8]
+
+    def at_most(self, counts: bytes, limits: bytes) -> list[int]:
+        """The lanes t with counts[t] <= limits[t], ascending; every byte < 128."""
+        mark = ((int.from_bytes(limits, "little") | self._guard)
+                - int.from_bytes(counts, "little")) & self._guard
+        return [m.start() for m in _MARK.finditer(mark.to_bytes(self.count, "little"))]
+
+
 def sweep(config: SweepConfig) -> SweepReport:
     """Run this config's shard of the exhaustive pair enumeration."""
     mode = config.mode
@@ -216,13 +260,19 @@ def sweep(config: SweepConfig) -> SweepReport:
     ids_a = (i for i, s in enumerate(subs) if cap_a is None or s.size <= cap_a)
 
     stride = 2 * config.grid_height - 1
-    classes: dict[tuple[int, int], int] = {}  # (|B|, m_B) -> index
-    rows_b = []  # (index of B, B, mask(B), class index), in enumeration order
-    for j, b in enumerate(subs):
+    one_d = mode is BoundMode.ONE_DIMENSIONAL
+    classes: dict[tuple, int] = {}  # (|B|, m_B), in 1d also B's direction -> index
+    rows_b = []  # (index of B, B, class index) of lane t, in enumeration order
+    for j, b in enumerate(() if mode is BoundMode.DOUBLING else subs):  # doubling's B is A
         m_b = _mode_m(b, mode)
-        if m_b >= config.min_mn and (cap_b is None or b.size <= cap_b):
-            cls = classes.setdefault((b.size, m_b), len(classes))
-            rows_b.append((j, b, bit_mask(lattice_keys(b.pts, stride)), cls))
+        if m_b < config.min_mn or (cap_b is not None and b.size > cap_b) \
+                or (one_d and b.direction is None):
+            continue
+        key = (b.size, m_b, _primitive(b.direction)) if one_d else (b.size, m_b)
+        rows_b.append((j, b, classes.setdefault(key, len(classes))))
+    lanes = _Lanes([bit_mask(lattice_keys(b.pts, stride)) for _, b, _ in rows_b])
+    lane_classes = bytes(cls for _, _, cls in rows_b)
+    class_sizes = [lane_classes.count(cls) for cls in range(len(classes))]
 
     def row(i: int) -> tuple[int, tuple]:
         """(pairs checked, hits) of A = subs[i]; a hit is (index of B, outcome)."""
@@ -230,24 +280,28 @@ def sweep(config: SweepConfig) -> SweepReport:
         keys_a = lattice_keys(a.pts, stride)
         m_a = _mode_m(a, mode)
         if mode is BoundMode.DOUBLING:
-            rows = [(i, a, bit_mask(keys_a), classes[a.size, m_a])]
-        elif mode is BoundMode.ONE_DIMENSIONAL:
-            rows = [r for r in rows_b if _parallel(a.direction, r[1].direction)]
-        else:
-            rows = rows_b
-        rhs = [rhs_num_den(mode, a.size, m_a, size_b, m_b) for size_b, m_b in classes]
+            num, den = rhs_num_den(mode, a.size, m_a, a.size, m_a)
+            lhs = sumset_mask(keys_a, bit_mask(keys_a)).bit_count()
+            if lhs * den > num:
+                return 1, ()
+            return 1, ((i, _VIOLATION if lhs * den < num else _classify_extremal(mode, a, a)),)
+        rhs = [rhs_num_den(mode, a.size, m_a, *key[:2]) for key in classes]
         lo = [num // den for num, den in rhs]
+        pairs = lanes.count
+        if one_d:
+            parallel = [_parallel(a.direction, key[2]) for key in classes]
+            lo = [t if p else 0 for t, p in zip(lo, parallel)]  # a count is at least 1
+            pairs = sum(n for n, p in zip(class_sizes, parallel) if p)
+            if not pairs:
+                return 0, ()
+        counts = lanes.counts(keys_a)
+        limits = lane_classes.translate(bytes(min(t, 127) for t in lo).ljust(256, b"\0"))
         hits = []
-        for j, b, mask_b, cls in rows:
-            lhs = sumset_mask(keys_a, mask_b).bit_count()
-            if lhs > lo[cls]:
-                continue
+        for t in lanes.at_most(counts, limits):  # so counts[t] * den <= num
+            j, b, cls = rows_b[t]
             num, den = rhs[cls]
-            if lhs * den < num:
-                hits.append((j, _VIOLATION))
-            elif lhs * den == num:
-                hits.append((j, _classify_extremal(mode, a, b)))
-        return len(rows), tuple(hits)
+            hits.append((j, _VIOLATION if counts[t] * den < num else _classify_extremal(mode, a, b)))
+        return pairs, tuple(hits)
 
     memo: dict[int, tuple[int, tuple]] = {}  # rep -> row(rep)
     report = SweepReport(extremal_pairs=[] if config.collect_extremal else None)

@@ -398,17 +398,73 @@ def raw_sweep(config):
 
 
 def test_quotient_computes_one_row_per_orbit(monkeypatch):
-    # 3x3 has 400 normalized subsets in 138 reflection orbits
-    calls = []
-    kernel = search.sumset_mask
+    # 3x3 has 400 normalized subsets in 138 reflection orbits; the sweep
+    # counts a row in one lane-packed pass, raw_sweep with one kernel call per B
+    rows, keys_seen = [], []
+    counts, kernel = search._Lanes.counts, search.sumset_mask
+    monkeypatch.setattr(search._Lanes, "counts",
+                        lambda lanes, keys: rows.append(1) or counts(lanes, keys))
     monkeypatch.setattr(search, "sumset_mask",
-                        lambda keys, mask: calls.append(1) or kernel(keys, mask))
+                        lambda keys, mask: keys_seen.append(tuple(keys)) or kernel(keys, mask))
     config = cfg(grid_width=3, grid_height=3)
     rep = sweep(config)
-    quotiented = len(calls)
+    assert (len(rows), len(keys_seen)) == (138, 0)
     want = raw_sweep(config)
-    assert (quotiented, len(calls) - quotiented) == (138 * 400, 400 * 400)
+    assert (len(set(keys_seen)), len(keys_seen)) == (400, 400 * 400)
     assert rep == want
+
+
+def test_lane_width_covers_every_grid():
+    # A+B spans (2W-1)(2H-1) bits, which must fit a 64-bit lane on every grid
+    # SweepConfig accepts: at most 49, on 4x4; a 1x33 grid would need 65
+    assert max((2 * w - 1) * (2 * h - 1) for w, h in GRID_SHAPES) == 49
+    with pytest.raises(InvalidSpec):
+        cfg(grid_width=1, grid_height=33)
+
+
+@pytest.mark.parametrize("grid", [(1, 16), (16, 1), (2, 8), (3, 5), (4, 4)],
+                         ids=lambda g: "%dx%d" % g)
+def test_lane_counts_match_the_kernel(grid):
+    # full grids reach the widest spans: 49 bits on 4x4, 31 on 1x16 and 16x1
+    width, height = grid
+    rng = random.Random(width * 17 + height)
+    cells = [(x, y) for x in range(width) for y in range(height)]
+    stride = 2 * height - 1
+    subsets = [cells, cells[:1], cells[-1:]]
+    subsets += [rng.sample(cells, rng.randint(1, len(cells))) for _ in range(60)]
+    masks = [bit_mask(lattice_keys(b, stride)) for b in subsets]
+    lanes = search._Lanes(masks)
+    everyone = list(range(len(masks)))
+    for a in subsets:
+        keys_a = lattice_keys(a, stride)
+        counts = lanes.counts(keys_a)
+        assert list(counts) == [sumset_mask(keys_a, m).bit_count() for m in masks]
+        limits = bytes(rng.randint(0, 127) for _ in masks)
+        assert lanes.at_most(counts, limits) == [t for t in everyone if counts[t] <= limits[t]]
+        assert lanes.at_most(counts, counts) == everyone
+        assert lanes.at_most(counts, bytes(c - 1 for c in counts)) == []
+    assert lanes.counts(lattice_keys(cells, stride))[0] == (2 * width - 1) * (2 * height - 1)
+
+
+@pytest.mark.parametrize("grid,caps,want", [
+    ((3, 3), dict(), (216, 73)),
+    ((2, 8), dict(max_size_a=4, max_size_b=4, shard_count=2), (2100, 4141)),
+], ids=["3x3", "2x8"])
+def test_one_dimensional_lanes_match_raw_sweep(grid, caps, want):
+    # a lane whose B is not parallel to A gets threshold 0 and must never hit;
+    # want is (collinear pairs that cross, pairs checked)
+    base = cfg(grid_width=grid[0], grid_height=grid[1], mode=BoundMode.ONE_DIMENSIONAL,
+               collect_extremal=True, **caps)
+    lines = [s for s in search.enumerate_subsets(grid[0], grid[1], base.max_size_a)
+             if s.direction is not None]
+    crossing = sum(1 for a in lines for b in lines if not search._parallel(a.direction, b.direction))
+    checked = 0
+    for index in range(base.shard_count):
+        config = replace(base, shard_index=index)
+        rep = sweep(config)
+        assert rep == raw_sweep(config), config
+        checked += rep.pairs_checked
+    assert (crossing, checked) == want
 
 
 def test_mirror_table_is_the_reflection_group():
