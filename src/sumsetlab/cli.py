@@ -212,10 +212,7 @@ def _cmd_sweep(args) -> int:
         require_two_dimensional=args.require_2d, min_mn=args.min_mn,
         shard_index=args.shard_index or 0, shard_count=args.shards,
     )
-    if args.shard_index is not None:
-        report = sweep(config)
-    else:
-        report = run_sharded(config, jobs=args.jobs)
+    report = sweep(config) if args.shard_index is not None else run_sharded(config, args.jobs)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write("metric,value\n")

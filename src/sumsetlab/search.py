@@ -2,55 +2,47 @@
 universally, harvest extremal pairs, and cross-check the classifiers.
 
 Enumeration covers the translation-normalized subsets of a W x H grid
-(min x = min y = 0); every checked quantity is translation-invariant.  A
-subset's counts come from core.line_counts, the walk cover_stats reads, and
-its direction is that walk's raw step pts[1] - pts[0], not the primitive
-vector collinear_direction gives: the sweep only tests directions for
-parallelism, which does not depend on their scale.
+(min x = min y = 0), every checked quantity being translation-invariant.  A
+subset is read off its cell mask, cell (x, y) at bit x*H + y: two ANDs test
+the normalization and per-column-mask tables give its points, column count
+and longest row.  Its direction is the raw step pts[1] - pts[0], since the
+sweep only tests directions for parallelism, which ignores their scale.
 
-The sweep is quotiented by H = {id, x-reflection, y-reflection, both},
-each image re-translated to min x = min y = 0.  One g in H applied to both
-sets is an affine map of the pair, which changes no size, count m or n,
-|A+B|, dimension, parallelism or family tag.  So the row of an A (its
-outcome against every B) is computed once per orbit, for the member rep of
-lowest index, and a memo local to the sweep keeps rep's pair count and
-hits (B index, outcome).  Every A = g.rep (g is its own inverse) maps each
-hit's B to g.B, sorted back into enumeration order, and records the actual
-pair (A, g.B).  A shard computes every rep it needs, also reps of other
-shards, so each shard's report equals the raw enumeration's.  The A<->B
-swap is not used: it would move pairs between shards.
+The sweep is quotiented by H = {id, x-reflection, y-reflection, both}, each
+image re-translated to min x = min y = 0: a mask's columns reverse their
+order within its width, or their bits within its height.  One g in H applied
+to both sets is an affine map of the pair, which changes no size, count m or
+n, |A+B|, dimension, parallelism or family tag.  So the row of an A (its
+outcome against every B) is computed once per orbit, for its member rep of
+lowest index, and memoized as rep's pair count and hits (B index, outcome).
+Every A = g.rep (g is its own inverse) maps each hit's B to g.B, sorted back
+into enumeration order, and records (A, g.B).  A shard of sweep() computes
+every rep it needs, so its report equals the raw enumeration's; run_sharded()
+makes one pass over all shards, or its workers split the orbits.
 
-A row counts |A+B| against every B in one pass.  Cell (x, y) is key
-x*S + y (core.lattice_keys) with stride S = 2H - 1 above every y of A+B, so
-mask(A+B) = core.sumset_mask(keys(A), mask(B)) spans at most
-(2W-1)(2H-1) <= 49 bits on a grid of at most 16 cells.  mask(B) of the t-th
-kept B, in enumeration order, sits in 64-bit lane t of one int; no lane
-overflows, so that int OR-shifted by each key of A holds every mask(A+B),
-and a per-lane (SWAR) popcount leaves each |A+B| in its lane's low byte.
+A row counts |A+B| against every B in one pass.  Cell (x, y) is key x*S + y
+with stride S = 2H - 1 above every y of A+B, so mask(A+B) spans at most
+(2W-1)(2H-1) <= 49 bits and fits a 64-bit lane of _Lanes, one per kept B.
 The right-hand side depends on B only through its class (|B|, m_B), so A
-gets one exact num/den and threshold lo = floor(num/den) per class, and the
-lanes' class bytes translate to threshold bytes T (lo clamped to 127; a
-count C is at most 49).  ((T | 0x80..) - C) & 0x80.. keeps the guard bit
-exactly on the lanes with C <= lo, with no borrow between bytes.  Only those
-pairs can violate or attain the bound; they take the exact test in lane
-order, which is enumeration order, so hits and reports match a per-pair
-loop.  In 1d mode only collinear B are packed, a class also holds B's
-primitive direction, and a class not parallel to A gets threshold 0, which
-no count meets; a 2D A checks no pair.  Doubling's one B per A is A itself,
-counted with the single-pair kernel.
+gets one exact num/den and threshold floor(num/den) per class; only lanes at
+or below it can violate or attain the bound, and they take the exact test in
+lane order, which is enumeration order.  In 1d mode only collinear B are
+packed, a class also holds B's primitive direction, and a class not parallel
+to A gets threshold 0.  Doubling's one B per A is A itself.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from operator import getitem
+from typing import NamedTuple, Optional
 
 from .bounds import BoundMode, bound, chain_diagnostic, rhs_num_den
 from .classify import Verdict, classify_1d, classify_thm2, classify_thm3
 from .compression import compression_chain
-from .core import (PointSet2D, _primitive, bit_mask, collinear_direction, cover_stats,
-                   dumps_points, lattice_keys, line_counts, parallel_directions, sumset_mask)
+from .core import (PointSet2D, _line_step, _primitive, bit_mask, collinear_direction, cover_stats,
+                   dumps_points, lattice_keys, minkowski_sum, parallel_directions, sumset_mask)
 from .errors import ConsistencyError, InvalidSpec
 
 OUT_OF_HYPOTHESIS = "OutOfHypothesis"
@@ -117,63 +109,69 @@ def encode_pair(a: PointSet2D, b: PointSet2D) -> str:
     return "# set: A\n" + dumps_points(a) + "# set: B\n" + dumps_points(b)
 
 
-@dataclass(frozen=True)
-class _Subset:
+class _Subset(NamedTuple):
     pts: tuple
     size: int
     lines_m: int
     sections_m: int
     two_dimensional: bool
     direction: Optional[tuple]  # line step pts[1] - pts[0], (0, 0) wildcard, or None
+    mask: int  # cell (x, y) at bit x*H + y of the W x H grid
 
 
 def enumerate_subsets(width: int, height: int, max_size: Optional[int] = None,
                       require_two_dimensional: bool = False) -> list[_Subset]:
-    """Translation-normalized nonempty subsets of the grid, in a fixed order."""
-    cells = [(x, y) for x in range(width) for y in range(height)]
+    """Translation-normalized nonempty subsets of the grid, by ascending mask."""
+    column, shifts = (1 << height) - 1, range(0, width * height, height)  # column: cells x = 0
+    first_row = bit_mask(shifts)
+    pts_of = [[tuple((x, y) for y in range(height) if c >> y & 1) for c in range(column + 1)]
+              for x in range(width)]  # pts_of[x][c]: the points of column mask c at x
+    row_bytes = [bit_mask(8 * y for _, y in pts) for pts in pts_of[0]]  # byte y: cell y in c
     out = []
-    for mask in range(1, 1 << len(cells)):
-        if max_size is not None and mask.bit_count() > max_size:
+    for mask in range(1, 1 << (width * height)):
+        if not (mask & column and mask & first_row):
             continue
-        pts = tuple(cells[i] for i in range(len(cells)) if mask >> i & 1)
-        if min(x for x, _ in pts) != 0 or min(y for _, y in pts) != 0:
+        size = mask.bit_count()
+        if max_size is not None and size > max_size:
             continue
-        lines_m, _, sections_m, _, step = line_counts(pts)
+        cols = [mask >> k & column for k in shifts]
+        pts = sum(map(getitem, pts_of, cols), ())
+        step = _line_step(pts)
         if require_two_dimensional and step is not None:
             continue
-        out.append(_Subset(pts, len(pts), lines_m, sections_m, step is None, step))
+        rows = sum(map(row_bytes.__getitem__, cols)).to_bytes(height, "little")  # byte y: row y
+        out.append(_Subset(pts, size, width - cols.count(0), max(rows), step is None, step, mask))
     return out
 
 
 def _mirror_table(subs: list[_Subset], width: int, height: int) -> list[int]:
-    """table[4*i + g]: index in subs of g.subs[i] for g = 0..3, the identity and
-    the x-, y- and xy-reflection, each image re-translated to min x = min y = 0;
-    g composes by XOR.  subs are subsets of the width x height grid, closed
-    under these maps."""
-    def cell_mask(pts):
-        return sum(1 << (x * height + y) for x, y in pts)
-
-    index = [0] * (1 << (width * height))  # cell mask -> index in subs
-    for i, s in enumerate(subs):
-        index[cell_mask(s.pts)] = i
+    """table[4*i + g]: index in subs of g.subs[i] for g = 0..3, the identity and the
+    x-, y- and xy-reflection, each image re-translated to min x = min y = 0; g
+    composes by XOR.  subs are subsets of the grid, closed under these maps."""
+    column = (1 << height) - 1
+    flip = [int(format(c, "0%db" % height)[::-1], 2) for c in range(column + 1)]
+    index = {s.mask: i for i, s in enumerate(subs)}
     table = [-1] * (4 * len(subs))
     for i, s in enumerate(subs):
         if table[4 * i] >= 0:
             continue  # filled with the orbit of an earlier subset
-        wx, hy = s.pts[-1][0], max(y for _, y in s.pts)  # pts ascend in (x, y)
-        orbit = (i, index[cell_mask((wx - x, y) for x, y in s.pts)],
-                 index[cell_mask((x, hy - y) for x, y in s.pts)],
-                 index[cell_mask((wx - x, hy - y) for x, y in s.pts)])
-        for g0, j in enumerate(orbit):  # j = g0.i, so g.j = (g ^ g0).i
-            for g in range(4):
-                table[4 * j + g] = orbit[g ^ g0]
+        cols = [s.mask >> k & column for k in range(0, s.mask.bit_length(), height)]
+        drop = height - max(cols).bit_length()  # flip[c] >> drop: c upside down in s's height
+        mx = my = mxy = 0
+        for col, back in zip(cols, reversed(cols)):  # the first column shifted in ends highest
+            mx = mx << height | col
+            my = my << height | flip[back] >> drop
+            mxy = mxy << height | flip[col] >> drop
+        a, b, c, d = i, index[mx], index[my], index[mxy]  # row of g0.i: g.(g0.i) = (g ^ g0).i
+        table[4 * a:4 * a + 4] = a, b, c, d
+        table[4 * b:4 * b + 4] = b, a, d, c
+        table[4 * c:4 * c + 4] = c, d, a, b
+        table[4 * d:4 * d + 4] = d, c, b, a
     return table
 
 
 def _mode_m(sub: _Subset, mode: BoundMode) -> int:
-    if mode is BoundMode.SECTIONS_GS:
-        return sub.sections_m
-    return sub.lines_m
+    return sub.sections_m if mode is BoundMode.SECTIONS_GS else sub.lines_m
 
 
 def _parallel(da: Optional[tuple], db: Optional[tuple]) -> bool:
@@ -241,7 +239,8 @@ class _Lanes:
         return x.to_bytes(8 * self.count, "little")[::8]
 
     def at_most(self, counts: bytes, limits: bytes) -> list[int]:
-        """The lanes t with counts[t] <= limits[t], ascending; every byte < 128."""
+        """The lanes t with counts[t] <= limits[t], ascending; every byte < 128, so
+        (limit | 0x80) - count keeps bit 7 exactly when count <= limit, with no borrow."""
         mark = ((int.from_bytes(limits, "little") | self._guard)
                 - int.from_bytes(counts, "little")) & self._guard
         return [m.start() for m in _MARK.finditer(mark.to_bytes(self.count, "little"))]
@@ -249,17 +248,21 @@ class _Lanes:
 
 def sweep(config: SweepConfig) -> SweepReport:
     """Run this config's shard of the exhaustive pair enumeration."""
-    mode = config.mode
+    return _sweep(config)
+
+
+def _sweep(config: SweepConfig, orbits: Optional[tuple[int, int]] = None) -> SweepReport:
+    """config's shard, or for orbits = (k, c) every A whose rep is k mod c."""
+    mode, width, height = config.mode, config.grid_width, config.grid_height
     cap_a = config.max_size_a
     cap_b = cap_a if mode is BoundMode.DOUBLING else config.max_size_b
     # one enumeration; a list with a smaller cap filters it, in the same order
-    subs = enumerate_subsets(config.grid_width, config.grid_height,
-                             None if cap_a is None or cap_b is None else max(cap_a, cap_b),
-                             config.require_two_dimensional)
-    mirror = _mirror_table(subs, config.grid_width, config.grid_height)
+    subs = enumerate_subsets(width, height, None if cap_a is None or cap_b is None
+                             else max(cap_a, cap_b), config.require_two_dimensional)
+    mirror = _mirror_table(subs, width, height)
     ids_a = (i for i, s in enumerate(subs) if cap_a is None or s.size <= cap_a)
 
-    stride = 2 * config.grid_height - 1
+    stride, column = 2 * height - 1, (1 << height) - 1
     one_d = mode is BoundMode.ONE_DIMENSIONAL
     classes: dict[tuple, int] = {}  # (|B|, m_B), in 1d also B's direction -> index
     rows_b = []  # (index of B, B, class index) of lane t, in enumeration order
@@ -270,7 +273,9 @@ def sweep(config: SweepConfig) -> SweepReport:
             continue
         key = (b.size, m_b, _primitive(b.direction)) if one_d else (b.size, m_b)
         rows_b.append((j, b, classes.setdefault(key, len(classes))))
-    lanes = _Lanes([bit_mask(lattice_keys(b.pts, stride)) for _, b, _ in rows_b])
+    # mask(B): column x of B's cell mask moved up to bit x*stride
+    lanes = _Lanes([sum((b.mask >> x * height & column) << x * stride for x in range(width))
+                    for _, b, _ in rows_b])
     lane_classes = bytes(cls for _, _, cls in rows_b)
     class_sizes = [lane_classes.count(cls) for cls in range(len(classes))]
 
@@ -304,14 +309,17 @@ def sweep(config: SweepConfig) -> SweepReport:
         return pairs, tuple(hits)
 
     memo: dict[int, tuple[int, tuple]] = {}  # rep -> row(rep)
+    part, parts = orbits or (config.shard_index, config.shard_count)
     report = SweepReport(extremal_pairs=[] if config.collect_extremal else None)
     # shards split the unfiltered A list, so every shard keeps its pairs
     for pos, i in enumerate(ids_a):
         a = subs[i]
-        if pos % config.shard_count != config.shard_index or _mode_m(a, mode) < config.min_mn:
+        if _mode_m(a, mode) < config.min_mn:
             continue
         images = mirror[4 * i:4 * i + 4]
         rep = min(images)
+        if (rep if orbits else pos) % parts != part:
+            continue
         g = images.index(rep)  # g.A = rep, so A = g.rep
         if rep not in memo:
             memo[rep] = row(rep)
@@ -328,10 +336,8 @@ def sweep(config: SweepConfig) -> SweepReport:
 
 def merge_reports(parts: list[SweepReport]) -> SweepReport:
     """Order-independent merge of shard reports."""
-    merged = SweepReport()
     collect = any(p.extremal_pairs is not None for p in parts)
-    if collect:
-        merged.extremal_pairs = []
+    merged = SweepReport(extremal_pairs=[] if collect else None)
     for p in parts:
         merged.pairs_checked += p.pairs_checked
         merged.extremal_count += p.extremal_count
@@ -340,26 +346,25 @@ def merge_reports(parts: list[SweepReport]) -> SweepReport:
         merged.unclassified.extend(p.unclassified)
         for tag, count in p.classified_tally.items():
             merged.classified_tally[tag] = merged.classified_tally.get(tag, 0) + count
-        if collect and p.extremal_pairs is not None:
+        if p.extremal_pairs is not None:
             merged.extremal_pairs.extend(p.extremal_pairs)
-    merged.violations.sort()
-    merged.unclassified.sort()
-    if collect:
-        merged.extremal_pairs.sort()
+    for records in (merged.violations, merged.unclassified, merged.extremal_pairs or []):
+        records.sort()
     return merged
 
 
 def run_sharded(config: SweepConfig, jobs: int = 1) -> SweepReport:
-    """Run all config.shard_count shards (in-process or via worker processes)
-    and merge; the result is independent of the shard count and of jobs."""
-    shards = [replace(config, shard_index=i) for i in range(config.shard_count)]
-    if jobs <= 1 or config.shard_count == 1:
-        parts = [sweep(s) for s in shards]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=min(jobs, config.shard_count)) as pool:
-            parts = list(pool.map(sweep, shards))
-    return merge_reports(parts)
+    """The merge of all config.shard_count shards, independent of the shard
+    count and of jobs.  In one process that is one pass over every A; up to
+    jobs worker processes split the orbits, so each row is computed once."""
+    whole = replace(config, shard_index=0, shard_count=1)
+    workers = min(jobs, config.shard_count)
+    if workers <= 1:
+        return merge_reports([sweep(whole)])
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        orbits = [(k, workers) for k in range(workers)]
+        return merge_reports(list(pool.map(_sweep, [whole] * workers, orbits)))
 
 
 def oracle_pair_check(a: PointSet2D, b: PointSet2D) -> dict:
@@ -368,8 +373,6 @@ def oracle_pair_check(a: PointSet2D, b: PointSet2D) -> dict:
     This is the reference oracle: sumset size, every applicable bound report,
     both inequality chains, and whichever classification verdicts apply.
     """
-    from .core import minkowski_sum
-
     record: dict = {
         "size_a": len(a),
         "size_b": len(b),

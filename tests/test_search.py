@@ -1,6 +1,8 @@
 import random
 from dataclasses import replace
 from math import gcd
+from types import SimpleNamespace
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
@@ -482,6 +484,94 @@ def test_mirror_table_is_the_reflection_group():
         assert len({subs[j].size for j in images}) == 1
 
 
+def reference_enumerate_subsets(width, height, max_size=None, require_two_dimensional=False):
+    """search.enumerate_subsets on point tuples, as it was before it read the
+    cell mask: each subset's (pts, size, lines_m, sections_m, two_dimensional,
+    direction)."""
+    cells = [(x, y) for x in range(width) for y in range(height)]
+    out = []
+    for mask in range(1, 1 << len(cells)):
+        if max_size is not None and mask.bit_count() > max_size:
+            continue
+        pts = tuple(cells[i] for i in range(len(cells)) if mask >> i & 1)
+        if min(x for x, _ in pts) != 0 or min(y for _, y in pts) != 0:
+            continue
+        lines_m, _, sections_m, _, step = core.line_counts(pts)
+        if require_two_dimensional and step is not None:
+            continue
+        out.append((pts, len(pts), lines_m, sections_m, step is None, step))
+    return out
+
+
+def reference_mirror_table(subs, width, height):
+    """search._mirror_table on point tuples, as it was before it read the
+    cell mask; subs as reference_enumerate_subsets returns them."""
+    def cell_mask(pts):
+        return sum(1 << (x * height + y) for x, y in pts)
+
+    index = [0] * (1 << (width * height))
+    for i, s in enumerate(subs):
+        index[cell_mask(s[0])] = i
+    table = [-1] * (4 * len(subs))
+    for i, s in enumerate(subs):
+        if table[4 * i] >= 0:
+            continue
+        pts = s[0]
+        wx, hy = pts[-1][0], max(y for _, y in pts)
+        orbit = (i, index[cell_mask((wx - x, y) for x, y in pts)],
+                 index[cell_mask((x, hy - y) for x, y in pts)],
+                 index[cell_mask((wx - x, hy - y) for x, y in pts)])
+        for g0, j in enumerate(orbit):
+            for g in range(4):
+                table[4 * j + g] = orbit[g ^ g0]
+    return table
+
+
+@pytest.mark.parametrize("grid,max_size,two_d", [
+    ((3, 3), None, False), ((3, 4), None, False), ((4, 3), None, False),
+    ((2, 8), None, False), ((4, 4), 4, False), ((3, 4), None, True),
+], ids=["3x3", "3x4", "4x3", "2x8", "4x4-max4", "3x4-2d"])
+def test_setup_matches_point_tuple_reference(grid, max_size, two_d):
+    """The set-up read off cell masks lists the same subsets in the same order,
+    with the same fields and mirror table, as the frozen point-tuple one."""
+    subs = search.enumerate_subsets(*grid, max_size, two_d)
+    want = reference_enumerate_subsets(*grid, max_size, two_d)
+    assert [s[:6] for s in subs] == want
+    assert [s.mask for s in subs] == [bit_mask(lattice_keys(s[0], grid[1])) for s in want]
+    assert search._mirror_table(subs, *grid) == reference_mirror_table(want, *grid)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("count", [1, 2, 3, 7])
+def test_run_sharded_equals_single_shard(count, jobs):
+    """One pass or an orbit split across workers merges to the single-shard
+    report and to the merge of the raw shards, extremal pairs included."""
+    base = cfg(grid_width=3, grid_height=3, mode=BoundMode.SECTIONS_GS, collect_extremal=True)
+    single = run_sharded(base)
+    assert single.extremal_pairs
+    config = replace(base, shard_count=count)
+    raw = merge_reports([sweep(replace(config, shard_index=i)) for i in range(count)])
+    assert run_sharded(config, jobs=jobs) == single == raw
+
+
+def test_run_sharded_computes_one_row_per_orbit():
+    """In one process a 5-shard run counts each kept orbit's row once, where
+    its 5 raw shards would repeat reps that several shards need."""
+    config = cfg(grid_width=3, grid_height=3, mode=BoundMode.SECTIONS_GS, min_mn=2,
+                 shard_count=5)
+    subs = search.enumerate_subsets(3, 3)
+    mirror = search._mirror_table(subs, 3, 3)
+    orbits = {min(mirror[4 * i:4 * i + 4]) for i, s in enumerate(subs) if s.sections_m >= 2}
+    with mock.patch.object(search._Lanes, "counts", autospec=True,
+                           side_effect=search._Lanes.counts) as counts:
+        rep = run_sharded(config)
+        assert counts.call_count == len(orbits) == 124
+        counts.reset_mock()
+        parts = [sweep(replace(config, shard_index=i)) for i in range(5)]
+        assert counts.call_count > len(orbits)
+    assert rep == merge_reports(parts)
+
+
 def _raw_shard_reports(base):
     """raw_sweep's report on every shard (index, count), assembled from one raw
     pass split into 6 shards: shard (k, c) is the union of the 6-shards j with
@@ -544,9 +634,10 @@ def _all_subsets(width, height):
         yield tuple(cells[i] for i in range(len(cells)) if mask >> i & 1)
 
 
-def reference_analyze(pts: tuple) -> search._Subset:
+def reference_analyze(pts: tuple) -> SimpleNamespace:
     """search._analyze as it was before enumerate_subsets read core.line_counts,
-    verbatim: its own counts and a primitive direction by gcd."""
+    verbatim but for the record type: its own counts and a primitive direction
+    by gcd."""
     xs = {x for x, _ in pts}
     row_counts: dict[int, int] = {}
     for _, y in pts:
@@ -558,7 +649,7 @@ def reference_analyze(pts: tuple) -> search._Subset:
         g = gcd(dx, dy) if dy > 0 or (dy == 0 and dx > 0) else -gcd(dx, dy)
         collinear = all(dx * (y - y0) == dy * (x - x0) for x, y in rest)
         direction = (dx // g, dy // g) if collinear else None
-    return search._Subset(
+    return SimpleNamespace(
         pts=pts,
         size=len(pts),
         lines_m=len(xs),
