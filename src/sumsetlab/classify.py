@@ -14,19 +14,21 @@ set is rebuilt on the way:
 * sections mode (maps (x, y) -> (alpha x + gamma y, beta y), translations,
   and the four axis reflections): levels and rows are normalized the same
   way, after which each set is carried as its row runs (y, x, k), one per
-  level, for the row {x, ..., x+k-1}.  Candidate shears are enumerated from
-  the consecutive row-minimum and row-maximum differences observed in
-  either set; a reflection or a shear moves whole runs.  One scan over the
-  reflections and candidate shears tries every family not yet matched at
-  each candidate.  The verdict is the most specific family that matches at
-  any candidate (standard, then shifted trapezoids, then case C), witnessed
-  by its first matching candidate; the other matching families are listed
-  in also_matches.  Shear candidates plus reflections are exhaustive here
-  because every family's row-extreme sequences are piecewise arithmetic
-  with a flat piece; the exhaustive sweep cross-validates this (an escape
-  would surface as ExtremalUnclassified).  The sweep classifies one pair per
-  orbit of the axis reflections; the raw reference sweeps in the tests still
-  classify every image on small grids.
+  level, for the row {x, ..., x+k-1}.  The candidate walk runs on integers:
+  the starts x are scaled once by the lcm of their denominators (1 on grid
+  input), a shear lands a run on integers when its scaled shift divides by
+  that scale, and only the reported shear turns back into a rational.  The
+  candidate shears are the consecutive row-minimum and row-maximum
+  differences of either set.  One scan over the reflections and candidate
+  shears tries every family not yet matched at each candidate.  The verdict
+  is the most specific family that matches at any candidate (standard, then
+  shifted trapezoids, then case C), witnessed by its first matching
+  candidate; the others that match are listed in also_matches.  A
+  verdict-only scan, the sweep's, stops at the first standard match, which
+  is the verdict.  Shear candidates plus reflections are exhaustive because
+  every family's row-extreme sequences are piecewise arithmetic with a flat
+  piece; the exhaustive sweep cross-validates this (an escape would surface
+  as ExtremalUnclassified).
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .bounds import BoundMode, bound
@@ -286,53 +289,55 @@ def _case_c_forms(runs_a, runs_b, m: int, n: int) -> list:
     return forms
 
 
-def _sheared_form(runs, gamma: Rational) -> Optional[tuple]:
-    """These runs under x -> x - gamma*y, translated to min x = 0, or None
-    when a run does not land on integers; a shear moves each row as a
-    whole, so one integrality test per row decides."""
+def _sheared_form(runs, g: int, scale: int) -> Optional[tuple]:
+    """These runs, their starts scaled by scale, under x -> x - (g/scale)*y and
+    translated to min x = 0, or None when a run does not land on integers; a
+    shear moves each row as a whole, so one divmod per row decides.  The
+    image's starts are plain integers."""
     x0 = runs[0][1]
     starts = []
     for y, x, _ in runs:
-        shift = x - x0 - gamma * y
-        if shift.denominator != 1:
+        shift, rest = divmod(x - x0 - g * y, scale)
+        if rest:
             return None
-        starts.append(int(shift))
+        starts.append(shift)
     lo = min(starts)
     return tuple((y, x - lo, k) for (y, _, k), x in zip(runs, starts))
 
 
-def _reflect(runs, rx: bool, ry: bool) -> list:
-    """The runs of the set reflected in x (rx) and in y (ry), translated
-    back to the levels 0, 1, ..."""
+def _reflect(runs, rx: bool, ry: bool, scale: int) -> list:
+    """The runs (starts scaled by scale) of the set reflected in x (rx) and
+    in y (ry), translated back to the levels 0, 1, ..."""
     if rx:
-        runs = [(y, 1 - x - k, k) for y, x, k in runs]
+        runs = [(y, scale * (1 - k) - x, k) for y, x, k in runs]
     if ry:
         top = len(runs) - 1
         runs = [(top - y, x, k) for y, x, k in reversed(runs)]
     return runs
 
 
-def _normalized_candidates(runs_a, runs_b):
-    """Yield (a3, b3, rx, ry, gamma), a3 and b3 as integer runs, for every
-    reflection and candidate shear that lands both sets on integers.
+def _normalized_candidates(runs_a, runs_b, scale: int):
+    """Yield (a3, b3, rx, ry, g), a3 and b3 as integer runs, for every
+    reflection and candidate shear gamma = g/scale that lands both sets on
+    integers; runs_a and runs_b carry their starts scaled by scale.
 
     The candidates are 0 and the slopes between consecutive row minima and
     between consecutive row maxima of either set, negated when one axis is
-    reflected.  b is not sheared when a already fails."""
-    slopes = {rat(0)}
+    reflected, in the order of (|gamma|, gamma).  b is not sheared when a
+    already fails."""
+    slopes = {0}
     for runs in (runs_a, runs_b):
         for (_, x0, k0), (_, x1, k1) in zip(runs, runs[1:]):
-            slopes.add(rat(x1 - x0))
-            slopes.add(rat(x1 + k1 - x0 - k0))
+            slopes.add(x1 - x0)
+            slopes.add(x1 - x0 + scale * (k1 - k0))
     for rx, ry in ((False, False), (True, False), (False, True), (True, True)):
-        ra, rb = (_reflect(runs, rx, ry) for runs in (runs_a, runs_b))
+        ra, rb = (_reflect(runs, rx, ry, scale) for runs in (runs_a, runs_b))
         sign = -1 if rx != ry else 1
-        for gamma in sorted({sign * g for g in slopes},
-                            key=lambda v: (abs(Fraction(v)), Fraction(v))):
-            a3 = _sheared_form(ra, gamma)
-            b3 = None if a3 is None else _sheared_form(rb, gamma)
+        for g in sorted({sign * g for g in slopes}, key=lambda v: (abs(v), v)):
+            a3 = _sheared_form(ra, g, scale)
+            b3 = None if a3 is None else _sheared_form(rb, g, scale)
             if b3 is not None:
-                yield a3, b3, rx, ry, gamma
+                yield a3, b3, rx, ry, g
 
 
 def _match_standard(a3, b3, m: int, n: int) -> Optional[dict]:
@@ -362,7 +367,9 @@ def _match_wedge(a3, b3, forms: list) -> Optional[dict]:
     return None
 
 
-def classify_thm3(a: PointSet2D, b: PointSet2D) -> Classification:
+def classify_thm3(a: PointSet2D, b: PointSet2D, *, verdict_only: bool = False) -> Classification:
+    """With verdict_only the scan stops at the first standard match and leaves
+    out also_matches; the verdict, its details and witness are unchanged."""
     if len(a) == 0 or len(b) == 0:
         raise EmptySet("classify_thm3 needs nonempty sets")
     rows_a, rows_b = a.rows(), b.rows()
@@ -383,42 +390,42 @@ def classify_thm3(a: PointSet2D, b: PointSet2D) -> Classification:
     inv_dy, inv_dx = (rat(Fraction(1) / step) for step in steps)
     runs_a, runs_b = ([(y, xs[0] * inv_dx, len(xs)) for y, xs in enumerate(rows.values())]
                       for rows in (rows_a, rows_b))
+    scale = lcm(*(x.denominator for _, x, _ in runs_a + runs_b))  # 1 on grid input
+    runs_a, runs_b = ([(y, x.numerator * (scale // x.denominator), k) for y, x, k in runs]
+                      for runs in (runs_a, runs_b))
 
-    # (3) one scan over every reflection and candidate shear, trying each
-    # family that has not matched yet and keeping its first matching
-    # candidate.  The families can overlap up to the group (a standard pair
-    # may be a shifted pair in sheared coordinates), so the tie-break runs
-    # at the orbit level to keep verdicts group-invariant: the verdict is
-    # the first family in specificity order that matched at any candidate,
-    # and the other families that matched are reported in also_matches.
-    # families holds (tag, verdict, matcher) in specificity order.
+    # (3) one scan over every reflection and candidate shear, keeping each
+    # family's first matching candidate.  The families can overlap up to the
+    # group (a standard pair may be a shifted pair in sheared coordinates),
+    # so the verdict is the first family, in the specificity order of
+    # families (tag, verdict, matcher), that matched at any candidate.
     wedges = _case_c_forms(runs_a, runs_b, m, n)
     families = (("a", Verdict.TRAPEZOID_PAIR, lambda a3, b3: _match_standard(a3, b3, m, n)),
                 ("b", Verdict.EPS_TRAPEZOID_PAIR, lambda a3, b3: _match_shifted(a3, b3, m, n)),
                 ("c", Verdict.CASE_C_PAIR, lambda a3, b3: _match_wedge(a3, b3, wedges)))
-    found: dict = {}  # tag -> (details, (rx, ry, gamma))
-    for a3, b3, rx, ry, gamma in _normalized_candidates(runs_a, runs_b):
-        for tag, _, match in families:
-            if tag not in found:
-                got = match(a3, b3)
-                if got is not None:
-                    found[tag] = (got, (rx, ry, gamma))
-        if len(found) == len(families):
-            break
+    found: dict = {}  # tag -> (details, (rx, ry, g))
+    tries = ((tag, match, cand) for cand in _normalized_candidates(runs_a, runs_b, scale)
+             for tag, _, match in families)
+    for tag, match, (a3, b3, rx, ry, g) in tries:
+        got = None if tag in found else match(a3, b3)
+        if got is not None:
+            found[tag] = (got, (rx, ry, g))
+            if len(found) == len(families) or verdict_only and tag == "a":
+                break
     hits = [(tag, verdict) for tag, verdict, _ in families if tag in found]
     if not hits:
         return Classification(Verdict.EXTREMAL_UNCLASSIFIED)
 
     tag, verdict = hits[0]
-    got, (rx, ry, gamma) = found[tag]
+    got, (rx, ry, g) = found[tag]
     details = dict(got)
-    if len(hits) > 1:
+    if len(hits) > 1 and not verdict_only:
         details["also_matches"] = [t for t, _ in hits[1:]]
     details["reflection"] = {"x": rx, "y": ry}
-    # witness: shear(gamma) . reflection . diag(1/dx, 1/dy), linear part
-    refl = AffineMap2D.diagonal(-1 if rx else 1, -1 if ry else 1)
-    shear = AffineMap2D.upper_triangular(1, -gamma, 1)
-    witness = shear.compose(refl).compose(AffineMap2D.diagonal(inv_dx, inv_dy))
+    # witness: shear(g/scale) . reflection . diag(1/dx, 1/dy), linear part
+    sx, sy = -1 if rx else 1, -1 if ry else 1
+    witness = AffineMap2D.upper_triangular(sx * inv_dx, -Fraction(g, scale) * sy * inv_dy,
+                                           sy * inv_dy)
     return Classification(verdict=verdict, details=details, witness_map=witness)
 
 

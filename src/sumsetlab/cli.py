@@ -164,11 +164,9 @@ def _cmd_gen(args) -> int:
                                          parse_rational(args.d)), ones)
         sets = [("A", gen_eps_trapezoid(spec))]
     elif args.family == "case-c":
-        a, b = gen_case_c(CaseCSpec(args.m, args.n, args.k))
-        sets = [("A", a), ("B", b)]
+        sets = list(zip("AB", gen_case_c(CaseCSpec(args.m, args.n, args.k))))
     else:
-        a, b = gen_wild(parse_rational(args.x))
-        sets = [("A", a), ("B", b)]
+        sets = list(zip("AB", gen_wild(parse_rational(args.x))))
     paths = {"A": args.out_a or args.out, "B": args.out_b}
     for label, ps in sets:
         if paths.get(label):
@@ -229,8 +227,13 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_poly(args) -> int:
     from . import convex
+    if args.op == "stretch":
+        p = _load_single(args, convex.loads_polygon)
+        s = convex.stretch_vertical(p, parse_rational(args.amount))
+        _write_stream([("A", convex.dumps_polygon(s))])
+        return 0
+    p, q = _load_pair(args, convex.loads_polygon)
     if args.op == "sum":
-        p, q = _load_pair(args, convex.loads_polygon)
         s = convex.poly_minkowski_sum(p, q)
         if args.json:
             area, width = convex.area_and_projection(s)
@@ -239,26 +242,17 @@ def _cmd_poly(args) -> int:
         else:
             _write_stream([("A+B", convex.dumps_polygon(s))])
         return 0
-    if args.op == "stretch":
-        p = _load_single(args, convex.loads_polygon)
-        s = convex.stretch_vertical(p, parse_rational(args.amount))
-        _write_stream([("A", convex.dumps_polygon(s))])
-        return 0
     if args.op == "report":
-        p, q = _load_pair(args, convex.loads_polygon)
         _emit_json(convex.bonnesen_report(p, q).to_json_dict(), approx=args.approx)
         return 0
     if args.op == "decompose":
-        p, q = _load_pair(args, convex.loads_polygon)
         cert = convex.decompose_and_classify(p, q)
         _emit_json({"certificate": None if cert is None else cert.to_json_dict()})
         return 0
     if args.op == "partition":
-        p, q = _load_pair(args, convex.loads_polygon)
         ok = convex.partition_check(p, q, args.k)
         _emit_json({"k": args.k, "all_extremal": ok})
         return 0 if ok else 1
-    p, q = _load_pair(args, convex.loads_polygon)
     delta, gap_bound = convex.graph_body_bounds(p, q)
     _emit_json({"delta": rat_str(delta),
                 "slope_gap_bound": None if gap_bound is None else rat_str(gap_bound)})
@@ -371,9 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-size-b", type=int)
     p.add_argument("--require-2d", action="store_true")
     p.add_argument("--min-mn", type=int, default=1)
-    p.add_argument("--shards", type=int, default=1)
+    p.add_argument("--shards", type=int, default=1, help="number of shards, for --shard-index")
     p.add_argument("--shard-index", type=int, help="run a single shard only")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1, help="worker processes that split the sweep")
     p.add_argument("--csv", help="also write summary CSV")
     p.set_defaults(func=_cmd_sweep)
 
@@ -412,10 +406,7 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    except SumsetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SumsetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -5,7 +5,6 @@ lives outside the characterized regime."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .core import Point2, PointSet2D, Rational, _point, rat, rat_str
 from .errors import InvalidSpec
@@ -32,7 +31,7 @@ class TrapezoidSpec:
             raise InvalidSpec("m must be a positive integer")
         if not (isinstance(self.h, int) and self.h >= 1):
             raise InvalidSpec("h must be a positive integer")
-        if Fraction(self.c - self.d).denominator != 1:
+        if not isinstance(rat(self.c - self.d), int):
             raise InvalidSpec("c - d must be an integer")
         if self.h - 1 + (self.m - 1) * self.c < (self.m - 1) * self.d:
             raise InvalidSpec("infeasible trapezoid: h-1+(m-1)c < (m-1)d")

@@ -28,7 +28,8 @@ gets one exact num/den and threshold floor(num/den) per class; only lanes at
 or below it can violate or attain the bound, and they take the exact test in
 lane order, which is enumeration order.  In 1d mode only collinear B are
 packed, a class also holds B's primitive direction, and a class not parallel
-to A gets threshold 0.  Doubling's one B per A is A itself.
+to A gets threshold 0.  Doubling's one B per A is A itself.  The report
+tallies verdicts only, so classify_thm3 stops at its first standard match.
 """
 
 from __future__ import annotations
@@ -186,7 +187,7 @@ def _classify_extremal(mode: BoundMode, a: _Subset, b: _Subset):
     if a.two_dimensional and b.two_dimensional:
         ps_a, ps_b = PointSet2D(a.pts), PointSet2D(b.pts)
         cls = classify_thm2(ps_a, ps_b) if mode in (BoundMode.LINES_GS, BoundMode.DOUBLING) \
-            else classify_thm3(ps_a, ps_b)
+            else classify_thm3(ps_a, ps_b, verdict_only=True)
         if cls.verdict is Verdict.NOT_EXTREMAL:
             raise ConsistencyError("sweep extremality disagrees with classifier")
         return cls.verdict.value
@@ -355,16 +356,15 @@ def merge_reports(parts: list[SweepReport]) -> SweepReport:
 
 def run_sharded(config: SweepConfig, jobs: int = 1) -> SweepReport:
     """The merge of all config.shard_count shards, independent of the shard
-    count and of jobs.  In one process that is one pass over every A; up to
-    jobs worker processes split the orbits, so each row is computed once."""
+    count and of jobs.  In one process that is one pass over every A; jobs > 1
+    worker processes split the orbits, so each row is computed once."""
     whole = replace(config, shard_index=0, shard_count=1)
-    workers = min(jobs, config.shard_count)
-    if workers <= 1:
+    if jobs <= 1:
         return merge_reports([sweep(whole)])
     from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        orbits = [(k, workers) for k in range(workers)]
-        return merge_reports(list(pool.map(_sweep, [whole] * workers, orbits)))
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        orbits = [(k, jobs) for k in range(jobs)]
+        return merge_reports(list(pool.map(_sweep, [whole] * jobs, orbits)))
 
 
 def oracle_pair_check(a: PointSet2D, b: PointSet2D) -> dict:

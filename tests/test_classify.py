@@ -2,7 +2,9 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
+from unittest import mock
 
 import pytest
 
@@ -530,16 +532,32 @@ def points_of(runs) -> PointSet2D:
     return PointSet2D((x, y) for y, x0, k in runs for x in range(x0, x0 + k))
 
 
+def scaled_runs(runs_a, runs_b):
+    """([runs_a, runs_b], scale): the starts x of both sets' runs as the
+    integers scale*x, scale the lcm of their denominators, as classify_thm3
+    hands them to its candidate walk."""
+    scale = lcm(*(Fraction(x).denominator for _, x, _ in runs_a + runs_b))
+    return [[(y, int(x * scale), k) for y, x, k in runs] for runs in (runs_a, runs_b)], scale
+
+
 class TestSingleScanMatchesTwoScans:
     def assert_same(self, pairs):
+        """Both classifiers agree, and the integer candidate walk yields the
+        frozen walk's candidates, each shear g/scale turned back into a
+        rational; returns the scales seen."""
+        scales = set()
         for a, b in pairs:
             assert classify_thm3(a, b).to_json_dict() == reference_classify_thm3(a, b).to_json_dict()
             normalized = reference_normalize(a, b)
             if normalized is not None:
                 a2, b2 = normalized[:2]
-                got = [(points_of(a3), points_of(b3), rx, ry, gamma) for a3, b3, rx, ry, gamma
-                       in library._normalized_candidates(runs_of(a2), runs_of(b2))]
+                (runs_a, runs_b), scale = scaled_runs(runs_of(a2), runs_of(b2))
+                scales.add(scale)
+                got = [(points_of(a3), points_of(b3), rx, ry, Fraction(g, scale))
+                       for a3, b3, rx, ry, g
+                       in library._normalized_candidates(runs_a, runs_b, scale)]
                 assert got == list(_normalized_candidates(a2, b2))
+        return scales
 
     def test_grid_3x3(self):
         pairs = sweep_pairs_for_thm3(3, 3)
@@ -573,7 +591,63 @@ class TestSingleScanMatchesTwoScans:
                 m = AffineMap2D.upper_triangular(alpha, gamma, beta,
                                                  rng.randint(-5, 5), rng.randint(-5, 5))
                 pairs.append((apply_map(a, m), apply_map(b, m)))
-        self.assert_same(pairs)
+        assert self.assert_same(pairs) > {1}
+
+    def test_start_denominators_two_and_three_scale_by_six(self):
+        """A's run starts have denominator 2 and B's denominator 3 after
+        normalization, so the walk scales by 6; the verdicts stay those of
+        the unshifted pairs."""
+        shear = AffineMap2D.upper_triangular(1, -2, 1)
+        pairs = []
+        for (a, b), verdict in ((figure2_pair(), Verdict.EPS_TRAPEZOID_PAIR),
+                                (gen_case_c(CaseCSpec(2, 3, 3)), Verdict.CASE_C_PAIR)):
+            a, b = apply_map(a, shear), apply_map(b, shear)
+            pair = (apply_map(a, AffineMap2D.diagonal(1, 1, Fraction(1, 2), 0)),
+                    apply_map(b, AffineMap2D.diagonal(1, 1, Fraction(-4, 3), 3)))
+            assert classify_thm3(*pair).verdict is verdict
+            pairs.append(pair)
+        for a, b in pairs:
+            runs_a, runs_b = (runs_of(s) for s in reference_normalize(a, b)[:2])
+            assert {Fraction(x).denominator for _, x, _ in runs_a} == {2}
+            assert {Fraction(x).denominator for _, x, _ in runs_b} == {3}
+        assert self.assert_same(pairs) == {6}
+
+
+def test_verdict_only_scan_agrees_with_full_scan():
+    """The verdict-only scan gives the full scan's verdict, details and witness
+    on every sweep pair and seeded image; only also_matches is left out."""
+    rng = random.Random(41)
+    pairs = sweep_pairs_for_thm3(3, 3) + sweep_pairs_for_thm3(3, 4, max_size_b=3)
+    for a, b in [(gen_trapezoid(TrapezoidSpec(3, 4, 0, 1)), gen_trapezoid(TrapezoidSpec(2, 3, 0, 1))),
+                 gen_case_c(CaseCSpec(2, 3, 3)), figure2_pair(), gen_case_c(CaseCSpec(4, 4, 7))]:
+        for _ in range(4):
+            m = AffineMap2D.upper_triangular(Fraction(rng.randint(1, 4), rng.randint(1, 3)),
+                                             Fraction(rng.randint(-6, 6), rng.randint(1, 3)),
+                                             Fraction(rng.randint(-4, 4) or 1, rng.randint(1, 3)))
+            pairs.append((apply_map(a, m), apply_map(b, m)))
+    also = 0
+    for a, b in pairs:
+        full = classify_thm3(a, b).to_json_dict()
+        also += full.pop("also_matches", None) is not None
+        assert classify_thm3(a, b, verdict_only=True).to_json_dict() == full
+    verdicts = Counter(classify_thm3(a, b).verdict for a, b in pairs)
+    assert len(verdicts) == 3 and also > 0
+
+
+def test_verdict_only_scan_stops_at_the_first_standard_match():
+    """A standard pair that matches at its first candidate costs the
+    verdict-only scan no shifted or wedge match, where the full scan tries
+    both families at every candidate."""
+    a, b = gen_trapezoid(TrapezoidSpec(3, 4, 0, 1)), gen_trapezoid(TrapezoidSpec(2, 3, 0, 1))
+    with mock.patch.object(library, "_match_shifted", wraps=library._match_shifted) as shifted, \
+            mock.patch.object(library, "_match_wedge", wraps=library._match_wedge) as wedge:
+        cls = classify_thm3(a, b, verdict_only=True)
+        assert cls.verdict is Verdict.TRAPEZOID_PAIR
+        assert cls.details["reflection"] == {"x": False, "y": False}
+        assert cls.witness_map == AffineMap2D.identity()
+        assert (shifted.call_count, wedge.call_count) == (0, 0)
+        assert classify_thm3(a, b).to_json_dict()["verdict"] == cls.verdict.value
+        assert shifted.call_count > 1 and wedge.call_count > 1
 
 
 def integer_form_subsets(width, height):

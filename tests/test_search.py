@@ -554,6 +554,25 @@ def test_run_sharded_equals_single_shard(count, jobs):
     assert run_sharded(config, jobs=jobs) == single == raw
 
 
+def test_jobs_without_shards_start_every_worker():
+    """The workers split orbits, not shards, so jobs=2 on one shard starts two
+    worker processes, and the report is the one-process report."""
+    from concurrent.futures import ProcessPoolExecutor
+    started = []
+
+    class Recording(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    config = cfg(grid_width=3, grid_height=3, mode=BoundMode.SECTIONS_GS, collect_extremal=True)
+    assert config.shard_count == 1
+    with mock.patch("concurrent.futures.ProcessPoolExecutor", Recording):
+        report = run_sharded(config, jobs=2)
+    assert started == [2]
+    assert report == run_sharded(config, jobs=1)
+
+
 def test_run_sharded_computes_one_row_per_orbit():
     """In one process a 5-shard run counts each kept orbit's row once, where
     its 5 raw shards would repeat reps that several shards need."""
