@@ -16,15 +16,14 @@ _EXPORTS = {
                  "classify_thm3", "is_extremal", "split_check"),
     "compression": ("compress", "compression_chain"),
     "convex": ("BoundaryChains", "ContinuousReport", "ConvexPolygon", "HomothetyCertificate",
-               "StretchDecomposition", "area_and_projection", "bonnesen_report",
-               "clip_vertical_slab", "decompose_and_classify", "decompose_vertical",
-               "graph_body_bounds", "homothety_certificate", "is_bonnesen_extremal",
-               "loads_polygon", "dumps_polygon", "load_polygon", "save_polygon",
-               "partition_check", "poly_minkowski_sum", "stretch_vertical",
-               "stretch_invariance_check", "from_chains"),
+               "StretchDecomposition", "bonnesen_report", "clip_vertical_slab",
+               "decompose_and_classify", "decompose_vertical", "graph_body_bounds",
+               "homothety_certificate", "loads_polygon", "dumps_polygon", "partition_check",
+               "poly_minkowski_sum", "stretch_vertical", "stretch_invariance_check",
+               "from_chains"),
     "core": ("AffineMap2D", "CoverStats", "Point2", "PointSet2D", "Rational",
              "apply_map", "arithmetic_progression_of", "collinear_direction", "cover_stats",
-             "dumps_points", "load_points", "loads_points", "minkowski_sum",
+             "dumps_points", "loads_points", "minkowski_sum",
              "parallel_directions", "rat", "rat_str", "save_points"),
     "errors": ("ConsistencyError", "DegenerateProjection", "EmptySet", "HypothesisViolated",
                "InvalidAmount", "InvalidSpec", "ModeMismatch", "NotCollinear", "ParseError",

@@ -237,5 +237,5 @@ def chain_diagnostic(a: PointSet2D, b: PointSet2D) -> list[Rational]:
     ca, cb = a.columns(), b.columns()
     v1 = len(minkowski_sum(a, b))
     v2, v3 = _section_chain_sums(ca, cb)
-    v4 = (Fraction(len(a), len(ca)) + Fraction(len(b), len(cb)) - 1) * (len(ca) + len(cb) - 1)
-    return [v1, v2, v3, rat(v4)]
+    v4 = rat(Fraction(*rhs_num_den(BoundMode.LINES_GS, len(a), len(ca), len(b), len(cb))))
+    return [v1, v2, v3, v4]

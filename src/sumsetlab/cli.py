@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .core import (dumps_points, loads_points, minkowski_sum, parse_rational, rat_str,
                    save_points)
-from .errors import ConsistencyError, ParseError, SumsetError
+from .errors import ConsistencyError, InvalidSpec, ParseError, SumsetError
 
 # Each command imports the library modules it runs, so a process loads only
 # those; the mode choices are BoundMode's values, spelled out for the parser.
@@ -36,8 +36,13 @@ _RATIONAL = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
 
 def _emit_json(obj, approx: bool = False) -> None:
     if approx and isinstance(obj, dict):
-        notes = {k: float(Fraction(v)) for k, v in obj.items()
-                 if isinstance(v, str) and _RATIONAL.match(v)}
+        notes = {}
+        for k, v in obj.items():
+            if isinstance(v, str) and _RATIONAL.match(v):
+                try:
+                    notes[k] = float(Fraction(v))
+                except OverflowError:
+                    raise InvalidSpec(f"--approx: {k} is beyond float range") from None
         if notes:
             obj = {**obj, "approx": notes}
     sys.stdout.write(json.dumps(obj, indent=2) + "\n")
@@ -236,8 +241,7 @@ def _cmd_poly(args) -> int:
     if args.op == "sum":
         s = convex.poly_minkowski_sum(p, q)
         if args.json:
-            area, width = convex.area_and_projection(s)
-            _emit_json({"area": rat_str(area), "projection": rat_str(width),
+            _emit_json({"area": rat_str(s.area()), "projection": rat_str(s.width()),
                         "vertices": convex.dumps_polygon(s)})
         else:
             _write_stream([("A+B", convex.dumps_polygon(s))])
@@ -330,16 +334,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("gen", help="generate an extremal-family instance")
     gsubs = p.add_subparsers(dest="family", required=True)
-    g = gsubs.add_parser("trapezoid")
-    g.add_argument("--m", type=int, required=True)
-    g.add_argument("--h", type=int, required=True)
-    g.add_argument("--c", required=True)
-    g.add_argument("--d", required=True)
-    g = gsubs.add_parser("eps-trapezoid")
-    g.add_argument("--m", type=int, required=True)
-    g.add_argument("--h", type=int, required=True)
-    g.add_argument("--c", required=True)
-    g.add_argument("--d", required=True)
+    for family in ("trapezoid", "eps-trapezoid"):
+        g = gsubs.add_parser(family)
+        g.add_argument("--m", type=int, required=True)
+        g.add_argument("--h", type=int, required=True)
+        g.add_argument("--c", required=True)
+        g.add_argument("--d", required=True)
     g.add_argument("--ones", required=True, help="comma list of shift indices")
     g = gsubs.add_parser("case-c")
     g.add_argument("--m", type=int, required=True)

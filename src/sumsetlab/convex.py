@@ -118,16 +118,6 @@ class BoundaryChains:
     lower: tuple[Point2, ...]
     upper: tuple[Point2, ...]
 
-    def x_range(self) -> tuple[Rational, Rational]:
-        return self.lower[0].x, self.lower[-1].x
-
-    def upper_slopes(self) -> list[Rational]:
-        return _slopes(self.upper)
-
-
-def _slopes(chain: tuple[Point2, ...]) -> list[Rational]:
-    return [rat(Fraction(b.y - a.y) / Fraction(b.x - a.x)) for a, b in zip(chain, chain[1:])]
-
 
 def _interp(chain: tuple[Point2, ...], x: Rational) -> Rational:
     x = rat(x)
@@ -199,7 +189,9 @@ def _edge_before(u: Point2, v: Point2) -> int:
 
 def poly_minkowski_sum(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon:
     """Edge multiset merge: the sum's boundary is both edge lists interleaved
-    by angle, starting from the sum of the two bottom-most vertices."""
+    by angle, starting from the sum of the two bottom-most vertices.  Each
+    list rises strictly in angle from its bottom-most vertex, so joining the
+    equal directions of the two lists leaves no collinear vertex."""
     ep, eq = p.edge_vectors(), q.edge_vectors()
     merged: list[Point2] = []
     i = j = 0
@@ -216,21 +208,12 @@ def poly_minkowski_sum(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon:
                 take = ep[i]; i += 1
             else:
                 take = eq[j]; j += 1
-        if merged and _edge_before(merged[-1], take) == 0:
-            merged[-1] = merged[-1] + take
-        else:
-            merged.append(take)
+        merged.append(take)
     start = p.vertices[0] + q.vertices[0]
     verts = [start]
     for e in merged[:-1]:
         verts.append(verts[-1] + e)
-    verts = _merge_collinear(verts)
     return ConvexPolygon(verts)
-
-
-def area_and_projection(p: ConvexPolygon) -> tuple[Rational, Rational]:
-    """(exact area, horizontal projection length); (0, length) for segments."""
-    return p.area(), p.width()
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +270,6 @@ def bonnesen_report(p: ConvexPolygon, q: ConvexPolygon) -> ContinuousReport:
         extremal=area_sum == rhs,
         bm_comparison={"order": order, "lhs_squared": rat(lhs_sq), "rhs_squared": rat(rhs_sq)},
     )
-
-
-def is_bonnesen_extremal(p: ConvexPolygon, q: ConvexPolygon) -> bool:
-    return bonnesen_report(p, q).extremal
 
 
 # ---------------------------------------------------------------------------
@@ -418,16 +397,17 @@ def graph_body_bounds(p: ConvexPolygon, q: ConvexPolygon) -> tuple[Rational, Opt
     inequalities are asserted against the exact sum area.
     """
     chp, chq = _graph_chains(p), _graph_chains(q)
-    m, n = Fraction(p.width()), Fraction(q.width())
-    ap, aq = Fraction(p.area()), Fraction(q.area())
+    report = bonnesen_report(p, q)
+    m, n = Fraction(report.m), Fraction(report.n)
+    ap, aq = Fraction(report.area_a), Fraction(report.area_b)
+    rhs, area_sum = Fraction(report.bonnesen_rhs), Fraction(report.area_sum)
     f_right = Fraction(chp.upper[-1].y)
     g_left = Fraction(chq.upper[0].y)
     delta = n * (f_right - ap / m) + m * (g_left - aq / n)
-    rhs = (ap / m + aq / n) * (m + n)
-    area_sum = Fraction(poly_minkowski_sum(p, q).area())
     if area_sum < rhs + delta:
         raise ConsistencyError("additive refinement failed on concrete data")
-    eps = min(Fraction(s) for s in chp.upper_slopes()) - max(Fraction(s) for s in chq.upper_slopes())
+    eps = (min(Fraction(b.y - a.y) / (b.x - a.x) for a, b in zip(chp.upper, chp.upper[1:]))
+           - max(Fraction(b.y - a.y) / (b.x - a.x) for a, b in zip(chq.upper, chq.upper[1:])))
     slope_gap_bound = None
     if eps >= 0:
         slope_gap_bound = rhs + m * n / 2 * eps
@@ -446,8 +426,7 @@ def clip_vertical_slab(p: ConvexPolygon, x0: Rational, x1: Rational) -> ConvexPo
     if not x0 < x1:
         raise InvalidSpec("need x0 < x1")
     ch = p.chains()
-    lo, hi = ch.x_range()
-    if x0 < lo or x1 > hi:
+    if x0 < ch.lower[0].x or x1 > ch.lower[-1].x:
         raise InvalidSpec("slab outside the polygon's projection")
 
     def restrict(chain: tuple[Point2, ...]) -> list[Point2]:
@@ -469,13 +448,12 @@ def partition_check(p: ConvexPolygon, q: ConvexPolygon, k: int) -> bool:
         raise HypothesisViolated("partition_check needs an extremal pair")
     if k == 1:
         return True
-    chp, chq = p.chains(), q.chains()
-    (pa, pb), (qa, qb) = chp.x_range(), chq.x_range()
-    m, n = Fraction(pb - pa), Fraction(qb - qa)
+    pa, qa = min(v.x for v in p.vertices), min(v.x for v in q.vertices)
+    m, n = Fraction(report.m), Fraction(report.n)
     for i in range(k):
         slab_p = clip_vertical_slab(p, pa + m * i / k, pa + m * (i + 1) / k)
         slab_q = clip_vertical_slab(q, qa + n * i / k, qa + n * (i + 1) / k)
-        if not is_bonnesen_extremal(slab_p, slab_q):
+        if not bonnesen_report(slab_p, slab_q).extremal:
             return False
     return True
 
@@ -483,7 +461,7 @@ def partition_check(p: ConvexPolygon, q: ConvexPolygon, k: int) -> bool:
 def stretch_invariance_check(p: ConvexPolygon, q: ConvexPolygon, h: Rational) -> bool:
     """True iff stretching p by h does not change the pair's extremality
     (always true; false would witness a broken invariance lemma)."""
-    return is_bonnesen_extremal(p, q) == is_bonnesen_extremal(stretch_vertical(p, h), q)
+    return bonnesen_report(p, q).extremal == bonnesen_report(stretch_vertical(p, h), q).extremal
 
 
 # ---------------------------------------------------------------------------
@@ -502,13 +480,3 @@ def loads_polygon(text: str) -> ConvexPolygon:
 
 def dumps_polygon(p: ConvexPolygon) -> str:
     return "".join(f"{rat_str(v.x)} {rat_str(v.y)}\n" for v in p.vertices)
-
-
-def load_polygon(path: str) -> ConvexPolygon:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_polygon(fh.read())
-
-
-def save_polygon(p: ConvexPolygon, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_polygon(p))

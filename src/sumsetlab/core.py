@@ -225,12 +225,8 @@ class AffineMap2D:
     def __post_init__(self):
         for name in ("a11", "a12", "a21", "a22", "tx", "ty"):
             object.__setattr__(self, name, rat(getattr(self, name)))
-        if self.determinant() == 0:
+        if self.a11 * self.a22 - self.a12 * self.a21 == 0:
             raise InvalidSpec("affine map must be invertible (determinant != 0)")
-
-    @classmethod
-    def identity(cls) -> "AffineMap2D":
-        return cls()
 
     @classmethod
     def diagonal(cls, alpha: Rational, beta: Rational, tx: Rational = 0, ty: Rational = 0) -> "AffineMap2D":
@@ -240,9 +236,6 @@ class AffineMap2D:
     def upper_triangular(cls, a11: Rational, a12: Rational, a22: Rational,
                          tx: Rational = 0, ty: Rational = 0) -> "AffineMap2D":
         return cls(a11, a12, 0, a22, tx, ty)
-
-    def determinant(self) -> Rational:
-        return self.a11 * self.a22 - self.a12 * self.a21
 
     def __call__(self, p: Point2) -> Point2:
         return Point2(self.a11 * p.x + self.a12 * p.y + self.tx,
@@ -510,11 +503,6 @@ def loads_points(text: str) -> PointSet2D:
 
 def dumps_points(ps: PointSet2D) -> str:
     return "".join(f"{rat_str(p.x)} {rat_str(p.y)}\n" for p in ps)
-
-
-def load_points(path: str) -> PointSet2D:
-    with open(path, "r", encoding="utf-8") as fh:
-        return loads_points(fh.read())
 
 
 def save_points(ps: PointSet2D, path: str) -> None:

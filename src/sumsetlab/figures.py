@@ -1,8 +1,8 @@
 """Built-in illustration instances and deterministic SVG emission.
 
 Each figure builder returns labelled point sets together with the
-verification the CLI runs on them; emit_figure_svg renders lattice panels
-whose bytes depend only on the inputs.
+verification the CLI runs on them; emit_figure_svg renders one lattice
+panel per point set, in bytes that depend only on the inputs.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .bounds import BoundMode, bound
-from .convex import ConvexPolygon
 from .core import Point2, PointSet2D, _turn
 from .errors import EmptySet, InvalidSpec
 from .families import CaseCSpec, EpsilonSpec, TrapezoidSpec, gen_case_c, gen_eps_trapezoid, gen_trapezoid
@@ -71,13 +70,9 @@ def _hull(points: list[Point2]) -> list[Point2]:
 def emit_figure_svg(sets: list[tuple[str, PointSet2D]], path: str) -> None:
     """One panel per set: faint lattice dots, emphasized member points, and
     the convex outline of the set as guide lines.  Byte-stable output.
-
-    Polygons are accepted too; their panel shows the vertex cycle.
     """
     if not sets:
         raise EmptySet("emit_figure_svg needs at least one set")
-    sets = [(label, PointSet2D(s.vertices) if isinstance(s, ConvexPolygon) else s)
-            for label, s in sets]
     panels = []
     offset_x = 0
     total_h = 0

@@ -644,7 +644,7 @@ def test_verdict_only_scan_stops_at_the_first_standard_match():
         cls = classify_thm3(a, b, verdict_only=True)
         assert cls.verdict is Verdict.TRAPEZOID_PAIR
         assert cls.details["reflection"] == {"x": False, "y": False}
-        assert cls.witness_map == AffineMap2D.identity()
+        assert cls.witness_map == AffineMap2D()
         assert (shifted.call_count, wedge.call_count) == (0, 0)
         assert classify_thm3(a, b).to_json_dict()["verdict"] == cls.verdict.value
         assert shifted.call_count > 1 and wedge.call_count > 1

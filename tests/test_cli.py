@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from sumsetlab import (BoundMode, bound, gen_wild, loads_points,
+from sumsetlab import (BoundMode, BoundReport, bound, gen_wild, loads_points,
                        minkowski_sum)
 from sumsetlab.cli import _MODE_CHOICES, main
 
@@ -241,13 +241,6 @@ class TestFigures:
         svg = (tmp_path / "figure1.svg").read_text()
         assert svg.count('r="4"') == 69  # one emphasized dot per member point
 
-    def test_emit_accepts_polygons(self, tmp_path):
-        from sumsetlab import ConvexPolygon, emit_figure_svg
-        out = tmp_path / "poly.svg"
-        emit_figure_svg([("square", ConvexPolygon([(0, 0), (2, 0), (2, 2), (0, 2)]))],
-                        str(out))
-        assert out.read_text().count('r="4"') == 4
-
     def test_empty_overlay_rejected(self):
         from sumsetlab import EmptySet, emit_figure_svg
         import pytest
@@ -286,6 +279,24 @@ class TestErrors:
         stream = "# set: A\n0 0\n1 0\n# set: B\n0 0\n0 1\n"
         code, _ = run_cli(["bound", "--mode", "1d"], stdin_text=stream)
         assert code == 2
+
+    HUGE = 10 ** 300
+    TRIANGLE = f"0 0\n{HUGE} 0\n0 {HUGE}\n"
+
+    @pytest.mark.parametrize("argv,stdin_text", [
+        (["bound", "--mode", "lines"], "# set: A\n0 0\n# set: B\n0 0\n"),
+        (["poly", "report"], f"# set: A\n{TRIANGLE}# set: B\n{TRIANGLE}"),
+        (["lemma-avg", "--a", f"0={HUGE ** 2}", "--b", "0=1"], ""),
+    ], ids=["bound", "poly report", "lemma-avg"])
+    def test_approx_beyond_float_range_exit_2(self, argv, stdin_text, monkeypatch, capsys):
+        # bound's values are counts of small sets, so its report is stubbed
+        # with one that no float holds.
+        huge = BoundReport(BoundMode.LINES_GS, 1, 1, self.HUGE ** 2, 1, self.HUGE ** 2 - 1, False)
+        monkeypatch.setattr("sumsetlab.bounds.bound", lambda mode, a, b: huge)
+        assert run_cli([*argv, "--approx"], stdin_text) == (2, "")
+        assert capsys.readouterr().err.startswith("error: --approx: ")
+        code, out = run_cli(argv, stdin_text)
+        assert code == 0 and json.loads(out)
 
 
 # The stderr argparse printed for an unknown mode before the choices became a

@@ -8,10 +8,10 @@ from conftest import convex_hull, random_convex_polygon
 from sumsetlab import (ConvexPolygon, DegenerateProjection,
                        StretchDecomposition, rat,
                        HypothesisViolated, InvalidAmount, InvalidSpec, Point2,
-                       area_and_projection, bonnesen_report, clip_vertical_slab,
+                       bonnesen_report, clip_vertical_slab,
                        decompose_and_classify, decompose_vertical,
                        dumps_polygon, from_chains, graph_body_bounds,
-                       homothety_certificate, is_bonnesen_extremal,
+                       homothety_certificate,
                        loads_polygon, partition_check, poly_minkowski_sum,
                        stretch_invariance_check, stretch_vertical)
 from sumsetlab.convex import _interp
@@ -79,13 +79,14 @@ class TestPolyMinkowski:
 
 class TestAreaProjection:
     def test_unit_square(self):
-        assert area_and_projection(UNIT_SQUARE) == (1, 1)
+        assert (UNIT_SQUARE.area(), UNIT_SQUARE.width()) == (1, 1)
 
     def test_triangle(self):
-        assert area_and_projection(TRI_BIG) == (2, 2)
+        assert (TRI_BIG.area(), TRI_BIG.width()) == (2, 2)
 
     def test_vertical_segment(self):
-        assert area_and_projection(poly((0, 0), (0, 5))) == (0, 0)
+        seg = poly((0, 0), (0, 5))
+        assert (seg.area(), seg.width()) == (0, 0)
 
 
 class TestBonnesenReport:
@@ -211,6 +212,20 @@ class TestLinearDecomposition:
         for fn in (decompose_vertical, reference_decompose_vertical):
             with pytest.raises(DegenerateProjection):
                 fn(poly((2, 0), (2, 3)))
+
+
+class TestMinkowskiSumMatchesHull:
+    def test_edge_merge_equals_hull_of_vertex_sums(self):
+        """The edge merge needs no collinear-vertex pass afterwards: its sum
+        is the hull of all vertex sums, vertex for vertex and type for type."""
+        polys = decomposition_inputs()
+        pairs = list(zip(polys, polys[1:])) + [(p, p) for p in polys]
+        for p, q in pairs:
+            got = poly_minkowski_sum(p, q)
+            want = ConvexPolygon(convex_hull([u + v for u in p.vertices for v in q.vertices]))
+            assert got == want, (p, q)
+            assert [(type(v.x), type(v.y)) for v in got.vertices] == \
+                [(type(v.x), type(v.y)) for v in want.vertices]
 
 
 class TestDecomposeAndClassify:

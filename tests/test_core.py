@@ -292,7 +292,7 @@ class TestCoverStats:
 class TestApplyMap:
     def test_identity(self):
         x = ps((0, 0), (3, 4), (1, 2))
-        assert apply_map(x, AffineMap2D.identity()) == x
+        assert apply_map(x, AffineMap2D()) == x
 
     def test_shear(self):
         shear = AffineMap2D.upper_triangular(1, -1, 1)

@@ -1,6 +1,10 @@
-"""No broad exception handler in the library: a bare `except:`, an
-`except Exception` or an `except BaseException` would turn a bug into an
-ordinary error or exit code instead of a traceback."""
+"""Lint checks on the library's source.
+
+No broad exception handler: a bare `except:`, an `except Exception` or an
+`except BaseException` would turn a bug into an ordinary error or exit code
+instead of a traceback.  No unused private code: a module-level `_name`
+function or class that nothing in `src/` refers to is dead.
+"""
 
 import ast
 from pathlib import Path
@@ -40,3 +44,36 @@ def test_each_broad_form_is_found(handler):
 def test_narrow_handlers_pass():
     source = "try:\n    pass\nexcept (ValueError, ZeroDivisionError):\n    pass\n"
     assert broad_handlers(source) == []
+
+
+def unused_private(sources: dict) -> list[str]:
+    """`module._name` for each module-level private function or class that no
+    code refers to outside its own definition; sources maps module -> text.
+    A reference is any use of the name or of an attribute with that name, so
+    an import alone does not count."""
+    refs = []  # (module, top-level statement index, names it refers to)
+    defs = []  # (module, statement index, name)
+    for module, source in sources.items():
+        for index, stmt in enumerate(ast.parse(source).body):
+            names = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(stmt)
+                     if isinstance(n, (ast.Name, ast.Attribute))}
+            refs.append((module, index, names))
+            if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and stmt.name.startswith("_") and not stmt.name.endswith("__")):
+                defs.append((module, index, stmt.name))
+    return [f"{module}.{name}" for module, index, name in defs
+            if not any(name in names for m, i, names in refs if (m, i) != (module, index))]
+
+
+def test_no_unused_private_code():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert unused_private(sources) == []
+
+
+def test_unused_helper_is_found():
+    sources = {
+        "a": "def _used():\n    pass\n\n\ndef _unused():\n    return _unused()\n\n\n"
+             "class _Dead:\n    pass\n\n\ndef __getattr__(name):\n    pass\n",
+        "b": "from . import a\nfrom .a import _Dead\n\n\ndef f():\n    return a._used()\n",
+    }
+    assert unused_private(sources) == ["a._unused", "a._Dead"]

@@ -14,8 +14,10 @@ import sumsetlab
 ROOT = Path(__file__).resolve().parent.parent
 
 # The names the package imported eagerly, per submodule, before the namespace
-# became lazy; classify.RowProfile, classify.TrapezoidZones, core.Axis and
-# core.section have been deleted since.
+# became lazy; classify.RowProfile, classify.TrapezoidZones, core.Axis,
+# core.section, core.load_points, convex.area_and_projection,
+# convex.is_bonnesen_extremal, convex.load_polygon and convex.save_polygon have
+# been deleted since.
 EAGER_EXPORTS = {
     "bounds": ["AveragingReport", "BoundMode", "BoundReport", "SupportedSequence",
                "averaging_report", "bound", "chain_diagnostic", "freiman_threshold_rhs",
@@ -24,15 +26,14 @@ EAGER_EXPORTS = {
                  "classify_thm3", "is_extremal", "split_check"],
     "compression": ["compress", "compression_chain"],
     "convex": ["BoundaryChains", "ContinuousReport", "ConvexPolygon", "HomothetyCertificate",
-               "StretchDecomposition", "area_and_projection", "bonnesen_report",
-               "clip_vertical_slab", "decompose_and_classify", "decompose_vertical",
-               "graph_body_bounds", "homothety_certificate", "is_bonnesen_extremal",
-               "loads_polygon", "dumps_polygon", "load_polygon", "save_polygon",
-               "partition_check", "poly_minkowski_sum", "stretch_vertical",
-               "stretch_invariance_check", "from_chains"],
+               "StretchDecomposition", "bonnesen_report", "clip_vertical_slab",
+               "decompose_and_classify", "decompose_vertical", "graph_body_bounds",
+               "homothety_certificate", "loads_polygon", "dumps_polygon", "partition_check",
+               "poly_minkowski_sum", "stretch_vertical", "stretch_invariance_check",
+               "from_chains"],
     "core": ["AffineMap2D", "CoverStats", "Point2", "PointSet2D", "Rational",
              "apply_map", "arithmetic_progression_of", "collinear_direction", "cover_stats",
-             "dumps_points", "load_points", "loads_points", "minkowski_sum",
+             "dumps_points", "loads_points", "minkowski_sum",
              "parallel_directions", "rat", "rat_str", "save_points"],
     "errors": ["ConsistencyError", "DegenerateProjection", "EmptySet", "HypothesisViolated",
                "InvalidAmount", "InvalidSpec", "ModeMismatch", "NotCollinear", "ParseError",
@@ -48,7 +49,7 @@ OWNED = [(module, name) for module, names in EAGER_EXPORTS.items() for name in n
 
 
 def test_all_is_the_eager_export_list():
-    assert len(NAMES) == 84
+    assert len(NAMES) == 79
     assert sorted(sumsetlab.__all__) == NAMES
 
 

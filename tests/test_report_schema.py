@@ -18,6 +18,7 @@ _TYPES = {
     "array": lambda v: isinstance(v, list),
     "string": lambda v: isinstance(v, str),
     "integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
     "boolean": lambda v: isinstance(v, bool),
     "null": lambda v: v is None,
 }
@@ -130,6 +131,18 @@ def test_every_cli_report_conforms(tmp_path):
             assert validate(report, entry) == [], (argv, key)
 
 
+def test_approx_reports_conform(tmp_path):
+    runs = samples(tmp_path)
+    for command, name in (("bound", "bound_report"), ("poly report", "continuous_report"),
+                          ("lemma-avg", "averaging_report")):
+        argv, stdin = runs[command][0]
+        code, out = run_cli([*argv, "--approx"], stdin_text=stdin)
+        assert code == 0, argv
+        report = json.loads(out)
+        assert report["approx"], argv
+        assert validate(report, SCHEMA[name]) == [], argv
+
+
 def test_thm3_reports_name_their_families():
     reports = [json.loads(run_cli(["check", "thm3"], stdin_text=stream)[1])
                for stream in (_cli_stream(*FIGURE_2), _cli_stream(CASE_C))]
@@ -146,6 +159,8 @@ def test_validator_rejects_nonconforming_reports():
         ({k: v for k, v in bound.items() if k != "rhs"}, "bound_report"),
         ({**bound, "mode": "columns"}, "bound_report"),
         ({**bound, "m": True}, "bound_report"),
+        ({**bound, "approx": {"lhs": "17"}}, "bound_report"),
+        ({**bound, "approx": {"lhs": True}}, "bound_report"),
         ({"verdict": "CaseCPair", "also_matches": ["d"]}, "classification"),
         ({"verdict": "CaseCPair", "witness_map": {"a11": 1}}, "classification"),
         ({"delta": "0", "slope_gap_bound": 2}, "graph_bounds"),
