@@ -184,12 +184,9 @@ def _cmd_check(args) -> int:
     if args.kind == "continuous":
         from . import convex
         p, q = _load_pair(args, convex.loads_polygon)
-        cert = convex.decompose_and_classify(p, q)
-        payload = {
-            "report": convex.bonnesen_report(p, q).to_json_dict(),
-            "certificate": None if cert is None else cert.to_json_dict(),
-        }
-        _emit_json(payload)
+        report, cert = convex._classified(p, q)
+        _emit_json({"report": report.to_json_dict(),
+                    "certificate": None if cert is None else cert.to_json_dict()})
         return 0
     from .classify import Verdict, classify_1d, classify_thm2, classify_thm3, split_check
     a, b = _load_pair(args, loads_points)

@@ -7,15 +7,24 @@ the class is closed under Minkowski sum, clipping, stretching and maximal
 vertical compression, and every quantity of interest (areas, projection
 lengths, slopes) is an exact rational.  Degenerate segments are first-class
 citizens; they arise as maximal compressions.
+
+A polygon is held on one integer grid (scale, xs, ys): vertex i is
+(xs[i]/scale, ys[i]/scale), scale the lcm of the vertex denominators.  All
+predicates and constructions run on those ints (a sum on the lcm of both
+scales) and divide once at the end; the Point2 vertices are built on first
+use, so a sum that is only measured never builds them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import itemgetter, mul
 from typing import Iterable, Optional
 
-from .core import Point2, Rational, _as_point, _point, _turn, parse_point_lines, rat, rat_str
+from .core import (Point2, Rational, _as_point, _point, _turn, _unscale, common_scale,
+                   parse_point_lines, rat, rat_str)
 from .errors import (ConsistencyError, DegenerateProjection, EmptySet,
                      HypothesisViolated, InvalidAmount, InvalidSpec, ParseError)
 
@@ -24,91 +33,116 @@ class ConvexPolygon:
     """A strictly convex CCW polygon, or a 2-vertex segment.
 
     The vertex list starts at the lexicographically least vertex ordered by
-    (y, x), so equal polygons compare equal vertex-by-vertex.
+    (y, x), so equal polygons have equal vertex lists and equal grids.
     """
 
-    __slots__ = ("_verts",)
+    __slots__ = ("_scale", "_xs", "_ys", "_verts")
 
     def __init__(self, vertices: Iterable):
         verts = [_as_point(v) for v in vertices]
-        if len(verts) < 2:
+        scale, (xs, ys) = common_scale([v[0] for v in verts], [v[1] for v in verts])
+        self._set_grid(scale, list(zip(xs, ys)))
+
+    @classmethod
+    def _on_grid(cls, scale: int, pts: list) -> "ConvexPolygon":
+        """The polygon with vertices (x/scale, y/scale) for (x, y) in pts."""
+        return object.__new__(cls)._set_grid(scale, pts)
+
+    def _set_grid(self, scale: int, pts: list) -> "ConvexPolygon":
+        """Validate pts and store them from the canonical start, on the reduced scale."""
+        if len(pts) < 2:
             raise InvalidSpec("a polygon needs at least 2 vertices")
-        if len(set(verts)) != len(verts):
+        if len(set(pts)) != len(pts):
             raise InvalidSpec("duplicate vertices")
-        if len(verts) > 2 and any(_turn(a, b, c) <= 0 for a, b, c in
-                                  zip(verts, verts[1:] + verts[:1], verts[2:] + verts[:2])):
+        if len(pts) > 2 and any(_turn(a, b, c) <= 0 for a, b, c in
+                                zip(pts, pts[1:] + pts[:1], pts[2:] + pts[:2])):
             raise InvalidSpec("vertices must be strictly convex in CCW order")
-        start = min(range(len(verts)), key=lambda i: (verts[i].y, verts[i].x))
-        object.__setattr__(self, "_verts", tuple(verts[start:] + verts[:start]))
+        start = pts.index(min(pts, key=itemgetter(1, 0)))
+        xs, ys = zip(*(pts[start:] + pts[:start]))
+        g = gcd(scale, *xs, *ys) if scale > 1 else 1
+        if g > 1:
+            scale, xs, ys = scale // g, tuple(x // g for x in xs), tuple(y // g for y in ys)
+        for name, value in (("_scale", scale), ("_xs", xs), ("_ys", ys), ("_verts", None)):
+            object.__setattr__(self, name, value)
+        return self
 
     @property
     def vertices(self) -> tuple[Point2, ...]:
+        if self._verts is None:
+            object.__setattr__(self, "_verts", _points(zip(self._xs, self._ys), self._scale))
         return self._verts
 
     @property
     def is_degenerate(self) -> bool:
-        return len(self._verts) == 2
+        return len(self._xs) == 2
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, ConvexPolygon) and self._verts == other._verts
+        return isinstance(other, ConvexPolygon) and \
+            (self._scale, self._xs, self._ys) == (other._scale, other._xs, other._ys)
 
     def __hash__(self) -> int:
-        return hash(self._verts)
+        return hash((self._scale, self._xs, self._ys))
 
     def __repr__(self) -> str:
-        return f"ConvexPolygon({list(self._verts)!r})"
+        return f"ConvexPolygon({list(self.vertices)!r})"
 
     def __setattr__(self, *_):
         raise AttributeError("ConvexPolygon is immutable")
 
+    def _edges(self, k: int = 1) -> list[tuple[int, int]]:
+        """edge_vectors on the grid, times k."""
+        xs, ys = self._xs, self._ys
+        return [((x1 - x0) * k, (y1 - y0) * k)
+                for x0, x1, y0, y1 in zip(xs, xs[1:] + xs[:1], ys, ys[1:] + ys[:1])]
+
     def edge_vectors(self) -> list[Point2]:
         """CCW edge vectors from the canonical start (two opposite vectors
         for a segment)."""
-        vs = self._verts
-        if len(vs) == 2:
-            return [vs[1] - vs[0], vs[0] - vs[1]]
-        return [vs[(i + 1) % len(vs)] - vs[i] for i in range(len(vs))]
+        return list(_points(self._edges(), self._scale))
 
     def area(self) -> Rational:
-        vs = self._verts
-        twice = sum(vs[i].cross(vs[(i + 1) % len(vs)]) for i in range(len(vs)))
-        return rat(Fraction(twice) / 2)
+        xs, ys = self._xs, self._ys
+        twice = sum(map(mul, xs, ys[1:] + ys[:1])) - sum(map(mul, xs[1:] + xs[:1], ys))
+        return _unscale(twice, 2 * self._scale ** 2)
 
     def width(self) -> Rational:
-        xs = [v.x for v in self._verts]
-        return max(xs) - min(xs)
+        return _unscale(max(self._xs) - min(self._xs), self._scale)
 
     def translate(self, delta: Point2) -> "ConvexPolygon":
-        return ConvexPolygon([v + delta for v in self._verts])
+        return ConvexPolygon([v + delta for v in self.vertices])
 
     def scale(self, factor: Rational) -> "ConvexPolygon":
         if factor <= 0:
             raise InvalidSpec("scale factor must be positive")
-        return ConvexPolygon([v.scale(factor) for v in self._verts])
+        return ConvexPolygon([v.scale(factor) for v in self.vertices])
 
-    def chains(self) -> "BoundaryChains":
-        """Lower/upper boundary graphs over [min x, max x]."""
-        vs = self._verts
-        xs = [v.x for v in vs]
+    def _chains(self) -> tuple[list, list]:
+        """The lower and upper boundary graphs as grid points, left to right."""
+        xs, ys = self._xs, self._ys
         xmin, xmax = min(xs), max(xs)
         if xmin == xmax:
             raise DegenerateProjection("vertical segment has no boundary graphs")
-        if len(vs) == 2:
-            return BoundaryChains(tuple(sorted(vs)), tuple(sorted(vs)))
-        left = sorted(v for v in vs if v.x == xmin)  # one x, so sorted by y
-        right = sorted(v for v in vs if v.x == xmax)
-        lower = _walk(vs, left[0], right[0])
-        upper = list(reversed(_walk(vs, right[-1], left[-1])))
-        return BoundaryChains(tuple(lower), tuple(upper))
+        n, pts = len(xs), list(zip(xs, ys)) * 2  # twice round, so each walk is a slice
+        if n == 2:
+            return sorted(pts[:2]), sorted(pts[:2])
+        y = ys.__getitem__
+        left = [i for i, x in enumerate(xs) if x == xmin]  # one x, so at most 2
+        right = [i for i, x in enumerate(xs) if x == xmax]
+        (a, b), (c, d) = (min(left, key=y), min(right, key=y)), (max(right, key=y), max(left, key=y))
+        return pts[a:b + 1 + n * (b < a)], pts[c:d + 1 + n * (d < c)][::-1]
+
+    def chains(self) -> "BoundaryChains":
+        """Lower/upper boundary graphs over [min x, max x]."""
+        lower, upper = self._chains()
+        return BoundaryChains(_points(lower, self._scale), _points(upper, self._scale))
 
 
-def _walk(verts: tuple[Point2, ...], start: Point2, stop: Point2) -> list[Point2]:
-    i = verts.index(start)
-    out = [verts[i]]
-    while verts[i] != stop:
-        i = (i + 1) % len(verts)
-        out.append(verts[i])
-    return out
+def _points(pts: Iterable, scale: int) -> tuple[Point2, ...]:
+    """Grid points divided by scale, as Point2s (coordinates int when integral)."""
+    new = tuple.__new__
+    if scale == 1:
+        return tuple(new(Point2, p) for p in pts)
+    return tuple(new(Point2, (_unscale(x, scale), _unscale(y, scale))) for x, y in pts)
 
 
 @dataclass(frozen=True)
@@ -132,18 +166,17 @@ def _interp(chain: tuple[Point2, ...], x: Rational) -> Rational:
     return chain[-1].y
 
 
-def _merge_collinear(verts: list[Point2]) -> list[Point2]:
+def _merge_collinear(verts: list) -> list:
     out = [v for i, v in enumerate(verts) if i == 0 or v != verts[i - 1]]
     if len(out) > 1 and out[0] == out[-1]:
         out.pop()
-    changed = True
-    while changed and len(out) > 2:
-        changed = False
-        for i in range(len(out)):
-            if _turn(out[i - 1], out[i], out[(i + 1) % len(out)]) == 0:
-                out.pop(i)
-                changed = True
-                break
+    i = 0
+    while len(out) > 2 and i < len(out):  # drop the first collinear vertex, rescan
+        if _turn(out[i - 1], out[i], out[(i + 1) % len(out)]) == 0:
+            out.pop(i)
+            i = 0
+        else:
+            i += 1
     return out
 
 
@@ -152,39 +185,39 @@ def from_chains(lower: Iterable[Point2], upper: Iterable[Point2]) -> ConvexPolyg
 
     Coinciding chains collapse to the 2-vertex segment they describe.
     """
-    lower = list(lower)
-    upper = list(upper)
+    lower, upper = [_as_point(v) for v in lower], [_as_point(v) for v in upper]
+    pts = lower + upper
+    scale, (xs, ys) = common_scale([v[0] for v in pts], [v[1] for v in pts])
+    grid = list(zip(xs, ys))
+    return _grid_from_chains(scale, grid[:len(lower)], grid[len(lower):])
+
+
+def _grid_from_chains(scale: int, lower: list, upper: list) -> ConvexPolygon:
     pts = lower + upper
     base = pts[0]
     ref = next((p for p in pts if p != base), None)
     if ref is not None and all(_turn(base, ref, p) == 0 for p in pts):
         ends = sorted(set(pts))
-        return ConvexPolygon([ends[0], ends[-1]])
-    verts = lower + list(reversed(upper))
-    verts = _merge_collinear(verts)
-    return ConvexPolygon(verts)
+        return ConvexPolygon._on_grid(scale, [ends[0], ends[-1]])
+    return ConvexPolygon._on_grid(scale, _merge_collinear(lower + upper[::-1]))
 
 
 # ---------------------------------------------------------------------------
 # Minkowski sum by angle-sorted edge merge
 # ---------------------------------------------------------------------------
 
-def _angle_key(v: Point2):
-    return 0 if (v.y > 0 or (v.y == 0 and v.x > 0)) else 1
+def _angle_key(v: tuple) -> int:
+    return 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
 
 
-def _edge_before(u: Point2, v: Point2) -> int:
+def _edge_before(u: tuple, v: tuple) -> int:
     """-1 if u precedes v in CCW angle order from +x, 0 if parallel same
     direction, +1 if u follows v."""
     hu, hv = _angle_key(u), _angle_key(v)
     if hu != hv:
-        return -1 if hu < hv else 1
-    c = u.cross(v)
-    if c > 0:
-        return -1
-    if c < 0:
-        return 1
-    return 0
+        return hu - hv
+    c = u[1] * v[0] - u[0] * v[1]
+    return (c > 0) - (c < 0)
 
 
 def poly_minkowski_sum(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon:
@@ -192,28 +225,20 @@ def poly_minkowski_sum(p: ConvexPolygon, q: ConvexPolygon) -> ConvexPolygon:
     by angle, starting from the sum of the two bottom-most vertices.  Each
     list rises strictly in angle from its bottom-most vertex, so joining the
     equal directions of the two lists leaves no collinear vertex."""
-    ep, eq = p.edge_vectors(), q.edge_vectors()
-    merged: list[Point2] = []
+    scale = lcm(p._scale, q._scale)
+    kp, kq = scale // p._scale, scale // q._scale
+    ep, eq = p._edges(kp), q._edges(kq)
+    x, y = p._xs[0] * kp + q._xs[0] * kq, p._ys[0] * kp + q._ys[0] * kq
+    verts = []
     i = j = 0
-    while i < len(ep) or j < len(eq):
-        if i == len(ep):
-            take = eq[j]; j += 1
-        elif j == len(eq):
-            take = ep[i]; i += 1
-        else:
-            order = _edge_before(ep[i], eq[j])
-            if order == 0:
-                take = ep[i] + eq[j]; i += 1; j += 1
-            elif order < 0:
-                take = ep[i]; i += 1
-            else:
-                take = eq[j]; j += 1
-        merged.append(take)
-    start = p.vertices[0] + q.vertices[0]
-    verts = [start]
-    for e in merged[:-1]:
-        verts.append(verts[-1] + e)
-    return ConvexPolygon(verts)
+    while i < len(ep) or j < len(eq):  # the last edge returns to the start
+        verts.append((x, y))
+        order = 1 if i == len(ep) else -1 if j == len(eq) else _edge_before(ep[i], eq[j])
+        if order <= 0:
+            x, y, i = x + ep[i][0], y + ep[i][1], i + 1
+        if order >= 0:
+            x, y, j = x + eq[j][0], y + eq[j][1], j + 1
+    return ConvexPolygon._on_grid(scale, verts)
 
 
 # ---------------------------------------------------------------------------
@@ -235,20 +260,12 @@ class ContinuousReport:
     bm_comparison: dict
 
     def to_json_dict(self) -> dict:
-        return {
-            "area_a": rat_str(self.area_a),
-            "area_b": rat_str(self.area_b),
-            "m": rat_str(self.m),
-            "n": rat_str(self.n),
-            "area_sum": rat_str(self.area_sum),
-            "bonnesen_rhs": rat_str(self.bonnesen_rhs),
-            "extremal": self.extremal,
-            "bm_comparison": {
-                "order": self.bm_comparison["order"],
-                "lhs_squared": rat_str(self.bm_comparison["lhs_squared"]),
-                "rhs_squared": rat_str(self.bm_comparison["rhs_squared"]),
-            },
-        }
+        out = {k: rat_str(getattr(self, k)) for k in ("area_a", "area_b", "m", "n", "area_sum",
+                                                      "bonnesen_rhs")}
+        bm = self.bm_comparison
+        return {**out, "extremal": self.extremal, "bm_comparison": {
+            "order": bm["order"], "lhs_squared": rat_str(bm["lhs_squared"]),
+            "rhs_squared": rat_str(bm["rhs_squared"])}}
 
 
 def bonnesen_report(p: ConvexPolygon, q: ConvexPolygon) -> ContinuousReport:
@@ -283,12 +300,14 @@ def stretch_vertical(p: ConvexPolygon, h: Rational) -> ConvexPolygon:
         raise InvalidAmount("stretch amount must be >= 0")
     if h == 0:
         return p
-    if p.is_degenerate and p.vertices[0].x == p.vertices[1].x:
-        lo, hi = sorted(p.vertices, key=lambda v: v.y)
-        return ConvexPolygon([lo, _point(hi.x, hi.y + h)])
-    ch = p.chains()
-    lifted = tuple(_point(v.x, v.y + h) for v in ch.upper)
-    return from_chains(ch.lower, lifted)
+    scale = lcm(p._scale, h.denominator)
+    k, lift = scale // p._scale, h.numerator * (scale // h.denominator)
+    if p.is_degenerate and p._xs[0] == p._xs[1]:
+        x, (lo, hi) = p._xs[0] * k, sorted(p._ys)
+        return ConvexPolygon._on_grid(scale, [(x, lo * k), (x, hi * k + lift)])
+    lower, upper = p._chains()
+    return _grid_from_chains(scale, [(x * k, y * k) for x, y in lower],
+                             [(x * k, y * k + lift) for x, y in upper])
 
 
 @dataclass(frozen=True)
@@ -304,12 +323,13 @@ def decompose_vertical(p: ConvexPolygon) -> StretchDecomposition:
     """Compress by the minimum of (upper - lower); the core touches somewhere
     and may degenerate to a segment (e.g. rectangles compress to segments).
     upper - lower is concave, so its minimum is the shorter vertical end edge."""
-    ch = p.chains()
-    amount = min(ch.upper[0].y - ch.lower[0].y, ch.upper[-1].y - ch.lower[-1].y)
+    lower, upper = p._chains()
+    amount = min(upper[0][1] - lower[0][1], upper[-1][1] - lower[-1][1])
     if amount == 0:
-        return StretchDecomposition(p, rat(0))
-    dropped = tuple(_point(v.x, v.y - amount) for v in ch.upper)
-    return StretchDecomposition(from_chains(ch.lower, dropped), rat(amount))
+        return StretchDecomposition(p, 0)
+    dropped = [(x, y - amount) for x, y in upper]
+    return StretchDecomposition(_grid_from_chains(p._scale, lower, dropped),
+                                _unscale(amount, p._scale))
 
 
 def homothety_certificate(p: ConvexPolygon, q: ConvexPolygon) -> Optional[tuple[Rational, Point2]]:
@@ -317,22 +337,19 @@ def homothety_certificate(p: ConvexPolygon, q: ConvexPolygon) -> Optional[tuple[
 
     The ratio must be positive (reflections are not homotheties); segments
     are homothetic exactly when parallel with same orientation class.
+    Edge u of p is lam times edge v of q for one lam > 0: with the grid
+    ratio a/b read off the first pair, u * b == a * v for every pair.
     """
-    ep, eq = p.edge_vectors(), q.edge_vectors()
+    ep, eq = p._edges(), q._edges()
     if len(ep) != len(eq):
         return None
-    lam: Optional[Fraction] = None
-    for u, v in zip(ep, eq):
-        if _edge_before(u, v) != 0:
-            return None
-        ratio = Fraction(u.x) / Fraction(v.x) if v.x != 0 else Fraction(u.y) / Fraction(v.y)
-        if lam is None:
-            lam = ratio
-        elif lam != ratio:
-            return None
-    if lam is None or lam <= 0:
+    (ux, uy), (vx, vy) = ep[0], eq[0]
+    a, b = (ux, vx) if vx != 0 else (uy, vy)
+    if a * b <= 0 or any(u[0] * b != a * v[0] or u[1] * b != a * v[1] for u, v in zip(ep, eq)):
         return None
-    t = p.vertices[0] - q.vertices[0].scale(lam)
+    lam = Fraction(a * q._scale, b * p._scale)
+    t = _point(Fraction(p._xs[0], p._scale) - lam * Fraction(q._xs[0], q._scale),
+               Fraction(p._ys[0], p._scale) - lam * Fraction(q._ys[0], q._scale))
     return rat(lam), t
 
 
@@ -346,14 +363,11 @@ class HomothetyCertificate:
     translation: Point2
 
     def to_json_dict(self) -> dict:
-        return {
-            "core_a": dumps_polygon(self.core_a).splitlines(),
-            "core_b": dumps_polygon(self.core_b).splitlines(),
-            "amount_a": rat_str(self.amount_a),
-            "amount_b": rat_str(self.amount_b),
-            "ratio": rat_str(self.ratio),
-            "translation": [rat_str(self.translation.x), rat_str(self.translation.y)],
-        }
+        return {"core_a": dumps_polygon(self.core_a).splitlines(),
+                "core_b": dumps_polygon(self.core_b).splitlines(),
+                "amount_a": rat_str(self.amount_a), "amount_b": rat_str(self.amount_b),
+                "ratio": rat_str(self.ratio),
+                "translation": [rat_str(self.translation.x), rat_str(self.translation.y)]}
 
 
 def decompose_and_classify(p: ConvexPolygon, q: ConvexPolygon) -> Optional[HomothetyCertificate]:
@@ -362,6 +376,11 @@ def decompose_and_classify(p: ConvexPolygon, q: ConvexPolygon) -> Optional[Homot
     Certificate existence must equal exact extremality of the pair; any
     mismatch is a hard failure, not a report.
     """
+    return _classified(p, q)[1]
+
+
+def _classified(p: ConvexPolygon, q: ConvexPolygon) -> tuple:
+    """(bonnesen_report, certificate or None) of the pair, as checked above."""
     report = bonnesen_report(p, q)
     da, db = decompose_vertical(p), decompose_vertical(q)
     hom = homothety_certificate(da.core, db.core)
@@ -370,9 +389,9 @@ def decompose_and_classify(p: ConvexPolygon, q: ConvexPolygon) -> Optional[Homot
             "homothety certificate disagrees with exact extremality: "
             f"certificate={hom is not None}, extremal={report.extremal}")
     if hom is None:
-        return None
+        return report, None
     lam, t = hom
-    return HomothetyCertificate(da.core, db.core, da.amount, db.amount, lam, t)
+    return report, HomothetyCertificate(da.core, db.core, da.amount, db.amount, lam, t)
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +420,7 @@ def graph_body_bounds(p: ConvexPolygon, q: ConvexPolygon) -> tuple[Rational, Opt
     m, n = Fraction(report.m), Fraction(report.n)
     ap, aq = Fraction(report.area_a), Fraction(report.area_b)
     rhs, area_sum = Fraction(report.bonnesen_rhs), Fraction(report.area_sum)
-    f_right = Fraction(chp.upper[-1].y)
-    g_left = Fraction(chq.upper[0].y)
+    f_right, g_left = Fraction(chp.upper[-1].y), Fraction(chq.upper[0].y)
     delta = n * (f_right - ap / m) + m * (g_left - aq / n)
     if area_sum < rhs + delta:
         raise ConsistencyError("additive refinement failed on concrete data")
@@ -425,7 +443,10 @@ def clip_vertical_slab(p: ConvexPolygon, x0: Rational, x1: Rational) -> ConvexPo
     x0, x1 = rat(x0), rat(x1)
     if not x0 < x1:
         raise InvalidSpec("need x0 < x1")
-    ch = p.chains()
+    return _clip(p.chains(), x0, x1)
+
+
+def _clip(ch: BoundaryChains, x0: Rational, x1: Rational) -> ConvexPolygon:
     if x0 < ch.lower[0].x or x1 > ch.lower[-1].x:
         raise InvalidSpec("slab outside the polygon's projection")
 
@@ -448,11 +469,12 @@ def partition_check(p: ConvexPolygon, q: ConvexPolygon, k: int) -> bool:
         raise HypothesisViolated("partition_check needs an extremal pair")
     if k == 1:
         return True
-    pa, qa = min(v.x for v in p.vertices), min(v.x for v in q.vertices)
+    chp, chq = p.chains(), q.chains()
+    pa, qa = chp.lower[0].x, chq.lower[0].x
     m, n = Fraction(report.m), Fraction(report.n)
     for i in range(k):
-        slab_p = clip_vertical_slab(p, pa + m * i / k, pa + m * (i + 1) / k)
-        slab_q = clip_vertical_slab(q, qa + n * i / k, qa + n * (i + 1) / k)
+        slab_p = _clip(chp, rat(pa + m * i / k), rat(pa + m * (i + 1) / k))
+        slab_q = _clip(chq, rat(qa + n * i / k), rat(qa + n * (i + 1) / k))
         if not bonnesen_report(slab_p, slab_q).extremal:
             return False
     return True

@@ -57,3 +57,12 @@ def random_convex_polygon(rng, max_coord=6, min_area=1) -> ConvexPolygon:
         poly = ConvexPolygon(hull)
         if poly.width() > 0 and Fraction(poly.area()) >= min_area:
             return poly
+
+
+def random_rational_convex_polygon(rng, max_coord=6, min_area=1) -> ConvexPolygon:
+    """random_convex_polygon under a seeded rational map (x and y scaled by
+    separate positive factors, then translated), so that its vertices have
+    denominators and its integer grid a scale above 1."""
+    p = random_convex_polygon(rng, max_coord, min_area)
+    ax, ay, tx, ty = (Fraction(rng.randint(lo, 9), rng.randint(2, 6)) for lo in (1, 1, -9, -9))
+    return ConvexPolygon([(ax * v.x + tx, ay * v.y + ty) for v in p.vertices])

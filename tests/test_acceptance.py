@@ -8,7 +8,7 @@ import time
 from fractions import Fraction
 from itertools import combinations, product
 
-from conftest import random_convex_polygon
+from conftest import random_convex_polygon, random_rational_convex_polygon
 from sumsetlab import (AffineMap2D, BoundMode, InvalidSpec,
                        PointSet2D, SupportedSequence, SweepConfig, Verdict,
                        apply_map, averaging_report, bonnesen_report, bound,
@@ -178,11 +178,11 @@ def test_criterion_7_one_dimensional_equality():
            time.time() - t0, 60.0)
 
 
-def test_criterion_8_continuous_suite():
-    t0 = time.time()
-    rng = random.Random(2024)
-    extremal_pairs = [stretched_homothetic_pair(rng) for _ in range(20)]
-    broken_pairs = [perturbed_pair(rng) for _ in range(20)]
+def continuous_suite(rng, make):
+    """Criterion 8's randomized part on 20 extremal and 20 broken pairs whose
+    polygons come from make."""
+    extremal_pairs = [stretched_homothetic_pair(rng, make) for _ in range(20)]
+    broken_pairs = [perturbed_pair(rng, make) for _ in range(20)]
 
     for a, b in extremal_pairs:
         rep = bonnesen_report(a, b)
@@ -204,12 +204,27 @@ def test_criterion_8_continuous_suite():
         for k in (2, 3, 5):
             assert partition_check(a, b, k)
 
+
+def test_criterion_8_continuous_suite():
+    t0 = time.time()
+    continuous_suite(random.Random(2024), random_convex_polygon)
     p = ConvexPolygon([(0, 0), (1, 0), (1, 1), (0, 1)])
     q = ConvexPolygon([(0, 0), (2, 0), (2, 1), (0, 2)])
     delta, gap_bound = graph_body_bounds(p, q)
     assert gap_bound == 8
     assert Fraction(bonnesen_report(p, q).area_sum) == 8
     report(8, "40 randomized continuous pairs certified; slope-gap bound attained",
+           time.time() - t0, 60.0)
+
+
+def test_criterion_8_continuous_suite_rational():
+    t0 = time.time()
+    rng = random.Random(2025)
+    continuous_suite(rng, random_rational_convex_polygon)
+    for _ in range(500):
+        p = random_rational_convex_polygon(rng)
+        assert loads_polygon(dumps_polygon(p)) == p
+    report(8, "40 randomized rational continuous pairs certified; 500 rational file round trips",
            time.time() - t0, 60.0)
 
 

@@ -5,6 +5,7 @@ import runpy
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -362,3 +363,87 @@ class TestImports:
         """multiprocessing's spawn and forkserver start methods re-import a
         `-m` main module under this run name in each worker."""
         runpy.run_module("sumsetlab.__main__", run_name="__mp_main__")
+
+
+# stdout and exit code of the poly forms and `check continuous` on one
+# rational and one integer pair, recorded from the Point2/Fraction polygons
+# before the integer grid.  A JSON golden is the parsed report; the test
+# renders it as _emit_json does and compares the bytes.
+POLY_STREAMS = {
+    "rational": "# set: A\n0 0\n3 0\n3 1/3\n5/2 11/6\n1 7/3\n0 1/3\n"
+                "# set: B\n1/2 0\n5/2 0\n5/2 1/2\n13/6 3/2\n7/6 11/6\n1/2 1/2\n",
+    "integer": "# set: A\n0 0\n3 0\n3 1\n1 3\n0 2\n# set: B\n0 0\n2 0\n1 2\n",
+}
+POLY_FORMS = {
+    "poly sum": ["poly", "sum"],
+    "poly sum --json": ["poly", "sum", "--json"],
+    "poly report --approx": ["poly", "report", "--approx"],
+    "poly decompose": ["poly", "decompose"],
+    "poly partition --k 3": ["poly", "partition", "--k", "3"],
+    "poly graph-bounds": ["poly", "graph-bounds"],
+    "poly stretch --amount 1/3": ["poly", "stretch", "--input", "-", "--amount", "1/3"],
+    "check continuous": ["check", "continuous"],
+}
+RATIONAL_REPORT = {"area_a": "5", "area_b": "25/9", "m": "3", "n": "2", "area_sum": "275/18",
+                   "bonnesen_rhs": "275/18", "extremal": True,
+                   "bm_comparison": {"order": "gt", "lhs_squared": "225/4",
+                                     "rhs_squared": "500/9"}}
+RATIONAL_CERTIFICATE = {"core_a": ["0 0", "3 0", "5/2 3/2", "1 2"],
+                        "core_b": ["1/2 0", "5/2 0", "13/6 1", "7/6 4/3"],
+                        "amount_a": "1/3", "amount_b": "1/2", "ratio": "3/2",
+                        "translation": ["-3/4", "0"]}
+INTEGER_REPORT = {"area_a": "13/2", "area_b": "2", "m": "3", "n": "2", "area_sum": "35/2",
+                  "bonnesen_rhs": "95/6", "extremal": False,
+                  "bm_comparison": {"order": "gt", "lhs_squared": "484/9", "rhs_squared": "52"}}
+POLY_GOLDEN = {
+    ("rational", "poly sum"): (0, "# set: A+B\n1/2 0\n11/2 0\n11/2 5/6\n14/3 10/3\n13/6 25/6\n1/2 5/6\n"),
+    ("rational", "poly sum --json"): (0, {
+        "area": "275/18", "projection": "5",
+        "vertices": "1/2 0\n11/2 0\n11/2 5/6\n14/3 10/3\n13/6 25/6\n1/2 5/6\n"}),
+    ("rational", "poly report --approx"): (0, {**RATIONAL_REPORT, "approx": {
+        "area_a": 5.0, "area_b": 2.7777777777777777, "m": 3.0, "n": 2.0,
+        "area_sum": 15.277777777777779, "bonnesen_rhs": 15.277777777777779}}),
+    ("rational", "poly decompose"): (0, {"certificate": RATIONAL_CERTIFICATE}),
+    ("rational", "poly partition --k 3"): (0, {"k": 3, "all_extremal": True}),
+    ("rational", "poly graph-bounds"): (0, {"delta": "-16/3", "slope_gap_bound": None}),
+    ("rational", "poly stretch --amount 1/3"): (0, "# set: A\n0 0\n3 0\n3 2/3\n5/2 13/6\n1 8/3\n0 2/3\n"),
+    ("rational", "check continuous"): (0, {"report": RATIONAL_REPORT,
+                                           "certificate": RATIONAL_CERTIFICATE}),
+    ("integer", "poly sum"): (0, "# set: A+B\n0 0\n5 0\n5 1\n4 3\n2 5\n1 4\n0 2\n"),
+    ("integer", "poly sum --json"): (0, {"area": "35/2", "projection": "5",
+                                         "vertices": "0 0\n5 0\n5 1\n4 3\n2 5\n1 4\n0 2\n"}),
+    ("integer", "poly report --approx"): (0, {**INTEGER_REPORT, "approx": {
+        "area_a": 6.5, "area_b": 2.0, "m": 3.0, "n": 2.0, "area_sum": 17.5,
+        "bonnesen_rhs": 15.833333333333334}}),
+    ("integer", "poly decompose"): (0, {"certificate": None}),
+    ("integer", "poly partition --k 3"): (2, ""),  # not extremal
+    ("integer", "poly graph-bounds"): (0, {"delta": "-16/3", "slope_gap_bound": None}),
+    ("integer", "poly stretch --amount 1/3"): (0, "# set: A\n0 0\n3 0\n3 4/3\n1 10/3\n0 7/3\n"),
+    ("integer", "check continuous"): (0, {"report": INTEGER_REPORT, "certificate": None}),
+}
+
+
+def poly_form(pair, form):
+    """(exit code, stdout) of one poly form on one pair; stretch reads A alone."""
+    stream = POLY_STREAMS[pair]
+    if form.startswith("poly stretch"):
+        stream = stream.split("# set: B")[0].split("\n", 1)[1]
+    return run_cli(POLY_FORMS[form], stream)
+
+
+class TestPolyGoldens:
+    @pytest.mark.parametrize("pair,form", list(POLY_GOLDEN), ids=" / ".join)
+    def test_output_is_byte_identical(self, pair, form):
+        code, want = POLY_GOLDEN[pair, form]
+        if not isinstance(want, str):
+            want = json.dumps(want, indent=2) + "\n"
+        assert poly_form(pair, form) == (code, want)
+
+    @pytest.mark.parametrize("pair", list(POLY_STREAMS))
+    def test_check_continuous_sums_the_pair_once(self, pair):
+        from sumsetlab import convex
+        with mock.patch.object(convex, "poly_minkowski_sum",
+                               wraps=convex.poly_minkowski_sum) as summed:
+            code, out = poly_form(pair, "check continuous")
+        assert summed.call_count == 1
+        assert (code, json.loads(out)) == POLY_GOLDEN[pair, "check continuous"]

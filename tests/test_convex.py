@@ -1,20 +1,23 @@
 import random
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
 import pytest
 
-from conftest import convex_hull, random_convex_polygon
-from sumsetlab import (ConvexPolygon, DegenerateProjection,
+from conftest import convex_hull, random_convex_polygon, random_rational_convex_polygon
+from sumsetlab import (BoundaryChains, ConvexPolygon, DegenerateProjection,
                        StretchDecomposition, rat,
                        HypothesisViolated, InvalidAmount, InvalidSpec, Point2,
                        bonnesen_report, clip_vertical_slab,
                        decompose_and_classify, decompose_vertical,
                        dumps_polygon, from_chains, graph_body_bounds,
                        homothety_certificate,
-                       loads_polygon, partition_check, poly_minkowski_sum,
+                       loads_polygon, partition_check, poly_minkowski_sum, rat_str,
                        stretch_invariance_check, stretch_vertical)
+from sumsetlab import convex
 from sumsetlab.convex import _interp
+from sumsetlab.core import _as_point, _turn
 
 
 def poly(*pts):
@@ -26,8 +29,8 @@ TRI_BIG = poly((0, 0), (2, 0), (0, 2))
 TRI_SMALL = poly((0, 0), (1, 0), (0, 1))
 
 
-def stretched_homothetic_pair(rng):
-    core = random_convex_polygon(rng, max_coord=5)
+def stretched_homothetic_pair(rng, make=random_convex_polygon):
+    core = make(rng, max_coord=5)
     lam = Fraction(rng.randint(1, 4), rng.randint(1, 4))
     core_b = core.scale(lam).translate(Point2(rng.randint(0, 3), rng.randint(-2, 2)))
     a = stretch_vertical(core, Fraction(rng.randint(0, 5), rng.randint(1, 3)))
@@ -35,10 +38,10 @@ def stretched_homothetic_pair(rng):
     return a, b
 
 
-def perturbed_pair(rng):
+def perturbed_pair(rng, make=random_convex_polygon):
     """A pair that fails extremality: spoil one summand with an extra vertex."""
     while True:
-        a, b = stretched_homothetic_pair(rng)
+        a, b = stretched_homothetic_pair(rng, make)
         far = Point2(max(v.x for v in b.vertices) + rng.randint(1, 3),
                      max(v.y for v in b.vertices) + rng.randint(2, 4))
         hull = convex_hull(list(b.vertices) + [far])
@@ -325,6 +328,29 @@ class TestPartition:
         with pytest.raises(HypothesisViolated):
             partition_check(TRI_SMALL, UNIT_SQUARE, 2)
 
+    def test_each_polygon_walked_once(self):
+        """partition_check clips every slab from one chain walk per polygon,
+        and each slab is the one clip_vertical_slab gives."""
+        a = poly((0, 0), (3, 0), (3, Fraction(1, 3)), (Fraction(5, 2), Fraction(11, 6)),
+                 (1, Fraction(7, 3)), (0, Fraction(1, 3)))
+        b = poly((Fraction(1, 2), 0), (Fraction(5, 2), 0), (Fraction(5, 2), Fraction(1, 2)),
+                 (Fraction(13, 6), Fraction(3, 2)), (Fraction(7, 6), Fraction(11, 6)),
+                 (Fraction(1, 2), Fraction(1, 2)))
+        clips, real_clip = [], convex._clip
+
+        def clip(ch, x0, x1):
+            slab = real_clip(ch, x0, x1)
+            clips.append((ch, x0, x1, slab))
+            return slab
+
+        with mock.patch.object(ConvexPolygon, "_chains", autospec=True,
+                               side_effect=ConvexPolygon._chains) as walk, \
+                mock.patch.object(convex, "_clip", side_effect=clip):
+            assert partition_check(a, b, 3)
+        assert walk.call_count == 2 and len(clips) == 6
+        for ch, x0, x1, slab in clips:
+            assert slab == clip_vertical_slab(a if ch == a.chains() else b, x0, x1)
+
 
 class TestStretchInvariance:
     def test_extremal_stays_extremal(self):
@@ -346,10 +372,12 @@ class TestStretchInvariance:
 
 
 class TestRandomizedExtremality:
+    make = staticmethod(random_convex_polygon)
+
     def test_stretched_homothets_are_extremal_with_certificates(self):
         rng = random.Random(41)
         for _ in range(25):
-            a, b = stretched_homothetic_pair(rng)
+            a, b = stretched_homothetic_pair(rng, self.make)
             rep = bonnesen_report(a, b)
             assert rep.extremal
             assert decompose_and_classify(a, b) is not None
@@ -357,15 +385,15 @@ class TestRandomizedExtremality:
     def test_perturbed_pairs_fail_with_no_certificate(self):
         rng = random.Random(43)
         for _ in range(25):
-            a, b = perturbed_pair(rng)
+            a, b = perturbed_pair(rng, self.make)
             assert not bonnesen_report(a, b).extremal
             assert decompose_and_classify(a, b) is None
 
     def test_bm_comparison_certified(self):
         rng = random.Random(47)
         for _ in range(40):
-            p = random_convex_polygon(rng)
-            q = random_convex_polygon(rng)
+            p = self.make(rng)
+            q = self.make(rng)
             rep = bonnesen_report(p, q)
             ap, aq = Fraction(rep.area_a), Fraction(rep.area_b)
             m, n = Fraction(rep.m), Fraction(rep.n)
@@ -375,9 +403,20 @@ class TestRandomizedExtremality:
     def test_partition_on_extremal_pairs(self):
         rng = random.Random(53)
         for _ in range(10):
-            a, b = stretched_homothetic_pair(rng)
+            a, b = stretched_homothetic_pair(rng, self.make)
             for k in (2, 3, 5):
                 assert partition_check(a, b, k)
+
+
+class TestRandomizedExtremalityRational(TestRandomizedExtremality):
+    """The same properties on polygons with rational vertices."""
+
+    make = staticmethod(random_rational_convex_polygon)
+
+    def test_polygons_leave_the_lattice(self):
+        rng = random.Random(61)
+        polys = [self.make(rng) for _ in range(40)]
+        assert sum(any(type(c) is Fraction for v in p.vertices for c in v) for p in polys) >= 35
 
 
 class TestPolygonValidationAndIO:
@@ -408,3 +447,264 @@ class TestPolygonValidationAndIO:
         assert got == poly((Fraction(1, 2), 0), (Fraction(3, 2), 0),
                            (Fraction(3, 2), Fraction(1, 2)),
                            (Fraction(1, 2), Fraction(3, 2)))
+
+
+# ---------------------------------------------------------------------------
+# Frozen references: the Point2/Fraction polygon code that the integer grid
+# replaced, kept as it was (renamed) so the grid is checked against it.
+# ---------------------------------------------------------------------------
+
+class RefPolygon:
+    """ConvexPolygon on Point2 vertices with Fraction turn tests."""
+
+    def __init__(self, vertices):
+        verts = [_as_point(v) for v in vertices]
+        if len(verts) < 2:
+            raise InvalidSpec("a polygon needs at least 2 vertices")
+        if len(set(verts)) != len(verts):
+            raise InvalidSpec("duplicate vertices")
+        if len(verts) > 2 and any(_turn(a, b, c) <= 0 for a, b, c in
+                                  zip(verts, verts[1:] + verts[:1], verts[2:] + verts[:2])):
+            raise InvalidSpec("vertices must be strictly convex in CCW order")
+        start = min(range(len(verts)), key=lambda i: (verts[i].y, verts[i].x))
+        self.vertices = tuple(verts[start:] + verts[:start])
+
+    @property
+    def is_degenerate(self):
+        return len(self.vertices) == 2
+
+    def edge_vectors(self):
+        vs = self.vertices
+        if len(vs) == 2:
+            return [vs[1] - vs[0], vs[0] - vs[1]]
+        return [vs[(i + 1) % len(vs)] - vs[i] for i in range(len(vs))]
+
+    def area(self):
+        vs = self.vertices
+        twice = sum(vs[i].cross(vs[(i + 1) % len(vs)]) for i in range(len(vs)))
+        return rat(Fraction(twice) / 2)
+
+    def width(self):
+        xs = [v.x for v in self.vertices]
+        return max(xs) - min(xs)
+
+    def chains(self):
+        vs = self.vertices
+        xs = [v.x for v in vs]
+        xmin, xmax = min(xs), max(xs)
+        if xmin == xmax:
+            raise DegenerateProjection("vertical segment has no boundary graphs")
+        if len(vs) == 2:
+            return BoundaryChains(tuple(sorted(vs)), tuple(sorted(vs)))
+        left = sorted(v for v in vs if v.x == xmin)
+        right = sorted(v for v in vs if v.x == xmax)
+        lower = ref_walk(vs, left[0], right[0])
+        upper = list(reversed(ref_walk(vs, right[-1], left[-1])))
+        return BoundaryChains(tuple(lower), tuple(upper))
+
+
+def ref_walk(verts, start, stop):
+    i = verts.index(start)
+    out = [verts[i]]
+    while verts[i] != stop:
+        i = (i + 1) % len(verts)
+        out.append(verts[i])
+    return out
+
+
+def ref_merge_collinear(verts):
+    out = [v for i, v in enumerate(verts) if i == 0 or v != verts[i - 1]]
+    if len(out) > 1 and out[0] == out[-1]:
+        out.pop()
+    changed = True
+    while changed and len(out) > 2:
+        changed = False
+        for i in range(len(out)):
+            if _turn(out[i - 1], out[i], out[(i + 1) % len(out)]) == 0:
+                out.pop(i)
+                changed = True
+                break
+    return out
+
+
+def ref_from_chains(lower, upper):
+    lower = list(lower)
+    upper = list(upper)
+    pts = lower + upper
+    base = pts[0]
+    ref = next((p for p in pts if p != base), None)
+    if ref is not None and all(_turn(base, ref, p) == 0 for p in pts):
+        ends = sorted(set(pts))
+        return RefPolygon([ends[0], ends[-1]])
+    return RefPolygon(ref_merge_collinear(lower + list(reversed(upper))))
+
+
+def ref_angle_key(v):
+    return 0 if (v.y > 0 or (v.y == 0 and v.x > 0)) else 1
+
+
+def ref_edge_before(u, v):
+    hu, hv = ref_angle_key(u), ref_angle_key(v)
+    if hu != hv:
+        return -1 if hu < hv else 1
+    c = u.cross(v)
+    if c > 0:
+        return -1
+    if c < 0:
+        return 1
+    return 0
+
+
+def ref_poly_minkowski_sum(p, q):
+    ep, eq = p.edge_vectors(), q.edge_vectors()
+    merged = []
+    i = j = 0
+    while i < len(ep) or j < len(eq):
+        if i == len(ep):
+            take = eq[j]; j += 1
+        elif j == len(eq):
+            take = ep[i]; i += 1
+        else:
+            order = ref_edge_before(ep[i], eq[j])
+            if order == 0:
+                take = ep[i] + eq[j]; i += 1; j += 1
+            elif order < 0:
+                take = ep[i]; i += 1
+            else:
+                take = eq[j]; j += 1
+        merged.append(take)
+    verts = [p.vertices[0] + q.vertices[0]]
+    for e in merged[:-1]:
+        verts.append(verts[-1] + e)
+    return RefPolygon(verts)
+
+
+def ref_stretch_vertical(p, h):
+    h = rat(h)
+    if h == 0:
+        return p
+    if p.is_degenerate and p.vertices[0].x == p.vertices[1].x:
+        lo, hi = sorted(p.vertices, key=lambda v: v.y)
+        return RefPolygon([lo, Point2(hi.x, hi.y + h)])
+    ch = p.chains()
+    return ref_from_chains(ch.lower, tuple(Point2(v.x, v.y + h) for v in ch.upper))
+
+
+def ref_decompose_vertical(p):
+    """(core, amount), by the two end gaps."""
+    ch = p.chains()
+    amount = min(ch.upper[0].y - ch.lower[0].y, ch.upper[-1].y - ch.lower[-1].y)
+    if amount == 0:
+        return p, rat(0)
+    dropped = tuple(Point2(v.x, v.y - amount) for v in ch.upper)
+    return ref_from_chains(ch.lower, dropped), rat(amount)
+
+
+def ref_homothety_certificate(p, q):
+    ep, eq = p.edge_vectors(), q.edge_vectors()
+    if len(ep) != len(eq):
+        return None
+    lam = None
+    for u, v in zip(ep, eq):
+        if ref_edge_before(u, v) != 0:
+            return None
+        ratio = Fraction(u.x) / Fraction(v.x) if v.x != 0 else Fraction(u.y) / Fraction(v.y)
+        if lam is None:
+            lam = ratio
+        elif lam != ratio:
+            return None
+    if lam is None or lam <= 0:
+        return None
+    return rat(lam), p.vertices[0] - q.vertices[0].scale(lam)
+
+
+def typed(*values):
+    """Each value with its type, points taken coordinate by coordinate."""
+    flat = [c for v in values for c in (v if isinstance(v, tuple) else (v,))]
+    return [(type(c), c) for c in flat]
+
+
+def reference_inputs():
+    """decomposition_inputs (lattice zonogons and hulls, their rational
+    scalings and translations, homothetic pairs, vertical ends, segments) plus
+    hulls under rational diagonal maps and segments on both axes."""
+    rng = random.Random(13)
+    polys = decomposition_inputs()
+    polys += [random_rational_convex_polygon(rng, max_coord=rng.randint(2, 8)) for _ in range(100)]
+    polys += [poly((2, 0), (2, 3)), poly((Fraction(1, 2), Fraction(-1, 3)), (Fraction(1, 2), 2)),
+              poly((Fraction(-7, 4), Fraction(2, 3)), (Fraction(5, 6), Fraction(2, 3)))]
+    return polys
+
+
+class TestGridMatchesReference:
+    def test_construction_area_and_width(self):
+        rng = random.Random(3)
+        for p in reference_inputs():
+            k = rng.randrange(len(p.vertices))
+            raw = list(p.vertices[k:] + p.vertices[:k])
+            if k % 2:
+                raw = [(rat_str(v.x), rat_str(v.y)) for v in raw]
+            got, want = ConvexPolygon(raw), RefPolygon(raw)
+            assert typed(*got.vertices) == typed(*want.vertices)
+            assert typed(got.area()) == typed(want.area())
+            assert got.width() == want.width() and typed(got.width()) == typed(rat(want.width()))
+            assert typed(*got.edge_vectors()) == typed(*want.edge_vectors())
+
+    def test_sums(self):
+        polys = reference_inputs()
+        pairs = list(zip(polys, polys[1:])) + [(p, p) for p in polys[::2]]
+        for p, q in pairs:
+            got = poly_minkowski_sum(p, q)
+            want = ref_poly_minkowski_sum(RefPolygon(p.vertices), RefPolygon(q.vertices))
+            assert typed(*got.vertices) == typed(*want.vertices), (p, q)
+            assert typed(got.area()) == typed(want.area())
+
+    def test_chains_compression_and_stretch(self):
+        rng = random.Random(7)
+        for p in reference_inputs():
+            ref = RefPolygon(p.vertices)
+            h = Fraction(rng.randint(0, 9), rng.randint(1, 4))
+            assert typed(*stretch_vertical(p, h).vertices) == typed(*ref_stretch_vertical(ref, h).vertices)
+            if p.width() == 0:
+                continue
+            ch, want = p.chains(), ref.chains()
+            assert (typed(*ch.lower), typed(*ch.upper)) == (typed(*want.lower), typed(*want.upper))
+            for lower, upper in ((ch.lower, ch.upper), (ch.lower, ch.lower)):
+                assert typed(*from_chains(lower, upper).vertices) == \
+                    typed(*ref_from_chains(lower, upper).vertices)
+            got = decompose_vertical(p)
+            core, amount = ref_decompose_vertical(ref)
+            assert typed(*got.core.vertices, got.amount) == typed(*core.vertices, amount)
+
+    def test_homothety_certificates(self):
+        rng = random.Random(17)
+        polys = reference_inputs()
+        pairs = list(zip(polys, polys[1:]))
+        for p in polys[::2]:
+            lam = Fraction(rng.randint(1, 9), rng.randint(1, 5))
+            t = Point2(Fraction(rng.randint(-9, 9), rng.randint(1, 4)), rng.randint(-5, 5))
+            pairs.append((p.scale(lam).translate(t), p))
+        pairs.append((poly((0, 0), (1, 0), (0, 1)), poly((0, 0), (1, 0), (1, 1))))  # reflection
+        found = 0
+        for p, q in pairs:
+            got = homothety_certificate(p, q)
+            want = ref_homothety_certificate(RefPolygon(p.vertices), RefPolygon(q.vertices))
+            assert (got is None) == (want is None)
+            if got is not None:
+                found += 1
+                assert typed(got[0], got[1]) == typed(want[0], want[1])
+        assert found > len(polys) // 2
+
+    @pytest.mark.parametrize("verts", [
+        [("1/2", 0), (1, 0), (1, 1), ("2/4", 0)],
+        [(Fraction(1, 2), 0), (1, 0), (1, 1), (Fraction(2, 4), 0)],
+        [(0, 0), (0, Fraction(1, 3)), (Fraction(1, 2), 0)],
+        [(0, 0), (Fraction(1, 2), 0), (1, 0), (Fraction(1, 2), Fraction(1, 3))],
+        [(Fraction(1, 2), 0)],
+    ], ids=["duplicate-strings", "duplicate-fractions", "clockwise", "collinear", "one-vertex"])
+    def test_invalid_input_same_message(self, verts):
+        with pytest.raises(InvalidSpec) as want:
+            RefPolygon(verts)
+        with pytest.raises(InvalidSpec) as got:
+            ConvexPolygon(verts)
+        assert str(got.value) == str(want.value)
