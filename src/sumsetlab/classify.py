@@ -39,10 +39,10 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-from .bounds import BoundMode, bound
+from .bounds import BoundMode, bound, rhs_num_den
 from .core import (AffineMap2D, Point2, PointSet2D, Rational, _point,
-                   arithmetic_progression_of, collinear_direction,
-                   cover_stats, rat, rat_str, shared_difference)
+                   arithmetic_progression_of, collinear_direction, cover_stats,
+                   parallel_directions, rat, rat_str, shared_difference, sumset_size)
 from .errors import EmptySet, HypothesisViolated, InvalidSpec, NotCollinear
 from .families import CaseCSpec, EpsilonSpec, TrapezoidSpec, gen_case_c
 
@@ -180,15 +180,19 @@ def classify_1d(a: PointSet2D, b: PointSet2D) -> Classification:
 def classify_thm2(a: PointSet2D, b: PointSet2D) -> Classification:
     if len(a) == 0 or len(b) == 0:
         raise EmptySet("classify_thm2 needs nonempty sets")
-    if collinear_direction(a) is not None or collinear_direction(b) is not None:
+    da, db = collinear_direction(a), collinear_direction(b)
+    if da is not None or db is not None:
+        if da is None or db is None or not parallel_directions(da, db):
+            raise HypothesisViolated("thm2 needs two 2D sets or collinear sets on parallel lines")
         return classify_1d(a, b)
-    if not is_extremal(a, b, BoundMode.LINES_GS):
+    cols_a, cols_b = a.columns(), b.columns()
+    num, den = rhs_num_den(BoundMode.LINES_GS, len(a), len(cols_a), len(b), len(cols_b))
+    if sumset_size(a, b) * den != num:  # is_extremal, counting A+B only
         return Classification(Verdict.NOT_EXTREMAL)
 
     # (1) x-projections and (2) vertical sections: APs with shared
     # differences alpha and beta; (3) on the rescaled columns, shared
     # slopes d (minima) and c (maxima)
-    cols_a, cols_b = a.columns(), b.columns()
     steps = _axis_steps(cols_a, cols_b)
     if steps is None:
         return Classification(Verdict.EXTREMAL_UNCLASSIFIED)
@@ -379,7 +383,8 @@ def classify_thm3(a: PointSet2D, b: PointSet2D, *, verdict_only: bool = False) -
                                  "(the m = 1 regime admits wild extremal pairs)")
     if collinear_direction(a) is not None or collinear_direction(b) is not None:
         raise HypothesisViolated("sections-mode characterization needs two-dimensional sets")
-    if not is_extremal(a, b, BoundMode.SECTIONS_GS):
+    num, den = rhs_num_den(BoundMode.SECTIONS_GS, len(a), m, len(b), n)
+    if sumset_size(a, b) * den != num:  # is_extremal, counting A+B only
         return Classification(Verdict.NOT_EXTREMAL)
 
     # (1) level sets and (2) rows: APs with shared differences dy and dx;

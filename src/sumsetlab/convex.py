@@ -41,7 +41,10 @@ class ConvexPolygon:
     def __init__(self, vertices: Iterable):
         verts = [_as_point(v) for v in vertices]
         scale, (xs, ys) = common_scale([v[0] for v in verts], [v[1] for v in verts])
-        self._set_grid(scale, list(zip(xs, ys)))
+        halves = [_angle_key(e) for e in self._set_grid(scale, list(zip(xs, ys)))._edges()]
+        winds = sum(h > k for h, k in zip(halves, halves[1:] + halves[:1]))  # edges past +x
+        if winds != 1:  # strict left turns admit stars; _on_grid's results wind once
+            raise InvalidSpec(f"vertices must wind once around, not {winds} times")
 
     @classmethod
     def _on_grid(cls, scale: int, pts: list) -> "ConvexPolygon":

@@ -166,14 +166,6 @@ class PointSet2D:
     def translate(self, delta: Point2) -> "PointSet2D":
         return PointSet2D(p + delta for p in self._pts)
 
-    def xs(self) -> list[Rational]:
-        """Distinct x-values, ascending."""
-        return sorted({p.x for p in self._pts})
-
-    def ys(self) -> list[Rational]:
-        """Distinct y-values, ascending."""
-        return sorted({p.y for p in self._pts})
-
     def columns(self) -> dict[Rational, list[Rational]]:
         """x-value -> ascending y-values on that vertical line."""
         out: dict[Rational, list[Rational]] = {}
@@ -319,26 +311,19 @@ def _unscale(value: int, scale: int) -> Rational:
     return q if r == 0 else Fraction(value, scale)
 
 
-def minkowski_sum(a: PointSet2D, b: PointSet2D) -> PointSet2D:
-    """The sumset {p + q : p in a, q in b}, by an exact bitset kernel.
+def _packed_sum(a: PointSet2D, b: PointSet2D, caller: str) -> tuple:
+    """(keys, stride, x0, y0, sx, sy): the sum of a nonempty pair on one grid,
+    key k standing for ((k // stride + x0)/sx, (k % stride + y0)/sy).
 
-    Packing: x is scaled by the lcm of both sets' x-denominators and y by
-    that of their y-denominators; each set is translated to its own minimum
-    x and y; and the point (x, y) gets the key x*S + y with the stride
-    S = height(A) + height(B) + 1, so the y of a sum never carries into the
-    next column.  mask(A + B) is then mask(B) shifted by each key of A,
-    ORed together.
-
-    Decoding: ascending keys are ascending (x, y), the canonical order, so
-    the set bits read low to high give the result's points already sorted
-    and distinct, and the set is built without another sort.
-
-    Sparse rule: when the sum's bounding box has more than
-    DENSE_CELLS_PER_PAIR cells per pair (p, q), the same keys are added
-    pairwise into a set of ints and sorted instead.
-    """
+    x is scaled by the lcm of both sets' x-denominators and y by that of their
+    y-denominators, each set is translated to its own minimum x and y, and
+    (x, y) gets the key x*S + y with the stride S = height(A) + height(B) + 1,
+    so the y of a sum never carries into the next column.  keys is mask(A + B),
+    mask(B) shifted by each key of A and ORed; or, under the sparse rule (the
+    sum's bounding box has more than DENSE_CELLS_PER_PAIR cells per pair
+    (p, q)), the set of the same keys added pairwise."""
     if len(a) == 0 or len(b) == 0:
-        raise EmptySet("minkowski_sum needs nonempty sets")
+        raise EmptySet(f"{caller} needs nonempty sets")
     pa, pb = a.points, b.points
     sx, (xs_a, xs_b) = common_scale([p.x for p in pa], [p.x for p in pb])
     sy, (ys_a, ys_b) = common_scale([p.y for p in pa], [p.y for p in pb])
@@ -349,10 +334,28 @@ def minkowski_sum(a: PointSet2D, b: PointSet2D) -> PointSet2D:
     keys_b = lattice_keys(zip(xs_b, ys_b), stride, x0_b, y0_b)
     cells = (xs_a[-1] - x0_a + xs_b[-1] - x0_b + 1) * stride
     if is_sparse(cells, len(pa), len(pb)):
-        keys = sorted({ka + kb for ka in keys_a for kb in keys_b})
+        keys = {ka + kb for ka in keys_a for kb in keys_b}
     else:
-        keys = _set_bits(sumset_mask(keys_a, bit_mask(keys_b)))
-    x0, y0 = x0_a + x0_b, y0_a + y0_b
+        keys = sumset_mask(keys_a, bit_mask(keys_b))
+    return keys, stride, x0_a + x0_b, y0_a + y0_b, sx, sy
+
+
+def sumset_size(a: PointSet2D, b: PointSet2D) -> int:
+    """|A + B| by minkowski_sum's kernel, without building its points."""
+    keys = _packed_sum(a, b, "sumset_size")[0]
+    return len(keys) if keys.__class__ is set else keys.bit_count()
+
+
+def minkowski_sum(a: PointSet2D, b: PointSet2D) -> PointSet2D:
+    """The sumset {p + q : p in a, q in b}, by the exact kernel of _packed_sum.
+
+    Decoding: ascending keys are ascending (x, y), the canonical order, so
+    the set bits read low to high (or the sparse keys, sorted) give the
+    result's points already sorted and distinct, with no set() or sort of
+    points.
+    """
+    keys, stride, x0, y0, sx, sy = _packed_sum(a, b, "minkowski_sum")
+    keys = sorted(keys) if keys.__class__ is set else _set_bits(keys)
     cells_xy = map(divmod, keys, repeat(stride))
     new = tuple.__new__  # the coordinates below are normalized already
     if sx == 1 and sy == 1:

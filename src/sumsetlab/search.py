@@ -3,53 +3,52 @@ universally, harvest extremal pairs, and cross-check the classifiers.
 
 Enumeration covers the translation-normalized subsets of a W x H grid
 (min x = min y = 0), every checked quantity being translation-invariant.  A
-subset is read off its cell mask, cell (x, y) at bit x*H + y: two ANDs test
-the normalization and per-column-mask tables give its points, column count
-and longest row.  Its direction is the raw step pts[1] - pts[0], since the
-sweep only tests directions for parallelism, which ignores their scale.
+subset is its cell mask, cell (x, y) at bit x*H + y, walked column by column
+in ascending order; per-column tables give its points, size and row counts,
+and a table of the grid's collinear masks its direction, the raw step
+pts[1] - pts[0] (parallelism ignores its scale).
 
 The sweep is quotiented by H = {id, x-reflection, y-reflection, both}, each
-image re-translated to min x = min y = 0: a mask's columns reverse their
-order within its width, or their bits within its height.  One g in H applied
-to both sets is an affine map of the pair, which changes no size, count m or
-n, |A+B|, dimension, parallelism or family tag.  So the row of an A (its
-outcome against every B) is computed once per orbit, for its member rep of
-lowest index, and memoized as rep's pair count and hits (B index, outcome).
-Every A = g.rep (g is its own inverse) maps each hit's B to g.B, sorted back
-into enumeration order, and records (A, g.B).  A shard of sweep() computes
-every rep it needs, so its report equals the raw enumeration's; run_sharded()
-makes one pass over all shards, or its workers split the orbits.
+image re-translated to min x = min y = 0: one g in H applied to both sets is
+an affine map of the pair, which changes no size, count m or n, |A+B|,
+dimension, parallelism or family tag.  So the row of an A (its outcome
+against every B) is computed once per orbit, for its member of lowest index
+rep, and each A of the orbit adds rep's tallies; a pair the report lists maps
+to (A, g.B) for A = g.rep.  A shard of sweep() computes every rep it needs,
+so its report equals the raw enumeration's; run_sharded() makes one pass, or
+its workers split the orbits.
 
-A row counts |A+B| against every B in one pass.  Cell (x, y) is key x*S + y
-with stride S = 2H - 1 above every y of A+B, so mask(A+B) spans at most
-(2W-1)(2H-1) <= 49 bits and fits a 64-bit lane of _Lanes, one per kept B.
-The right-hand side depends on B only through its class (|B|, m_B), so A
-gets one exact num/den and threshold floor(num/den) per class; only lanes at
-or below it can violate or attain the bound, and they take the exact test in
-lane order, which is enumeration order.  In 1d mode only collinear B are
-packed, a class also holds B's primitive direction, and a class not parallel
-to A gets threshold 0.  Doubling's one B per A is A itself.  The report
-tallies verdicts only, so classify_thm3 stops at its first standard match.
+A row counts |A+B| against every kept B at once: cell (x, y) is key x*S + y
+with stride S = 2H - 1, so mask(A+B) spans at most (2W-1)(2H-1) <= 49 bits,
+one 64-bit lane of _Lanes per B.  The right-hand side depends on the sets only
+through the classes (|A|, m_A) and (|B|, m_B), in 1d mode also their
+directions, so each A class gets one exact num/den and limit floor(num/den)
+per B class; only lanes at or below their limit take the exact test, in lane
+(enumeration) order.  Only verdicts are tallied, so classify_thm3 stops at its
+first standard match; each classifier re-checks extremality by core's count.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field, replace
+from itertools import combinations, product
 from operator import getitem
 from typing import NamedTuple, Optional
 
 from .bounds import BoundMode, bound, chain_diagnostic, rhs_num_den
 from .classify import Verdict, classify_1d, classify_thm2, classify_thm3
 from .compression import compression_chain
-from .core import (PointSet2D, _line_step, _primitive, bit_mask, collinear_direction, cover_stats,
-                   dumps_points, lattice_keys, minkowski_sum, parallel_directions, sumset_mask)
+from .core import (PointSet2D, _primitive, bit_mask, collinear_direction, cover_stats,
+                   dumps_points, lattice_keys, parallel_directions, sumset_mask, sumset_size)
 from .errors import ConsistencyError, InvalidSpec
 
 OUT_OF_HYPOTHESIS = "OutOfHypothesis"
 # a hit's outcome: one of these two, or the family tag of an extremal pair
 _VIOLATION = 0
 _WILD = 1
+_UNCLASSIFIED = Verdict.EXTREMAL_UNCLASSIFIED.value
 _MARK = re.compile(rb"\x80")  # a marked lane's byte in _Lanes.at_most
 
 
@@ -123,25 +122,37 @@ class _Subset(NamedTuple):
 def enumerate_subsets(width: int, height: int, max_size: Optional[int] = None,
                       require_two_dimensional: bool = False) -> list[_Subset]:
     """Translation-normalized nonempty subsets of the grid, by ascending mask."""
-    column, shifts = (1 << height) - 1, range(0, width * height, height)  # column: cells x = 0
-    first_row = bit_mask(shifts)
-    pts_of = [[tuple((x, y) for y in range(height) if c >> y & 1) for c in range(column + 1)]
+    cols = range(1 << height)  # column masks, cell y at bit y
+    pts_of = [[tuple((x, y) for y in range(height) if c >> y & 1) for c in cols]
               for x in range(width)]  # pts_of[x][c]: the points of column mask c at x
-    row_bytes = [bit_mask(8 * y for _, y in pts) for pts in pts_of[0]]  # byte y: cell y in c
-    out = []
-    for mask in range(1, 1 << (width * height)):
-        if not (mask & column and mask & first_row):
-            continue
-        size = mask.bit_count()
-        if max_size is not None and size > max_size:
-            continue
-        cols = [mask >> k & column for k in shifts]
-        pts = sum(map(getitem, pts_of, cols), ())
-        step = _line_step(pts)
-        if require_two_dimensional and step is not None:
-            continue
-        rows = sum(map(row_bytes.__getitem__, cols)).to_bytes(height, "little")  # byte y: row y
-        out.append(_Subset(pts, size, width - cols.count(0), max(rows), step is None, step, mask))
+    rows_of = [bit_mask(8 * y for _, y in pts) for pts in pts_of[0]]  # byte y: cell y in c
+    cells = [(x, y) for x in range(width) for y in range(height)]  # by ascending bit
+    steps = {1 << i: (0, 0) for i in range(len(cells))}  # collinear mask -> pts[1] - pts[0]
+    for (i, (x0, y0)), (j, (x1, y1)) in combinations(enumerate(cells), 2):
+        masks = [1 << i | 1 << j]  # the sets with lowest cells i < j: any cells of ij above j
+        for k in range(j + 1, len(cells)):
+            if (x1 - x0) * (cells[k][1] - y0) == (y1 - y0) * (cells[k][0] - x0):
+                masks += [m | 1 << k for m in masks]
+        steps.update(dict.fromkeys(masks, (x1 - x0, y1 - y0)))
+    cap = width * height if max_size is None else max_size
+    new, out = tuple.__new__, []  # new(_Subset, fields) skips the namedtuple's Python __new__
+    # columns W-1 .. 1, the last fastest, then column 0: ascending masks.  c0 is
+    # nonzero, and odd unless a high column holds y = 0
+    for high in product(cols, repeat=width - 1):
+        high = high[::-1]  # column x at high[x - 1]
+        size = sum(map(int.bit_count, high))
+        base = sum(c << x * height for x, c in enumerate(high, 1))
+        pts = sum(map(getitem, pts_of[1:], high), ())
+        rows = sum(map(rows_of.__getitem__, high)).to_bytes(height, "little")
+        top = max(rows)  # the longest high row, which column 0 lengthens at most by 1
+        full = bit_mask(y for y, k in enumerate(rows) if k == top)
+        for c0 in range(1, len(cols), 1 if any(c & 1 for c in high) else 2):
+            step = steps.get(base | c0)
+            if size + c0.bit_count() > cap or require_two_dimensional and step is not None:
+                continue
+            out.append(new(_Subset, (pts_of[0][c0] + pts, size + c0.bit_count(),
+                                     width - high.count(0), top + bool(c0 & full),
+                                     step is None, step, base | c0)))
     return out
 
 
@@ -163,11 +174,9 @@ def _mirror_table(subs: list[_Subset], width: int, height: int) -> list[int]:
             mx = mx << height | col
             my = my << height | flip[back] >> drop
             mxy = mxy << height | flip[col] >> drop
-        a, b, c, d = i, index[mx], index[my], index[mxy]  # row of g0.i: g.(g0.i) = (g ^ g0).i
-        table[4 * a:4 * a + 4] = a, b, c, d
-        table[4 * b:4 * b + 4] = b, a, d, c
-        table[4 * c:4 * c + 4] = c, d, a, b
-        table[4 * d:4 * d + 4] = d, c, b, a
+        orbit = i, index[mx], index[my], index[mxy]
+        for g0, j in enumerate(orbit):  # g.(g0.i) = (g ^ g0).i
+            table[4 * j:4 * j + 4] = orbit[g0], orbit[1 ^ g0], orbit[2 ^ g0], orbit[3 ^ g0]
     return table
 
 
@@ -200,19 +209,12 @@ def _classify_extremal(mode: BoundMode, a: _Subset, b: _Subset):
 
 
 def _record(report: SweepReport, a: _Subset, b: _Subset, outcome) -> None:
-    """Add the pair (A, B) with its outcome to the report."""
-    if outcome == _VIOLATION:
-        report.violations.append(encode_pair(PointSet2D(a.pts), PointSet2D(b.pts)))
-        return
-    report.extremal_count += 1
-    if report.extremal_pairs is not None:
+    """List (A, B) as a violation, an unclassified or a collected extremal pair."""
+    if outcome != _VIOLATION and report.extremal_pairs is not None:
         report.extremal_pairs.append((a.pts, b.pts))
-    if outcome == _WILD:
-        report.wild_regime_count += 1
-        return
-    report.classified_tally[outcome] = report.classified_tally.get(outcome, 0) + 1
-    if outcome == Verdict.EXTREMAL_UNCLASSIFIED.value:
-        report.unclassified.append(encode_pair(PointSet2D(a.pts), PointSet2D(b.pts)))
+    if outcome == _VIOLATION or outcome == _UNCLASSIFIED:
+        records = report.violations if outcome == _VIOLATION else report.unclassified
+        records.append(encode_pair(PointSet2D(a.pts), PointSet2D(b.pts)))
 
 
 class _Lanes:
@@ -226,18 +228,16 @@ class _Lanes:
         self._guard = int.from_bytes(b"\x80" * self.count, "little")
 
     def counts(self, keys: list[int]) -> bytes:
-        """Byte t is sumset_mask(keys, mask t).bit_count(), for keys whose
-        sums with every mask stay below bit 64."""
+        """Byte t is sumset_mask(keys, mask t).bit_count(), for keys whose sums
+        with every mask stay below bit 64 (a lane's fold spills to bytes 0-6 only)."""
         x = 0
         for k in keys:
             x |= self.packed << k
         x -= (x >> 1) & self._m1
         x = (x & self._m2) + ((x >> 2) & self._m2)
         x = (x + (x >> 4)) & self._m4
-        x += x >> 8  # each byte holds at most 8, so no sum below carries
-        x += x >> 16
-        x += x >> 32
-        return x.to_bytes(8 * self.count, "little")[::8]
+        # bytes <= 8: x * 0x0101010101010101 sums each lane carry-free into its byte 7
+        return (x * 0x0101010101010101).to_bytes(8 * self.count + 7, "little")[7::8]
 
     def at_most(self, counts: bytes, limits: bytes) -> list[int]:
         """The lanes t with counts[t] <= limits[t], ascending; every byte < 128, so
@@ -266,7 +266,7 @@ def _sweep(config: SweepConfig, orbits: Optional[tuple[int, int]] = None) -> Swe
     stride, column = 2 * height - 1, (1 << height) - 1
     one_d = mode is BoundMode.ONE_DIMENSIONAL
     classes: dict[tuple, int] = {}  # (|B|, m_B), in 1d also B's direction -> index
-    rows_b = []  # (index of B, B, class index) of lane t, in enumeration order
+    rows_b, masks_b = [], []  # lane t: (index of B, B, class index); mask(B), column x at x*stride
     for j, b in enumerate(() if mode is BoundMode.DOUBLING else subs):  # doubling's B is A
         m_b = _mode_m(b, mode)
         if m_b < config.min_mn or (cap_b is not None and b.size > cap_b) \
@@ -274,11 +274,11 @@ def _sweep(config: SweepConfig, orbits: Optional[tuple[int, int]] = None) -> Swe
             continue
         key = (b.size, m_b, _primitive(b.direction)) if one_d else (b.size, m_b)
         rows_b.append((j, b, classes.setdefault(key, len(classes))))
-    # mask(B): column x of B's cell mask moved up to bit x*stride
-    lanes = _Lanes([sum((b.mask >> x * height & column) << x * stride for x in range(width))
-                    for _, b, _ in rows_b])
+        masks_b.append(sum((b.mask >> x * height & column) << x * stride for x in range(width)))
+    lanes = _Lanes(masks_b)
     lane_classes = bytes(cls for _, _, cls in rows_b)
     class_sizes = [lane_classes.count(cls) for cls in range(len(classes))]
+    limits_of: dict[tuple, tuple] = {}  # A's class -> (num, den) per B class, limits, pairs
 
     def row(i: int) -> tuple[int, tuple]:
         """(pairs checked, hits) of A = subs[i]; a hit is (index of B, outcome)."""
@@ -291,17 +291,20 @@ def _sweep(config: SweepConfig, orbits: Optional[tuple[int, int]] = None) -> Swe
             if lhs * den > num:
                 return 1, ()
             return 1, ((i, _VIOLATION if lhs * den < num else _classify_extremal(mode, a, a)),)
-        rhs = [rhs_num_den(mode, a.size, m_a, *key[:2]) for key in classes]
-        lo = [num // den for num, den in rhs]
-        pairs = lanes.count
-        if one_d:
-            parallel = [_parallel(a.direction, key[2]) for key in classes]
-            lo = [t if p else 0 for t, p in zip(lo, parallel)]  # a count is at least 1
-            pairs = sum(n for n, p in zip(class_sizes, parallel) if p)
-            if not pairs:
-                return 0, ()
+        key = (a.size, m_a, a.direction) if one_d else (a.size, m_a)
+        if key not in limits_of:
+            rhs = [rhs_num_den(mode, a.size, m_a, *cls[:2]) for cls in classes]
+            lo, pairs = [num // den for num, den in rhs], lanes.count
+            if one_d:
+                parallel = [_parallel(a.direction, cls[2]) for cls in classes]
+                lo = [t if p else 0 for t, p in zip(lo, parallel)]  # a count is at least 1
+                pairs = sum(n for n, p in zip(class_sizes, parallel) if p)
+            limits = lane_classes.translate(bytes(min(t, 127) for t in lo).ljust(256, b"\0"))
+            limits_of[key] = rhs, limits, pairs
+        rhs, limits, pairs = limits_of[key]
+        if not pairs:
+            return 0, ()
         counts = lanes.counts(keys_a)
-        limits = lane_classes.translate(bytes(min(t, 127) for t in lo).ljust(256, b"\0"))
         hits = []
         for t in lanes.at_most(counts, limits):  # so counts[t] * den <= num
             j, b, cls = rows_b[t]
@@ -309,7 +312,7 @@ def _sweep(config: SweepConfig, orbits: Optional[tuple[int, int]] = None) -> Swe
             hits.append((j, _VIOLATION if counts[t] * den < num else _classify_extremal(mode, a, b)))
         return pairs, tuple(hits)
 
-    memo: dict[int, tuple[int, tuple]] = {}  # rep -> row(rep)
+    memo: dict[int, list] = {}  # rep -> [*row(rep), hits listed per A, A in the orbit]
     part, parts = orbits or (config.shard_index, config.shard_count)
     report = SweepReport(extremal_pairs=[] if config.collect_extremal else None)
     # shards split the unfiltered A list, so every shard keeps its pairs
@@ -321,15 +324,25 @@ def _sweep(config: SweepConfig, orbits: Optional[tuple[int, int]] = None) -> Swe
         rep = min(images)
         if (rep if orbits else pos) % parts != part:
             continue
-        g = images.index(rep)  # g.A = rep, so A = g.rep
         if rep not in memo:
-            memo[rep] = row(rep)
-        pairs, hits = memo[rep]
-        report.pairs_checked += pairs
-        if g:
-            hits = sorted((mirror[4 * j + g], outcome) for j, outcome in hits)
-        for j, outcome in hits:
+            pairs, hits = row(rep)
+            memo[rep] = [pairs, hits, tuple(h for h in hits if config.collect_extremal
+                                            or h[1] == _VIOLATION or h[1] == _UNCLASSIFIED), 0]
+        memo[rep][3] += 1
+        listed = memo[rep][2]
+        if listed and rep != i:
+            g = images.index(rep)  # g.A = rep, so A = g.rep
+            listed = sorted((mirror[4 * j + g], outcome) for j, outcome in listed)
+        for j, outcome in listed:
             _record(report, a, subs[j], outcome)
+    tally: Counter = Counter()
+    for pairs, hits, _, times in memo.values():  # every A of an orbit has its rep's outcomes
+        report.pairs_checked += pairs * times
+        for _, outcome in hits:
+            tally[outcome] += times
+    del tally[_VIOLATION]  # counted as listed
+    report.extremal_count, report.wild_regime_count = tally.total(), tally.pop(_WILD, 0)
+    report.classified_tally = dict(tally)
     report.violations.sort()
     report.unclassified.sort()
     return report
@@ -376,7 +389,7 @@ def oracle_pair_check(a: PointSet2D, b: PointSet2D) -> dict:
     record: dict = {
         "size_a": len(a),
         "size_b": len(b),
-        "sumset_size": len(minkowski_sum(a, b)),
+        "sumset_size": sumset_size(a, b),
         "bounds": {},
         "classifications": {},
     }

@@ -241,7 +241,7 @@ def test_criterion_9_property_suites():
     for _ in range(1000):
         x = rand_set()
         c = compress(x)
-        assert len(c) == len(x) and c.ys() == x.ys()
+        assert len(c) == len(x) and {p.y for p in c} == {p.y for p in x}
         assert cover_stats(c).max_horizontal_section == \
             cover_stats(x).max_horizontal_section
 

@@ -229,7 +229,7 @@ def reference_classify_thm2(a: PointSet2D, b: PointSet2D) -> Classification:
         return Classification(Verdict.NOT_EXTREMAL)
 
     # (1) x-projections: APs with one shared difference alpha
-    ok, alpha = shared_difference([a.xs(), b.xs()])
+    ok, alpha = shared_difference([sorted({p.x for p in a}), sorted({p.x for p in b})])
     if not ok or alpha is None:
         return Classification(Verdict.EXTREMAL_UNCLASSIFIED)
 
@@ -442,8 +442,8 @@ def reference_normalize(a, b):
     """Steps (1) and (2) of the reference: (a2, b2, inv_dx, dy), or None
     when the levels or the rows are not progressions with shared
     differences."""
-    ok_a, dy_a = _ap_difference(a.ys())
-    ok_b, dy_b = _ap_difference(b.ys())
+    ok_a, dy_a = _ap_difference(sorted({p.y for p in a}))
+    ok_b, dy_b = _ap_difference(sorted({p.y for p in b}))
     dys = {v for v in (dy_a, dy_b) if v is not None}
     if not (ok_a and ok_b) or len(dys) != 1:
         return None

@@ -98,6 +98,13 @@ class TestChecks:
         payload = json.loads(out)
         assert payload["equality"] is True and payload["ap_case"] is True
 
+    def test_check_thm2_on_crossing_lines_names_its_hypothesis(self, capsys):
+        # a horizontal and a vertical segment: collinear, but not parallel
+        stream = "# set: A\n0 0\n1 0\n# set: B\n0 0\n0 1\n"
+        assert run_cli(["check", "thm2"], stdin_text=stream) == (2, "")
+        assert capsys.readouterr().err == \
+            "error: thm2 needs two 2D sets or collinear sets on parallel lines\n"
+
     def test_check_thm3_wild_regime_is_input_error(self):
         _, stream = run_cli(["gen", "wild", "--x", "4"])
         code, _ = run_cli(["check", "thm3"], stdin_text=stream)
@@ -275,6 +282,12 @@ class TestErrors:
         stream = "# set: A\n0 0\n1 0\n0 1\n# set: B\n0 0\n1 0\n1 1\n0 1\n"
         code, _ = run_cli(["poly", "partition", "--k", "2"], stdin_text=stream)
         assert code == 2
+
+    def test_star_polygon_exit_2(self, capsys):
+        # a pentagram turns left at every vertex but winds twice; it used to exit 0
+        stream = "# set: A\n0 0\n5 3\n-1 3\n4 0\n2 5\n# set: B\n0 0\n1 0\n0 1\n"
+        assert run_cli(["poly", "report"], stdin_text=stream) == (2, "")
+        assert capsys.readouterr().err == "error: vertices must wind once around, not 2 times\n"
 
     def test_mode_mismatch_exit_2(self):
         stream = "# set: A\n0 0\n1 0\n# set: B\n0 0\n0 1\n"

@@ -34,7 +34,7 @@ class TestCompress:
     def test_conservation(self, x):
         c = compress(x)
         assert len(c) == len(x)
-        assert c.ys() == x.ys()
+        assert {p.y for p in c} == {p.y for p in x}
         sx, sc = cover_stats(x), cover_stats(c)
         assert sc.max_horizontal_section == sx.max_horizontal_section
 

@@ -8,7 +8,7 @@ import pytest
 from conftest import convex_hull, random_convex_polygon, random_rational_convex_polygon
 from sumsetlab import (BoundaryChains, ConvexPolygon, DegenerateProjection,
                        StretchDecomposition, rat,
-                       HypothesisViolated, InvalidAmount, InvalidSpec, Point2,
+                       HypothesisViolated, InvalidAmount, InvalidSpec, ParseError, Point2,
                        bonnesen_report, clip_vertical_slab,
                        decompose_and_classify, decompose_vertical,
                        dumps_polygon, from_chains, graph_body_bounds,
@@ -427,6 +427,21 @@ class TestPolygonValidationAndIO:
     def test_collinear_vertex_rejected(self):
         with pytest.raises(InvalidSpec):
             ConvexPolygon([(0, 0), (1, 0), (2, 0), (1, 1)])
+
+    # strict left turns at every vertex, but the edges wind twice around
+    PENTAGRAM = [(0, 0), (5, 3), (-1, 3), (4, 0), (2, 5)]
+    HEPTAGRAM = [(3, 1), (-2, 3), (-2, -2), (2, -2), (1, 3), (-3, 0), (0, -3)]  # {7/2}
+
+    @pytest.mark.parametrize("star", [PENTAGRAM, HEPTAGRAM], ids=["pentagram", "heptagram"])
+    def test_star_rejected(self, star):
+        assert all(_turn(a, b, c) > 0 for a, b, c in
+                   zip(star, star[1:] + star[:1], star[2:] + star[:2]))
+        with pytest.raises(InvalidSpec) as exc:
+            ConvexPolygon(star)
+        assert str(exc.value) == "vertices must wind once around, not 2 times"
+        text = "".join(f"{x} {y}\n" for x, y in star)
+        with pytest.raises(ParseError, match="^vertices must wind once around, not 2 times$"):
+            loads_polygon(text)
 
     def test_canonical_start(self):
         p = ConvexPolygon([(1, 1), (0, 1), (0, 0), (1, 0)])

@@ -118,6 +118,20 @@ class TestKernelMatchesReference:
         assert kernel.call_count == 1
 
 
+class TestSumsetSize:
+    """sumset_size counts the sum that minkowski_sum builds, on the same
+    integer, rational, sparse (far apart) and singleton sets."""
+
+    @given(st.one_of(kernel_sets, sparse_sets), st.one_of(kernel_sets, sparse_sets))
+    @settings(max_examples=400, deadline=None)
+    def test_counts_the_built_sum(self, a, b):
+        assert core.sumset_size(a, b) == len(minkowski_sum(a, b))
+
+    def test_empty_rejected(self):
+        with pytest.raises(EmptySet, match="sumset_size needs nonempty sets"):
+            core.sumset_size(PointSet2D(), ps((0, 0)))
+
+
 # cover_stats, collinear_direction, _primitive, parallel_directions and
 # arithmetic_progression_of as they were before core's one line walk, verbatim
 # but for their names: cover_stats read columns(), rows() and a second walk.

@@ -14,7 +14,7 @@ class TestTrapezoid:
     def test_single_column_is_segment(self):
         t = gen_trapezoid(TrapezoidSpec(1, 5, 0, 0))
         assert len(t) == 5
-        assert t.xs() == [0]
+        assert {p.x for p in t} == {0}
 
     def test_figure_one_shape(self):
         t = gen_trapezoid(TrapezoidSpec(6, 19, -1, 2))

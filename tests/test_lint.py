@@ -3,10 +3,13 @@
 No broad exception handler: a bare `except:`, an `except Exception` or an
 `except BaseException` would turn a bug into an ordinary error or exit code
 instead of a traceback.  No unused private code: a module-level `_name`
-function or class that nothing in `src/` refers to is dead.
+function or class that nothing in `src/` refers to is dead.  No third-party
+import: the library has no runtime dependencies, and numpy in particular
+must not become one.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -77,3 +80,28 @@ def test_unused_helper_is_found():
         "b": "from . import a\nfrom .a import _Dead\n\n\ndef f():\n    return a._used()\n",
     }
     assert unused_private(sources) == ["a._unused", "a._Dead"]
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Top-level names of the modules a source imports that are neither in
+    the standard library nor the package itself (relative or sumsetlab)."""
+    names = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    return [name for name in names if name.split(".")[0] not in sys.stdlib_module_names
+            and name.split(".")[0] != "sumsetlab"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_imports_only_stdlib_and_the_package(path):
+    assert foreign_imports(path.read_text(encoding="utf-8")) == [], path.name
+
+
+def test_foreign_import_is_found():
+    source = ("import os, numpy as np\nfrom . import core\nfrom .core import rat\n"
+              "from sumsetlab.core import rat\nfrom fractions import Fraction\n"
+              "def f():\n    import scipy.sparse\n    from hypothesis import given\n")
+    assert foreign_imports(source) == ["numpy", "scipy.sparse", "hypothesis"]

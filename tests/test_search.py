@@ -638,6 +638,17 @@ def test_unclassified_records_name_the_image_pairs(monkeypatch):
     assert rep == want
 
 
+@pytest.mark.parametrize("mode", [BoundMode.LINES_GS, BoundMode.SECTIONS_GS], ids=lambda m: m.value)
+def test_classifier_recheck_catches_a_wrong_count(monkeypatch, mode):
+    """The classifiers re-check each extremal pair the lanes find by core's own
+    count of A+B; a count that is off by one must raise, not pass."""
+    from sumsetlab import classify
+    count = classify.sumset_size
+    monkeypatch.setattr(classify, "sumset_size", lambda a, b: count(a, b) + 1)
+    with pytest.raises(ConsistencyError, match="sweep extremality disagrees with classifier"):
+        sweep(cfg(grid_width=3, grid_height=3, mode=mode))
+
+
 def test_sweep_reaches_eps_and_case_c_families():
     eps = sweep(cfg(grid_width=3, grid_height=4, mode=BoundMode.SECTIONS_GS,
                     min_mn=2, max_size_b=3))
