@@ -10,10 +10,9 @@ from importlib import import_module
 
 _EXPORTS = {
     "bounds": ("AveragingReport", "BoundMode", "BoundReport", "SupportedSequence",
-               "averaging_report", "bound", "chain_diagnostic", "freiman_threshold_rhs",
-               "u_values"),
+               "averaging_report", "bound", "chain_diagnostic", "u_values"),
     "classify": ("Classification", "Verdict", "classify_1d", "classify_thm2",
-                 "classify_thm3", "is_extremal", "split_check"),
+                 "classify_thm3", "split_check"),
     "compression": ("compress", "compression_chain"),
     "convex": ("BoundaryChains", "ContinuousReport", "ConvexPolygon", "HomothetyCertificate",
                "StretchDecomposition", "bonnesen_report", "clip_vertical_slab",

@@ -7,7 +7,8 @@ Four bound modes are evaluated exactly:
 * sections:   same rhs, but m, n are the maximal horizontal sections;
 * doubling:   B must equal A, rhs = (2|A|/m - 1)(2m - 1) with m the
                vertical line-cover count;
-* 1d:         both sets collinear on parallel lines, rhs = |A| + |B| - 1.
+* 1d:         both sets collinear on parallel lines, rhs = |A| + |B| - 1;
+               m = n = 1, and no cover counts are read.
 """
 
 from __future__ import annotations
@@ -54,16 +55,6 @@ class BoundReport:
         }
 
 
-def mode_mn(mode: BoundMode, a: PointSet2D, b: PointSet2D) -> tuple[int, int]:
-    """The (m, n) pair a mode plugs into its right-hand side."""
-    sa, sb = cover_stats(a), cover_stats(b)
-    if mode is BoundMode.LINES_GS or mode is BoundMode.DOUBLING:
-        return sa.vertical_line_count, sb.vertical_line_count
-    if mode is BoundMode.SECTIONS_GS:
-        return sa.max_horizontal_section, sb.max_horizontal_section
-    return 1, 1  # one-dimensional: each set lies on a single line
-
-
 def rhs_num_den(mode: BoundMode, size_a: int, m: int, size_b: int, n: int) -> tuple[int, int]:
     """The right-hand side as an exact num/den (den > 0) for sizes |A|, |B|
     and the mode's counts m, n; doubling is lines with B = A."""
@@ -84,21 +75,17 @@ def bound(mode: BoundMode, a: PointSet2D, b: PointSet2D) -> BoundReport:
             raise ModeMismatch("1d mode requires both sets collinear")
         if not parallel_directions(da, db):
             raise ModeMismatch("1d mode requires the two lines to be parallel")
-
-    m, n = mode_mn(mode, a, b)
+        m = n = 1  # each set lies on a single line
+    else:
+        sa, sb = cover_stats(a), cover_stats(b)
+        if mode is BoundMode.SECTIONS_GS:
+            m, n = sa.max_horizontal_section, sb.max_horizontal_section
+        else:  # lines, and doubling as lines with B = A
+            m, n = sa.vertical_line_count, sb.vertical_line_count
     rhs = Fraction(*rhs_num_den(mode, len(a), m, len(b), n))
     lhs = Fraction(len(minkowski_sum(a, b)))
     gap = lhs - rhs
     return BoundReport(mode, m, n, rat(lhs), rat(rhs), rat(gap), gap == 0)
-
-
-def freiman_threshold_rhs(cardinality: int, m: int) -> Rational:
-    """The doubling threshold (4 - 2/(m+1))·k - (2m+1), as a pure formula.
-
-    Diagnostic only: the covering statement it belongs to has an unspecified
-    size threshold which this artifact does not model.
-    """
-    return rat((4 - Fraction(2, m + 1)) * cardinality - (2 * m + 1))
 
 
 @dataclass(frozen=True)

@@ -43,7 +43,7 @@ from .bounds import BoundMode, bound, rhs_num_den
 from .core import (AffineMap2D, Point2, PointSet2D, Rational, _point,
                    arithmetic_progression_of, collinear_direction, cover_stats,
                    parallel_directions, rat, rat_str, shared_difference, sumset_size)
-from .errors import EmptySet, HypothesisViolated, InvalidSpec, NotCollinear
+from .errors import EmptySet, HypothesisViolated, InvalidSpec, ModeMismatch, NotCollinear
 from .families import CaseCSpec, EpsilonSpec, TrapezoidSpec, gen_case_c
 
 
@@ -82,11 +82,6 @@ def _jsonify(value):
     if isinstance(value, Fraction):
         return rat_str(value)
     return value
-
-
-def is_extremal(a: PointSet2D, b: PointSet2D, mode: BoundMode) -> bool:
-    """True exactly when the pair attains the mode's lower bound."""
-    return bound(mode, a, b).extremal
 
 
 # ---------------------------------------------------------------------------
@@ -148,16 +143,20 @@ def _trapezoid_spec_of(cols: dict) -> Optional[tuple[TrapezoidSpec, Point2]]:
 
 def classify_1d(a: PointSet2D, b: PointSet2D) -> Classification:
     """The torsion-free one-dimensional case: |A+B| >= |A| + |B| - 1 with
-    equality iff min(|A|, |B|) = 1 or both are APs with a common difference."""
+    equality iff min(|A|, |B|) = 1 or both are APs with a common difference.
+
+    equality is core's own count of A+B against |A| + |B| - 1, independent
+    of the AP test; b is not tested as an AP when a is not one."""
     if len(a) == 0 or len(b) == 0:
         raise EmptySet("classify_1d needs nonempty sets")
     da, db = collinear_direction(a), collinear_direction(b)
     if da is None or db is None:
         raise NotCollinear("classify_1d needs collinear inputs")
-    rep = bound(BoundMode.ONE_DIMENSIONAL, a, b)  # raises ModeMismatch if not parallel
+    if not parallel_directions(da, db):
+        raise ModeMismatch("1d mode requires the two lines to be parallel")
     min_case = min(len(a), len(b)) == 1
     delta_a = arithmetic_progression_of(a)
-    delta_b = arithmetic_progression_of(b)
+    delta_b = None if delta_a is None else arithmetic_progression_of(b)
     ap_case = (
         delta_a is not None and delta_b is not None
         and (len(a) == 1 or len(b) == 1 or delta_a == delta_b)
@@ -165,7 +164,7 @@ def classify_1d(a: PointSet2D, b: PointSet2D) -> Classification:
     return Classification(
         verdict=Verdict.ONE_DIMENSIONAL,
         details={
-            "equality": rep.extremal,
+            "equality": sumset_size(a, b) == len(a) + len(b) - 1,
             "min_case": min_case,
             "ap_case": ap_case,
             "common_difference": delta_a if (ap_case and len(a) > 1) else (delta_b if ap_case else None),
@@ -187,7 +186,7 @@ def classify_thm2(a: PointSet2D, b: PointSet2D) -> Classification:
         return classify_1d(a, b)
     cols_a, cols_b = a.columns(), b.columns()
     num, den = rhs_num_den(BoundMode.LINES_GS, len(a), len(cols_a), len(b), len(cols_b))
-    if sumset_size(a, b) * den != num:  # is_extremal, counting A+B only
+    if sumset_size(a, b) * den != num:  # bound(...).extremal, counting A+B only
         return Classification(Verdict.NOT_EXTREMAL)
 
     # (1) x-projections and (2) vertical sections: APs with shared
@@ -384,7 +383,7 @@ def classify_thm3(a: PointSet2D, b: PointSet2D, *, verdict_only: bool = False) -
     if collinear_direction(a) is not None or collinear_direction(b) is not None:
         raise HypothesisViolated("sections-mode characterization needs two-dimensional sets")
     num, den = rhs_num_den(BoundMode.SECTIONS_GS, len(a), m, len(b), n)
-    if sumset_size(a, b) * den != num:  # is_extremal, counting A+B only
+    if sumset_size(a, b) * den != num:  # bound(...).extremal, counting A+B only
         return Classification(Verdict.NOT_EXTREMAL)
 
     # (1) level sets and (2) rows: APs with shared differences dy and dx;
@@ -445,7 +444,7 @@ def split_check(a: PointSet2D, b: PointSet2D) -> bool:
     m, n = sa.max_horizontal_section, sb.max_horizontal_section
     if m < 2 or n < 2:
         raise HypothesisViolated("split_check needs m, n >= 2")
-    if not is_extremal(a, b, BoundMode.SECTIONS_GS):
+    if not bound(BoundMode.SECTIONS_GS, a, b).extremal:
         raise HypothesisViolated("split_check needs a sections-extremal pair")
     rows_a, rows_b = a.rows(), b.rows()
     t = min(v for v, xs in rows_a.items() if len(xs) == m)
@@ -454,5 +453,5 @@ def split_check(a: PointSet2D, b: PointSet2D) -> bool:
     a_plus = PointSet2D(p for p in a if p.y >= t)
     b_minus = PointSet2D(p for p in b if p.y <= t_prime)
     b_plus = PointSet2D(p for p in b if p.y >= t_prime)
-    return (is_extremal(a_minus, b_minus, BoundMode.SECTIONS_GS)
-            and is_extremal(a_plus, b_plus, BoundMode.SECTIONS_GS))
+    return (bound(BoundMode.SECTIONS_GS, a_minus, b_minus).extremal
+            and bound(BoundMode.SECTIONS_GS, a_plus, b_plus).extremal)

@@ -464,14 +464,13 @@ def arithmetic_progression_of(x: PointSet2D) -> Optional[Point2]:
     if len(x) == 0:
         raise EmptySet("arithmetic_progression_of needs a nonempty set")
     pts = x.points
-    step = _line_step(pts)
-    if step is None:
+    ok_x, dx = shared_difference([[p[0] for p in pts]])
+    ok_y, dy = shared_difference([[p[1] for p in pts]])
+    if ok_x and ok_y:  # then the points lie on one line, one step apart
+        return _point(dx or 0, dy or 0)
+    if _line_step(pts) is None:
         raise NotCollinear("arithmetic_progression_of needs a collinear set")
-    delta = _point(*step)
-    for prev, cur in zip(pts, pts[1:]):
-        if cur - prev != delta:
-            return None
-    return delta
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import hypothesis.strategies as st
 from conftest import nonempty_pairs, point_sets
 from sumsetlab import (BoundMode, EmptySet, ModeMismatch, PointSet2D,
                        SupportedSequence, averaging_report, bound,
-                       chain_diagnostic, compress, freiman_threshold_rhs,
+                       chain_diagnostic, compress,
                        gen_trapezoid, gen_wild, u_values)
 from sumsetlab.bounds import _section_chain_sums, rhs_num_den
 from sumsetlab.families import TrapezoidSpec
@@ -83,17 +83,6 @@ def test_rhs_num_den_matches_fraction_formulas(mode):
             num, den = rhs_num_den(mode, size_a, m, size_b, n)
             assert den > 0
             assert Fraction(num, den) == reference_rhs(mode, size_a, m, size_b, n)
-
-
-class TestFreimanThreshold:
-    def test_m1(self):
-        assert freiman_threshold_rhs(10, 1) == 27
-
-    def test_m2(self):
-        assert freiman_threshold_rhs(9, 2) == 25
-
-    def test_m3(self):
-        assert freiman_threshold_rhs(4, 3) == 7
 
 
 class TestUValues:

@@ -12,7 +12,7 @@ import sumsetlab.classify as library
 from sumsetlab import (AffineMap2D, BoundMode, EmptySet, HypothesisViolated,
                        NotCollinear, Point2, PointSet2D, SweepConfig, Verdict,
                        apply_map, classify_1d, classify_thm2, classify_thm3,
-                       collinear_direction, cover_stats, is_extremal, rat,
+                       bound, collinear_direction, cover_stats, rat,
                        split_check, sweep)
 from sumsetlab.classify import Classification
 from sumsetlab.core import Rational, _point, shared_difference
@@ -34,16 +34,16 @@ def figure2_pair():
 
 class TestIsExtremal:
     def test_wild_sections(self):
-        assert is_extremal(*gen_wild(4), BoundMode.SECTIONS_GS)
+        assert bound(BoundMode.SECTIONS_GS, *gen_wild(4)).extremal
 
     def test_corner_triple_lines(self):
         t = ps((0, 0), (1, 0), (0, 1))
-        assert is_extremal(t, t, BoundMode.LINES_GS)
+        assert bound(BoundMode.LINES_GS, t, t).extremal
 
     def test_far_point_breaks_extremality(self):
         t = ps((0, 0), (1, 0), (0, 1))
         b = ps((0, 0), (1, 0), (0, 1), (5, 5))
-        assert not is_extremal(t, b, BoundMode.LINES_GS)
+        assert not bound(BoundMode.LINES_GS, t, b).extremal
 
 
 class TestClassifyThm2:
@@ -225,7 +225,7 @@ def reference_classify_thm2(a: PointSet2D, b: PointSet2D) -> Classification:
         raise EmptySet("classify_thm2 needs nonempty sets")
     if collinear_direction(a) is not None or collinear_direction(b) is not None:
         return classify_1d(a, b)
-    if not is_extremal(a, b, BoundMode.LINES_GS):
+    if not bound(BoundMode.LINES_GS, a, b).extremal:
         return Classification(Verdict.NOT_EXTREMAL)
 
     # (1) x-projections: APs with one shared difference alpha
@@ -821,6 +821,100 @@ class TestWitnessMaps:
         assert normalized_a == _integer_form(gen_eps(cls.details["eps_spec"]))
         normalized_b = _integer_form(apply_map(apply_map(b, m), w))
         assert normalized_b == _integer_form(gen_trapezoid(cls.details["partner"]))
+
+
+def _origin_form(s: PointSet2D) -> PointSet2D:
+    """s translated to min x = min y = 0."""
+    return s.translate(Point2(-min(p.x for p in s), -min(p.y for p in s)))
+
+
+def replay(a: PointSet2D, b: PointSet2D, cls: Classification) -> bool:
+    """True when cls.witness_map carries a and b, each translated to
+    min x = min y = 0, onto the family its verdict names, built from its
+    details with the roles as given by roles_swapped; a thm2 verdict's anchors
+    must place each family set exactly."""
+    got_a, got_b = (apply_map(s, cls.witness_map) for s in (a, b))
+    details = cls.details
+    if cls.verdict is Verdict.TRAPEZOID_PAIR:
+        want_a, want_b = gen_trapezoid(details["spec_a"]), gen_trapezoid(details["spec_b"])
+        if "anchor_a" in details and (got_a, got_b) != (want_a.translate(details["anchor_a"]),
+                                                        want_b.translate(details["anchor_b"])):
+            return False
+    elif cls.verdict is Verdict.EPS_TRAPEZOID_PAIR:
+        want_a, want_b = gen_eps_trapezoid(details["eps_spec"]), gen_trapezoid(details["partner"])
+    elif cls.verdict is Verdict.CASE_C_PAIR:
+        want_a, want_b = gen_case_c(details["spec"])
+    else:
+        raise AssertionError(f"{cls.verdict.value} names no family to replay")
+    if details.get("roles_swapped"):
+        want_a, want_b = want_b, want_a
+    return [_origin_form(s) for s in (got_a, got_b)] == [_origin_form(s) for s in (want_a, want_b)]
+
+
+def seeded_map(rng: random.Random, upper_triangular: bool) -> AffineMap2D:
+    """A rational map of the theorem's group: upper-triangular for thm3,
+    diagonal for thm2, each with a translation."""
+    def r(lo=-9):
+        value = Fraction(rng.randint(lo, 9), rng.randint(1, 6))
+        return value or Fraction(1, 2)
+    a11, a22, tx, ty = r(), r(), r(), r()
+    return AffineMap2D.upper_triangular(a11, r(), a22, tx, ty) if upper_triangular \
+        else AffineMap2D.diagonal(a11, a22, tx, ty)
+
+
+# (mode, classifier, seed): the 3x3 --min-mn 2 sweeps of the two theorems
+REPLAY_SWEEPS = {"thm3": (BoundMode.SECTIONS_GS, classify_thm3, 3),
+                 "thm2": (BoundMode.LINES_GS, classify_thm2, 2)}
+
+
+def replay_cases(theorem: str, mapped: bool) -> list:
+    """(a, b, classification) for every two-dimensional extremal pair of the
+    theorem's sweep, both sets under one seeded map of its group if mapped."""
+    mode, classifier, seed = REPLAY_SWEEPS[theorem]
+    pairs = two_dimensional_sweep_pairs(3, 3, mode, min_mn=2)
+    if mapped:
+        m = seeded_map(random.Random(seed), upper_triangular=theorem == "thm3")
+        pairs = [(apply_map(a, m), apply_map(b, m)) for a, b in pairs]
+    return [(a, b, classifier(a, b)) for a, b in pairs]
+
+
+class TestWitnessReplay:
+    """Every family verdict of the 3x3 sweeps replays its own witness: an
+    independent check of the classifiers, not a copy of their algorithm."""
+
+    @pytest.mark.parametrize("mapped", [False, True], ids=["plain", "mapped"])
+    @pytest.mark.parametrize("theorem", sorted(REPLAY_SWEEPS))
+    def test_every_extremal_pair_replays(self, theorem, mapped):
+        cases = replay_cases(theorem, mapped)
+        assert len(cases) > 100  # 3x3 yields trapezoid pairs only
+        assert [(a, b) for a, b, cls in cases if not replay(a, b, cls)] == []
+
+    @pytest.mark.parametrize("mapped", [False, True], ids=["plain", "mapped"])
+    def test_shifted_and_case_c_pairs_replay_in_both_roles(self, mapped):
+        eps = gen_eps_trapezoid(EpsilonSpec(TrapezoidSpec(2, 6, 2, 1), frozenset({2})))
+        partner = gen_trapezoid(TrapezoidSpec(2, 2, 2, 1))
+        pairs = [figure2_pair(), (eps, partner), (partner, eps),
+                 gen_case_c(CaseCSpec(2, 3, 3)), gen_case_c(CaseCSpec(4, 4, 7))[::-1]]
+        if mapped:
+            m = seeded_map(random.Random(5), upper_triangular=True)
+            pairs = [(apply_map(a, m), apply_map(b, m)) for a, b in pairs]
+        classes = [classify_thm3(a, b) for a, b in pairs]
+        assert [cls.verdict for cls in classes] == [Verdict.EPS_TRAPEZOID_PAIR] * 3 \
+            + [Verdict.CASE_C_PAIR] * 2
+        assert [cls.details["roles_swapped"] for cls in classes] == [False, False, True, False, True]
+        for (a, b), cls in zip(pairs, classes):
+            assert replay(a, b, cls)
+            swapped = dict(cls.details, roles_swapped=not cls.details["roles_swapped"])
+            assert not replay(a, b, Classification(cls.verdict, swapped, cls.witness_map))
+
+    def test_flipped_shear_sign_fails(self):
+        cases = [(a, b, cls) for a, b, cls in replay_cases("thm3", mapped=True)
+                 if cls.witness_map.a12 != 0]
+        assert len(cases) > 50
+        for a, b, cls in cases:
+            w = cls.witness_map
+            flipped = AffineMap2D.upper_triangular(w.a11, -w.a12, w.a22, w.tx, w.ty)
+            assert not replay(a, b, Classification(cls.verdict, cls.details, flipped))
 
 
 class TestClassificationJson:

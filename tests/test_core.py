@@ -4,6 +4,7 @@ import pickle
 import subprocess
 import sys
 import time
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -17,11 +18,11 @@ import hypothesis.strategies as st
 from conftest import nonempty_pairs, point_sets, points
 from sumsetlab import (AffineMap2D, BoundMode, CoverStats, EmptySet, InvalidSpec,
                        NotCollinear, ParseError, Point2, PointSet2D, apply_map,
-                       arithmetic_progression_of, bound, collinear_direction,
-                       cover_stats, dumps_points, gen_trapezoid, gen_wild,
-                       loads_points, minkowski_sum, parallel_directions)
+                       arithmetic_progression_of, bound, classify_1d, collinear_direction,
+                       cover_stats, dumps_points, gen_trapezoid, gen_wild, loads_points,
+                       minkowski_sum, parallel_directions)
 import sumsetlab
-from sumsetlab import core
+from sumsetlab import bounds, core
 from sumsetlab.classify import _jsonify
 from sumsetlab.core import Rational, rat, rat_str, shared_difference
 from sumsetlab.families import TrapezoidSpec
@@ -267,6 +268,103 @@ class TestLineWalkMatchesReference:
         with mock.patch.object(PointSet2D, "rows", side_effect=no_lines), \
                 mock.patch.object(PointSet2D, "columns", side_effect=no_lines):
             assert run(cover_stats) == want
+
+
+# arithmetic_progression_of as it was before it read the coordinate
+# sequences with shared_difference, verbatim but for its name
+def line_walk_arithmetic_progression_of(x: PointSet2D):
+    if len(x) == 0:
+        raise EmptySet("arithmetic_progression_of needs a nonempty set")
+    pts = x.points
+    step = core._line_step(pts)
+    if step is None:
+        raise NotCollinear("arithmetic_progression_of needs a collinear set")
+    delta = core._point(*step)
+    for prev, cur in zip(pts, pts[1:]):
+        if cur - prev != delta:
+            return None
+    return delta
+
+
+@contextmanager
+def counting(owner, name):
+    """A Mock wrapping owner.name, put in its place in every sumsetlab module
+    that binds it, so that calls through `from .core import name` count too."""
+    original = getattr(owner, name)
+    spy = mock.Mock(wraps=original)
+    with ExitStack() as stack:
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").partition(".")[0] == "sumsetlab" \
+                    and vars(module).get(name) is original:
+                stack.enter_context(mock.patch.object(module, name, spy))
+        yield spy
+
+
+# two sets on parallel lines, p + k*d and q + j*r*d with r != 0
+parallel_line_pairs = st.builds(
+    lambda p, q, d, r, ks, js: (PointSet2D(Point2(*p) + Point2(*d).scale(k) for k in ks),
+                                PointSet2D(Point2(*q) + Point2(*d).scale(r * j) for j in js)),
+    st.tuples(mixed_rational, mixed_rational), st.tuples(mixed_rational, mixed_rational),
+    st.tuples(mixed_rational, mixed_rational).filter(lambda d: d != (0, 0)),
+    mixed_rational.filter(bool),
+    st.lists(small_int, min_size=1, max_size=8), st.lists(small_int, min_size=1, max_size=8))
+
+
+def assert_1d_matches_reference(a: PointSet2D, b: PointSet2D) -> bool:
+    """classify_1d's equality is the 1d bound's, and arithmetic_progression_of
+    is its line-walk version on both sets; returns the equality."""
+    equality = classify_1d(a, b).details["equality"]
+    assert equality == bound(BoundMode.ONE_DIMENSIONAL, a, b).extremal
+    for x in (a, b):
+        got, want = arithmetic_progression_of(x), line_walk_arithmetic_progression_of(x)
+        assert typed_or_none(got) == typed_or_none(want)
+    return equality
+
+
+class TestCountOnlyPaths:
+    """classify_1d counts A+B without bound or minkowski_sum, and 1d mode
+    reads no cover counts and walks each line once."""
+
+    AP_PAIR = (ps((0, 0), (1, 2), (2, 4)), ps((5, 1), (6, 3)))
+    NON_AP_PAIR = (ps((0, 0), (1, 2), (3, 6)), ps((5, 1), (6, 3)))
+    BOTH_NON_AP_PAIR = (ps((0, 0), (1, 2), (3, 6)), ps((5, 1), (6, 3), (8, 7)))
+
+    @pytest.mark.parametrize("pair,walks", [(AP_PAIR, 2), (NON_AP_PAIR, 3), (BOTH_NON_AP_PAIR, 3)],
+                             ids=["ap", "a_not_ap", "neither_ap"])
+    def test_classify_1d_neither_bounds_nor_builds(self, pair, walks):
+        with counting(bounds, "bound") as bound_calls, \
+                counting(core, "minkowski_sum") as sums, counting(core, "_line_step") as steps:
+            classify_1d(*pair)
+        assert bound_calls.call_count == 0 and sums.call_count == 0
+        assert steps.call_count == walks
+
+    def test_1d_bound_reads_no_cover_counts(self):
+        with counting(core, "cover_stats") as stats, counting(core, "_line_step") as steps, \
+                counting(core, "minkowski_sum") as sums:
+            bound(BoundMode.ONE_DIMENSIONAL, *self.AP_PAIR)
+        assert (stats.call_count, steps.call_count, sums.call_count) == (0, 2, 1)
+
+    @pytest.mark.parametrize("mode", [BoundMode.LINES_GS, BoundMode.SECTIONS_GS],
+                             ids=lambda m: m.value)
+    def test_2d_bound_builds_the_sum_once(self, mode):
+        a, b = gen_wild(4)
+        with counting(core, "cover_stats") as stats, counting(core, "minkowski_sum") as sums:
+            bound(mode, a, b)
+        assert (stats.call_count, sums.call_count) == (2, 1)
+
+    def test_1d_equality_is_the_bound_on_3x3_pairs(self):
+        lines = [x for x in grid_subset_sets(3, 3) if collinear_direction(x) is not None]
+        seen = []
+        for a in lines:
+            for b in lines:
+                if parallel_directions(collinear_direction(a), collinear_direction(b)):
+                    seen.append(assert_1d_matches_reference(a, b))
+        assert len(lines) == 53 and seen.count(True) > 0 and seen.count(False) > 0
+
+    @given(parallel_line_pairs)
+    @settings(max_examples=300, deadline=None)
+    def test_1d_equality_is_the_bound_on_rational_lines(self, pair):
+        assert_1d_matches_reference(*pair)
 
 
 def test_import_and_sumset_do_not_load_numpy():

@@ -3,8 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from sumsetlab import (BoundMode, InvalidSpec, bound, cover_stats,
-                       is_extremal)
+from sumsetlab import BoundMode, InvalidSpec, bound, cover_stats
 from sumsetlab.families import (CaseCSpec, EpsilonSpec, TrapezoidSpec,
                                 gen_case_c, gen_eps_trapezoid, gen_trapezoid,
                                 gen_wild)
@@ -103,7 +102,7 @@ class TestWild:
     def test_larger_offsets_stay_extremal(self):
         for x in (5, 6, 7, 8, Fraction(9, 2)):
             a, b = gen_wild(x)
-            assert is_extremal(a, b, BoundMode.SECTIONS_GS)
+            assert bound(BoundMode.SECTIONS_GS, a, b).extremal
 
     def test_domain_constraint(self):
         with pytest.raises(InvalidSpec):
@@ -125,8 +124,8 @@ class TestFamilyExtremality:
                             sb = TrapezoidSpec(n, hp, c, d)
                         except InvalidSpec:
                             continue
-                        assert is_extremal(gen_trapezoid(sa), gen_trapezoid(sb),
-                                           BoundMode.LINES_GS)
+                        assert bound(BoundMode.LINES_GS, gen_trapezoid(sa),
+                                     gen_trapezoid(sb)).extremal
 
     def test_eps_pairs_sections_extremal(self):
         for (m, h, c, d) in [(2, 4, 0, 1), (2, 5, 1, 1), (3, 7, 1, 2), (2, 6, 2, 1)]:
@@ -141,7 +140,7 @@ class TestFamilyExtremality:
                 partner = gen_trapezoid(TrapezoidSpec(n, (n - 1) * d + 1, c, d))
                 for ones in supports:
                     a = gen_eps_trapezoid(EpsilonSpec(base, ones))
-                    assert is_extremal(a, partner, BoundMode.SECTIONS_GS)
+                    assert bound(BoundMode.SECTIONS_GS, a, partner).extremal
 
     def test_case_c_sections_extremal_for_odd_k(self):
         failures = []
@@ -149,7 +148,7 @@ class TestFamilyExtremality:
             for n in (2, 3, 4):
                 for k in (1, 3, 5, 7, 9):
                     a, b = gen_case_c(CaseCSpec(m, n, k))
-                    if not is_extremal(a, b, BoundMode.SECTIONS_GS):
+                    if not bound(BoundMode.SECTIONS_GS, a, b).extremal:
                         failures.append((m, n, k))
         assert failures == []
 

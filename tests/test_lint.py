@@ -5,7 +5,8 @@ No broad exception handler: a bare `except:`, an `except Exception` or an
 instead of a traceback.  No unused private code: a module-level `_name`
 function or class that nothing in `src/` refers to is dead.  No third-party
 import: the library has no runtime dependencies, and numpy in particular
-must not become one.
+must not become one.  No A+B built only to be counted: `len(minkowski_sum(...))`
+builds every point of the sum, where sumset_size counts it.
 """
 
 import ast
@@ -105,3 +106,43 @@ def test_foreign_import_is_found():
               "from sumsetlab.core import rat\nfrom fractions import Fraction\n"
               "def f():\n    import scipy.sparse\n    from hypothesis import given\n")
     assert foreign_imports(source) == ["numpy", "scipy.sparse", "hypothesis"]
+
+
+# bounds.bound keeps len(minkowski_sum(a, b)): perfbench's self-test
+# (test_library_layers_cover_imported_names, run in tier-1 through
+# tests/test_benchmark_selftest.py) counts that call through bounds' binding.
+# The two section chains keep it until perfbench's peak_rss_mb stops growing
+# with the operations run: its Runner keeps a record per operation, so a
+# faster chain reads as more peak memory on the `scan` workload.
+COUNTED_SUM_ALLOWED = {"bounds.bound", "bounds.chain_diagnostic",
+                       "compression.compression_chain"}
+
+
+def counted_sums(sources: dict) -> list[str]:
+    """`module.name` of each top-level function or class whose code takes
+    len() of a minkowski_sum(...) call; sources maps module -> text."""
+    found = []
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                        and node.func.id == "len" and node.args \
+                        and isinstance(node.args[0], ast.Call):
+                    inner = node.args[0].func
+                    if getattr(inner, "id", getattr(inner, "attr", None)) == "minkowski_sum":
+                        found.append(f"{module}.{getattr(stmt, 'name', '<module>')}")
+    return found
+
+
+def test_no_sum_built_only_to_be_counted():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert set(counted_sums(sources)) == COUNTED_SUM_ALLOWED
+
+
+def test_counted_sum_is_found():
+    sources = {
+        "a": "def f(a, b):\n    return len(minkowski_sum(a, b))\n\n\n"
+             "class C:\n    def g(self, a, b):\n        return len(core.minkowski_sum(a, b))\n",
+        "b": "s = minkowski_sum(a, b)\nn = len(s) + len(poly_minkowski_sum(p, q).vertices)\n",
+    }
+    assert counted_sums(sources) == ["a.f", "a.C"]

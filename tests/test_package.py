@@ -16,14 +16,13 @@ ROOT = Path(__file__).resolve().parent.parent
 # The names the package imported eagerly, per submodule, before the namespace
 # became lazy; classify.RowProfile, classify.TrapezoidZones, core.Axis,
 # core.section, core.load_points, convex.area_and_projection,
-# convex.is_bonnesen_extremal, convex.load_polygon and convex.save_polygon have
-# been deleted since.
+# convex.is_bonnesen_extremal, convex.load_polygon, convex.save_polygon,
+# classify.is_extremal and bounds.freiman_threshold_rhs have been deleted since.
 EAGER_EXPORTS = {
     "bounds": ["AveragingReport", "BoundMode", "BoundReport", "SupportedSequence",
-               "averaging_report", "bound", "chain_diagnostic", "freiman_threshold_rhs",
-               "u_values"],
+               "averaging_report", "bound", "chain_diagnostic", "u_values"],
     "classify": ["Classification", "Verdict", "classify_1d", "classify_thm2",
-                 "classify_thm3", "is_extremal", "split_check"],
+                 "classify_thm3", "split_check"],
     "compression": ["compress", "compression_chain"],
     "convex": ["BoundaryChains", "ContinuousReport", "ConvexPolygon", "HomothetyCertificate",
                "StretchDecomposition", "bonnesen_report", "clip_vertical_slab",
@@ -49,7 +48,7 @@ OWNED = [(module, name) for module, names in EAGER_EXPORTS.items() for name in n
 
 
 def test_all_is_the_eager_export_list():
-    assert len(NAMES) == 79
+    assert len(NAMES) == 77
     assert sorted(sumsetlab.__all__) == NAMES
 
 

@@ -638,15 +638,21 @@ def test_unclassified_records_name_the_image_pairs(monkeypatch):
     assert rep == want
 
 
-@pytest.mark.parametrize("mode", [BoundMode.LINES_GS, BoundMode.SECTIONS_GS], ids=lambda m: m.value)
-def test_classifier_recheck_catches_a_wrong_count(monkeypatch, mode):
+@pytest.mark.parametrize("mode,two_dimensional,checker", [
+    pytest.param(BoundMode.LINES_GS, True, "classifier", id="lines"),
+    pytest.param(BoundMode.SECTIONS_GS, True, "classifier", id="sections"),
+    pytest.param(BoundMode.ONE_DIMENSIONAL, False, "1d characterization", id="1d")])
+def test_classifier_recheck_catches_a_wrong_count(monkeypatch, mode, two_dimensional, checker):
     """The classifiers re-check each extremal pair the lanes find by core's own
-    count of A+B; a count that is off by one must raise, not pass."""
+    count of A+B; a count that is off by one must raise, not pass.  classify_1d
+    counts too, and its re-check fires first on a grid with collinear pairs,
+    so the thm2/thm3 cases sweep two-dimensional subsets only."""
     from sumsetlab import classify
     count = classify.sumset_size
     monkeypatch.setattr(classify, "sumset_size", lambda a, b: count(a, b) + 1)
-    with pytest.raises(ConsistencyError, match="sweep extremality disagrees with classifier"):
-        sweep(cfg(grid_width=3, grid_height=3, mode=mode))
+    with pytest.raises(ConsistencyError, match=f"sweep extremality disagrees with {checker}$"):
+        sweep(cfg(grid_width=3, grid_height=3, mode=mode,
+                  require_two_dimensional=two_dimensional))
 
 
 def test_sweep_reaches_eps_and_case_c_families():
