@@ -16,11 +16,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import gcd
 
 from .core import (PointSet2D, Rational, bit_mask, collinear_direction,
                    common_scale, cover_stats, is_sparse, minkowski_sum,
                    parallel_directions, rat, rat_str, shared_difference,
-                   sumset_mask)
+                   sumset_mask, sumset_size)
 from .errors import EmptySet, ModeMismatch
 
 
@@ -67,7 +68,7 @@ def bound(mode: BoundMode, a: PointSet2D, b: PointSet2D) -> BoundReport:
     """Evaluate the chosen lower bound exactly; lhs is |A+B| by enumeration."""
     if len(a) == 0 or len(b) == 0:
         raise EmptySet("bound needs nonempty sets")
-    if mode is BoundMode.DOUBLING and a != b:
+    if mode is BoundMode.DOUBLING and b is not a and a != b:
         raise ModeMismatch("doubling mode requires B = A")
     if mode is BoundMode.ONE_DIMENSIONAL:
         da, db = collinear_direction(a), collinear_direction(b)
@@ -77,7 +78,8 @@ def bound(mode: BoundMode, a: PointSet2D, b: PointSet2D) -> BoundReport:
             raise ModeMismatch("1d mode requires the two lines to be parallel")
         m = n = 1  # each set lies on a single line
     else:
-        sa, sb = cover_stats(a), cover_stats(b)
+        sa = cover_stats(a)
+        sb = sa if b is a else cover_stats(b)
         if mode is BoundMode.SECTIONS_GS:
             m, n = sa.max_horizontal_section, sb.max_horizontal_section
         else:  # lines, and doubling as lines with B = A
@@ -174,36 +176,40 @@ def _section_chain_sums(sa: dict, sb: dict) -> tuple[int, int]:
     level -> ascending values: the sums over t of max |A_i + B_j| and of
     max (|A_i| + |B_j| - 1), each maximum over the levels i + j = t.
 
-    Each |A_i + B_j| is a 1-D sumset count from core's kernel.  One scale
-    turns the values of both sets into ints, and each section is translated
-    to start at 0, which changes no count.  A pair is counted only when its
-    upper bound |A_i|·|B_j| can beat the best count so far at i + j; a
-    singleton section attains that bound.  Keys and bitsets are built on
-    first use, since small sets rarely need them."""
+    One scale makes the values ints; each section is moved to start at 0
+    and divided by the gcd g of all offsets (1 if all are singletons), so
+    A_i + B_j lies in [0, end_i + end_j] and has at most ub = min(|A_i|·|B_j|,
+    end_i + end_j + 1) points.  A pair whose ub cannot beat the best count
+    at i + j is skipped; when ub is the Cauchy-Davenport bound |A_i| + |B_j|
+    - 1 it is the count (runs, singletons).  Only the other pairs go through
+    core's kernel or, under its sparse rule, a key set."""
     _, scaled = common_scale(*sa.values(), *sb.values())
-    sections_b = list(zip(sb, scaled[len(sa):]))
-    masks: dict = {}  # level of B -> bitset of its section
+    g = gcd(*[v - vs[0] for vs in scaled if len(vs) > 1 for v in vs[1:]]) or 1
+    sections_b = [(j, len(vb), (vb[-1] - vb[0]) // g, vb) for j, vb in zip(sb, scaled[len(sa):])]
+    masks: dict = {}  # level of B -> bitset of its reduced section
     best_sum: dict = {}
     best_card: dict = {}
     for i, va in zip(sa, scaled):
+        size_a, end_a = len(va), (va[-1] - va[0]) // g
         keys = None
-        for j, vb in sections_b:
+        for j, size_b, end_b, vb in sections_b:
             t = i + j
-            card = len(va) + len(vb) - 1
+            card = size_a + size_b - 1
             if card > best_card.get(t, 0):
                 best_card[t] = card
-            count = len(va) * len(vb)
+            cells = end_a + end_b + 1
+            count = min(size_a * size_b, cells)
             have = best_sum.get(t, 0)
             if count <= have:
                 continue
-            if len(va) > 1 and len(vb) > 1:
-                if is_sparse(va[-1] - va[0] + vb[-1] - vb[0] + 1, len(va), len(vb)):
+            if count > card:
+                if is_sparse(cells, size_a, size_b):
                     count = len({u + w for u in va for w in vb})
                 else:
                     if keys is None:
-                        keys = [v - va[0] for v in va]
+                        keys = [(v - va[0]) // g for v in va]
                     if j not in masks:
-                        masks[j] = bit_mask(v - vb[0] for v in vb)
+                        masks[j] = bit_mask((v - vb[0]) // g for v in vb)
                     count = sumset_mask(keys, masks[j]).bit_count()
             if count > have:
                 best_sum[t] = count
@@ -218,11 +224,12 @@ def chain_diagnostic(a: PointSet2D, b: PointSet2D) -> list[Rational]:
               sum over t of max (|A_i| + |B_{t-i}| - 1),
               lines-mode rhs ],
     each value >= the next.  A lines-mode extremal pair forces all four equal.
+    |A+B| is counted with core.sumset_size, never built.
     """
     if len(a) == 0 or len(b) == 0:
         raise EmptySet("chain_diagnostic needs nonempty sets")
     ca, cb = a.columns(), b.columns()
-    v1 = len(minkowski_sum(a, b))
+    v1 = sumset_size(a, b)
     v2, v3 = _section_chain_sums(ca, cb)
     v4 = rat(Fraction(*rhs_num_den(BoundMode.LINES_GS, len(a), len(ca), len(b), len(cb))))
     return [v1, v2, v3, v4]

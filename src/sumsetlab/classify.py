@@ -39,9 +39,9 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-from .bounds import BoundMode, bound, rhs_num_den
+from .bounds import BoundMode, rhs_num_den
 from .core import (AffineMap2D, Point2, PointSet2D, Rational, _point,
-                   arithmetic_progression_of, collinear_direction, cover_stats,
+                   arithmetic_progression_of, collinear_direction,
                    parallel_directions, rat, rat_str, shared_difference, sumset_size)
 from .errors import EmptySet, HypothesisViolated, InvalidSpec, ModeMismatch, NotCollinear
 from .families import CaseCSpec, EpsilonSpec, TrapezoidSpec, gen_case_c
@@ -137,6 +137,12 @@ def _trapezoid_spec_of(cols: dict) -> Optional[tuple[TrapezoidSpec, Point2]]:
     return spec, _point(x0, mins[0])
 
 
+def _extremal(mode: BoundMode, a: PointSet2D, m: int, b: PointSet2D, n: int) -> bool:
+    """bound(mode, a, b).extremal for the mode's counts m, n, counting A+B only."""
+    num, den = rhs_num_den(mode, len(a), m, len(b), n)
+    return sumset_size(a, b) * den == num
+
+
 # ---------------------------------------------------------------------------
 # one-dimensional characterization
 # ---------------------------------------------------------------------------
@@ -185,8 +191,7 @@ def classify_thm2(a: PointSet2D, b: PointSet2D) -> Classification:
             raise HypothesisViolated("thm2 needs two 2D sets or collinear sets on parallel lines")
         return classify_1d(a, b)
     cols_a, cols_b = a.columns(), b.columns()
-    num, den = rhs_num_den(BoundMode.LINES_GS, len(a), len(cols_a), len(b), len(cols_b))
-    if sumset_size(a, b) * den != num:  # bound(...).extremal, counting A+B only
+    if not _extremal(BoundMode.LINES_GS, a, len(cols_a), b, len(cols_b)):
         return Classification(Verdict.NOT_EXTREMAL)
 
     # (1) x-projections and (2) vertical sections: APs with shared
@@ -382,8 +387,7 @@ def classify_thm3(a: PointSet2D, b: PointSet2D, *, verdict_only: bool = False) -
                                  "(the m = 1 regime admits wild extremal pairs)")
     if collinear_direction(a) is not None or collinear_direction(b) is not None:
         raise HypothesisViolated("sections-mode characterization needs two-dimensional sets")
-    num, den = rhs_num_den(BoundMode.SECTIONS_GS, len(a), m, len(b), n)
-    if sumset_size(a, b) * den != num:  # bound(...).extremal, counting A+B only
+    if not _extremal(BoundMode.SECTIONS_GS, a, m, b, n):
         return Classification(Verdict.NOT_EXTREMAL)
 
     # (1) level sets and (2) rows: APs with shared differences dy and dx;
@@ -439,19 +443,21 @@ def classify_thm3(a: PointSet2D, b: PointSet2D, *, verdict_only: bool = False) -
 
 def split_check(a: PointSet2D, b: PointSet2D) -> bool:
     """Split both sets at their first full-width levels and test that both
-    half-pairs are sections-extremal again (they must be)."""
-    sa, sb = cover_stats(a), cover_stats(b)
-    m, n = sa.max_horizontal_section, sb.max_horizontal_section
+    half-pairs are sections-extremal again (they must be).  Each half keeps
+    its set's longest row, so m and n hold, and its points' order."""
+    if len(a) == 0 or len(b) == 0:
+        raise EmptySet("cover_stats needs a nonempty set")
+    rows_a, rows_b = a.rows(), b.rows()
+    m, n = (max(map(len, rows.values())) for rows in (rows_a, rows_b))
     if m < 2 or n < 2:
         raise HypothesisViolated("split_check needs m, n >= 2")
-    if not bound(BoundMode.SECTIONS_GS, a, b).extremal:
+    if not _extremal(BoundMode.SECTIONS_GS, a, m, b, n):
         raise HypothesisViolated("split_check needs a sections-extremal pair")
-    rows_a, rows_b = a.rows(), b.rows()
     t = min(v for v, xs in rows_a.items() if len(xs) == m)
     t_prime = min(v for v, xs in rows_b.items() if len(xs) == n)
-    a_minus = PointSet2D(p for p in a if p.y <= t)
-    a_plus = PointSet2D(p for p in a if p.y >= t)
-    b_minus = PointSet2D(p for p in b if p.y <= t_prime)
-    b_plus = PointSet2D(p for p in b if p.y >= t_prime)
-    return (bound(BoundMode.SECTIONS_GS, a_minus, b_minus).extremal
-            and bound(BoundMode.SECTIONS_GS, a_plus, b_plus).extremal)
+    a_minus = PointSet2D._canonical(tuple(p for p in a if p[1] <= t))
+    a_plus = PointSet2D._canonical(tuple(p for p in a if p[1] >= t))
+    b_minus = PointSet2D._canonical(tuple(p for p in b if p[1] <= t_prime))
+    b_plus = PointSet2D._canonical(tuple(p for p in b if p[1] >= t_prime))
+    return (_extremal(BoundMode.SECTIONS_GS, a_minus, m, b_minus, n)
+            and _extremal(BoundMode.SECTIONS_GS, a_plus, m, b_plus, n))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .bounds import _section_chain_sums
-from .core import PointSet2D, Rational, _point, minkowski_sum
+from .core import PointSet2D, Rational, _point, sumset_size
 from .errors import EmptySet
 
 
@@ -17,7 +17,7 @@ def compress(x: PointSet2D) -> PointSet2D:
     pts = []
     for level, xs in x.rows().items():
         pts.extend(_point(i, level) for i in range(len(xs)))
-    return PointSet2D(pts)
+    return PointSet2D._canonical(tuple(sorted(pts)))  # the points are distinct
 
 
 def compression_chain(a: PointSet2D, b: PointSet2D) -> list[Rational]:
@@ -27,11 +27,12 @@ def compression_chain(a: PointSet2D, b: PointSet2D) -> list[Rational]:
               sum over t of max |A_i + B_j| over rows with i + j = t,
               sum over t of max (|A_i| + |B_j| - 1),
               |compress(A) + compress(B)| ],
-    monotone non-increasing, with the last two entries always equal.
+    monotone non-increasing, with the last two entries always equal.  Both
+    sizes are counted with core.sumset_size, the last independently.
     """
     if len(a) == 0 or len(b) == 0:
         raise EmptySet("compression_chain needs nonempty sets")
-    v1 = len(minkowski_sum(a, b))
+    v1 = sumset_size(a, b)
     v2, v3 = _section_chain_sums(a.rows(), b.rows())
-    v4 = len(minkowski_sum(compress(a), compress(b)))
+    v4 = sumset_size(compress(a), compress(b))
     return [v1, v2, v3, v4]

@@ -163,8 +163,10 @@ class PointSet2D:
     def __setattr__(self, *_):
         raise AttributeError("PointSet2D is immutable")
 
-    def translate(self, delta: Point2) -> "PointSet2D":
-        return PointSet2D(p + delta for p in self._pts)
+    def translate(self, delta) -> "PointSet2D":
+        """The set moved by delta; its points stay distinct and in order."""
+        dx, dy = Point2(*delta)
+        return PointSet2D._canonical(tuple(_point(x + dx, y + dy) for x, y in self._pts))
 
     def columns(self) -> dict[Rational, list[Rational]]:
         """x-value -> ascending y-values on that vertical line."""

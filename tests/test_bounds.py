@@ -1,12 +1,13 @@
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from conftest import nonempty_pairs, point_sets
-from sumsetlab import (BoundMode, EmptySet, ModeMismatch, PointSet2D,
-                       SupportedSequence, averaging_report, bound,
+from sumsetlab import (AffineMap2D, BoundMode, EmptySet, ModeMismatch, PointSet2D,
+                       SupportedSequence, apply_map, averaging_report, bound,
                        chain_diagnostic, compress,
                        gen_trapezoid, gen_wild, u_values)
 from sumsetlab.bounds import _section_chain_sums, rhs_num_den
@@ -181,17 +182,49 @@ def reference_section_chain_sums(sa: dict, sb: dict) -> tuple[int, int]:
 chain_coord = st.integers(min_value=-5, max_value=5)
 chain_rational = st.one_of(chain_coord, st.builds(Fraction, st.integers(-20, 20),
                                                   st.integers(1, 8)))
+chain_nonzero = chain_rational.filter(bool)
 far_coord = st.integers(min_value=-10**9, max_value=10**9)
 
 
+def chain_sets(coords, **unique):
+    return st.lists(st.tuples(coords, chain_coord), min_size=1, max_size=14,
+                    **unique).map(PointSet2D)
+
+
+def both(sets):
+    return st.tuples(sets, sets)
+
+
+# trapezoids with integer slopes: every row and every column is a run
+chain_trapezoids = st.builds(lambda m, h, d, k: gen_trapezoid(TrapezoidSpec(m, h, d + k, d)),
+                             st.integers(1, 5), st.integers(1, 6), st.integers(-2, 2),
+                             st.integers(0, 2))
+
+# pair kind -> pairs (A, B); "step" maps both sets by (x, y) -> (g x + 1, g y),
+# so the offsets of every section share the step g > 1, "runs" puts two
+# trapezoids under one diagonal map, and in "singletons" every row and every
+# column holds one point
+chain_pairs = {
+    "int": both(chain_sets(chain_coord)),
+    "rational": both(chain_sets(chain_rational)),
+    "far": both(chain_sets(far_coord)),
+    "step": st.builds(lambda g, a, b: tuple(PointSet2D((g * x + 1, g * y) for x, y in s)
+                                            for s in (a, b)),
+                      st.integers(2, 5), chain_sets(chain_coord), chain_sets(chain_coord)),
+    "runs": st.builds(lambda a, b, mp: (apply_map(a, mp), apply_map(b, mp)),
+                      chain_trapezoids, chain_trapezoids,
+                      st.builds(AffineMap2D.diagonal, chain_nonzero, chain_nonzero,
+                                chain_rational, chain_rational)),
+    "singletons": both(chain_sets(chain_coord, unique_by=(itemgetter(0), itemgetter(1)))),
+}
+
+
 class TestSectionChainSums:
-    @pytest.mark.parametrize("coords", [chain_coord, chain_rational, far_coord],
-                             ids=["int", "rational", "far"])
+    @pytest.mark.parametrize("kind", list(chain_pairs))
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
-    def test_matches_reference(self, coords, data):
-        sets = st.lists(st.tuples(coords, chain_coord), min_size=1, max_size=14).map(PointSet2D)
-        a, b = data.draw(sets), data.draw(sets)
+    def test_matches_reference(self, kind, data):
+        a, b = data.draw(chain_pairs[kind])
         for sections in (PointSet2D.rows, PointSet2D.columns):
             sa, sb = sections(a), sections(b)
             assert _section_chain_sums(sa, sb) == reference_section_chain_sums(sa, sb)

@@ -765,6 +765,11 @@ class TestSplitCheck:
         t = gen_trapezoid(TrapezoidSpec(2, 3, 0, 1))
         assert split_check(t, t)
 
+    def test_split_at_the_bottom_row(self):
+        """The lower halves are the full bottom rows themselves."""
+        assert split_check(gen_trapezoid(TrapezoidSpec(3, 2, 0, 0)),
+                           gen_trapezoid(TrapezoidSpec(2, 4, 0, 0)))
+
     def test_needs_extremal_pair(self):
         a = PointSet2D((x, y) for x in range(2) for y in range(3))
         b = ps((0, 0), (1, 0), (0, 1), (1, 1), (5, 5), (6, 5))

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, settings
+import hypothesis.strategies as st
 
-from conftest import nonempty_pairs, point_sets
+from conftest import nonempty_pairs, point_sets, rationals
 from sumsetlab import (EmptySet, PointSet2D, compress, compression_chain,
                        cover_stats, gen_wild, minkowski_sum)
 
@@ -37,6 +38,15 @@ class TestCompress:
         assert {p.y for p in c} == {p.y for p in x}
         sx, sc = cover_stats(x), cover_stats(c)
         assert sc.max_horizontal_section == sx.max_horizontal_section
+
+    @given(st.lists(st.tuples(rationals, rationals), min_size=1, max_size=12).map(PointSet2D))
+    @settings(max_examples=250)
+    def test_points_in_canonical_order(self, x):
+        """compress as it was before it built its points in canonical order."""
+        want = PointSet2D((i, level) for level, xs in x.rows().items() for i in range(len(xs)))
+        got = compress(x)
+        assert got.points == want.points and got == want and hash(got) == hash(want)
+        assert [type(p.y) for p in got] == [type(p.y) for p in want]
 
     @given(point_sets)
     @settings(max_examples=150)

@@ -16,11 +16,12 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from conftest import nonempty_pairs, point_sets, points
-from sumsetlab import (AffineMap2D, BoundMode, CoverStats, EmptySet, InvalidSpec,
+from sumsetlab import (AffineMap2D, BoundMode, CaseCSpec, CoverStats, EmptySet, InvalidSpec,
                        NotCollinear, ParseError, Point2, PointSet2D, apply_map,
-                       arithmetic_progression_of, bound, classify_1d, collinear_direction,
-                       cover_stats, dumps_points, gen_trapezoid, gen_wild, loads_points,
-                       minkowski_sum, parallel_directions)
+                       arithmetic_progression_of, bound, chain_diagnostic, classify_1d,
+                       collinear_direction, compression_chain, cover_stats, dumps_points,
+                       gen_case_c, gen_trapezoid, gen_wild, loads_points, minkowski_sum,
+                       parallel_directions, split_check)
 import sumsetlab
 from sumsetlab import bounds, core
 from sumsetlab.classify import _jsonify
@@ -322,8 +323,9 @@ def assert_1d_matches_reference(a: PointSet2D, b: PointSet2D) -> bool:
 
 
 class TestCountOnlyPaths:
-    """classify_1d counts A+B without bound or minkowski_sum, and 1d mode
-    reads no cover counts and walks each line once."""
+    """classify_1d, split_check and both section chains count A+B without
+    bound or minkowski_sum, 1d mode reads no cover counts and walks each line
+    once, and a bound on one set reads its cover counts once."""
 
     AP_PAIR = (ps((0, 0), (1, 2), (2, 4)), ps((5, 1), (6, 3)))
     NON_AP_PAIR = (ps((0, 0), (1, 2), (3, 6)), ps((5, 1), (6, 3)))
@@ -351,6 +353,28 @@ class TestCountOnlyPaths:
         with counting(core, "cover_stats") as stats, counting(core, "minkowski_sum") as sums:
             bound(mode, a, b)
         assert (stats.call_count, sums.call_count) == (2, 1)
+
+    @pytest.mark.parametrize("mode", [BoundMode.LINES_GS, BoundMode.SECTIONS_GS,
+                                      BoundMode.DOUBLING], ids=lambda m: m.value)
+    def test_bound_on_one_set_reads_cover_counts_once(self, mode):
+        s = gen_trapezoid(TrapezoidSpec(3, 4, 0, 1))
+        with counting(core, "cover_stats") as stats:
+            bound(mode, s, s)
+        assert stats.call_count == 1
+
+    def test_chains_count_without_building(self):
+        a, b = gen_wild(4)
+        with counting(core, "minkowski_sum") as sums, counting(core, "sumset_size") as sizes:
+            chain_diagnostic(a, b)
+            compression_chain(a, b)
+        assert (sums.call_count, sizes.call_count) == (0, 3)
+
+    def test_split_check_counts_without_bounds(self):
+        with counting(bounds, "bound") as bound_calls, counting(core, "cover_stats") as stats, \
+                counting(core, "minkowski_sum") as sums, counting(core, "sumset_size") as sizes:
+            assert split_check(*gen_case_c(CaseCSpec(4, 4, 7)))
+        assert (bound_calls.call_count, stats.call_count, sums.call_count) == (0, 0, 0)
+        assert sizes.call_count == 3
 
     def test_1d_equality_is_the_bound_on_3x3_pairs(self):
         lines = [x for x in grid_subset_sets(3, 3) if collinear_direction(x) is not None]
@@ -631,9 +655,17 @@ class TestPointMatchesReference:
     def test_floats_rejected(self):
         for make in (lambda: Point2(0.5, 0), lambda: Point2(0, 1.0),
                      lambda: Point2(1, 2).scale(0.5), lambda: PointSet2D([(0.5, 0)]),
-                     lambda: (0.5, 0) in ps((0, 0))):
-            with pytest.raises(TypeError):
+                     lambda: (0.5, 0) in ps((0, 0)), lambda: ps((0, 0), (1, 2)).translate((0.5, 0))):
+            with pytest.raises(TypeError, match="^float .* rejected"):
                 make()
+
+    @given(sets_of(point_coord, point_coord), coord_pairs)
+    @settings(max_examples=200, deadline=None)
+    def test_translate_is_the_set_of_moved_points(self, s, delta):
+        got, want = s.translate(delta), PointSet2D(p + Point2(*delta) for p in s)
+        assert [typed(p) for p in got.points] == [typed(p) for p in want.points]
+        assert got == want and hash(got) == hash(want)
+        assert all(p in got for p in want) and all(p in want for p in got)
 
     def test_no_tuple_repetition(self):
         p = Point2(1, 2)

@@ -111,11 +111,7 @@ def test_foreign_import_is_found():
 # bounds.bound keeps len(minkowski_sum(a, b)): perfbench's self-test
 # (test_library_layers_cover_imported_names, run in tier-1 through
 # tests/test_benchmark_selftest.py) counts that call through bounds' binding.
-# The two section chains keep it until perfbench's peak_rss_mb stops growing
-# with the operations run: its Runner keeps a record per operation, so a
-# faster chain reads as more peak memory on the `scan` workload.
-COUNTED_SUM_ALLOWED = {"bounds.bound", "bounds.chain_diagnostic",
-                       "compression.compression_chain"}
+COUNTED_SUM_ALLOWED = {"bounds.bound"}
 
 
 def counted_sums(sources: dict) -> list[str]:
