@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import gcd
 
 from .core import (PointSet2D, Rational, bit_mask, collinear_direction,
                    common_scale, cover_stats, is_sparse, minkowski_sum,
@@ -176,29 +175,28 @@ def _section_chain_sums(sa: dict, sb: dict) -> tuple[int, int]:
     level -> ascending values: the sums over t of max |A_i + B_j| and of
     max (|A_i| + |B_j| - 1), each maximum over the levels i + j = t.
 
-    One scale makes the values ints; each section is moved to start at 0
-    and divided by the gcd g of all offsets (1 if all are singletons), so
-    A_i + B_j lies in [0, end_i + end_j] and has at most ub = min(|A_i|·|B_j|,
-    end_i + end_j + 1) points.  A pair whose ub cannot beat the best count
-    at i + j is skipped; when ub is the Cauchy-Davenport bound |A_i| + |B_j|
-    - 1 it is the count (runs, singletons).  Only the other pairs go through
-    core's kernel or, under its sparse rule, a key set."""
+    One scale makes the values ints and each section is moved to start at
+    0, so A_i + B_j lies in [0, end_i + end_j] and has at most ub =
+    min(|A_i|·|B_j|, end_i + end_j + 1) points.  A pair whose ub cannot beat
+    the best count at i + j is skipped; when ub is the Cauchy-Davenport bound
+    |A_i| + |B_j| - 1 it is the count (runs, singletons).  Only the other
+    pairs go through core's kernel or, under its sparse rule, a key set."""
     _, scaled = common_scale(*sa.values(), *sb.values())
-    g = gcd(*[v - vs[0] for vs in scaled if len(vs) > 1 for v in vs[1:]]) or 1
-    sections_b = [(j, len(vb), (vb[-1] - vb[0]) // g, vb) for j, vb in zip(sb, scaled[len(sa):])]
-    masks: dict = {}  # level of B -> bitset of its reduced section
+    sections_b = [(j, len(vb), vb[-1] - vb[0], vb) for j, vb in zip(sb, scaled[len(sa):])]
+    masks: dict = {}  # level of B -> bitset of its section moved to 0
     best_sum: dict = {}
     best_card: dict = {}
     for i, va in zip(sa, scaled):
-        size_a, end_a = len(va), (va[-1] - va[0]) // g
+        size_a, end_a = len(va), va[-1] - va[0]
         keys = None
         for j, size_b, end_b, vb in sections_b:
             t = i + j
             card = size_a + size_b - 1
             if card > best_card.get(t, 0):
                 best_card[t] = card
-            cells = end_a + end_b + 1
-            count = min(size_a * size_b, cells)
+            count, cells = size_a * size_b, end_a + end_b + 1
+            if cells < count:
+                count = cells
             have = best_sum.get(t, 0)
             if count <= have:
                 continue
@@ -207,9 +205,9 @@ def _section_chain_sums(sa: dict, sb: dict) -> tuple[int, int]:
                     count = len({u + w for u in va for w in vb})
                 else:
                     if keys is None:
-                        keys = [(v - va[0]) // g for v in va]
+                        keys = [v - va[0] for v in va]
                     if j not in masks:
-                        masks[j] = bit_mask((v - vb[0]) // g for v in vb)
+                        masks[j] = bit_mask(v - vb[0] for v in vb)
                     count = sumset_mask(keys, masks[j]).bit_count()
             if count > have:
                 best_sum[t] = count

@@ -163,9 +163,12 @@ class PointSet2D:
     def __setattr__(self, *_):
         raise AttributeError("PointSet2D is immutable")
 
-    def translate(self, delta) -> "PointSet2D":
-        """The set moved by delta; its points stay distinct and in order."""
-        dx, dy = Point2(*delta)
+    def translate(self, delta: Point2) -> "PointSet2D":
+        """The set moved by delta, a pair of ints or Fractions (strings are
+        not parsed here); its points stay distinct and in order."""
+        dx, dy = delta[0], delta[1]
+        if isinstance(dx, float) or isinstance(dy, float):
+            Point2(dx, dy)  # raises rat()'s "float ... rejected" TypeError
         return PointSet2D._canonical(tuple(_point(x + dx, y + dy) for x, y in self._pts))
 
     def columns(self) -> dict[Rational, list[Rational]]:

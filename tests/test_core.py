@@ -667,6 +667,12 @@ class TestPointMatchesReference:
         assert got == want and hash(got) == hash(want)
         assert all(p in got for p in want) and all(p in want for p in got)
 
+    @pytest.mark.parametrize("delta, error", [("12", TypeError), (("1/2", 0), TypeError),
+                                              ((0, "x"), TypeError), ((1,), IndexError)])
+    def test_translate_takes_no_strings(self, delta, error):
+        with pytest.raises(error):
+            ps((0, 0), (Fraction(1, 3), 2)).translate(delta)
+
     def test_no_tuple_repetition(self):
         p = Point2(1, 2)
         for make in (lambda: p * 2, lambda: 2 * p, lambda: p * Fraction(1, 2), lambda: p * p):
