@@ -36,12 +36,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from math import lcm
 from typing import Optional
 
 from .bounds import BoundMode, rhs_num_den
 from .core import (AffineMap2D, Point2, PointSet2D, Rational, _point,
-                   arithmetic_progression_of, collinear_direction,
+                   arithmetic_progression_of, collinear_direction, common_scale,
                    parallel_directions, rat, rat_str, shared_difference, sumset_size)
 from .errors import EmptySet, HypothesisViolated, InvalidSpec, ModeMismatch, NotCollinear
 from .families import CaseCSpec, EpsilonSpec, TrapezoidSpec, gen_case_c
@@ -385,7 +384,7 @@ def classify_thm3(a: PointSet2D, b: PointSet2D, *, verdict_only: bool = False) -
     if m < 2 or n < 2:
         raise HypothesisViolated("sections-mode characterization needs m, n >= 2 "
                                  "(the m = 1 regime admits wild extremal pairs)")
-    if collinear_direction(a) is not None or collinear_direction(b) is not None:
+    if len(rows_a) == 1 or len(rows_b) == 1:  # with m, n >= 2, one row is a line
         raise HypothesisViolated("sections-mode characterization needs two-dimensional sets")
     if not _extremal(BoundMode.SECTIONS_GS, a, m, b, n):
         return Classification(Verdict.NOT_EXTREMAL)
@@ -396,11 +395,10 @@ def classify_thm3(a: PointSet2D, b: PointSet2D, *, verdict_only: bool = False) -
     if steps is None:
         return Classification(Verdict.EXTREMAL_UNCLASSIFIED)
     inv_dy, inv_dx = (rat(Fraction(1) / step) for step in steps)
-    runs_a, runs_b = ([(y, xs[0] * inv_dx, len(xs)) for y, xs in enumerate(rows.values())]
-                      for rows in (rows_a, rows_b))
-    scale = lcm(*(x.denominator for _, x, _ in runs_a + runs_b))  # 1 on grid input
-    runs_a, runs_b = ([(y, x.numerator * (scale // x.denominator), k) for y, x, k in runs]
-                      for runs in (runs_a, runs_b))
+    scale, starts = common_scale(*([xs[0] * inv_dx for xs in rows.values()]
+                                   for rows in (rows_a, rows_b)))  # scale 1 on grid input
+    runs_a, runs_b = ([(y, x, len(xs)) for y, (x, xs) in enumerate(zip(xs0, rows.values()))]
+                      for xs0, rows in zip(starts, (rows_a, rows_b)))
 
     # (3) one scan over every reflection and candidate shear, keeping each
     # family's first matching candidate.  The families can overlap up to the
@@ -446,18 +444,11 @@ def split_check(a: PointSet2D, b: PointSet2D) -> bool:
     half-pairs are sections-extremal again (they must be).  Each half keeps
     its set's longest row, so m and n hold, and its points' order."""
     if len(a) == 0 or len(b) == 0:
-        raise EmptySet("cover_stats needs a nonempty set")
-    rows_a, rows_b = a.rows(), b.rows()
-    m, n = (max(map(len, rows.values())) for rows in (rows_a, rows_b))
+        raise EmptySet("split_check needs nonempty sets")
+    (m, a_minus, a_plus), (n, b_minus, b_plus) = a._split(), b._split()
     if m < 2 or n < 2:
         raise HypothesisViolated("split_check needs m, n >= 2")
     if not _extremal(BoundMode.SECTIONS_GS, a, m, b, n):
         raise HypothesisViolated("split_check needs a sections-extremal pair")
-    t = min(v for v, xs in rows_a.items() if len(xs) == m)
-    t_prime = min(v for v, xs in rows_b.items() if len(xs) == n)
-    a_minus = PointSet2D._canonical(tuple(p for p in a if p[1] <= t))
-    a_plus = PointSet2D._canonical(tuple(p for p in a if p[1] >= t))
-    b_minus = PointSet2D._canonical(tuple(p for p in b if p[1] <= t_prime))
-    b_plus = PointSet2D._canonical(tuple(p for p in b if p[1] >= t_prime))
     return (_extremal(BoundMode.SECTIONS_GS, a_minus, m, b_minus, n)
             and _extremal(BoundMode.SECTIONS_GS, a_plus, m, b_plus, n))

@@ -23,7 +23,7 @@ from math import gcd, lcm
 from operator import itemgetter, mul
 from typing import Iterable, Optional
 
-from .core import (Point2, Rational, _as_point, _point, _turn, _unscale, common_scale,
+from .core import (Point2, Rational, _as_point, _point, _points, _turn, _unscale, common_scale,
                    parse_point_lines, rat, rat_str)
 from .errors import (ConsistencyError, DegenerateProjection, EmptySet,
                      HypothesisViolated, InvalidAmount, InvalidSpec, ParseError)
@@ -72,7 +72,8 @@ class ConvexPolygon:
     @property
     def vertices(self) -> tuple[Point2, ...]:
         if self._verts is None:
-            object.__setattr__(self, "_verts", _points(zip(self._xs, self._ys), self._scale))
+            verts = _points(zip(self._xs, self._ys), self._scale, self._scale)
+            object.__setattr__(self, "_verts", verts)
         return self._verts
 
     @property
@@ -101,7 +102,7 @@ class ConvexPolygon:
     def edge_vectors(self) -> list[Point2]:
         """CCW edge vectors from the canonical start (two opposite vectors
         for a segment)."""
-        return list(_points(self._edges(), self._scale))
+        return list(_points(self._edges(), self._scale, self._scale))
 
     def area(self) -> Rational:
         xs, ys = self._xs, self._ys
@@ -137,15 +138,7 @@ class ConvexPolygon:
     def chains(self) -> "BoundaryChains":
         """Lower/upper boundary graphs over [min x, max x]."""
         lower, upper = self._chains()
-        return BoundaryChains(_points(lower, self._scale), _points(upper, self._scale))
-
-
-def _points(pts: Iterable, scale: int) -> tuple[Point2, ...]:
-    """Grid points divided by scale, as Point2s (coordinates int when integral)."""
-    new = tuple.__new__
-    if scale == 1:
-        return tuple(new(Point2, p) for p in pts)
-    return tuple(new(Point2, (_unscale(x, scale), _unscale(y, scale))) for x, y in pts)
+        return BoundaryChains(*(_points(c, self._scale, self._scale) for c in (lower, upper)))
 
 
 @dataclass(frozen=True)

@@ -3,21 +3,25 @@
 Every coordinate is an exact rational: either a plain ``int`` or a
 ``fractions.Fraction`` (always reduced, positive denominator).  There is no
 floating point anywhere; equalities tested downstream are exact, so none of
-the usual epsilon machinery exists.
+the usual epsilon machinery exists.  A PointSet2D is held on one integer
+grid, and the sumset kernel, line walk, rows and columns read those ints.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, repeat
+from functools import partial
+from itertools import accumulate, chain, repeat
 from math import gcd, lcm
-from operator import add, itemgetter
+from operator import add, attrgetter, itemgetter
 from typing import Iterable, Iterator, Optional, Union
 
 from .errors import EmptySet, InvalidSpec, NotCollinear, ParseError
 
 Rational = Union[int, Fraction]
+_DEN = attrgetter("denominator")
 
 
 def rat(value) -> Rational:
@@ -115,75 +119,148 @@ def _as_point(p) -> Point2:
 
 
 class PointSet2D:
-    """A finite, deduplicated set of points, iterated in canonical order."""
+    """A finite, deduplicated set of points, iterated in canonical order.
 
-    __slots__ = ("_pts", "_set")
+    The set is held on one integer grid, filled at most once: per-axis
+    scales sx, sy and int sequences xs, ys in canonical order (point i is
+    (xs[i]/sx, ys[i]/sy)), with its line_counts.  Sums, translates,
+    compressions and split halves are born on the grid and build their
+    Point2s and frozenset on first use.  A grid need not be reduced (a sum
+    of half-integer sets may be integral), so == and hash compare points.
+    """
+
+    __slots__ = ("_len", "_pts", "_set", "_grid", "_counts")
 
     def __init__(self, points: Iterable = ()):
         pts = {_as_point(p) for p in points}
-        object.__setattr__(self, "_pts", tuple(sorted(pts)))
-        object.__setattr__(self, "_set", frozenset(pts))
+        self._fill(len(pts), tuple(sorted(pts)), frozenset(pts), None)
+
+    def _fill(self, size: int, pts, members, grid, counts=None) -> "PointSet2D":
+        """Set every slot; grid is (sx, sy, xs, ys), None or a function returning it."""
+        put = object.__setattr__  # five calls, not a loop: __init__ runs on every small set
+        put(self, "_len", size), put(self, "_pts", pts), put(self, "_set", members)
+        put(self, "_grid", grid), put(self, "_counts", counts)
+        return self
 
     @classmethod
-    def _canonical(cls, pts: tuple) -> "PointSet2D":
-        """A set of distinct points already in canonical order; its frozenset
-        is built on first use, as most such sets are only counted."""
-        s = object.__new__(cls)
-        object.__setattr__(s, "_pts", pts)
-        object.__setattr__(s, "_set", None)
-        return s
+    def _on_grid(cls, sx: int, sy: int, xs, ys, counts=None) -> "PointSet2D":
+        """The set of the distinct points (xs[i]/sx, ys[i]/sy), in canonical order."""
+        return object.__new__(cls)._fill(len(xs), None, None, (sx, sy, xs, ys), counts)
 
-    def _members(self) -> frozenset:
-        if self._set is None:
-            object.__setattr__(self, "_set", frozenset(self._pts))
-        return self._set
+    def _ints(self) -> tuple:
+        """(sx, sy, xs, ys): this set on its integer grid."""
+        grid = self._grid
+        if grid.__class__ is not tuple:
+            grid = _grid_of(self._pts) if grid is None else grid()
+            object.__setattr__(self, "_grid", grid)
+        return grid
+
+    def _line_counts(self) -> tuple:
+        """line_counts of the nonempty grid, walked once per set."""
+        if self._counts is None:
+            object.__setattr__(self, "_counts", line_counts(*self._ints()[2:]))
+        return self._counts
+
+    def _split(self) -> tuple:
+        """(m, lower, upper): the longest row's length m, and the points on and
+        below, and on and above, the lowest row of m points."""
+        sx, sy, xs, ys = self._ints()
+        rows = Counter(ys)
+        m = max(rows.values())
+        t = min(y for y, k in rows.items() if k == m)
+        return m, *(PointSet2D._on_grid(sx, sy, [x for x, y in zip(xs, ys) if keep(y)],
+                                        [y for y in ys if keep(y)])
+                    for keep in (t.__ge__, t.__le__))  # y <= t, then y >= t
 
     @property
     def points(self) -> tuple[Point2, ...]:
+        if self._pts is None:
+            sx, sy, xs, ys = self._ints()
+            object.__setattr__(self, "_pts", _points(zip(xs, ys), sx, sy))
         return self._pts
 
+    def _members(self) -> frozenset:
+        if self._set is None:
+            object.__setattr__(self, "_set", frozenset(self.points))
+        return self._set
+
     def __len__(self) -> int:
-        return len(self._pts)
+        return self._len
 
     def __iter__(self) -> Iterator[Point2]:
-        return iter(self._pts)
+        return iter(self.points)
 
     def __contains__(self, p) -> bool:
         return _as_point(p) in self._members()
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PointSet2D) and self._members() == other._members()
+        return isinstance(other, PointSet2D) and self._len == other._len \
+            and self._members() == other._members()
 
     def __hash__(self) -> int:
         return hash(self._members())
 
     def __repr__(self) -> str:
-        return f"PointSet2D({list(self._pts)!r})"
+        return f"PointSet2D({list(self.points)!r})"
 
     def __setattr__(self, *_):
         raise AttributeError("PointSet2D is immutable")
 
     def translate(self, delta: Point2) -> "PointSet2D":
         """The set moved by delta, a pair of ints or Fractions (strings are
-        not parsed here); its points stay distinct and in order."""
+        not parsed here), on a grid made finer only where delta needs it."""
         dx, dy = delta[0], delta[1]
-        if isinstance(dx, float) or isinstance(dy, float):
-            Point2(dx, dy)  # raises rat()'s "float ... rejected" TypeError
-        return PointSet2D._canonical(tuple(_point(x + dx, y + dy) for x, y in self._pts))
+        for d in dx, dy:
+            if not isinstance(d, (int, Fraction)):
+                raise TypeError(f"{type(d).__name__} {d!r} rejected; translate takes "
+                                "ints and Fractions")
+        sx, sy, xs, ys = self._ints()
+        nx, ny = lcm(sx, dx.denominator), lcm(sy, dy.denominator)
+        return PointSet2D._on_grid(nx, ny, _regrid(xs, sx, nx, dx), _regrid(ys, sy, ny, dy),
+                                   self._counts if (nx, ny) == (sx, sy) else None)
 
     def columns(self) -> dict[Rational, list[Rational]]:
         """x-value -> ascending y-values on that vertical line."""
-        out: dict[Rational, list[Rational]] = {}
-        for p in self._pts:
-            out.setdefault(p.x, []).append(p.y)
-        return out
+        sx, sy, xs, ys = self._ints()
+        return _sections(xs, ys, sx, sy)
 
     def rows(self) -> dict[Rational, list[Rational]]:
         """y-value -> ascending x-values on that horizontal line."""
-        out: dict[Rational, list[Rational]] = {}
-        for x, y in self._pts:  # canonical order: ascending x within each y
-            out.setdefault(y, []).append(x)
-        return {y: out[y] for y in sorted(out)}
+        sx, sy, xs, ys = self._ints()
+        return _sections(ys, xs, sy, sx)  # canonical order: ascending x within each y
+
+
+def _grid_of(pts: tuple) -> tuple:
+    """(sx, sy, xs, ys) of Point2s in canonical order."""
+    xs, ys = zip(*pts) if pts else ((), ())
+    if max(map(_DEN, chain(xs, ys)), default=1) == 1:  # int points, the common case
+        return 1, 1, xs, ys
+    (sx, (xs,)), (sy, (ys,)) = common_scale(xs), common_scale(ys)
+    return sx, sy, xs, ys
+
+
+def _sections(keys, values, sk: int, sv: int) -> dict:
+    """Grid key -> its values in their order, keys ascending, both unscaled."""
+    out: dict = {}
+    for k, v in zip(keys, values if sv == 1 else [_unscale(v, sv) for v in values]):
+        out.setdefault(k, []).append(v)
+    return {k if sk == 1 else _unscale(k, sk): out[k] for k in sorted(out)}
+
+
+def _regrid(vs, scale: int, new: int, d: Rational = 0):
+    """Grid values vs/scale plus d as values on the grid 1/new, new a
+    multiple of scale and of d's denominator."""
+    k, shift = new // scale, d.numerator * (new // d.denominator)
+    return vs if k == 1 and shift == 0 else [v * k + shift for v in vs]
+
+
+def _points(pts: Iterable, sx: int, sy: int) -> tuple[Point2, ...]:
+    """Grid points (x, y) as the Point2s (x/sx, y/sy), coordinates int when
+    integral."""
+    new = tuple.__new__
+    if sx == 1 and sy == 1:
+        return tuple(new(Point2, p) for p in pts)
+    return tuple(new(Point2, (_unscale(x, sx), _unscale(y, sy))) for x, y in pts)
 
 
 @dataclass(frozen=True)
@@ -304,7 +381,7 @@ def _set_bits(mask: int) -> list[int]:
 def common_scale(*value_lists) -> tuple[int, list[list[int]]]:
     """(L, lists): L is the lcm of every value's denominator, and each list
     is multiplied by L into ints.  Lists of ints come back as they are."""
-    scale = lcm(*[v.denominator for values in value_lists for v in values])
+    scale = lcm(*map(_DEN, chain.from_iterable(value_lists)))
     if scale == 1:
         return 1, list(value_lists)
     return scale, [[v.numerator * (scale // v.denominator) for v in values]
@@ -316,87 +393,74 @@ def _unscale(value: int, scale: int) -> Rational:
     return q if r == 0 else Fraction(value, scale)
 
 
-def _packed_sum(a: PointSet2D, b: PointSet2D, caller: str) -> tuple:
-    """(keys, stride, x0, y0, sx, sy): the sum of a nonempty pair on one grid,
-    key k standing for ((k // stride + x0)/sx, (k % stride + y0)/sy).
+def _packed_sum(a: PointSet2D, b: PointSet2D, caller: str) -> PointSet2D:
+    """A + B of a nonempty pair, born on one grid: its size is the key count,
+    and _unpack decodes its keys when its grid is first read.
 
-    x is scaled by the lcm of both sets' x-denominators and y by that of their
-    y-denominators, each set is translated to its own minimum x and y, and
-    (x, y) gets the key x*S + y with the stride S = height(A) + height(B) + 1,
-    so the y of a sum never carries into the next column.  keys is mask(A + B),
-    mask(B) shifted by each key of A and ORed; or, under the sparse rule (the
-    sum's bounding box has more than DENSE_CELLS_PER_PAIR cells per pair
-    (p, q)), the set of the same keys added pairwise."""
+    Both sets go on the lcm of their x- and of their y-scales, each moved to
+    its own minimum x and y, and (x, y) gets the key x*S + y for the stride
+    S = height(A) + height(B) + 1, so no y of a sum carries into the next
+    column.  The keys are mask(B) shifted by each key of A and ORed or, when
+    the sum's bounding box has more than DENSE_CELLS_PER_PAIR cells per pair
+    (p, q), the set of the same keys added pairwise."""
     if len(a) == 0 or len(b) == 0:
         raise EmptySet(f"{caller} needs nonempty sets")
-    pa, pb = a.points, b.points
-    sx, (xs_a, xs_b) = common_scale([p.x for p in pa], [p.x for p in pb])
-    sy, (ys_a, ys_b) = common_scale([p.y for p in pa], [p.y for p in pb])
+    (sxa, sya, xs_a, ys_a), (sxb, syb, xs_b, ys_b) = a._ints(), b._ints()
+    sx, sy = lcm(sxa, sxb), lcm(sya, syb)
+    xs_a, xs_b = _regrid(xs_a, sxa, sx), _regrid(xs_b, sxb, sx)
+    ys_a, ys_b = _regrid(ys_a, sya, sy), _regrid(ys_b, syb, sy)
     x0_a, x0_b = xs_a[0], xs_b[0]  # points are sorted by x first
     y0_a, y0_b = min(ys_a), min(ys_b)
     stride = max(ys_a) - y0_a + max(ys_b) - y0_b + 1
     keys_a = lattice_keys(zip(xs_a, ys_a), stride, x0_a, y0_a)
     keys_b = lattice_keys(zip(xs_b, ys_b), stride, x0_b, y0_b)
     cells = (xs_a[-1] - x0_a + xs_b[-1] - x0_b + 1) * stride
-    if is_sparse(cells, len(pa), len(pb)):
+    if is_sparse(cells, len(a), len(b)):
         keys = {ka + kb for ka in keys_a for kb in keys_b}
     else:
         keys = sumset_mask(keys_a, bit_mask(keys_b))
-    return keys, stride, x0_a + x0_b, y0_a + y0_b, sx, sy
+    return object.__new__(PointSet2D)._fill(
+        len(keys) if keys.__class__ is set else keys.bit_count(), None, None,
+        partial(_unpack, keys, stride, x0_a + x0_b, y0_a + y0_b, sx, sy))
 
 
 def sumset_size(a: PointSet2D, b: PointSet2D) -> int:
     """|A + B| by minkowski_sum's kernel, without building its points."""
-    keys = _packed_sum(a, b, "sumset_size")[0]
-    return len(keys) if keys.__class__ is set else keys.bit_count()
+    return len(_packed_sum(a, b, "sumset_size"))
 
 
 def minkowski_sum(a: PointSet2D, b: PointSet2D) -> PointSet2D:
-    """The sumset {p + q : p in a, q in b}, by the exact kernel of _packed_sum.
+    """The sumset {p + q : p in a, q in b}, by the exact kernel of _packed_sum."""
+    return _packed_sum(a, b, "minkowski_sum")
 
-    Decoding: ascending keys are ascending (x, y), the canonical order, so
-    the set bits read low to high (or the sparse keys, sorted) give the
-    result's points already sorted and distinct, with no set() or sort of
-    points.
-    """
-    keys, stride, x0, y0, sx, sy = _packed_sum(a, b, "minkowski_sum")
+
+def _unpack(keys, stride: int, x0: int, y0: int, sx: int, sy: int) -> tuple:
+    """The grid (sx, sy, xs, ys) of _packed_sum's keys.  Ascending keys are
+    ascending (x, y), the canonical order, so the set bits read low to high
+    (or the sparse keys, sorted) give it with no sort of points."""
     keys = sorted(keys) if keys.__class__ is set else _set_bits(keys)
-    cells_xy = map(divmod, keys, repeat(stride))
-    new = tuple.__new__  # the coordinates below are normalized already
-    if sx == 1 and sy == 1:
-        pts = [new(Point2, (x + x0, y + y0)) for x, y in cells_xy]
-    else:
-        pts = [new(Point2, (_unscale(x + x0, sx), _unscale(y + y0, sy))) for x, y in cells_xy]
-    return PointSet2D._canonical(tuple(pts))
+    return sx, sy, [k // stride + x0 for k in keys], [k % stride + y0 for k in keys]
 
 
-def line_counts(pts) -> tuple[int, int, int, int, Optional[tuple]]:
-    """(columns, rows, longest row, longest column, step) of nonempty points
-    in canonical (x, y) order: a column is a run of equal x, a row counts the
-    points of one y, and step is _line_step(pts), which stops at the first
-    point off the line."""
-    rows, last = {}, None
-    cols = longest_col = run = 0
-    for x, y in pts:
+def line_counts(xs, ys) -> tuple[int, int, int, int, Optional[tuple]]:
+    """(columns, rows, longest row, longest column, step) of the nonempty
+    points (xs[i], ys[i]) in canonical order: a column counts the points of
+    one x, a row those of one y, and step is _line_step(xs, ys)."""
+    cols, rows = {}, {}
+    for x, y in zip(xs, ys):
+        cols[x] = cols.get(x, 0) + 1
         rows[y] = rows.get(y, 0) + 1
-        if x == last:
-            run += 1
-        else:
-            cols += 1
-            if run > longest_col:
-                longest_col = run
-            run, last = 1, x
-    return cols, len(rows), max(rows.values()), max(longest_col, run), _line_step(pts)
+    return len(cols), len(rows), max(rows.values()), max(cols.values()), _line_step(xs, ys)
 
 
-def _line_step(pts) -> Optional[tuple]:
-    """pts[1] - pts[0] as a pair when the nonempty pts lie on one line, (0, 0)
-    for a singleton, and None when they are not collinear."""
-    x0, y0 = pts[0]
-    if len(pts) == 1:
+def _line_step(xs, ys) -> Optional[tuple]:
+    """Point 1 minus point 0 when the nonempty points (xs[i], ys[i]) lie on one
+    line, (0, 0) for a singleton, and None (at the first point off it) if not."""
+    x0, y0 = xs[0], ys[0]
+    if len(xs) == 1:
         return 0, 0
-    dx, dy = pts[1][0] - x0, pts[1][1] - y0
-    for x, y in pts:
+    dx, dy = xs[1] - x0, ys[1] - y0
+    for x, y in zip(xs, ys):
         if dx * (y - y0) != dy * (x - x0):
             return None
     return dx, dy
@@ -405,7 +469,7 @@ def _line_step(pts) -> Optional[tuple]:
 def cover_stats(x: PointSet2D) -> CoverStats:
     if len(x) == 0:
         raise EmptySet("cover_stats needs a nonempty set")
-    cols, rows, longest_row, longest_col, step = line_counts(x.points)
+    cols, rows, longest_row, longest_col, step = x._line_counts()
     return CoverStats(cols, rows, longest_row, longest_col, step is None)
 
 
@@ -417,20 +481,19 @@ def collinear_direction(x: PointSet2D) -> Optional[Point2]:
     """
     if len(x) == 0:
         raise EmptySet("collinear_direction needs a nonempty set")
-    step = _line_step(x.points)
-    return None if step is None else _primitive(step)
+    step, (sx, sy) = x._line_counts()[4], x._ints()[:2]
+    # the grid step (dx, dy) is (dx/sx, dy/sy), parallel to (dx*sy, dy*sx)
+    return None if step is None else _primitive((step[0] * sy, step[1] * sx))
 
 
 def _primitive(d: tuple) -> Point2:
-    """Scale a rational vector to a canonical primitive integer vector; (0, 0) stays."""
-    fx, fy = Fraction(d[0]), Fraction(d[1])
-    den = fx.denominator * fy.denominator // gcd(fx.denominator, fy.denominator)
-    nx, ny = fx.numerator * (den // fx.denominator), fy.numerator * (den // fy.denominator)
-    g = gcd(nx, ny) or 1
-    nx, ny = nx // g, ny // g
+    """An integer vector divided by the gcd of its entries and turned to
+    point up, or right when horizontal; (0, 0) stays."""
+    g = gcd(d[0], d[1]) or 1
+    nx, ny = d[0] // g, d[1] // g
     if ny < 0 or (ny == 0 and nx < 0):
         nx, ny = -nx, -ny
-    return _point(nx, ny)
+    return tuple.__new__(Point2, (nx, ny))
 
 
 def parallel_directions(d1, d2) -> bool:
@@ -468,12 +531,12 @@ def arithmetic_progression_of(x: PointSet2D) -> Optional[Point2]:
     """
     if len(x) == 0:
         raise EmptySet("arithmetic_progression_of needs a nonempty set")
-    pts = x.points
-    ok_x, dx = shared_difference([[p[0] for p in pts]])
-    ok_y, dy = shared_difference([[p[1] for p in pts]])
+    sx, sy, xs, ys = x._ints()
+    ok_x, dx = shared_difference([xs])
+    ok_y, dy = shared_difference([ys])
     if ok_x and ok_y:  # then the points lie on one line, one step apart
-        return _point(dx or 0, dy or 0)
-    if _line_step(pts) is None:
+        return tuple.__new__(Point2, (_unscale(dx or 0, sx), _unscale(dy or 0, sy)))
+    if x._line_counts()[4] is None:
         raise NotCollinear("arithmetic_progression_of needs a collinear set")
     return None
 

@@ -837,7 +837,12 @@ def replay(a: PointSet2D, b: PointSet2D, cls: Classification) -> bool:
     """True when cls.witness_map carries a and b, each translated to
     min x = min y = 0, onto the family its verdict names, built from its
     details with the roles as given by roles_swapped; a thm2 verdict's anchors
-    must place each family set exactly."""
+    must place each family set exactly.  A 1d verdict has no witness: its
+    common_difference must step through each set from its first point."""
+    if cls.verdict is Verdict.ONE_DIMENSIONAL:
+        d = cls.details["common_difference"]
+        return d is not None and all(
+            s == PointSet2D(s.points[0] + d.scale(k) for k in range(len(s))) for s in (a, b))
     got_a, got_b = (apply_map(s, cls.witness_map) for s in (a, b))
     details = cls.details
     if cls.verdict is Verdict.TRAPEZOID_PAIR:
@@ -867,31 +872,47 @@ def seeded_map(rng: random.Random, upper_triangular: bool) -> AffineMap2D:
         else AffineMap2D.diagonal(a11, a22, tx, ty)
 
 
-# (mode, classifier, seed): the 3x3 --min-mn 2 sweeps of the two theorems
-REPLAY_SWEEPS = {"thm3": (BoundMode.SECTIONS_GS, classify_thm3, 3),
-                 "thm2": (BoundMode.LINES_GS, classify_thm2, 2)}
+# name -> (mode, classifier, map seed, grid, sweep caps, verdict tally): the
+# sweeps whose extremal pairs replay, their two-dimensional pairs for the
+# theorems and every pair of the 1d sweep.  The tally holds under the map.
+REPLAY_SWEEPS = {
+    "thm3 3x3": (BoundMode.SECTIONS_GS, classify_thm3, 3, (3, 3), {"min_mn": 2},
+                 {Verdict.TRAPEZOID_PAIR: 150}),
+    "thm3 3x4 b<=3": (BoundMode.SECTIONS_GS, classify_thm3, 4, (3, 4),
+                      {"min_mn": 2, "max_size_b": 3},
+                      {Verdict.TRAPEZOID_PAIR: 70, Verdict.EPS_TRAPEZOID_PAIR: 8}),
+    "thm2 3x3": (BoundMode.LINES_GS, classify_thm2, 2, (3, 3), {"min_mn": 2},
+                 {Verdict.TRAPEZOID_PAIR: 113}),
+    "1d 3x3": (BoundMode.ONE_DIMENSIONAL, classify_1d, 1, (3, 3), {},
+               {Verdict.ONE_DIMENSIONAL: 57}),
+}
 
 
-def replay_cases(theorem: str, mapped: bool) -> list:
-    """(a, b, classification) for every two-dimensional extremal pair of the
-    theorem's sweep, both sets under one seeded map of its group if mapped."""
-    mode, classifier, seed = REPLAY_SWEEPS[theorem]
-    pairs = two_dimensional_sweep_pairs(3, 3, mode, min_mn=2)
+def replay_cases(name: str, mapped: bool) -> list:
+    """(a, b, classification) for every pair the sweep replays, both sets
+    under one seeded map of its theorem's group if mapped (upper-triangular
+    for thm3 and 1d, diagonal for thm2)."""
+    mode, classifier, seed, grid, caps, _ = REPLAY_SWEEPS[name]
+    if mode is BoundMode.ONE_DIMENSIONAL:
+        report = sweep(SweepConfig(*grid, mode, collect_extremal=True, **caps))
+        pairs = [(PointSet2D(pa), PointSet2D(pb)) for pa, pb in report.extremal_pairs]
+    else:
+        pairs = two_dimensional_sweep_pairs(*grid, mode, **caps)
     if mapped:
-        m = seeded_map(random.Random(seed), upper_triangular=theorem == "thm3")
+        m = seeded_map(random.Random(seed), upper_triangular=mode is not BoundMode.LINES_GS)
         pairs = [(apply_map(a, m), apply_map(b, m)) for a, b in pairs]
     return [(a, b, classifier(a, b)) for a, b in pairs]
 
 
 class TestWitnessReplay:
-    """Every family verdict of the 3x3 sweeps replays its own witness: an
+    """Every verdict of the replay sweeps replays its own witness: an
     independent check of the classifiers, not a copy of their algorithm."""
 
     @pytest.mark.parametrize("mapped", [False, True], ids=["plain", "mapped"])
-    @pytest.mark.parametrize("theorem", sorted(REPLAY_SWEEPS))
-    def test_every_extremal_pair_replays(self, theorem, mapped):
-        cases = replay_cases(theorem, mapped)
-        assert len(cases) > 100  # 3x3 yields trapezoid pairs only
+    @pytest.mark.parametrize("name", sorted(REPLAY_SWEEPS))
+    def test_every_extremal_pair_replays(self, name, mapped):
+        cases = replay_cases(name, mapped)
+        assert Counter(cls.verdict for _, _, cls in cases) == REPLAY_SWEEPS[name][-1]
         assert [(a, b) for a, b, cls in cases if not replay(a, b, cls)] == []
 
     @pytest.mark.parametrize("mapped", [False, True], ids=["plain", "mapped"])
@@ -912,8 +933,16 @@ class TestWitnessReplay:
             swapped = dict(cls.details, roles_swapped=not cls.details["roles_swapped"])
             assert not replay(a, b, Classification(cls.verdict, swapped, cls.witness_map))
 
+    def test_doubled_common_difference_fails(self):
+        cases = [(a, b, cls) for a, b, cls in replay_cases("1d 3x3", mapped=True)
+                 if max(len(a), len(b)) > 1]
+        assert len(cases) > 20
+        for a, b, cls in cases:
+            doubled = dict(cls.details, common_difference=cls.details["common_difference"].scale(2))
+            assert not replay(a, b, Classification(cls.verdict, doubled))
+
     def test_flipped_shear_sign_fails(self):
-        cases = [(a, b, cls) for a, b, cls in replay_cases("thm3", mapped=True)
+        cases = [(a, b, cls) for a, b, cls in replay_cases("thm3 3x3", mapped=True)
                  if cls.witness_map.a12 != 0]
         assert len(cases) > 50
         for a, b, cls in cases:

@@ -91,6 +91,11 @@ class TestChecks:
         assert code == 0
         assert json.loads(out)["split_extremal"] is True
 
+    def test_check_split_on_an_empty_set_names_split_check(self, capsys):
+        stream = "# set: A\n# set: B\n0 0\n1 0\n"
+        assert run_cli(["check", "split"], stdin_text=stream) == (2, "")
+        assert capsys.readouterr().err == "error: split_check needs nonempty sets\n"
+
     def test_check_1d(self):
         stream = "# set: A\n0 0\n1 0\n2 0\n# set: B\n0 5\n1 5\n"
         code, out = run_cli(["check", "1d"], stdin_text=stream)

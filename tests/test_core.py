@@ -19,9 +19,9 @@ from conftest import nonempty_pairs, point_sets, points
 from sumsetlab import (AffineMap2D, BoundMode, CaseCSpec, CoverStats, EmptySet, InvalidSpec,
                        NotCollinear, ParseError, Point2, PointSet2D, apply_map,
                        arithmetic_progression_of, bound, chain_diagnostic, classify_1d,
-                       collinear_direction, compression_chain, cover_stats, dumps_points,
+                       collinear_direction, compress, compression_chain, cover_stats, dumps_points,
                        gen_case_c, gen_trapezoid, gen_wild, loads_points, minkowski_sum,
-                       parallel_directions, split_check)
+                       oracle_pair_check, parallel_directions, split_check)
 import sumsetlab
 from sumsetlab import bounds, core
 from sumsetlab.classify import _jsonify
@@ -251,7 +251,7 @@ class TestLineWalkMatchesReference:
         if da is not None and db is not None:
             assert parallel_directions(da, db) == reference_parallel_directions(da, db)
             # the raw steps, as the sweep keeps them, are parallel just as often
-            steps = [core._line_step(x.points) for x in (a, b)]
+            steps = [core._line_step(*zip(*x.points)) for x in (a, b)]
             assert parallel_directions(*steps) == reference_parallel_directions(da, db)
 
     def test_counts_read_neither_rows_nor_columns(self):
@@ -277,7 +277,7 @@ def line_walk_arithmetic_progression_of(x: PointSet2D):
     if len(x) == 0:
         raise EmptySet("arithmetic_progression_of needs a nonempty set")
     pts = x.points
-    step = core._line_step(pts)
+    step = core._line_step(*zip(*pts))
     if step is None:
         raise NotCollinear("arithmetic_progression_of needs a collinear set")
     delta = core._point(*step)
@@ -322,29 +322,48 @@ def assert_1d_matches_reference(a: PointSet2D, b: PointSet2D) -> bool:
     return equality
 
 
+# parallel pairs, as the points of A and B; each test builds its sets, as a
+# set keeps its one line walk
+PARALLEL_PAIRS = {"ap": ([(0, 0), (1, 2), (2, 4)], [(5, 1), (6, 3)]),
+                  "a_not_ap": ([(0, 0), (1, 2), (3, 6)], [(5, 1), (6, 3)]),
+                  "neither_ap": ([(0, 0), (1, 2), (3, 6)], [(5, 1), (6, 3), (8, 7)])}
+
+
+def parallel_pair(name):
+    return tuple(PointSet2D(pts) for pts in PARALLEL_PAIRS[name])
+
+
 class TestCountOnlyPaths:
     """classify_1d, split_check and both section chains count A+B without
-    bound or minkowski_sum, 1d mode reads no cover counts and walks each line
-    once, and a bound on one set reads its cover counts once."""
+    bound or minkowski_sum, 1d mode reads no cover counts, each set's line
+    is walked at most once, and a bound on one set reads its cover counts
+    once."""
 
-    AP_PAIR = (ps((0, 0), (1, 2), (2, 4)), ps((5, 1), (6, 3)))
-    NON_AP_PAIR = (ps((0, 0), (1, 2), (3, 6)), ps((5, 1), (6, 3)))
-    BOTH_NON_AP_PAIR = (ps((0, 0), (1, 2), (3, 6)), ps((5, 1), (6, 3), (8, 7)))
-
-    @pytest.mark.parametrize("pair,walks", [(AP_PAIR, 2), (NON_AP_PAIR, 3), (BOTH_NON_AP_PAIR, 3)],
-                             ids=["ap", "a_not_ap", "neither_ap"])
-    def test_classify_1d_neither_bounds_nor_builds(self, pair, walks):
+    @pytest.mark.parametrize("name", sorted(PARALLEL_PAIRS))
+    def test_classify_1d_neither_bounds_nor_builds(self, name):
         with counting(bounds, "bound") as bound_calls, \
                 counting(core, "minkowski_sum") as sums, counting(core, "_line_step") as steps:
-            classify_1d(*pair)
+            classify_1d(*parallel_pair(name))
         assert bound_calls.call_count == 0 and sums.call_count == 0
-        assert steps.call_count == walks
+        assert steps.call_count <= 2  # at most one walk per set
 
     def test_1d_bound_reads_no_cover_counts(self):
         with counting(core, "cover_stats") as stats, counting(core, "_line_step") as steps, \
                 counting(core, "minkowski_sum") as sums:
-            bound(BoundMode.ONE_DIMENSIONAL, *self.AP_PAIR)
-        assert (stats.call_count, steps.call_count, sums.call_count) == (0, 2, 1)
+            bound(BoundMode.ONE_DIMENSIONAL, *parallel_pair("ap"))
+        assert (stats.call_count, sums.call_count) == (0, 1) and steps.call_count <= 2
+
+    @pytest.mark.parametrize("name", sorted(PARALLEL_PAIRS) + ["wild", "case_c"])
+    def test_oracle_record_walks_each_set_once(self, name):
+        """A whole oracle_pair_check record: every bound, both chains and
+        each classification that applies."""
+        pairs = {"wild": gen_wild(4), "case_c": gen_case_c(CaseCSpec(2, 3, 3))}
+        pair = pairs[name] if name in pairs else parallel_pair(name)
+        with counting(core, "_line_step") as steps:
+            record = oracle_pair_check(*pair)
+        assert set(record["classifications"]) == ({"thm2", "thm3"} if name == "case_c" else
+                                                 {"thm2"} if name == "wild" else {"1d"})
+        assert steps.call_count <= 2
 
     @pytest.mark.parametrize("mode", [BoundMode.LINES_GS, BoundMode.SECTIONS_GS],
                              ids=lambda m: m.value)
@@ -689,3 +708,90 @@ class TestPointMatchesReference:
         assert Point2(1, 2) == (1, 2) and hash(Point2(1, 2)) == hash((1, 2))
         assert Point2(Fraction(4, 2), 0) == (2, 0) and type(Point2(Fraction(4, 2), 0).x) is int
         assert (1, 2) in ps((1, 2)) and (Fraction(2, 2), 2) in ps((1, 2))
+
+
+def old_compress(x: PointSet2D) -> PointSet2D:
+    """compress as it was before it built its points on the grid."""
+    return PointSet2D((i, level) for level, xs in x.rows().items() for i in range(len(xs)))
+
+
+def old_split(x: PointSet2D) -> tuple:
+    """split_check's halves as it built them from rows(): the points on and
+    below, and on and above, the lowest of the longest rows."""
+    rows = x.rows()
+    m = max(map(len, rows.values()))
+    t = min(level for level, xs in rows.items() if len(xs) == m)
+    return m, PointSet2D(p for p in x if p.y <= t), PointSet2D(p for p in x if p.y >= t)
+
+
+def typed_sections(sections: dict) -> list:
+    return [(typed(k), [typed(v) for v in vs]) for k, vs in sections.items()]
+
+
+# each read runs on a fresh set, so that no read finds what another built
+GRID_READS = {
+    "len": len, "rows": lambda s: typed_sections(s.rows()),
+    "columns": lambda s: typed_sections(s.columns()),
+    "cover_stats": lambda s: cover_stats(s) if len(s) else None,
+    "collinear_direction": lambda s: typed_or_none(collinear_direction(s)) if len(s) else None,
+    "points": lambda s: [typed(p) for p in s.points], "repr": repr, "hash": hash,
+    "members": lambda s: sorted(p for p in s.points if p in s),
+}
+
+
+def assert_born_like(make, want: PointSet2D) -> None:
+    """Every read of a set born on the grid, built by make(), equals that of
+    want, the PointSet2D of the expected points; so do == both ways and the
+    membership of want's points."""
+    for name, read in GRID_READS.items():
+        assert read(make()) == read(want), name
+    assert make() == want and want == make() and all(p in make() for p in want)
+
+
+class TestGridBornSets:
+    """minkowski_sum, translate, compress and the split halves hold their
+    sets on the integer grid and build points on first use; each behaves as
+    PointSet2D(its points), on int, negative, rational and mixed-denominator
+    sets."""
+
+    @given(kernel_sets, kernel_sets, coord_pairs)
+    @settings(max_examples=200, deadline=None)
+    def test_sum_and_translate(self, a, b, delta):
+        d = Point2(*delta)
+        assert_born_like(lambda: minkowski_sum(a, b), reference_minkowski_sum(a, b))
+        cover_stats(a)  # a translate on a grid of the same scales keeps a's line counts
+        assert_born_like(lambda: a.translate(delta), PointSet2D(p + d for p in a))
+        assert_born_like(lambda: a.translate((delta[0], 0)), PointSet2D(p + (d.x, 0) for p in a))
+        assert_born_like(lambda: minkowski_sum(a, b).translate(delta),
+                         PointSet2D(p + d for p in reference_minkowski_sum(a, b)))
+
+    @given(kernel_sets)
+    @settings(max_examples=200, deadline=None)
+    def test_compress_and_split_halves(self, a):
+        assert_born_like(lambda: compress(a), old_compress(a))
+        m, lower, upper = old_split(a)
+        assert a._split()[0] == m
+        assert_born_like(lambda: a._split()[1], lower)
+        assert_born_like(lambda: a._split()[2], upper)
+
+    def test_integral_sum_of_half_integer_sets(self):
+        """A sum's grid is that of its summands, here halves, and need not be
+        reduced: == and hash still see the integer points."""
+        half = Fraction(1, 2)
+        a, b = ps((half, half), (3 * half, half)), ps((half, -half), (-half, 3 * half))
+        want = ps((1, 0), (2, 0), (0, 2), (1, 2))
+        assert_born_like(lambda: minkowski_sum(a, b), want)
+        assert_born_like(lambda: a.translate((half, -half)), ps((1, 0), (2, 0)))
+        assert {minkowski_sum(a, b): 1}[want] == 1
+
+    @pytest.mark.parametrize("mode", list(BoundMode), ids=lambda m: m.value)
+    def test_counts_build_no_points(self, mode):
+        s = gen_trapezoid(TrapezoidSpec(10, 61, 0, 1)) if mode is not BoundMode.ONE_DIMENSIONAL \
+            else ps(*[(x, 2 * x) for x in range(40)])
+        a, b = s.translate((3, -2)), s.translate((Fraction(1, 3), 5))
+        if mode is BoundMode.DOUBLING:
+            b = a
+        with mock.patch.object(core, "_points", side_effect=AssertionError("points built")), \
+                mock.patch.object(PointSet2D, "__init__", side_effect=AssertionError("set built")):
+            got = (bound(mode, a, b).lhs, core.sumset_size(a, b), len(minkowski_sum(a, b)))
+        assert got == (len(reference_minkowski_sum(a, b)),) * 3

@@ -6,7 +6,9 @@ instead of a traceback.  No unused private code: a module-level `_name`
 function or class that nothing in `src/` refers to is dead.  No third-party
 import: the library has no runtime dependencies, and numpy in particular
 must not become one.  No A+B built only to be counted: `len(minkowski_sum(...))`
-builds every point of the sum, where sumset_size counts it.
+builds every point of the sum, where sumset_size counts it.  No read of
+PointSet2D's slots outside core: its grid, line counts and lazily built
+points are core's to fill, and other modules go through its methods.
 """
 
 import ast
@@ -14,6 +16,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from sumsetlab.core import PointSet2D
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "sumsetlab"
 BROAD = {"Exception", "BaseException"}
@@ -142,3 +146,25 @@ def test_counted_sum_is_found():
         "b": "s = minkowski_sum(a, b)\nn = len(s) + len(poly_minkowski_sum(p, q).vertices)\n",
     }
     assert counted_sums(sources) == ["a.f", "a.C"]
+
+
+def slot_reads(sources: dict, slots) -> list[str]:
+    """`module:line` of each attribute access named like one of slots in a
+    module other than core; sources maps module -> text."""
+    return [f"{module}:{node.lineno}" for module, source in sources.items() if module != "core"
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr in slots]
+
+
+def test_point_set_slots_are_read_only_in_core():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert slot_reads(sources, PointSet2D.__slots__) == []
+
+
+def test_slot_read_is_found():
+    sources = {
+        "core": "def f(s):\n    return s._grid, s._pts\n",
+        "a": "def g(s):\n    n = s._ints()\n    return s._pts[0], n\n",
+        "b": "from .core import PointSet2D\nPointSet2D._grid = None\nx = [t._grid for t in ()]\n",
+    }
+    assert slot_reads(sources, ("_pts", "_grid")) == ["a:3", "b:2", "b:3"]

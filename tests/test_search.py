@@ -496,7 +496,7 @@ def reference_enumerate_subsets(width, height, max_size=None, require_two_dimens
         pts = tuple(cells[i] for i in range(len(cells)) if mask >> i & 1)
         if min(x for x, _ in pts) != 0 or min(y for _, y in pts) != 0:
             continue
-        lines_m, _, sections_m, _, step = core.line_counts(pts)
+        lines_m, _, sections_m, _, step = core.line_counts(*zip(*pts))
         if require_two_dimensional and step is not None:
             continue
         out.append((pts, len(pts), lines_m, sections_m, step is None, step))
