@@ -44,15 +44,9 @@ class BoundReport:
     extremal: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "mode": self.mode.value,
-            "m": self.m,
-            "n": self.n,
-            "lhs": rat_str(self.lhs),
-            "rhs": rat_str(self.rhs),
-            "gap": rat_str(self.gap),
-            "extremal": self.extremal,
-        }
+        return {"mode": self.mode.value, "m": self.m, "n": self.n,
+                **{k: rat_str(getattr(self, k)) for k in ("lhs", "rhs", "gap")},
+                "extremal": self.extremal}
 
 
 def rhs_num_den(mode: BoundMode, size_a: int, m: int, size_b: int, n: int) -> tuple[int, int]:
@@ -129,14 +123,9 @@ class AveragingReport:
     ap_condition: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "u_values": {rat_str(t): rat_str(v) for t, v in sorted(self.u_values.items())},
-            "u_plus_mean": rat_str(self.u_plus_mean),
-            "full_mean": rat_str(self.full_mean),
-            "rhs": rat_str(self.rhs),
-            "equality": self.equality,
-            "ap_condition": self.ap_condition,
-        }
+        return {"u_values": {rat_str(t): rat_str(v) for t, v in sorted(self.u_values.items())},
+                **{k: rat_str(getattr(self, k)) for k in ("u_plus_mean", "full_mean", "rhs")},
+                "equality": self.equality, "ap_condition": self.ap_condition}
 
 
 def u_values(a: SupportedSequence, b: SupportedSequence) -> dict:
@@ -160,14 +149,8 @@ def averaging_report(a: SupportedSequence, b: SupportedSequence) -> AveragingRep
     rhs = a.mean() + b.mean()
     ap = shared_difference([a.indices(), b.indices()])[0] and \
         shared_difference([[s.entries[i] for i in s.indices()] for s in (a, b)])[0]
-    return AveragingReport(
-        u_values=u,
-        u_plus_mean=rat(u_plus_mean),
-        full_mean=rat(full_mean),
-        rhs=rat(rhs),
-        equality=full_mean == rhs,
-        ap_condition=ap,
-    )
+    return AveragingReport(u_values=u, u_plus_mean=rat(u_plus_mean), full_mean=rat(full_mean),
+                           rhs=rat(rhs), equality=full_mean == rhs, ap_condition=ap)
 
 
 def _section_chain_sums(sa: dict, sb: dict) -> tuple[int, int]:

@@ -125,12 +125,8 @@ def _trapezoid_spec_of(cols: dict) -> Optional[tuple[TrapezoidSpec, Point2]]:
     okc, c = shared_difference([maxs])
     if not (okd and okc):
         return None
-    m = len(xs)
-    h = int(maxs[0] - mins[0]) + 1
-    d = rat(0) if d is None else d
-    c = rat(0) if c is None else c
-    try:
-        spec = TrapezoidSpec(m, h, c, d)
+    try:  # a one-column set has no slopes: c = d = 0
+        spec = TrapezoidSpec(len(xs), int(maxs[0] - mins[0]) + 1, c or 0, d or 0)
     except InvalidSpec:
         return None
     return spec, _point(x0, mins[0])
@@ -205,17 +201,12 @@ def classify_thm2(a: PointSet2D, b: PointSet2D) -> Classification:
               for cols in (cols_a, cols_b))
     if ra is None or rb is None:
         return Classification(Verdict.EXTREMAL_UNCLASSIFIED)
-    spec_a, anchor_a = ra
-    spec_b, anchor_b = rb
+    (spec_a, anchor_a), (spec_b, anchor_b) = ra, rb
     if spec_a.c != spec_b.c or spec_a.d != spec_b.d:
         return Classification(Verdict.EXTREMAL_UNCLASSIFIED)
+    details = {"spec_a": spec_a, "spec_b": spec_b, "anchor_a": anchor_a, "anchor_b": anchor_b}
     witness = AffineMap2D.diagonal(inv_alpha, inv_beta)
-    return Classification(
-        verdict=Verdict.TRAPEZOID_PAIR,
-        details={"spec_a": spec_a, "spec_b": spec_b,
-                 "anchor_a": anchor_a, "anchor_b": anchor_b},
-        witness_map=witness,
-    )
+    return Classification(Verdict.TRAPEZOID_PAIR, details, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +339,7 @@ def _normalized_candidates(runs_a, runs_b, scale: int):
 
 
 def _match_standard(a3, b3, m: int, n: int) -> Optional[dict]:
-    ta = _match_trapezoid(a3, m)
-    tb = _match_trapezoid(b3, n)
+    ta, tb = _match_trapezoid(a3, m), _match_trapezoid(b3, n)
     if ta is not None and tb is not None and ta.c == tb.c and ta.d == tb.d:
         return {"spec_a": ta, "spec_b": tb}
     return None

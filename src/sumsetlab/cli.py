@@ -29,8 +29,6 @@ from .errors import ConsistencyError, InvalidSpec, ParseError, SumsetError
 # those; the mode choices are BoundMode's values, spelled out for the parser.
 _MODE_CHOICES = ("1d", "doubling", "lines", "sections")
 _SET_MARKER = re.compile(r"^#\s*set:\s*(.*)$")
-
-
 _RATIONAL = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
 
 

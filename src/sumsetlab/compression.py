@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from collections import Counter
-
 from .bounds import _section_chain_sums
 from .core import PointSet2D, Rational, sumset_size
 from .errors import EmptySet
@@ -16,11 +14,7 @@ def compress(x: PointSet2D) -> PointSet2D:
     """
     if len(x) == 0:
         raise EmptySet("compress needs a nonempty set")
-    _, sy, _, ys = x._ints()
-    rows = sorted(Counter(ys).items())  # (level, row length), levels ascending
-    cols = [[level for level, k in rows if k > i] for i in range(max(k for _, k in rows))]
-    return PointSet2D._on_grid(1, sy, [i for i, col in enumerate(cols) for _ in col],
-                               [level for col in cols for level in col])
+    return x._compressed()
 
 
 def compression_chain(a: PointSet2D, b: PointSet2D) -> list[Rational]:

@@ -13,15 +13,14 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, repeat
 from math import gcd, lcm
-from operator import add, attrgetter, itemgetter
+from operator import add, itemgetter
 from typing import Iterable, Iterator, Optional, Union
 
 from .errors import EmptySet, InvalidSpec, NotCollinear, ParseError
 
 Rational = Union[int, Fraction]
-_DEN = attrgetter("denominator")
 
 
 def rat(value) -> Rational:
@@ -121,10 +120,9 @@ def _as_point(p) -> Point2:
 class PointSet2D:
     """A finite, deduplicated set of points, iterated in canonical order.
 
-    The set is held on one integer grid, filled at most once: per-axis
-    scales sx, sy and int sequences xs, ys in canonical order (point i is
-    (xs[i]/sx, ys[i]/sy)), with its line_counts.  Sums, translates,
-    compressions and split halves are born on the grid and build their
+    It is held on one integer grid, filled at most once: per-axis scales
+    sx, sy and ints xs, ys in canonical order, point i being (xs[i]/sx,
+    ys[i]/sy), with its line_counts.  A set born on the grid builds its
     Point2s and frozenset on first use.  A grid need not be reduced (a sum
     of half-integer sets may be integral), so == and hash compare points.
     """
@@ -135,23 +133,35 @@ class PointSet2D:
         pts = {_as_point(p) for p in points}
         self._fill(len(pts), tuple(sorted(pts)), frozenset(pts), None)
 
-    def _fill(self, size: int, pts, members, grid, counts=None) -> "PointSet2D":
+    def _fill(self, size: int, pts, members, grid) -> "PointSet2D":
         """Set every slot; grid is (sx, sy, xs, ys), None or a function returning it."""
         put = object.__setattr__  # five calls, not a loop: __init__ runs on every small set
         put(self, "_len", size), put(self, "_pts", pts), put(self, "_set", members)
-        put(self, "_grid", grid), put(self, "_counts", counts)
+        put(self, "_grid", grid), put(self, "_counts", None)
         return self
 
     @classmethod
-    def _on_grid(cls, sx: int, sy: int, xs, ys, counts=None) -> "PointSet2D":
+    def _on_grid(cls, sx: int, sy: int, xs, ys) -> "PointSet2D":
         """The set of the distinct points (xs[i]/sx, ys[i]/sy), in canonical order."""
-        return object.__new__(cls)._fill(len(xs), None, None, (sx, sy, xs, ys), counts)
+        return object.__new__(cls)._fill(len(xs), None, None, (sx, sy, xs, ys))
+
+    @classmethod
+    def _of_sorted_ints(cls, pts) -> "PointSet2D":
+        """The set of the nonempty, distinct int points pts, in canonical order."""
+        return cls._on_grid(1, 1, *zip(*pts))
 
     def _ints(self) -> tuple:
         """(sx, sy, xs, ys): this set on its integer grid."""
         grid = self._grid
         if grid.__class__ is not tuple:
-            grid = _grid_of(self._pts) if grid is None else grid()
+            if grid is None:  # a set built from its points
+                xs, ys = zip(*self._pts) if self._len else ((), ())
+                sx = sy = 1
+                if lcm(*[v.denominator for v in xs + ys]) > 1:  # scale each axis to ints
+                    (sx, (xs,)), (sy, (ys,)) = common_scale(xs), common_scale(ys)
+                grid = sx, sy, xs, ys
+            else:
+                grid = grid()
             object.__setattr__(self, "_grid", grid)
         return grid
 
@@ -171,6 +181,14 @@ class PointSet2D:
         return m, *(PointSet2D._on_grid(sx, sy, [x for x, y in zip(xs, ys) if keep(y)],
                                         [y for y in ys if keep(y)])
                     for keep in (t.__ge__, t.__le__))  # y <= t, then y >= t
+
+    def _compressed(self) -> "PointSet2D":
+        """C(self) with no sort: column i holds the levels of the rows longer than i."""
+        _, sy, _, ys = self._ints()
+        rows = sorted(Counter(ys).items())  # (level, row length), levels ascending
+        cols = [[level for level, k in rows if k > i] for i in range(max(k for _, k in rows))]
+        return PointSet2D._on_grid(1, sy, [i for i, col in enumerate(cols) for _ in col],
+                                   [level for col in cols for level in col])
 
     @property
     def points(self) -> tuple[Point2, ...]:
@@ -216,8 +234,7 @@ class PointSet2D:
                                 "ints and Fractions")
         sx, sy, xs, ys = self._ints()
         nx, ny = lcm(sx, dx.denominator), lcm(sy, dy.denominator)
-        return PointSet2D._on_grid(nx, ny, _regrid(xs, sx, nx, dx), _regrid(ys, sy, ny, dy),
-                                   self._counts if (nx, ny) == (sx, sy) else None)
+        return PointSet2D._on_grid(nx, ny, _regrid(xs, sx, nx, dx), _regrid(ys, sy, ny, dy))
 
     def columns(self) -> dict[Rational, list[Rational]]:
         """x-value -> ascending y-values on that vertical line."""
@@ -230,15 +247,6 @@ class PointSet2D:
         return _sections(ys, xs, sy, sx)  # canonical order: ascending x within each y
 
 
-def _grid_of(pts: tuple) -> tuple:
-    """(sx, sy, xs, ys) of Point2s in canonical order."""
-    xs, ys = zip(*pts) if pts else ((), ())
-    if max(map(_DEN, chain(xs, ys)), default=1) == 1:  # int points, the common case
-        return 1, 1, xs, ys
-    (sx, (xs,)), (sy, (ys,)) = common_scale(xs), common_scale(ys)
-    return sx, sy, xs, ys
-
-
 def _sections(keys, values, sk: int, sv: int) -> dict:
     """Grid key -> its values in their order, keys ascending, both unscaled."""
     out: dict = {}
@@ -248,15 +256,13 @@ def _sections(keys, values, sk: int, sv: int) -> dict:
 
 
 def _regrid(vs, scale: int, new: int, d: Rational = 0):
-    """Grid values vs/scale plus d as values on the grid 1/new, new a
-    multiple of scale and of d's denominator."""
+    """vs/scale + d on the grid 1/new, new a multiple of scale and of d's denominator."""
     k, shift = new // scale, d.numerator * (new // d.denominator)
     return vs if k == 1 and shift == 0 else [v * k + shift for v in vs]
 
 
 def _points(pts: Iterable, sx: int, sy: int) -> tuple[Point2, ...]:
-    """Grid points (x, y) as the Point2s (x/sx, y/sy), coordinates int when
-    integral."""
+    """Grid points (x, y) as the Point2s (x/sx, y/sy), int where integral."""
     new = tuple.__new__
     if sx == 1 and sy == 1:
         return tuple(new(Point2, p) for p in pts)
@@ -381,7 +387,7 @@ def _set_bits(mask: int) -> list[int]:
 def common_scale(*value_lists) -> tuple[int, list[list[int]]]:
     """(L, lists): L is the lcm of every value's denominator, and each list
     is multiplied by L into ints.  Lists of ints come back as they are."""
-    scale = lcm(*map(_DEN, chain.from_iterable(value_lists)))
+    scale = lcm(*[v.denominator for values in value_lists for v in values])
     if scale == 1:
         return 1, list(value_lists)
     return scale, [[v.numerator * (scale // v.denominator) for v in values]

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import Point2, PointSet2D, Rational, _point, rat, rat_str
+from .core import PointSet2D, Rational, _point, rat, rat_str
 from .errors import InvalidSpec
 
 
@@ -42,11 +42,8 @@ class TrapezoidSpec:
 
 def gen_trapezoid(spec: TrapezoidSpec) -> PointSet2D:
     """Materialize T(m, h, c, d) with column x at {dx, dx+1, ..., cx+h-1}."""
-    pts = []
-    for x in range(spec.m):
-        base = spec.d * x
-        pts.extend(_point(x, base + j) for j in range(spec.h + int(spec.c - spec.d) * x))
-    return PointSet2D(pts)
+    return PointSet2D(_point(x, spec.d * x + j) for x in range(spec.m)
+                      for j in range(spec.h + int(spec.c - spec.d) * x))
 
 
 @dataclass(frozen=True)
@@ -113,26 +110,13 @@ class CaseCSpec:
 def gen_case_c(spec: CaseCSpec) -> tuple[PointSet2D, PointSet2D]:
     """The lattice pair
     A = {x >= 0, y >= 2x, y <= x + 2m + (k-5)/2, y <= 2x + 2m - 1},
-    B = {x >= 0, y >= 2x, y <= x + 2n - 2}, anchored at the origin corner."""
+    B = {x >= 0, y >= 2x, y <= x + 2n - 2}, anchored at the origin corner.
+    Column x of A is nonempty for x <= 2m + (k-5)/2, that of B for x <= 2n - 2."""
     m, n, k = spec.m, spec.n, spec.k
     top = 2 * m + (k - 5) // 2  # k odd, so (k-5)/2 is exact
-    a_pts = []
-    x = 0
-    while True:
-        lo, hi = 2 * x, min(x + top, 2 * x + 2 * m - 1)
-        if lo > hi:
-            break
-        a_pts.extend(_point(x, y) for y in range(lo, hi + 1))
-        x += 1
-    b_pts = []
-    x = 0
-    while True:
-        lo, hi = 2 * x, x + 2 * n - 2
-        if lo > hi:
-            break
-        b_pts.extend(_point(x, y) for y in range(lo, hi + 1))
-        x += 1
-    return PointSet2D(a_pts), PointSet2D(b_pts)
+    a = [(x, y) for x in range(top + 1) for y in range(2 * x, min(x + top, 2 * x + 2 * m - 1) + 1)]
+    b = [(x, y) for x in range(2 * n - 1) for y in range(2 * x, x + 2 * n - 1)]
+    return PointSet2D(a), PointSet2D(b)
 
 
 def gen_wild(x: Rational) -> tuple[PointSet2D, PointSet2D]:
@@ -144,11 +128,5 @@ def gen_wild(x: Rational) -> tuple[PointSet2D, PointSet2D]:
     x = rat(x)
     if x < 4:
         raise InvalidSpec("wild pair needs x >= 4")
-    a = PointSet2D([Point2(0, 0), Point2(0, 1), Point2(1, -1)])
-    b = PointSet2D([
-        Point2(0, 2), Point2(0, 1), Point2(0, 0),
-        Point2(1, 0), Point2(1, -1),
-        Point2(2, 0), Point2(2, -1), Point2(2, -2),
-        Point2(x, 0),
-    ])
-    return a, b
+    return (PointSet2D([(0, 0), (0, 1), (1, -1)]),
+            PointSet2D([(0, 2), (0, 1), (0, 0), (1, 0), (1, -1), (2, 0), (2, -1), (2, -2), (x, 0)]))

@@ -189,25 +189,19 @@ def _parallel(da: Optional[tuple], db: Optional[tuple]) -> bool:
     return da is not None and db is not None and parallel_directions(da, db)
 
 
-def _point_set(s: _Subset) -> PointSet2D:
-    """The subset as a set born on the grid: its points are distinct ints in
-    canonical order."""
-    return PointSet2D._on_grid(1, 1, *zip(*s.pts))
-
-
 def _classify_extremal(mode: BoundMode, a: _Subset, b: _Subset):
     """An extremal pair's outcome: _WILD, or the tag it is tallied under."""
     if mode is BoundMode.SECTIONS_GS and (a.sections_m == 1 or b.sections_m == 1):
         return _WILD
     if a.two_dimensional and b.two_dimensional:
-        ps_a, ps_b = _point_set(a), _point_set(b)
+        ps_a, ps_b = PointSet2D._of_sorted_ints(a.pts), PointSet2D._of_sorted_ints(b.pts)
         cls = classify_thm2(ps_a, ps_b) if mode in (BoundMode.LINES_GS, BoundMode.DOUBLING) \
             else classify_thm3(ps_a, ps_b, verdict_only=True)
         if cls.verdict is Verdict.NOT_EXTREMAL:
             raise ConsistencyError("sweep extremality disagrees with classifier")
         return cls.verdict.value
     if _parallel(a.direction, b.direction):
-        cls = classify_1d(_point_set(a), _point_set(b))
+        cls = classify_1d(PointSet2D._of_sorted_ints(a.pts), PointSet2D._of_sorted_ints(b.pts))
         if not cls.details["equality"]:
             raise ConsistencyError("sweep extremality disagrees with 1d characterization")
         return cls.verdict.value

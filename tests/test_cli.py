@@ -40,6 +40,14 @@ class TestPipelines:
         assert payload["lhs"] == payload["rhs"] == "17"
         assert payload["extremal"] is True
 
+    def test_bound_report_bytes_with_approx(self):
+        """Pinned: the report's keys in order, as json.dumps prints them."""
+        _, stream = run_cli(["gen", "wild", "--x", "9/2"])
+        code, out = run_cli(["bound", "--mode", "sections", "--approx"], stream)
+        want = {"mode": "sections", "m": 1, "n": 4, "lhs": "17", "rhs": "17", "gap": "0",
+                "extremal": True, "approx": {"lhs": 17.0, "rhs": 17.0, "gap": 0.0}}
+        assert (code, out) == (0, json.dumps(want, indent=2) + "\n")
+
     def test_gen_file_load_check_matches_in_memory(self, tmp_path):
         pa, pb = tmp_path / "a.txt", tmp_path / "b.txt"
         code, _ = run_cli(["gen", "wild", "--x", "5",
@@ -224,6 +232,15 @@ class TestLemmaAvg:
         code, out = run_cli(["lemma-avg", "--a", "0=1/2", "--b", "0=1,2=7"])
         assert code == 0
         assert json.loads(out)["equality"] is True
+
+    def test_report_bytes_with_approx(self):
+        """Pinned: the report's keys in order, as json.dumps prints them."""
+        code, out = run_cli(["lemma-avg", "--a", "0=0,1/2=5", "--b", "0=7/3", "--approx"])
+        third = 4.833333333333333
+        want = {"u_values": {"0": "7/3", "1/2": "22/3"}, "u_plus_mean": "29/6",
+                "full_mean": "29/6", "rhs": "29/6", "equality": True, "ap_condition": True,
+                "approx": {"u_plus_mean": third, "full_mean": third, "rhs": third}}
+        assert (code, out) == (0, json.dumps(want, indent=2) + "\n")
 
     @pytest.mark.parametrize("a", ["0=1,0=5,1=3", "0=1,1=3,0/1=5"])
     def test_repeated_index_exit_2(self, a, capsys):

@@ -6,9 +6,10 @@ instead of a traceback.  No unused private code: a module-level `_name`
 function or class that nothing in `src/` refers to is dead.  No third-party
 import: the library has no runtime dependencies, and numpy in particular
 must not become one.  No A+B built only to be counted: `len(minkowski_sum(...))`
-builds every point of the sum, where sumset_size counts it.  No read of
-PointSet2D's slots outside core: its grid, line counts and lazily built
-points are core's to fill, and other modules go through its methods.
+builds every point of the sum, where sumset_size counts it.  No use of
+PointSet2D's grid layout outside core: its slots, the (sx, sy, xs, ys) grid
+that `_ints` returns and `_on_grid` takes, and the helpers that fill them
+are core's, and other modules build and read sets through its methods.
 """
 
 import ast
@@ -148,23 +149,34 @@ def test_counted_sum_is_found():
     assert counted_sums(sources) == ["a.f", "a.C"]
 
 
-def slot_reads(sources: dict, slots) -> list[str]:
-    """`module:line` of each attribute access named like one of slots in a
-    module other than core; sources maps module -> text."""
+# PointSet2D's layout, rejected outside core on any object; its grid constructor
+# is rejected only on the class, as ConvexPolygon has an _on_grid of its own
+LAYOUT = (*PointSet2D.__slots__, "_fill", "_ints", "_line_counts", "_members")
+LAYOUT_CONSTRUCTORS = ("_on_grid",)
+
+
+def layout_uses(sources: dict, names, constructors) -> list[str]:
+    """`module:line` of each attribute named in names, or in constructors on
+    the name PointSet2D, in a module other than core; sources maps module
+    -> text."""
     return [f"{module}:{node.lineno}" for module, source in sources.items() if module != "core"
-            for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Attribute) and node.attr in slots]
+            for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Attribute)
+            and (node.attr in names or node.attr in constructors
+                 and isinstance(node.value, ast.Name) and node.value.id == "PointSet2D")]
 
 
-def test_point_set_slots_are_read_only_in_core():
+def test_point_set_layout_is_used_only_in_core():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
-    assert slot_reads(sources, PointSet2D.__slots__) == []
+    assert layout_uses(sources, LAYOUT, LAYOUT_CONSTRUCTORS) == []
 
 
-def test_slot_read_is_found():
+def test_layout_use_is_found():
     sources = {
-        "core": "def f(s):\n    return s._grid, s._pts\n",
+        "core": "def f(s):\n    return s._grid, s._ints(), PointSet2D._on_grid(1, 1, [], [])\n",
         "a": "def g(s):\n    n = s._ints()\n    return s._pts[0], n\n",
         "b": "from .core import PointSet2D\nPointSet2D._grid = None\nx = [t._grid for t in ()]\n",
+        "c": "y = PointSet2D._on_grid(1, 1, (0,), (0,))\nz = ConvexPolygon._on_grid(1, [])\n",
     }
-    assert slot_reads(sources, ("_pts", "_grid")) == ["a:3", "b:2", "b:3"]
+    assert layout_uses(sources, ("_pts", "_grid", "_ints"), LAYOUT_CONSTRUCTORS) == \
+        ["a:2", "a:3", "b:2", "b:3", "c:1"]
+    assert all(name in dir(PointSet2D) for name in LAYOUT + LAYOUT_CONSTRUCTORS)
