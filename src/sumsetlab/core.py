@@ -3,12 +3,14 @@
 Every coordinate is an exact rational: either a plain ``int`` or a
 ``fractions.Fraction`` (always reduced, positive denominator).  There is no
 floating point anywhere; equalities tested downstream are exact, so none of
-the usual epsilon machinery exists.  A PointSet2D is held on one integer
-grid, and the sumset kernel, line walk, rows and columns read those ints.
+the usual epsilon machinery exists.  Every PointSet2D is born on one
+integer grid, and the sumset kernel, line walk, rows and columns read those
+ints; its Point2s are built only when read.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -67,10 +69,12 @@ class Point2(tuple):
         return self[0], self[1]
 
     def __add__(self, other: "Point2") -> "Point2":
-        return _point(self[0] + other[0], self[1] + other[1])
+        dx, dy = other if other.__class__ is Point2 else _exact_pair(other, "point arithmetic")
+        return _point(self[0] + dx, self[1] + dy)
 
     def __sub__(self, other: "Point2") -> "Point2":
-        return _point(self[0] - other[0], self[1] - other[1])
+        dx, dy = other if other.__class__ is Point2 else _exact_pair(other, "point arithmetic")
+        return _point(self[0] - dx, self[1] - dy)
 
     def __neg__(self) -> "Point2":
         return tuple.__new__(Point2, (-self[0], -self[1]))
@@ -101,6 +105,14 @@ def _point(x: Rational, y: Rational) -> Point2:
     return tuple.__new__(Point2, (x, y))
 
 
+def _exact_pair(pair, what: str) -> tuple:
+    """(pair[0], pair[1]) if both are ints or Fractions; strings are not parsed."""
+    for d in pair[0], pair[1]:
+        if not isinstance(d, (int, Fraction)):
+            raise TypeError(f"{type(d).__name__} {d!r} rejected; {what} takes ints and Fractions")
+    return pair[0], pair[1]
+
+
 def _turn(a: Point2, b: Point2, c: Point2) -> Rational:
     """(b - a).cross(c - b) without building the differences: > 0 for a
     counterclockwise turn at b, 0 when a, b, c are collinear."""
@@ -120,30 +132,36 @@ def _as_point(p) -> Point2:
 class PointSet2D:
     """A finite, deduplicated set of points, iterated in canonical order.
 
-    It is held on one integer grid, filled at most once: per-axis scales
-    sx, sy and ints xs, ys in canonical order, point i being (xs[i]/sx,
-    ys[i]/sy), with its line_counts.  A set born on the grid builds its
-    Point2s and frozenset on first use.  A grid need not be reduced (a sum
+    Every set is held on one integer grid: per-axis scales sx, sy and ints
+    xs, ys in canonical order, point i being (xs[i]/sx, ys[i]/sy).  A sum
+    decodes its grid from its keys on first use; the Point2s and the
+    line_counts are built on first use.  A grid need not be reduced (a sum
     of half-integer sets may be integral), so == and hash compare points.
     """
 
-    __slots__ = ("_len", "_pts", "_set", "_grid", "_counts")
+    __slots__ = ("_len", "_pts", "_grid", "_counts")
 
     def __init__(self, points: Iterable = ()):
         pts = {_as_point(p) for p in points}
-        self._fill(len(pts), tuple(sorted(pts)), frozenset(pts), None)
+        xs, ys = zip(*pts) if pts else ((), ())
+        sx = sy = 1
+        if not all(v.__class__ is int for v in xs + ys):  # scale each axis to ints
+            (sx, (xs,)), (sy, (ys,)) = common_scale(xs), common_scale(ys)
+            pts = zip(xs, ys)
+        xs, ys = zip(*sorted(pts)) if xs else ((), ())
+        self._fill(len(xs), (sx, sy, xs, ys))
 
-    def _fill(self, size: int, pts, members, grid) -> "PointSet2D":
-        """Set every slot; grid is (sx, sy, xs, ys), None or a function returning it."""
-        put = object.__setattr__  # five calls, not a loop: __init__ runs on every small set
-        put(self, "_len", size), put(self, "_pts", pts), put(self, "_set", members)
+    def _fill(self, size: int, grid) -> "PointSet2D":
+        """Set every slot; grid is (sx, sy, xs, ys), or a sum's decoder returning it."""
+        put = object.__setattr__  # four calls, not a loop: __init__ runs on every small set
+        put(self, "_len", size), put(self, "_pts", None)
         put(self, "_grid", grid), put(self, "_counts", None)
         return self
 
     @classmethod
     def _on_grid(cls, sx: int, sy: int, xs, ys) -> "PointSet2D":
         """The set of the distinct points (xs[i]/sx, ys[i]/sy), in canonical order."""
-        return object.__new__(cls)._fill(len(xs), None, None, (sx, sy, xs, ys))
+        return object.__new__(cls)._fill(len(xs), (sx, sy, xs, ys))
 
     @classmethod
     def _of_sorted_ints(cls, pts) -> "PointSet2D":
@@ -153,15 +171,8 @@ class PointSet2D:
     def _ints(self) -> tuple:
         """(sx, sy, xs, ys): this set on its integer grid."""
         grid = self._grid
-        if grid.__class__ is not tuple:
-            if grid is None:  # a set built from its points
-                xs, ys = zip(*self._pts) if self._len else ((), ())
-                sx = sy = 1
-                if lcm(*[v.denominator for v in xs + ys]) > 1:  # scale each axis to ints
-                    (sx, (xs,)), (sy, (ys,)) = common_scale(xs), common_scale(ys)
-                grid = sx, sy, xs, ys
-            else:
-                grid = grid()
+        if grid.__class__ is not tuple:  # a sum's keys, decoded once
+            grid = grid()
             object.__setattr__(self, "_grid", grid)
         return grid
 
@@ -197,11 +208,6 @@ class PointSet2D:
             object.__setattr__(self, "_pts", _points(zip(xs, ys), sx, sy))
         return self._pts
 
-    def _members(self) -> frozenset:
-        if self._set is None:
-            object.__setattr__(self, "_set", frozenset(self.points))
-        return self._set
-
     def __len__(self) -> int:
         return self._len
 
@@ -209,14 +215,16 @@ class PointSet2D:
         return iter(self.points)
 
     def __contains__(self, p) -> bool:
-        return _as_point(p) in self._members()
+        p, pts = _as_point(p), self.points
+        i = bisect_left(pts, p)
+        return i < self._len and pts[i] == p
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PointSet2D) and self._len == other._len \
-            and self._members() == other._members()
+            and self.points == other.points
 
     def __hash__(self) -> int:
-        return hash(self._members())
+        return hash(self.points)
 
     def __repr__(self) -> str:
         return f"PointSet2D({list(self.points)!r})"
@@ -227,11 +235,7 @@ class PointSet2D:
     def translate(self, delta: Point2) -> "PointSet2D":
         """The set moved by delta, a pair of ints or Fractions (strings are
         not parsed here), on a grid made finer only where delta needs it."""
-        dx, dy = delta[0], delta[1]
-        for d in dx, dy:
-            if not isinstance(d, (int, Fraction)):
-                raise TypeError(f"{type(d).__name__} {d!r} rejected; translate takes "
-                                "ints and Fractions")
+        dx, dy = _exact_pair(delta, "translate")
         sx, sy, xs, ys = self._ints()
         nx, ny = lcm(sx, dx.denominator), lcm(sy, dy.denominator)
         return PointSet2D._on_grid(nx, ny, _regrid(xs, sx, nx, dx), _regrid(ys, sy, ny, dy))
@@ -271,18 +275,16 @@ def _points(pts: Iterable, sx: int, sy: int) -> tuple[Point2, ...]:
 
 @dataclass(frozen=True)
 class CoverStats:
-    """Line-cover counts and section maxima of a point set.
+    """The cover counts of a point set that the bounds read.
 
     vertical_line_count is the number of distinct x-values (vertical lines
-    needed to cover the set); max_horizontal_section is the size of the
-    largest intersection with a horizontal line; and symmetrically for the
-    other two fields.
+    needed to cover the set), the lines mode's m; max_horizontal_section is
+    the size of the largest intersection with a horizontal line, the
+    sections mode's m; is_two_dimensional is False for a collinear set.
     """
 
     vertical_line_count: int
-    horizontal_line_count: int
     max_horizontal_section: int
-    max_vertical_section: int
     is_two_dimensional: bool
 
 
@@ -426,7 +428,7 @@ def _packed_sum(a: PointSet2D, b: PointSet2D, caller: str) -> PointSet2D:
     else:
         keys = sumset_mask(keys_a, bit_mask(keys_b))
     return object.__new__(PointSet2D)._fill(
-        len(keys) if keys.__class__ is set else keys.bit_count(), None, None,
+        len(keys) if keys.__class__ is set else keys.bit_count(),
         partial(_unpack, keys, stride, x0_a + x0_b, y0_a + y0_b, sx, sy))
 
 
@@ -448,15 +450,14 @@ def _unpack(keys, stride: int, x0: int, y0: int, sx: int, sy: int) -> tuple:
     return sx, sy, [k // stride + x0 for k in keys], [k % stride + y0 for k in keys]
 
 
-def line_counts(xs, ys) -> tuple[int, int, int, int, Optional[tuple]]:
-    """(columns, rows, longest row, longest column, step) of the nonempty
-    points (xs[i], ys[i]) in canonical order: a column counts the points of
-    one x, a row those of one y, and step is _line_step(xs, ys)."""
-    cols, rows = {}, {}
-    for x, y in zip(xs, ys):
-        cols[x] = cols.get(x, 0) + 1
+def line_counts(xs, ys) -> tuple[int, int, Optional[tuple]]:
+    """(columns, longest row, step) of the nonempty points (xs[i], ys[i]) in
+    canonical order: the number of distinct xs, the most points sharing one
+    y, and _line_step(xs, ys)."""
+    rows = {}
+    for y in ys:
         rows[y] = rows.get(y, 0) + 1
-    return len(cols), len(rows), max(rows.values()), max(cols.values()), _line_step(xs, ys)
+    return len(set(xs)), max(rows.values()), _line_step(xs, ys)
 
 
 def _line_step(xs, ys) -> Optional[tuple]:
@@ -475,8 +476,8 @@ def _line_step(xs, ys) -> Optional[tuple]:
 def cover_stats(x: PointSet2D) -> CoverStats:
     if len(x) == 0:
         raise EmptySet("cover_stats needs a nonempty set")
-    cols, rows, longest_row, longest_col, step = x._line_counts()
-    return CoverStats(cols, rows, longest_row, longest_col, step is None)
+    cols, longest_row, step = x._line_counts()
+    return CoverStats(cols, longest_row, step is None)
 
 
 def collinear_direction(x: PointSet2D) -> Optional[Point2]:
@@ -487,7 +488,7 @@ def collinear_direction(x: PointSet2D) -> Optional[Point2]:
     """
     if len(x) == 0:
         raise EmptySet("collinear_direction needs a nonempty set")
-    step, (sx, sy) = x._line_counts()[4], x._ints()[:2]
+    step, (sx, sy) = x._line_counts()[2], x._ints()[:2]
     # the grid step (dx, dy) is (dx/sx, dy/sy), parallel to (dx*sy, dy*sx)
     return None if step is None else _primitive((step[0] * sy, step[1] * sx))
 
@@ -542,7 +543,7 @@ def arithmetic_progression_of(x: PointSet2D) -> Optional[Point2]:
     ok_y, dy = shared_difference([ys])
     if ok_x and ok_y:  # then the points lie on one line, one step apart
         return tuple.__new__(Point2, (_unscale(dx or 0, sx), _unscale(dy or 0, sy)))
-    if x._line_counts()[4] is None:
+    if x._line_counts()[2] is None:
         raise NotCollinear("arithmetic_progression_of needs a collinear set")
     return None
 

@@ -881,6 +881,10 @@ REPLAY_SWEEPS = {
     "thm3 3x4 b<=3": (BoundMode.SECTIONS_GS, classify_thm3, 4, (3, 4),
                       {"min_mn": 2, "max_size_b": 3},
                       {Verdict.TRAPEZOID_PAIR: 70, Verdict.EPS_TRAPEZOID_PAIR: 8}),
+    "thm3 3x5 shard 0/20": (BoundMode.SECTIONS_GS, classify_thm3, 5, (3, 5),
+                            {"min_mn": 2, "max_size_a": 6, "max_size_b": 6,
+                             "shard_index": 0, "shard_count": 20},
+                            {Verdict.TRAPEZOID_PAIR: 29, Verdict.CASE_C_PAIR: 1}),
     "thm2 3x3": (BoundMode.LINES_GS, classify_thm2, 2, (3, 3), {"min_mn": 2},
                  {Verdict.TRAPEZOID_PAIR: 113}),
     "1d 3x3": (BoundMode.ONE_DIMENSIONAL, classify_1d, 1, (3, 3), {},

@@ -443,6 +443,10 @@ class TestPolygonValidationAndIO:
         with pytest.raises(ParseError, match="^vertices must wind once around, not 2 times$"):
             loads_polygon(text)
 
+    def test_float_translation_rejected(self):
+        with pytest.raises(TypeError, match="^float .* rejected"):
+            UNIT_SQUARE.translate((0.5, 0))
+
     def test_canonical_start(self):
         p = ConvexPolygon([(1, 1), (0, 1), (0, 0), (1, 0)])
         assert p.vertices[0] == Point2(0, 0)
@@ -462,6 +466,29 @@ class TestPolygonValidationAndIO:
         assert got == poly((Fraction(1, 2), 0), (Fraction(3, 2), 0),
                            (Fraction(3, 2), Fraction(1, 2)),
                            (Fraction(1, 2), Fraction(3, 2)))
+
+
+def lattice_polygons(n: int) -> list:
+    """One polygon per translation class of lattice polygon with positive
+    width in the n x n box of points: the hulls of the box's point subsets,
+    segments included, each moved to min x = min y = 0."""
+    cells = [Point2(x, y) for x in range(n) for y in range(n)]
+    classes = set()
+    for mask in range(1, 1 << len(cells)):
+        hull = convex_hull([c for i, c in enumerate(cells) if mask >> i & 1])
+        x0, y0 = min(p.x for p in hull), min(p.y for p in hull)
+        if max(p.x for p in hull) > x0:
+            classes.add(tuple(p - (x0, y0) for p in hull))
+    return [ConvexPolygon(c) for c in sorted(classes)]
+
+
+class TestExhaustiveContinuousOracle:
+    def test_every_pair_in_the_3x3_box(self):
+        """convex._classified on every ordered pair raises ConsistencyError
+        when the Bonnesen report and the homothety certificate disagree."""
+        polys = lattice_polygons(3)
+        extremal = [(p, q) for p in polys for q in polys if convex._classified(p, q)[0].extremal]
+        assert (len(polys), len(extremal)) == (129, 231)
 
 
 # ---------------------------------------------------------------------------

@@ -144,9 +144,7 @@ def reference_cover_stats(x: PointSet2D) -> CoverStats:
     rows = x.rows()
     return CoverStats(
         vertical_line_count=len(cols),
-        horizontal_line_count=len(rows),
         max_horizontal_section=max(len(v) for v in rows.values()),
-        max_vertical_section=max(len(v) for v in cols.values()),
         is_two_dimensional=reference_collinear_direction(x) is None,
     )
 
@@ -434,9 +432,10 @@ class TestCoverStats:
         assert cover_stats(b).max_horizontal_section == 4
 
     def test_singleton(self):
-        stats = cover_stats(ps((0, 0)))
-        assert (stats.vertical_line_count, stats.horizontal_line_count) == (1, 1)
-        assert (stats.max_horizontal_section, stats.max_vertical_section) == (1, 1)
+        a = ps((0, 0))
+        stats = cover_stats(a)
+        assert (stats.vertical_line_count, len(a.rows())) == (1, 1)
+        assert (stats.max_horizontal_section, max(map(len, a.columns().values()))) == (1, 1)
         assert not stats.is_two_dimensional
 
     def test_two_dimensionality(self):
@@ -527,8 +526,8 @@ class TestProperties:
     @settings(max_examples=200)
     def test_cover_bounds(self, a):
         s = cover_stats(a)
-        assert s.vertical_line_count * s.max_vertical_section >= len(a)
-        assert s.horizontal_line_count * s.max_horizontal_section >= len(a)
+        assert s.vertical_line_count * max(map(len, a.columns().values())) >= len(a)
+        assert len(a.rows()) * s.max_horizontal_section >= len(a)
 
     @given(point_sets)
     @settings(max_examples=200)
@@ -674,7 +673,10 @@ class TestPointMatchesReference:
     def test_floats_rejected(self):
         for make in (lambda: Point2(0.5, 0), lambda: Point2(0, 1.0),
                      lambda: Point2(1, 2).scale(0.5), lambda: PointSet2D([(0.5, 0)]),
-                     lambda: (0.5, 0) in ps((0, 0)), lambda: ps((0, 0), (1, 2)).translate((0.5, 0))):
+                     lambda: (0.5, 0) in ps((0, 0)), lambda: ps((0, 0), (1, 2)).translate((0.5, 0)),
+                     lambda: Point2(1, 2) + (0.5, 0), lambda: Point2(1, 2) - (0.5, 0),
+                     lambda: Point2(1, 2) + (Fraction(1, 2), 0.5),
+                     lambda: sumsetlab.ConvexPolygon([(0, 0), (1, 0), (0, 1)]).translate((0.5, 0))):
             with pytest.raises(TypeError, match="^float .* rejected"):
                 make()
 
@@ -794,3 +796,57 @@ class TestGridBornSets:
                 mock.patch.object(PointSet2D, "__init__", side_effect=AssertionError("set built")):
             got = (bound(mode, a, b).lhs, core.sumset_size(a, b), len(minkowski_sum(a, b)))
         assert got == (len(reference_minkowski_sum(a, b)),) * 3
+
+
+def births(x: PointSet2D) -> list:
+    """x as each birth makes it: from its points in two orders, as sums, and
+    as translates, one of them back from a finer grid that it keeps."""
+    d = (Fraction(1, 2), Fraction(-1, 3))
+    return [PointSet2D(x.points), PointSet2D(x.points[::-1]), minkowski_sum(x, ps((0, 0))),
+            minkowski_sum(ps((1, -1)), x).translate((-1, 1)), x.translate((0, 0)),
+            x.translate(d).translate((-d[0], -d[1]))]
+
+
+def probes(x: PointSet2D) -> list:
+    """x's points and points next to them, absent from x or off its grid."""
+    shifts = [(0, 0), (1, 0), (0, -1), (Fraction(1, 3), 0), (0, Fraction(1, 2))]
+    return [p + s for p in x.points for s in shifts]
+
+
+def assert_same_set(sets: list, want: PointSet2D) -> None:
+    """==, hash and `in` agree on every set in sets, each holding want's points."""
+    members, near = set(want.points), probes(want)
+    for s in sets:
+        assert s == want and want == s and hash(s) == hash(want)
+        assert [p in s for p in near] == [p in members for p in near]
+
+
+class TestEqualityAcrossBirths:
+    """== and hash compare the canonical points, and `in` bisects them, so a
+    set answers alike whichever way it was born: from points, as a sum, a
+    translate, a compression or a split half."""
+
+    @given(kernel_sets)
+    @settings(max_examples=150, deadline=None)
+    def test_every_birth_is_the_same_set(self, x):
+        assert_same_set(births(x), x)
+        assert_same_set([compress(x)] + births(compress(x)), old_compress(x))
+        for got, want in zip(x._split()[1:], old_split(x)[1:]):
+            assert_same_set([got] + births(got), want)
+        if len(x) > 1:
+            smaller = PointSet2D(x.points[1:])
+            assert all(s != smaller and smaller != s for s in births(x))
+            assert x.points[0] not in smaller
+
+    def test_off_grid_points_are_absent_from_an_int_set(self):
+        x = ps((0, 0), (1, 0), (2, 1))
+        for s in [x] + births(x):
+            assert (Fraction(1, 3), 0) not in s and (1, Fraction(1, 2)) not in s
+            assert (Fraction(3, 3), 0) in s and (3, 0) not in s and (-1, 0) not in s
+
+    def test_integral_sum_of_half_integer_sets(self):
+        half = Fraction(1, 2)
+        a, b = ps((half, half), (3 * half, half)), ps((half, -half), (-half, 3 * half))
+        total = minkowski_sum(a, b)
+        assert total._ints()[:2] == (2, 2)  # the summands' grid, not reduced
+        assert_same_set([total] + births(total), ps((1, 0), (2, 0), (0, 2), (1, 2)))

@@ -110,7 +110,7 @@ class TestWild:
 
     def test_a_needs_three_horizontal_lines(self):
         a, _ = gen_wild(4)
-        assert cover_stats(a).horizontal_line_count == 3
+        assert len(a.rows()) == 3
 
 
 class TestFamilyExtremality:

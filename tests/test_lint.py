@@ -3,17 +3,19 @@
 No broad exception handler: a bare `except:`, an `except Exception` or an
 `except BaseException` would turn a bug into an ordinary error or exit code
 instead of a traceback.  No unused private code: a module-level `_name`
-function or class that nothing in `src/` refers to is dead.  No third-party
-import: the library has no runtime dependencies, and numpy in particular
-must not become one.  No A+B built only to be counted: `len(minkowski_sum(...))`
-builds every point of the sum, where sumset_size counts it.  No use of
-PointSet2D's grid layout outside core: its slots, the (sx, sy, xs, ys) grid
-that `_ints` returns and `_on_grid` takes, and the helpers that fill them
-are core's, and other modules build and read sets through its methods.
+function or class, or a `_name` method of a module-level class, that nothing
+in `src/` refers to is dead.  No third-party import: the library has no
+runtime dependencies, and numpy in particular must not become one.  No A+B
+built only to be counted: `len(minkowski_sum(...))` builds every point of the
+sum, where sumset_size counts it.  No use of PointSet2D's grid layout outside
+core: its slots, the (sx, sy, xs, ys) grid that `_ints` returns and
+`_on_grid` takes, and the helpers that fill them are core's, and other
+modules build and read sets through its methods.
 """
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -55,23 +57,36 @@ def test_narrow_handlers_pass():
     assert broad_handlers(source) == []
 
 
+def referenced(node) -> Counter:
+    """How often each name is used in node, as a name or as an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def is_private(node) -> bool:
+    """True for a function or class definition named `_name` (not `__name__`)."""
+    return (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.endswith("__"))
+
+
 def unused_private(sources: dict) -> list[str]:
-    """`module._name` for each module-level private function or class that no
-    code refers to outside its own definition; sources maps module -> text.
-    A reference is any use of the name or of an attribute with that name, so
-    an import alone does not count."""
-    refs = []  # (module, top-level statement index, names it refers to)
-    defs = []  # (module, statement index, name)
+    """`module._name` for each module-level private function or class, and
+    `module.Class._name` for each private method of a module-level class,
+    that no code refers to outside its own definition; sources maps module
+    -> text.  A reference is any use of the name or of an attribute with
+    that name, so an import alone does not count."""
+    uses = Counter()
+    defs = []  # (module, dotted name, definition)
     for module, source in sources.items():
-        for index, stmt in enumerate(ast.parse(source).body):
-            names = {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(stmt)
-                     if isinstance(n, (ast.Name, ast.Attribute))}
-            refs.append((module, index, names))
-            if (isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and stmt.name.startswith("_") and not stmt.name.endswith("__")):
-                defs.append((module, index, stmt.name))
-    return [f"{module}.{name}" for module, index, name in defs
-            if not any(name in names for m, i, names in refs if (m, i) != (module, index))]
+        tree = ast.parse(source)
+        uses += referenced(tree)
+        for stmt in tree.body:
+            defs += [(module, stmt.name, stmt)] if is_private(stmt) else []
+            if isinstance(stmt, ast.ClassDef):
+                defs += [(module, f"{stmt.name}.{node.name}", node) for node in stmt.body
+                         if is_private(node) and not isinstance(node, ast.ClassDef)]
+    return [f"{module}.{name}" for module, name, node in defs
+            if uses[node.name] == referenced(node)[node.name]]
 
 
 def test_no_unused_private_code():
@@ -86,6 +101,17 @@ def test_unused_helper_is_found():
         "b": "from . import a\nfrom .a import _Dead\n\n\ndef f():\n    return a._used()\n",
     }
     assert unused_private(sources) == ["a._unused", "a._Dead"]
+
+
+def test_unused_method_is_found():
+    sources = {
+        "a": "class Box:\n    def _kept(self):\n        return 1\n\n"
+             "    def _dead(self):\n        return self._dead()\n\n"
+             "    @classmethod\n    def _made(cls):\n        return cls()\n\n"
+             "    def __len__(self):\n        return self._kept()\n",
+        "b": "from .a import Box\nx = Box._made()\n",
+    }
+    assert unused_private(sources) == ["a.Box._dead"]
 
 
 def foreign_imports(source: str) -> list[str]:
@@ -151,7 +177,7 @@ def test_counted_sum_is_found():
 
 # PointSet2D's layout, rejected outside core on any object; its grid constructor
 # is rejected only on the class, as ConvexPolygon has an _on_grid of its own
-LAYOUT = (*PointSet2D.__slots__, "_fill", "_ints", "_line_counts", "_members")
+LAYOUT = (*PointSet2D.__slots__, "_fill", "_ints", "_line_counts")
 LAYOUT_CONSTRUCTORS = ("_on_grid",)
 
 
