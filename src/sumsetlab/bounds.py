@@ -18,7 +18,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .core import (PointSet2D, Rational, bit_mask, collinear_direction,
-                   common_scale, cover_stats, is_sparse, minkowski_sum,
+                   cover_stats, grid_sections, is_sparse, minkowski_sum,
                    parallel_directions, rat, rat_str, shared_difference,
                    sumset_mask, sumset_size)
 from .errors import EmptySet, ModeMismatch
@@ -154,22 +154,21 @@ def averaging_report(a: SupportedSequence, b: SupportedSequence) -> AveragingRep
 
 
 def _section_chain_sums(sa: dict, sb: dict) -> tuple[int, int]:
-    """The middle terms of a section chain, given each set's sections as
-    level -> ascending values: the sums over t of max |A_i + B_j| and of
-    max (|A_i| + |B_j| - 1), each maximum over the levels i + j = t.
+    """The middle terms of a section chain, given both sets' sections as
+    grid ints from core.grid_sections: the sums over t of max |A_i + B_j|
+    and of max (|A_i| + |B_j| - 1), each maximum over the levels i + j = t.
 
-    One scale makes the values ints and each section is moved to start at
-    0, so A_i + B_j lies in [0, end_i + end_j] and has at most ub =
-    min(|A_i|·|B_j|, end_i + end_j + 1) points.  A pair whose ub cannot beat
-    the best count at i + j is skipped; when ub is the Cauchy-Davenport bound
-    |A_i| + |B_j| - 1 it is the count (runs, singletons).  Only the other
-    pairs go through core's kernel or, under its sparse rule, a key set."""
-    _, scaled = common_scale(*sa.values(), *sb.values())
-    sections_b = [(j, len(vb), vb[-1] - vb[0], vb) for j, vb in zip(sb, scaled[len(sa):])]
+    Each section is moved to start at 0, so A_i + B_j lies in [0, end_i +
+    end_j] and has at most ub = min(|A_i|·|B_j|, end_i + end_j + 1) points.
+    A pair whose ub cannot beat the best count at i + j is skipped; when ub
+    is the Cauchy-Davenport bound |A_i| + |B_j| - 1 it is the count (runs,
+    singletons).  Only the other pairs go through core's kernel or, under
+    its sparse rule, a key set."""
+    sections_b = [(j, len(vb), vb[-1] - vb[0], vb) for j, vb in sb.items()]
     masks: dict = {}  # level of B -> bitset of its section moved to 0
     best_sum: dict = {}
     best_card: dict = {}
-    for i, va in zip(sa, scaled):
+    for i, va in sa.items():
         size_a, end_a = len(va), va[-1] - va[0]
         keys = None
         for j, size_b, end_b, vb in sections_b:
@@ -209,7 +208,7 @@ def chain_diagnostic(a: PointSet2D, b: PointSet2D) -> list[Rational]:
     """
     if len(a) == 0 or len(b) == 0:
         raise EmptySet("chain_diagnostic needs nonempty sets")
-    ca, cb = a.columns(), b.columns()
+    _, _, ca, cb = grid_sections(a, b, rows=False)
     v1 = sumset_size(a, b)
     v2, v3 = _section_chain_sums(ca, cb)
     v4 = rat(Fraction(*rhs_num_den(BoundMode.LINES_GS, len(a), len(ca), len(b), len(cb))))

@@ -1,9 +1,9 @@
 """Decide extremality and match extremal pairs against the characterized
 families, up to the allowed transformation groups.
 
-Two normalization pipelines are implemented.  Both read a set by its
-sections along parallel lines, as level -> ascending values, and no point
-set is rebuilt on the way:
+Two normalization pipelines are implemented.  Both read a pair's sections
+along parallel lines as grid ints (core.grid_sections), with grid-int axis
+steps, and no point set is rebuilt on the way:
 
 * lines mode (diagonal maps + translations): the x-projections must be
   arithmetic progressions with one shared difference, every vertical section
@@ -15,20 +15,19 @@ set is rebuilt on the way:
   and the four axis reflections): levels and rows are normalized the same
   way, after which each set is carried as its row runs (y, x, k), one per
   level, for the row {x, ..., x+k-1}.  The candidate walk runs on integers:
-  the starts x are scaled once by the lcm of their denominators (1 on grid
-  input), a shear lands a run on integers when its scaled shift divides by
-  that scale, and only the reported shear turns back into a rational.  The
-  candidate shears are the consecutive row-minimum and row-maximum
-  differences of either set.  One scan over the reflections and candidate
-  shears tries every family not yet matched at each candidate.  The verdict
-  is the most specific family that matches at any candidate (standard, then
-  shifted trapezoids, then case C), witnessed by its first matching
-  candidate; the others that match are listed in also_matches.  A
-  verdict-only scan, the sweep's, stops at the first standard match, which
-  is the verdict.  Shear candidates plus reflections are exhaustive because
-  every family's row-extreme sequences are piecewise arithmetic with a flat
-  piece; the exhaustive sweep cross-validates this (an escape would surface
-  as ExtremalUnclassified).
+  the starts x are grid ints on the scale dx, the grid row step, a shear
+  lands a run on integers when its scaled shift divides by dx, and only the
+  reported shear turns back into a rational.  The candidate shears are the
+  consecutive row-minimum and row-maximum differences of either set.  One
+  scan over the reflections and candidate shears tries every family not yet
+  matched at each candidate.  The verdict is the most specific family that
+  matches at any candidate (standard, then shifted trapezoids, then case C),
+  witnessed by its first matching candidate; the others that match are
+  listed in also_matches.  A verdict-only scan, the sweep's, stops at the
+  first standard match, which is the verdict.  Shear candidates plus
+  reflections are exhaustive because every family's row-extreme sequences
+  are piecewise arithmetic with a flat piece; the exhaustive sweep
+  cross-validates this (an escape would surface as ExtremalUnclassified).
 """
 
 from __future__ import annotations
@@ -39,9 +38,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .bounds import BoundMode, rhs_num_den
-from .core import (AffineMap2D, Point2, PointSet2D, Rational, _point,
-                   arithmetic_progression_of, collinear_direction, common_scale,
-                   parallel_directions, rat, rat_str, shared_difference, sumset_size)
+from .core import (AffineMap2D, Point2, PointSet2D, _point, _unscale,
+                   arithmetic_progression_of, collinear_direction, grid_sections,
+                   parallel_directions, rat_str, shared_difference, sumset_size)
 from .errors import EmptySet, HypothesisViolated, InvalidSpec, ModeMismatch, NotCollinear
 from .families import CaseCSpec, EpsilonSpec, TrapezoidSpec, gen_case_c
 
@@ -87,21 +86,20 @@ def _jsonify(value):
 # shared helpers
 # ---------------------------------------------------------------------------
 
-def _axis_steps(lines_a: dict, lines_b: dict) -> Optional[tuple[Rational, Rational]]:
-    """(level step, in-line step) of two sets given as level -> ascending
-    values along parallel lines (their rows() or columns()), or None.
+def _axis_steps(lines_a: dict, lines_b: dict, unit: int) -> Optional[tuple[int, int]]:
+    """(level step, in-line step) of two sets given as grid level ->
+    ascending grid values along parallel lines (core.grid_sections), or None.
 
     The levels of each set must be an arithmetic progression, and so must
-    the values on each line, with one level difference and one in-line
-    difference shared by both sets.  The in-line step is 1 when every line
-    holds one point."""
+    the values on each line, with one difference per axis shared by both
+    sets; with one point per line the in-line step is unit, one unscaled step."""
     ok, level_step = shared_difference([list(lines_a), list(lines_b)])
     if not ok or level_step is None:
         return None
     ok, step = shared_difference([*lines_a.values(), *lines_b.values()])
     if not ok:
         return None
-    return level_step, step or 1
+    return level_step, step or unit
 
 
 def _trapezoid_spec_of(cols: dict) -> Optional[tuple[TrapezoidSpec, Point2]]:
@@ -185,18 +183,18 @@ def classify_thm2(a: PointSet2D, b: PointSet2D) -> Classification:
         if da is None or db is None or not parallel_directions(da, db):
             raise HypothesisViolated("thm2 needs two 2D sets or collinear sets on parallel lines")
         return classify_1d(a, b)
-    cols_a, cols_b = a.columns(), b.columns()
+    sx, sy, cols_a, cols_b = grid_sections(a, b, rows=False)
     if not _extremal(BoundMode.LINES_GS, a, len(cols_a), b, len(cols_b)):
         return Classification(Verdict.NOT_EXTREMAL)
 
     # (1) x-projections and (2) vertical sections: APs with shared
     # differences alpha and beta; (3) on the rescaled columns, shared
     # slopes d (minima) and c (maxima)
-    steps = _axis_steps(cols_a, cols_b)
+    steps = _axis_steps(cols_a, cols_b, sy)
     if steps is None:
         return Classification(Verdict.EXTREMAL_UNCLASSIFIED)
-    inv_alpha, inv_beta = (rat(Fraction(1) / step) for step in steps)
-    ra, rb = (_trapezoid_spec_of({x * inv_alpha: [y * inv_beta for y in ys]
+    alpha, beta = steps  # grid steps: the rescaled columns are x/alpha -> y/beta
+    ra, rb = (_trapezoid_spec_of({_unscale(x, alpha): [_unscale(y, beta) for y in ys]
                                   for x, ys in cols.items()})
               for cols in (cols_a, cols_b))
     if ra is None or rb is None:
@@ -205,7 +203,7 @@ def classify_thm2(a: PointSet2D, b: PointSet2D) -> Classification:
     if spec_a.c != spec_b.c or spec_a.d != spec_b.d:
         return Classification(Verdict.EXTREMAL_UNCLASSIFIED)
     details = {"spec_a": spec_a, "spec_b": spec_b, "anchor_a": anchor_a, "anchor_b": anchor_b}
-    witness = AffineMap2D.diagonal(inv_alpha, inv_beta)
+    witness = AffineMap2D.diagonal(Fraction(sx, alpha), Fraction(sy, beta))
     return Classification(Verdict.TRAPEZOID_PAIR, details, witness)
 
 
@@ -279,8 +277,8 @@ def _case_c_forms(runs_a, runs_b, m: int, n: int) -> list:
             spec = CaseCSpec(mm, nn, len(runs) - 4 * mm + 4)
         except InvalidSpec:
             continue
-        ga, gb = (tuple((y, xs[0], len(xs)) for y, xs in s.rows().items())
-                  for s in gen_case_c(spec))
+        ga, gb = (tuple((y, xs[0], len(xs)) for y, xs in rows.items())
+                  for rows in grid_sections(*gen_case_c(spec), rows=True)[2:])
         if swapped:
             ga, gb = gb, ga
         forms.append((spec, ga, gb, swapped))
@@ -369,7 +367,7 @@ def classify_thm3(a: PointSet2D, b: PointSet2D, *, verdict_only: bool = False) -
     out also_matches; the verdict, its details and witness are unchanged."""
     if len(a) == 0 or len(b) == 0:
         raise EmptySet("classify_thm3 needs nonempty sets")
-    rows_a, rows_b = a.rows(), b.rows()
+    sy, sx, rows_a, rows_b = grid_sections(a, b, rows=True)
     m, n = (max(map(len, rows.values())) for rows in (rows_a, rows_b))
     if m < 2 or n < 2:
         raise HypothesisViolated("sections-mode characterization needs m, n >= 2 "
@@ -381,14 +379,12 @@ def classify_thm3(a: PointSet2D, b: PointSet2D, *, verdict_only: bool = False) -
 
     # (1) level sets and (2) rows: APs with shared differences dy and dx;
     # rescaled, the levels are 0, 1, ... and every row is a run
-    steps = _axis_steps(rows_a, rows_b)
+    steps = _axis_steps(rows_a, rows_b, sx)
     if steps is None:
         return Classification(Verdict.EXTREMAL_UNCLASSIFIED)
-    inv_dy, inv_dx = (rat(Fraction(1) / step) for step in steps)
-    scale, starts = common_scale(*([xs[0] * inv_dx for xs in rows.values()]
-                                   for rows in (rows_a, rows_b)))  # scale 1 on grid input
-    runs_a, runs_b = ([(y, x, len(xs)) for y, (x, xs) in enumerate(zip(xs0, rows.values()))]
-                      for xs0, rows in zip(starts, (rows_a, rows_b)))
+    dy, dx = steps  # grid steps; the runs keep their grid starts, on the scale dx
+    runs_a, runs_b = ([(y, xs[0], len(xs)) for y, xs in enumerate(rows.values())]
+                      for rows in (rows_a, rows_b))
 
     # (3) one scan over every reflection and candidate shear, keeping each
     # family's first matching candidate.  The families can overlap up to the
@@ -400,7 +396,7 @@ def classify_thm3(a: PointSet2D, b: PointSet2D, *, verdict_only: bool = False) -
                 ("b", Verdict.EPS_TRAPEZOID_PAIR, lambda a3, b3: _match_shifted(a3, b3, m, n)),
                 ("c", Verdict.CASE_C_PAIR, lambda a3, b3: _match_wedge(a3, b3, wedges)))
     found: dict = {}  # tag -> (details, (rx, ry, g))
-    tries = ((tag, match, cand) for cand in _normalized_candidates(runs_a, runs_b, scale)
+    tries = ((tag, match, cand) for cand in _normalized_candidates(runs_a, runs_b, dx)
              for tag, _, match in families)
     for tag, match, (a3, b3, rx, ry, g) in tries:
         got = None if tag in found else match(a3, b3)
@@ -418,10 +414,10 @@ def classify_thm3(a: PointSet2D, b: PointSet2D, *, verdict_only: bool = False) -
     if len(hits) > 1 and not verdict_only:
         details["also_matches"] = [t for t, _ in hits[1:]]
     details["reflection"] = {"x": rx, "y": ry}
-    # witness: shear(g/scale) . reflection . diag(1/dx, 1/dy), linear part
-    sx, sy = -1 if rx else 1, -1 if ry else 1
-    witness = AffineMap2D.upper_triangular(sx * inv_dx, -Fraction(g, scale) * sy * inv_dy,
-                                           sy * inv_dy)
+    # witness: shear(g/dx) . reflection . diag(sx/dx, sy/dy), linear part
+    fx, fy = -sx if rx else sx, -sy if ry else sy
+    witness = AffineMap2D.upper_triangular(Fraction(fx, dx), Fraction(-g * fy, dx * dy),
+                                           Fraction(fy, dy))
     return Classification(verdict=verdict, details=details, witness_map=witness)
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .bounds import _section_chain_sums
-from .core import PointSet2D, Rational, sumset_size
+from .core import PointSet2D, Rational, grid_sections, sumset_size
 from .errors import EmptySet
 
 
@@ -30,6 +30,6 @@ def compression_chain(a: PointSet2D, b: PointSet2D) -> list[Rational]:
     if len(a) == 0 or len(b) == 0:
         raise EmptySet("compression_chain needs nonempty sets")
     v1 = sumset_size(a, b)
-    v2, v3 = _section_chain_sums(a.rows(), b.rows())
+    v2, v3 = _section_chain_sums(*grid_sections(a, b, rows=True)[2:])
     v4 = sumset_size(compress(a), compress(b))
     return [v1, v2, v3, v4]

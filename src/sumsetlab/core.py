@@ -4,8 +4,8 @@ Every coordinate is an exact rational: either a plain ``int`` or a
 ``fractions.Fraction`` (always reduced, positive denominator).  There is no
 floating point anywhere; equalities tested downstream are exact, so none of
 the usual epsilon machinery exists.  Every PointSet2D is born on one
-integer grid, and the sumset kernel, line walk, rows and columns read those
-ints; its Point2s are built only when read.
+integer grid, read by the sumset kernel, line walk and grid_sections (the
+one home of a pair's sections on ints); its Point2s are built when read.
 """
 
 from __future__ import annotations
@@ -71,6 +71,8 @@ class Point2(tuple):
     def __add__(self, other: "Point2") -> "Point2":
         dx, dy = other if other.__class__ is Point2 else _exact_pair(other, "point arithmetic")
         return _point(self[0] + dx, self[1] + dy)
+
+    __radd__ = __add__  # runs before tuple.__add__: (1, 2) + p adds, not concatenates
 
     def __sub__(self, other: "Point2") -> "Point2":
         dx, dy = other if other.__class__ is Point2 else _exact_pair(other, "point arithmetic")
@@ -251,8 +253,8 @@ class PointSet2D:
         return _sections(ys, xs, sy, sx)  # canonical order: ascending x within each y
 
 
-def _sections(keys, values, sk: int, sv: int) -> dict:
-    """Grid key -> its values in their order, keys ascending, both unscaled."""
+def _sections(keys, values, sk: int = 1, sv: int = 1) -> dict:
+    """Grid key -> its values in their order, keys ascending, divided by sk and sv."""
     out: dict = {}
     for k, v in zip(keys, values if sv == 1 else [_unscale(v, sv) for v in values]):
         out.setdefault(k, []).append(v)
@@ -413,10 +415,7 @@ def _packed_sum(a: PointSet2D, b: PointSet2D, caller: str) -> PointSet2D:
     (p, q), the set of the same keys added pairwise."""
     if len(a) == 0 or len(b) == 0:
         raise EmptySet(f"{caller} needs nonempty sets")
-    (sxa, sya, xs_a, ys_a), (sxb, syb, xs_b, ys_b) = a._ints(), b._ints()
-    sx, sy = lcm(sxa, sxb), lcm(sya, syb)
-    xs_a, xs_b = _regrid(xs_a, sxa, sx), _regrid(xs_b, sxb, sx)
-    ys_a, ys_b = _regrid(ys_a, sya, sy), _regrid(ys_b, syb, sy)
+    sx, sy, (xs_a, ys_a), (xs_b, ys_b) = _common_grid(a, b)
     x0_a, x0_b = xs_a[0], xs_b[0]  # points are sorted by x first
     y0_a, y0_b = min(ys_a), min(ys_b)
     stride = max(ys_a) - y0_a + max(ys_b) - y0_b + 1
@@ -430,6 +429,23 @@ def _packed_sum(a: PointSet2D, b: PointSet2D, caller: str) -> PointSet2D:
     return object.__new__(PointSet2D)._fill(
         len(keys) if keys.__class__ is set else keys.bit_count(),
         partial(_unpack, keys, stride, x0_a + x0_b, y0_a + y0_b, sx, sy))
+
+
+def _common_grid(a: PointSet2D, b: PointSet2D) -> tuple:
+    """(sx, sy, (xs_a, ys_a), (xs_b, ys_b)): a, b on the lcms of their x- and y-scales."""
+    (sxa, sya, xs_a, ys_a), (sxb, syb, xs_b, ys_b) = a._ints(), b._ints()
+    sx, sy = lcm(sxa, sxb), lcm(sya, syb)
+    return (sx, sy, (_regrid(xs_a, sxa, sx), _regrid(ys_a, sya, sy)),
+            (_regrid(xs_b, sxb, sx), _regrid(ys_b, syb, sy)))
+
+
+def grid_sections(a: PointSet2D, b: PointSet2D, rows: bool) -> tuple[int, int, dict, dict]:
+    """(level scale, value scale, sections of a, sections of b) on the pair's common
+    grid: each row (level y) or column (level x) as grid level -> ascending grid values."""
+    sx, sy, grid_a, grid_b = _common_grid(a, b)
+    if rows:  # levels y, values x: ascending within each row in canonical order
+        sx, sy, grid_a, grid_b = sy, sx, grid_a[::-1], grid_b[::-1]
+    return sx, sy, _sections(*grid_a), _sections(*grid_b)
 
 
 def sumset_size(a: PointSet2D, b: PointSet2D) -> int:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 from operator import itemgetter
 
 import pytest
@@ -11,6 +12,7 @@ from sumsetlab import (AffineMap2D, BoundMode, EmptySet, ModeMismatch, PointSet2
                        chain_diagnostic, compress,
                        gen_trapezoid, gen_wild, u_values)
 from sumsetlab.bounds import _section_chain_sums, rhs_num_den
+from sumsetlab.core import grid_sections
 from sumsetlab.families import TrapezoidSpec
 
 
@@ -224,16 +226,29 @@ class TestSectionChainSums:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_matches_reference(self, kind, data):
+        """On the grid sections that core hands over, the sums equal the
+        reference's on the public sections; those grid sections, divided
+        by their scales (the lcms of both sets' denominators per axis), are
+        the public ones, keys and order included."""
         a, b = data.draw(chain_pairs[kind])
-        for sections in (PointSet2D.rows, PointSet2D.columns):
+        for rows, sections in ((True, PointSet2D.rows), (False, PointSet2D.columns)):
             sa, sb = sections(a), sections(b)
-            assert _section_chain_sums(sa, sb) == reference_section_chain_sums(sa, sb)
+            level_scale, value_scale, ga, gb = grid_sections(a, b, rows)
+            levels = [Fraction(k) for s in (sa, sb) for k in s]
+            values = [Fraction(v) for s in (sa, sb) for vs in s.values() for v in vs]
+            assert (level_scale, value_scale) == (lcm(*(k.denominator for k in levels)),
+                                                  lcm(*(v.denominator for v in values)))
+            assert [[(Fraction(k, level_scale), [Fraction(v, value_scale) for v in vs])
+                     for k, vs in g.items()] for g in (ga, gb)] == [list(sa.items()),
+                                                                     list(sb.items())]
+            assert _section_chain_sums(ga, gb) == reference_section_chain_sums(sa, sb)
 
     def test_matches_reference_on_a_large_trapezoid(self):
         t = gen_trapezoid(TrapezoidSpec(10, 61, 0, 1))
-        for sections in (PointSet2D.rows, PointSet2D.columns):
+        for rows, sections in ((True, PointSet2D.rows), (False, PointSet2D.columns)):
             s = sections(t)
-            assert _section_chain_sums(s, s) == reference_section_chain_sums(s, s)
+            _, _, g, _ = grid_sections(t, t, rows)
+            assert _section_chain_sums(g, g) == reference_section_chain_sums(s, s)
 
 
 class TestModeRelations:

@@ -955,6 +955,43 @@ class TestWitnessReplay:
             assert not replay(a, b, Classification(cls.verdict, cls.details, flipped))
 
 
+class TestShiftsPastTheEpsRange:
+    """Sections-extremal pairs whose set is a base trapezoid shifted at row
+    h - c, one past EpsilonSpec's range [md, h - c - 1].  Every grid an
+    exhaustive sweep accepts is too small to hold them, so these inputs are
+    pinned here."""
+
+    def test_smallest_pair_is_left_unclassified(self):
+        """Pins the classifier as it stands: A = T(2,3,1,2) and B = T(3,4,1,2)
+        attain the sections bound, and no family matches under the sections
+        group although thm2 calls the pair standard trapezoids.  Widening
+        EpsilonSpec's range to h - c will flip the thm3 verdict."""
+        a = gen_trapezoid(TrapezoidSpec(2, 3, 1, 2))
+        b = gen_trapezoid(TrapezoidSpec(3, 4, 1, 2))
+        rep = bound(BoundMode.SECTIONS_GS, a, b)
+        assert (rep.m, rep.n, rep.lhs, rep.rhs, rep.extremal) == (2, 2, 18, 18, True)
+        assert classify_thm2(a, b).verdict is Verdict.TRAPEZOID_PAIR
+        assert classify_thm3(a, b).to_json_dict() == {"verdict": "ExtremalUnclassified"}
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_shift_at_h_minus_c_classifies_reflected(self, n):
+        """T(4,16,1,2) with its rows y >= 15 moved right by 1, against the
+        partner T(n, 2n - 1, 1, 2): reflected in both axes it is the shifted
+        trapezoid eps(T(4,13,2,1), {4})."""
+        t = gen_trapezoid(TrapezoidSpec(4, 16, 1, 2))
+        a = PointSet2D((x + (y >= 15), y) for x, y in t)
+        b = gen_trapezoid(TrapezoidSpec(n, 2 * n - 1, 1, 2))
+        identity = {"a11": "1", "a12": "0", "a21": "0", "a22": "1", "tx": "0", "ty": "0"}
+        assert classify_thm3(a, b).to_json_dict() == {
+            "verdict": "EpsTrapezoidPair",
+            "eps_spec": {"base": {"m": 4, "h": 13, "c": "2", "d": "1"}, "ones": [4]},
+            "partner": {"m": n, "h": n, "c": "2", "d": "1"},
+            "roles_swapped": False,
+            "reflection": {"x": True, "y": True},
+            "witness_map": {**identity, "a11": "-1", "a22": "-1"},
+        }
+
+
 class TestClassificationJson:
     def test_witness_and_params_serialize_as_rational_strings(self):
         a = gen_trapezoid(TrapezoidSpec(2, 2, 0, 0))

@@ -700,6 +700,18 @@ class TestPointMatchesReference:
             with pytest.raises(TypeError):
                 make()
 
+    def test_tuple_on_the_left_adds(self):
+        """A pair on the left of + adds like a point on the right: Point2
+        subclasses tuple, so its __radd__ runs before tuple concatenation."""
+        p = Point2(3, 4)
+        got = (1, 2) + p
+        assert got == Point2(4, 6) and type(got) is Point2
+        assert typed((Fraction(1, 2), 0) + p) == typed(Point2(Fraction(7, 2), 4))
+        with pytest.raises(TypeError, match="^float .* rejected"):
+            (0.5, 0) + p
+        with pytest.raises(TypeError):
+            (1, 2) - p
+
     def test_no_instance_dict(self):
         assert not hasattr(Point2(0, 0), "__dict__")
         with pytest.raises(AttributeError):

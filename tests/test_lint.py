@@ -10,7 +10,10 @@ built only to be counted: `len(minkowski_sum(...))` builds every point of the
 sum, where sumset_size counts it.  No use of PointSet2D's grid layout outside
 core: its slots, the (sx, sy, xs, ys) grid that `_ints` returns and
 `_on_grid` takes, and the helpers that fill them are core's, and other
-modules build and read sets through its methods.
+modules build and read sets through its methods.  No section put on
+integers outside core: `common_scale` is referenced only in core, which
+hands a pair's sections over as grid ints, and in convex, which keeps its
+own polygon grid.
 """
 
 import ast
@@ -206,3 +209,34 @@ def test_layout_use_is_found():
     assert layout_uses(sources, ("_pts", "_grid", "_ints"), LAYOUT_CONSTRUCTORS) == \
         ["a:2", "a:3", "b:2", "b:3", "c:1"]
     assert all(name in dir(PointSet2D) for name in LAYOUT + LAYOUT_CONSTRUCTORS)
+
+
+SCALING_MODULES = {"core", "convex"}
+
+
+def scaling_uses(sources: dict) -> list[str]:
+    """`module:line` of each reference to common_scale, as a name, an
+    attribute or an import, in a module outside SCALING_MODULES; sources
+    maps module -> text."""
+    return [f"{module}:{node.lineno}" for module, source in sources.items()
+            if module not in SCALING_MODULES for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Name) and node.id == "common_scale"
+            or isinstance(node, ast.Attribute) and node.attr == "common_scale"
+            or isinstance(node, ast.ImportFrom)
+            and any(alias.name == "common_scale" for alias in node.names)]
+
+
+def test_sections_are_scaled_only_in_core():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert scaling_uses(sources) == []
+
+
+def test_scaling_use_is_found():
+    sources = {
+        "core": "def common_scale(*v):\n    pass\nx = common_scale([1])\n",
+        "convex": "from .core import common_scale\ny = common_scale([1])\n",
+        "bounds": "from .core import (rat,\n    common_scale)\n\n\ndef f(v):\n"
+                  "    return core.common_scale(v)\n",
+        "classify": "from .core import common_scale as scale\n",
+    }
+    assert scaling_uses(sources) == ["bounds:1", "bounds:6", "classify:1"]
