@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from .bounds import BoundMode, rhs_num_den
@@ -215,12 +216,14 @@ def classify_thm2(a: PointSet2D, b: PointSet2D) -> Classification:
 # in ascending order, for the row {x, x+1, ..., x+k-1}.
 
 def _match_trapezoid(runs, mode_m: int) -> Optional[TrapezoidSpec]:
+    if max(x + k for _, x, k in runs) - min(x for _, x, _ in runs) != mode_m:
+        return None  # runs are intervals: not mode_m consecutive columns
     cols: dict = {}
     for y, x, k in runs:
         for col in range(x, x + k):
             cols.setdefault(col, []).append(y)
-    r = _trapezoid_spec_of(cols)
-    return r[0] if r is not None and r[0].m == mode_m else None
+    r = _trapezoid_spec_of(cols)  # past the width exit, a match has mode_m columns
+    return None if r is None else r[0]
 
 
 def _match_eps(runs, mode_m: int) -> Optional[EpsilonSpec]:
@@ -265,23 +268,26 @@ def _match_eps(runs, mode_m: int) -> Optional[EpsilonSpec]:
         return None
 
 
+@lru_cache(maxsize=64)
+def _case_c_runs(spec: CaseCSpec) -> tuple:
+    """gen_case_c(spec)'s two sets as runs (each row is cut out by bounds on x)."""
+    return tuple(tuple((y, xs[0], len(xs)) for y, xs in rows.items())
+                 for rows in grid_sections(*gen_case_c(spec), rows=True)[2:])
+
+
 def _case_c_forms(runs_a, runs_b, m: int, n: int) -> list:
     """(spec, want_a, want_b, roles_swapped) per role in which the pair can
     be case C, want_a and want_b as the runs of (a3, b3).  k depends only
     on the height, which reflections and shears keep, so one instance per
-    role serves the scan.  gen_case_c's sets are in integer form already,
-    and each of their rows is a run: it is cut out by bounds on x."""
+    role serves the scan."""
     forms = []
     for runs, mm, nn, swapped in ((runs_a, m, n, False), (runs_b, n, m, True)):
         try:
             spec = CaseCSpec(mm, nn, len(runs) - 4 * mm + 4)
         except InvalidSpec:
             continue
-        ga, gb = (tuple((y, xs[0], len(xs)) for y, xs in rows.items())
-                  for rows in grid_sections(*gen_case_c(spec), rows=True)[2:])
-        if swapped:
-            ga, gb = gb, ga
-        forms.append((spec, ga, gb, swapped))
+        ga, gb = _case_c_runs(spec)
+        forms.append((spec, gb, ga, True) if swapped else (spec, ga, gb, False))
     return forms
 
 

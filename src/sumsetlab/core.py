@@ -3,9 +3,9 @@
 Every coordinate is an exact rational: either a plain ``int`` or a
 ``fractions.Fraction`` (always reduced, positive denominator).  There is no
 floating point anywhere; equalities tested downstream are exact, so none of
-the usual epsilon machinery exists.  Every PointSet2D is born on one
-integer grid, read by the sumset kernel, line walk and grid_sections (the
-one home of a pair's sections on ints); its Point2s are built when read.
+the usual epsilon machinery exists.  Every PointSet2D, an affine image too, is
+born on one integer grid, read by the sumset kernel, line walk and grid_sections
+(the one home of a pair's sections on ints); its Point2s are built when read.
 """
 
 from __future__ import annotations
@@ -108,7 +108,9 @@ def _point(x: Rational, y: Rational) -> Point2:
 
 
 def _exact_pair(pair, what: str) -> tuple:
-    """(pair[0], pair[1]) if both are ints or Fractions; strings are not parsed."""
+    """(pair[0], pair[1]) if pair is two ints or Fractions; strings are not parsed."""
+    if len(pair) != 2:
+        raise TypeError(f"{what} takes a pair (x, y), got {pair!r}")
     for d in pair[0], pair[1]:
         if not isinstance(d, (int, Fraction)):
             raise TypeError(f"{type(d).__name__} {d!r} rejected; {what} takes ints and Fractions")
@@ -125,6 +127,8 @@ def _as_point(p) -> Point2:
     """p as a Point2; a pair (x, y) goes through rat() unless both are ints."""
     if p.__class__ is Point2:
         return p
+    if len(p) != 2:  # indexed, not unpacked: an unordered set of two is no point
+        raise TypeError(f"a point is a pair (x, y), got {p!r}")
     x, y = p[0], p[1]
     if x.__class__ is int and y.__class__ is int:
         return tuple.__new__(Point2, (x, y))
@@ -526,8 +530,19 @@ def parallel_directions(d1, d2) -> bool:
 
 
 def apply_map(x: PointSet2D, m: AffineMap2D) -> PointSet2D:
-    """Image of x under an invertible affine map; cardinality is preserved."""
-    return PointSet2D(m(p) for p in x)
+    """Image of x under an invertible affine map (nothing to dedupe), born on
+    its reduced grid: each image axis a*x + b*y + t on x's grid ints, over the
+    lcm of the terms' denominators, divided by the gcd of it and the values."""
+    sx, sy, xs, ys = x._ints()
+    axes = []
+    for a, b, t in ((m.a11, m.a12, m.tx), (m.a21, m.a22, m.ty)):
+        den = lcm(a.denominator * sx, b.denominator * sy, t.denominator)
+        ka, kb, kt = (c.numerator * den // (c.denominator * s) for c, s in ((a, sx), (b, sy), (t, 1)))
+        vs = [ka * u + kb * v + kt for u, v in zip(xs, ys)]
+        g = gcd(den, *vs)
+        axes.append((den // g, [w // g for w in vs]))
+    (nx, ixs), (ny, iys) = axes
+    return PointSet2D._on_grid(nx, ny, *(zip(*sorted(zip(ixs, iys))) if xs else ((), ())))
 
 
 def shared_difference(sequences: Iterable) -> tuple[bool, Optional[Rational]]:

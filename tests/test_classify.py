@@ -20,6 +20,7 @@ from sumsetlab.errors import InvalidSpec
 from sumsetlab.families import (CaseCSpec, EpsilonSpec, TrapezoidSpec,
                                 gen_case_c, gen_eps_trapezoid, gen_trapezoid,
                                 gen_wild)
+from test_core import counting
 
 
 def ps(*pairs):
@@ -678,6 +679,78 @@ def test_eps_matcher_agrees_with_frozen_search_on_small_grids():
                 assert gen_eps_trapezoid(got) == s
                 matches += 1
     assert (sets, matches) == (12208, 86)
+
+
+def frozen_match_trapezoid(runs, mode_m: int) -> Optional[TrapezoidSpec]:
+    """classify._match_trapezoid before its width exit, verbatim but for its
+    name and the module of _trapezoid_spec_of."""
+    cols: dict = {}
+    for y, x, k in runs:
+        for col in range(x, x + k):
+            cols.setdefault(col, []).append(y)
+    r = library._trapezoid_spec_of(cols)
+    return r[0] if r is not None and r[0].m == mode_m else None
+
+
+def test_trapezoid_width_exit_agrees_with_frozen_matcher():
+    """_match_trapezoid returns None early when its runs do not span mode_m
+    columns, and answers as before on every input: each small-grid set of
+    the eps matcher's test, for its longest row and one either side, and
+    every candidate of the walk on the 3x3 and 3x4 sweep pairs and on
+    trapezoid, case-C, figure-2 and eps-range-edge pairs under seeded maps."""
+    inputs = []
+    for width, height in ((3, 4), (4, 3), (2, 6), (6, 2)):
+        for s in integer_form_subsets(width, height):
+            runs = runs_of(s)
+            if runs is not None:
+                top = max(k for _, _, k in runs)
+                inputs += [(runs, mode_m) for mode_m in (top - 1, top, top + 1)]
+    rng = random.Random(22)
+    shifted = gen_trapezoid(TrapezoidSpec(4, 16, 1, 2))
+    instances = [
+        (gen_trapezoid(TrapezoidSpec(3, 4, 0, 1)), gen_trapezoid(TrapezoidSpec(2, 3, 0, 1))),
+        gen_case_c(CaseCSpec(2, 3, 3)), gen_case_c(CaseCSpec(4, 4, 7)), figure2_pair(),
+        (gen_trapezoid(TrapezoidSpec(2, 3, 1, 2)), gen_trapezoid(TrapezoidSpec(3, 4, 1, 2))),
+        (PointSet2D((x + (y >= 15), y) for x, y in shifted), gen_trapezoid(TrapezoidSpec(2, 3, 1, 2))),
+    ]
+    pairs = sweep_pairs_for_thm3(3, 3) + sweep_pairs_for_thm3(3, 4, max_size_b=3)
+    for a, b in instances:
+        maps = [seeded_map(rng, upper_triangular=True) for _ in range(4)]
+        pairs += [(a, b)] + [(apply_map(a, m), apply_map(b, m)) for m in maps]
+    for a, b in pairs:
+        normalized = reference_normalize(a, b)
+        if normalized is None:
+            continue
+        (runs_a, runs_b), scale = scaled_runs(runs_of(normalized[0]), runs_of(normalized[1]))
+        m, n = (max(k for _, _, k in runs) for runs in (runs_a, runs_b))
+        for a3, b3, *_ in library._normalized_candidates(runs_a, runs_b, scale):
+            inputs += [(a3, m), (b3, n)]
+    outcomes = Counter()
+    for runs, mode_m in inputs:
+        want = frozen_match_trapezoid(runs, mode_m)
+        assert library._match_trapezoid(runs, mode_m) == want, (runs, mode_m)
+        width = max(x + k for _, x, k in runs) - min(x for _, x, _ in runs)
+        outcomes[want is not None, width == mode_m] += 1
+    assert outcomes[True, False] == 0
+    assert outcomes[True, True] > 0 and outcomes[False, True] > 0 and outcomes[False, False] > 0
+
+
+def test_case_c_forms_are_built_once_per_spec():
+    """classify_thm3 generates each case-C instance it compares with once:
+    two calls on case-C(4,4,7) and one on a sheared image of it make at most
+    one gen_case_c call per CaseCSpec, and answer as the first call did."""
+    a, b = gen_case_c(CaseCSpec(4, 4, 7))
+    shear = AffineMap2D.upper_triangular(Fraction(1, 2), Fraction(-3, 2), 2, 1, 0)
+    library._case_c_runs.cache_clear()
+    with counting(library, "gen_case_c") as generated:
+        first = classify_thm3(a, b)
+        again = classify_thm3(a, b)
+        image = classify_thm3(apply_map(a, shear), apply_map(b, shear))
+    specs = [call.args[0] for call in generated.call_args_list]
+    assert specs and len(specs) == len(set(specs))
+    assert first.verdict is Verdict.CASE_C_PAIR and again.to_json_dict() == first.to_json_dict()
+    assert image.verdict is first.verdict and image.details["spec"] == first.details["spec"]
+    assert library._case_c_runs.cache_info().maxsize is not None
 
 
 class TestThm2MatchesReference:

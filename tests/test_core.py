@@ -689,10 +689,26 @@ class TestPointMatchesReference:
         assert all(p in got for p in want) and all(p in want for p in got)
 
     @pytest.mark.parametrize("delta, error", [("12", TypeError), (("1/2", 0), TypeError),
-                                              ((0, "x"), TypeError), ((1,), IndexError)])
+                                              ((0, "x"), TypeError), ((1,), TypeError),
+                                              ((1, 2, 3), TypeError)])
     def test_translate_takes_no_strings(self, delta, error):
         with pytest.raises(error):
             ps((0, 0), (Fraction(1, 3), 2)).translate(delta)
+
+    def test_only_pairs_are_points(self):
+        """A tuple of another length is the library's TypeError wherever a
+        pair is taken, never cut down to its first two entries."""
+        p = Point2(1, 2)
+        for make in (lambda: p + (1, 2, 3), lambda: p - (1, 2, 3), lambda: (1, 2, 3) + p,
+                     lambda: p + (1,), lambda: ps((0, 0)).translate((1, 2, 3)),
+                     lambda: PointSet2D([(0, 0, 5), (1, 1)]), lambda: PointSet2D([(1,)]),
+                     lambda: (0, 0, 5) in ps((0, 0))):
+            with pytest.raises(TypeError, match=r"pair \(x, y\), got \("):
+                make()
+        for make in (lambda: p + {1, 5}, lambda: ps((0, 0)).translate({Fraction(1, 2), 3}),
+                     lambda: PointSet2D([{Fraction(1, 3), 2}])):  # unordered, so no pair
+            with pytest.raises(TypeError):
+                make()
 
     def test_no_tuple_repetition(self):
         p = Point2(1, 2)
@@ -762,11 +778,33 @@ def assert_born_like(make, want: PointSet2D) -> None:
     assert make() == want and want == make() and all(p in make() for p in want)
 
 
+nonzero_rational = mixed_rational.filter(bool)
+affine_maps = st.one_of(
+    st.builds(AffineMap2D.diagonal, nonzero_rational, nonzero_rational, mixed_rational,
+              mixed_rational),
+    st.builds(AffineMap2D.upper_triangular, nonzero_rational, mixed_rational, nonzero_rational,
+              mixed_rational, mixed_rational),
+    st.tuples(*[mixed_rational] * 6).filter(lambda c: c[0] * c[3] != c[1] * c[2])
+    .map(lambda c: AffineMap2D(*c)),
+)
+
+
+def inverse_map(m: AffineMap2D) -> AffineMap2D:
+    det = m.a11 * m.a22 - m.a12 * m.a21
+    a11, a12, a21, a22 = (Fraction(v) / det for v in (m.a22, -m.a12, -m.a21, m.a11))
+    return AffineMap2D(a11, a12, a21, a22, -(a11 * m.tx + a12 * m.ty), -(a21 * m.tx + a22 * m.ty))
+
+
+# a map that mixes both axes, and back
+GENERAL_MAP = AffineMap2D(Fraction(2, 3), 1, Fraction(-1, 2), 3, Fraction(1, 5), -2)
+GENERAL_INVERSE = inverse_map(GENERAL_MAP)
+
+
 class TestGridBornSets:
-    """minkowski_sum, translate, compress and the split halves hold their
-    sets on the integer grid and build points on first use; each behaves as
-    PointSet2D(its points), on int, negative, rational and mixed-denominator
-    sets."""
+    """minkowski_sum, translate, apply_map, compress and the split halves
+    hold their sets on the integer grid and build points on first use; each
+    behaves as PointSet2D(its points), on int, negative, rational and
+    mixed-denominator sets."""
 
     @given(kernel_sets, kernel_sets, coord_pairs)
     @settings(max_examples=200, deadline=None)
@@ -777,6 +815,20 @@ class TestGridBornSets:
         assert_born_like(lambda: a.translate((delta[0], 0)), PointSet2D(p + (d.x, 0) for p in a))
         assert_born_like(lambda: minkowski_sum(a, b).translate(delta),
                          PointSet2D(p + d for p in reference_minkowski_sum(a, b)))
+
+    @given(kernel_sets, affine_maps)
+    @settings(max_examples=300, deadline=None)
+    def test_images(self, a, m):
+        """apply_map(a, m) against the image built point by point, which finds
+        the reduced grid: the lcm of each axis' denominators."""
+        inverse = inverse_map(m)
+        assert m.compose(inverse) == AffineMap2D()
+        want = PointSet2D(m(p) for p in a)
+        assert_born_like(lambda: apply_map(a, m), want)
+        assert apply_map(a, m)._ints() == want._ints()
+        back = PointSet2D(inverse(p) for p in want)
+        assert_born_like(lambda: apply_map(apply_map(a, m), inverse), back)
+        assert apply_map(apply_map(a, m), inverse)._ints() == back._ints()
 
     @given(kernel_sets)
     @settings(max_examples=200, deadline=None)
@@ -809,14 +861,28 @@ class TestGridBornSets:
             got = (bound(mode, a, b).lhs, core.sumset_size(a, b), len(minkowski_sum(a, b)))
         assert got == (len(reference_minkowski_sum(a, b)),) * 3
 
+    def test_images_build_no_points(self):
+        t = gen_trapezoid(TrapezoidSpec(10, 61, 0, 1))
+        m = AffineMap2D.upper_triangular(Fraction(3, 2), Fraction(-5, 3), Fraction(4, 3),
+                                         Fraction(1, 7), 2)
+        want = PointSet2D(m(p) for p in t)
+        with mock.patch.object(core, "_points", side_effect=AssertionError("points built")), \
+                mock.patch.object(PointSet2D, "__init__", side_effect=AssertionError("set built")):
+            image = apply_map(t, m)
+            got = (len(image), image._ints(), apply_map(image, inverse_map(m))._ints())
+        assert got == (len(want), want._ints(), t._ints())
+        assert want._ints()[:2] == (42, 3)
+
 
 def births(x: PointSet2D) -> list:
-    """x as each birth makes it: from its points in two orders, as sums, and
-    as translates, one of them back from a finer grid that it keeps."""
+    """x as each birth makes it: from its points in two orders, as sums, as
+    translates, one of them back from a finer grid that it keeps, and as
+    images, one of them back from a map that mixes both axes."""
     d = (Fraction(1, 2), Fraction(-1, 3))
     return [PointSet2D(x.points), PointSet2D(x.points[::-1]), minkowski_sum(x, ps((0, 0))),
             minkowski_sum(ps((1, -1)), x).translate((-1, 1)), x.translate((0, 0)),
-            x.translate(d).translate((-d[0], -d[1]))]
+            x.translate(d).translate((-d[0], -d[1])), apply_map(x, AffineMap2D()),
+            apply_map(apply_map(x, GENERAL_MAP), GENERAL_INVERSE)]
 
 
 def probes(x: PointSet2D) -> list:
@@ -836,7 +902,7 @@ def assert_same_set(sets: list, want: PointSet2D) -> None:
 class TestEqualityAcrossBirths:
     """== and hash compare the canonical points, and `in` bisects them, so a
     set answers alike whichever way it was born: from points, as a sum, a
-    translate, a compression or a split half."""
+    translate, an affine image, a compression or a split half."""
 
     @given(kernel_sets)
     @settings(max_examples=150, deadline=None)
