@@ -21,7 +21,7 @@ from .core import (PointSet2D, Rational, bit_mask, collinear_direction,
                    cover_stats, grid_sections, is_sparse, minkowski_sum,
                    parallel_directions, rat, rat_str, shared_difference,
                    sumset_mask, sumset_size)
-from .errors import EmptySet, ModeMismatch
+from .errors import EmptySet, InvalidSpec, ModeMismatch
 
 
 class BoundMode(Enum):
@@ -59,6 +59,8 @@ def rhs_num_den(mode: BoundMode, size_a: int, m: int, size_b: int, n: int) -> tu
 
 def bound(mode: BoundMode, a: PointSet2D, b: PointSet2D) -> BoundReport:
     """Evaluate the chosen lower bound exactly; lhs is |A+B| by enumeration."""
+    if mode.__class__ is not BoundMode:
+        raise InvalidSpec(f"mode must be a BoundMode, got {mode!r}")
     if len(a) == 0 or len(b) == 0:
         raise EmptySet("bound needs nonempty sets")
     if mode is BoundMode.DOUBLING and b is not a and a != b:

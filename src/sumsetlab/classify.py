@@ -7,9 +7,9 @@ steps, and no point set is rebuilt on the way:
 
 * lines mode (diagonal maps + translations): the x-projections must be
   arithmetic progressions with one shared difference, every vertical section
-  an AP with one shared positive difference; after rescaling both axes the
-  column minima/maxima must be APs with shared differences d and c.  Success
-  means both sets are standard trapezoids with common slopes.
+  an AP with one shared positive difference; then each set's column starts
+  and lengths, read on the grid with no column rescaled, must be APs.
+  Success means both sets are standard trapezoids with common slopes.
 
 * sections mode (maps (x, y) -> (alpha x + gamma y, beta y), translations,
   and the four axis reflections): levels and rows are normalized the same
@@ -103,32 +103,16 @@ def _axis_steps(lines_a: dict, lines_b: dict, unit: int) -> Optional[tuple[int, 
     return level_step, step or unit
 
 
-def _trapezoid_spec_of(cols: dict) -> Optional[tuple[TrapezoidSpec, Point2]]:
-    """Recognize the set with these columns (x -> ascending y-values) as a
-    translate of a materialized trapezoid.
-
-    Returns (spec, anchor) with the set == gen_trapezoid(spec) + anchor,
-    requiring consecutive integer x-positions, difference-1 columns, and
-    arithmetic column minima (difference d) and maxima (difference c).
-    """
-    xs = sorted(cols)
-    x0 = xs[0]
-    if any(x - x0 != k for k, x in enumerate(xs)):
+def _trapezoid(starts, counts, unit: int = 1) -> Optional[TrapezoidSpec]:
+    """T(m, h, c, d) that has a translate with the m consecutive columns j that
+    start at starts[j]/unit and hold counts[j] points one apart, or None: the
+    starts and the counts are APs, differences d and c - d (0 for one column)."""
+    ok_starts, step = shared_difference([starts])
+    ok_counts, widen = shared_difference([counts])
+    if not (ok_starts and ok_counts):
         return None
-    ok, step = shared_difference(cols.values())
-    if not ok or step not in (None, 1):
-        return None
-    mins = [cols[x][0] for x in xs]
-    maxs = [cols[x][-1] for x in xs]
-    okd, d = shared_difference([mins])
-    okc, c = shared_difference([maxs])
-    if not (okd and okc):
-        return None
-    try:  # a one-column set has no slopes: c = d = 0
-        spec = TrapezoidSpec(len(xs), int(maxs[0] - mins[0]) + 1, c or 0, d or 0)
-    except InvalidSpec:
-        return None
-    return spec, _point(x0, mins[0])
+    d = _unscale(step or 0, unit)
+    return TrapezoidSpec(len(starts), counts[0], d + (widen or 0), d)
 
 
 def _extremal(mode: BoundMode, a: PointSet2D, m: int, b: PointSet2D, n: int) -> bool:
@@ -188,21 +172,18 @@ def classify_thm2(a: PointSet2D, b: PointSet2D) -> Classification:
     if not _extremal(BoundMode.LINES_GS, a, len(cols_a), b, len(cols_b)):
         return Classification(Verdict.NOT_EXTREMAL)
 
-    # (1) x-projections and (2) vertical sections: APs with shared
-    # differences alpha and beta; (3) on the rescaled columns, shared
-    # slopes d (minima) and c (maxima)
+    # (1) x-projections and (2) vertical sections: APs with shared differences
+    # alpha and beta; (3) the columns x/alpha -> y/beta share slopes d and c
     steps = _axis_steps(cols_a, cols_b, sy)
     if steps is None:
         return Classification(Verdict.EXTREMAL_UNCLASSIFIED)
-    alpha, beta = steps  # grid steps: the rescaled columns are x/alpha -> y/beta
-    ra, rb = (_trapezoid_spec_of({_unscale(x, alpha): [_unscale(y, beta) for y in ys]
-                                  for x, ys in cols.items()})
-              for cols in (cols_a, cols_b))
-    if ra is None or rb is None:
+    alpha, beta = steps
+    spec_a, spec_b = (_trapezoid([ys[0] for ys in cols.values()], [len(ys) for ys in cols.values()],
+                                 beta) for cols in (cols_a, cols_b))
+    if spec_a is None or spec_b is None or spec_a.c != spec_b.c or spec_a.d != spec_b.d:
         return Classification(Verdict.EXTREMAL_UNCLASSIFIED)
-    (spec_a, anchor_a), (spec_b, anchor_b) = ra, rb
-    if spec_a.c != spec_b.c or spec_a.d != spec_b.d:
-        return Classification(Verdict.EXTREMAL_UNCLASSIFIED)
+    anchor_a, anchor_b = (_point(_unscale(x, alpha), _unscale(ys[0], beta))
+                          for x, ys in (next(iter(cols.items())) for cols in (cols_a, cols_b)))
     details = {"spec_a": spec_a, "spec_b": spec_b, "anchor_a": anchor_a, "anchor_b": anchor_b}
     witness = AffineMap2D.diagonal(Fraction(sx, alpha), Fraction(sy, beta))
     return Classification(Verdict.TRAPEZOID_PAIR, details, witness)
@@ -216,14 +197,18 @@ def classify_thm2(a: PointSet2D, b: PointSet2D) -> Classification:
 # in ascending order, for the row {x, x+1, ..., x+k-1}.
 
 def _match_trapezoid(runs, mode_m: int) -> Optional[TrapezoidSpec]:
-    if max(x + k for _, x, k in runs) - min(x for _, x, _ in runs) != mode_m:
+    """T(mode_m, h, c, d) when these runs, mode_m the longest, are a translate
+    of it, else None; past the width exit a longest run fills every column."""
+    x0 = min(x for _, x, _ in runs)
+    if max(x + k for _, x, k in runs) - x0 != mode_m:
         return None  # runs are intervals: not mode_m consecutive columns
-    cols: dict = {}
+    cols = [[] for _ in range(mode_m)]
     for y, x, k in runs:
-        for col in range(x, x + k):
-            cols.setdefault(col, []).append(y)
-    r = _trapezoid_spec_of(cols)  # past the width exit, a match has mode_m columns
-    return None if r is None else r[0]
+        for col in range(x - x0, x - x0 + k):
+            cols[col].append(y)
+    if any(ys[-1] - ys[0] != len(ys) - 1 for ys in cols):
+        return None  # a column with a gap
+    return _trapezoid([ys[0] for ys in cols], [len(ys) for ys in cols])
 
 
 def _match_eps(runs, mode_m: int) -> Optional[EpsilonSpec]:

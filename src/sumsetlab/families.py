@@ -60,7 +60,9 @@ class EpsilonSpec:
     ones: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
-        object.__setattr__(self, "ones", frozenset(int(i) for i in self.ones))
+        object.__setattr__(self, "ones", frozenset(self.ones))
+        if not all(isinstance(i, int) for i in self.ones):
+            raise InvalidSpec(f"shift indices must be integers, got {set(self.ones)}")
         b = self.base
         if not (isinstance(b.c, int) and isinstance(b.d, int)):
             raise InvalidSpec("epsilon trapezoid needs integer slopes")

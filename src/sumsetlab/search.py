@@ -66,6 +66,8 @@ class SweepConfig:
     collect_extremal: bool = False
 
     def __post_init__(self):
+        if self.mode.__class__ is not BoundMode:
+            raise InvalidSpec(f"mode must be a BoundMode, got {self.mode!r}")
         if self.grid_width < 1 or self.grid_height < 1:
             raise InvalidSpec("grid dimensions must be positive")
         if self.grid_width * self.grid_height > 16:
@@ -371,8 +373,10 @@ def run_sharded(config: SweepConfig, jobs: int = 1) -> SweepReport:
     """The merge of all config.shard_count shards, independent of the shard
     count and of jobs.  In one process that is one pass over every A; jobs > 1
     worker processes split the orbits, so each row is computed once."""
+    if jobs < 1:
+        raise InvalidSpec("jobs must be >= 1")
     whole = replace(config, shard_index=0, shard_count=1)
-    if jobs <= 1:
+    if jobs == 1:
         return merge_reports([sweep(whole)])
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=jobs) as pool:

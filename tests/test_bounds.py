@@ -7,8 +7,8 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from conftest import nonempty_pairs, point_sets
-from sumsetlab import (AffineMap2D, BoundMode, EmptySet, ModeMismatch, PointSet2D,
-                       SupportedSequence, apply_map, averaging_report, bound,
+from sumsetlab import (AffineMap2D, BoundMode, EmptySet, InvalidSpec, ModeMismatch,
+                       PointSet2D, SupportedSequence, apply_map, averaging_report, bound,
                        chain_diagnostic, compress,
                        gen_trapezoid, gen_wild, u_values)
 from sumsetlab.bounds import _section_chain_sums, rhs_num_den
@@ -25,6 +25,15 @@ def seq(**entries):
 
 
 class TestBound:
+    def test_mode_must_be_a_bound_mode(self):
+        """A mode's string value is no mode: "sections" used to give the lines
+        report (m = 3, n = 4) under the sections label."""
+        a, b = ps((0, 0), (1, 0), (2, 1)), ps((0, 0), (1, 1), (2, 2), (3, 2))
+        assert (bound(BoundMode.SECTIONS_GS, a, b).m, bound(BoundMode.LINES_GS, a, b).m) == (2, 3)
+        for mode in ("sections", "lines", None):
+            with pytest.raises(InvalidSpec, match="mode must be a BoundMode"):
+                bound(mode, a, b)
+
     def test_sections_on_wild_pair(self):
         a, b = gen_wild(4)
         rep = bound(BoundMode.SECTIONS_GS, a, b)

@@ -681,14 +681,43 @@ def test_eps_matcher_agrees_with_frozen_search_on_small_grids():
     assert (sets, matches) == (12208, 86)
 
 
+def frozen_trapezoid_spec_of(cols: dict) -> Optional[tuple[TrapezoidSpec, Point2]]:
+    """Recognize the set with these columns (x -> ascending y-values) as a
+    translate of a materialized trapezoid.
+
+    Returns (spec, anchor) with the set == gen_trapezoid(spec) + anchor,
+    requiring consecutive integer x-positions, difference-1 columns, and
+    arithmetic column minima (difference d) and maxima (difference c).
+    """
+    xs = sorted(cols)
+    x0 = xs[0]
+    if any(x - x0 != k for k, x in enumerate(xs)):
+        return None
+    ok, step = shared_difference(cols.values())
+    if not ok or step not in (None, 1):
+        return None
+    mins = [cols[x][0] for x in xs]
+    maxs = [cols[x][-1] for x in xs]
+    okd, d = shared_difference([mins])
+    okc, c = shared_difference([maxs])
+    if not (okd and okc):
+        return None
+    try:  # a one-column set has no slopes: c = d = 0
+        spec = TrapezoidSpec(len(xs), int(maxs[0] - mins[0]) + 1, c or 0, d or 0)
+    except InvalidSpec:
+        return None
+    return spec, _point(x0, mins[0])
+
+
 def frozen_match_trapezoid(runs, mode_m: int) -> Optional[TrapezoidSpec]:
     """classify._match_trapezoid before its width exit, verbatim but for its
-    name and the module of _trapezoid_spec_of."""
+    name and that of the column recognizer it called, frozen above as
+    frozen_trapezoid_spec_of (classify's own before it moved to grid ints)."""
     cols: dict = {}
     for y, x, k in runs:
         for col in range(x, x + k):
             cols.setdefault(col, []).append(y)
-    r = library._trapezoid_spec_of(cols)
+    r = frozen_trapezoid_spec_of(cols)
     return r[0] if r is not None and r[0].m == mode_m else None
 
 
@@ -784,6 +813,49 @@ class TestThm2MatchesReference:
                                          rng.randint(-5, 5))
                 pairs.append((apply_map(a, m), apply_map(b, m)))
         self.assert_same(pairs)
+
+
+class TestThm2UnclassifiedExits:
+    """The three ExtremalUnclassified exits of classify_thm2 after the
+    extremality test, reached on hand-made pairs that only pass it because
+    classify._extremal is patched to say so: no lines-extremal pair reaches
+    them."""
+
+    def classify_as_extremal(self, a, b):
+        with mock.patch.object(library, "_extremal", return_value=True):
+            return classify_thm2(a, b).to_json_dict()
+
+    def test_axis_steps_fail(self):
+        a = ps((0, 0), (0, 1), (0, 3), (1, 0))  # the column 0, 1, 3 is no AP
+        b = gen_trapezoid(TrapezoidSpec(2, 2, 0, 0))
+        assert self.classify_as_extremal(a, b) == {"verdict": "ExtremalUnclassified"}
+
+    def test_column_starts_are_no_trapezoid(self):
+        a = ps((0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (2, 3))  # starts 0, 0, 2
+        b = gen_trapezoid(TrapezoidSpec(2, 2, 0, 0))
+        assert self.classify_as_extremal(a, b) == {"verdict": "ExtremalUnclassified"}
+        assert self.classify_as_extremal(b, a) == {"verdict": "ExtremalUnclassified"}
+
+    def test_slopes_differ(self):
+        a = gen_trapezoid(TrapezoidSpec(2, 2, 0, 0))
+        b = gen_trapezoid(TrapezoidSpec(2, 2, 1, 0))
+        assert self.classify_as_extremal(a, b) == {"verdict": "ExtremalUnclassified"}
+
+
+def test_thm2_unscales_only_its_slopes_and_anchors():
+    """classify_thm2 reads a pair's columns as grid ints: on T(10,61,0,1) and
+    T(3,5,0,1) under a rational diagonal map, 577 points, it turns at most
+    six grid values into rationals (each set's d and anchor)."""
+    m = AffineMap2D.diagonal(Fraction(3, 2), Fraction(5, 3), Fraction(1, 3), -2)
+    a = apply_map(gen_trapezoid(TrapezoidSpec(10, 61, 0, 1)), m)
+    b = apply_map(gen_trapezoid(TrapezoidSpec(3, 5, 0, 1)), m)
+    assert len(a) + len(b) == 577
+    with mock.patch.object(library, "_unscale", wraps=library._unscale) as unscale:
+        cls = classify_thm2(a, b)
+    assert cls.to_json_dict() == reference_classify_thm2(a, b).to_json_dict()
+    assert cls.verdict is Verdict.TRAPEZOID_PAIR
+    assert cls.details["spec_a"] == TrapezoidSpec(10, 61, 0, 1)
+    assert unscale.call_count <= 6
 
 
 def test_thm3_candidate_walk_builds_no_point_set(monkeypatch):

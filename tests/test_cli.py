@@ -177,6 +177,12 @@ class TestSweepCommand:
         assert (code, out) == (2, "")
         assert capsys.readouterr().err == "error: max_size_a and max_size_b must be >= 1\n"
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_2(self, jobs, capsys):
+        code, out = run_cli(["sweep", "--grid", "2x2", "--mode", "lines", "--jobs", jobs])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == "error: jobs must be >= 1\n"
+
     def test_single_shard_run(self):
         code, out = run_cli(["sweep", "--grid", "2x2", "--mode", "lines",
                              "--shards", "2", "--shard-index", "1"])

@@ -72,6 +72,13 @@ class TestEpsTrapezoid:
         with pytest.raises(InvalidSpec):
             EpsilonSpec(TrapezoidSpec(3, 9, -1, 2), frozenset())
 
+    @pytest.mark.parametrize("index", [8.7, Fraction(17, 2), "9"])
+    def test_shift_index_must_be_an_int(self, index):
+        """A float, a Fraction or a string is no shift index, even where its
+        int() lies inside the support interval."""
+        with pytest.raises(InvalidSpec, match="shift indices must be integers"):
+            EpsilonSpec(TrapezoidSpec(4, 16, 1, 2), frozenset({index}))
+
 
 class TestCaseC:
     def test_figure_three_sizes(self):

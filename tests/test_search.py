@@ -109,6 +109,16 @@ class TestSharding:
         with pytest.raises(InvalidSpec):
             cfg(shard_index=3, shard_count=3)
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(InvalidSpec, match="jobs must be >= 1"):
+            run_sharded(cfg(), jobs=jobs)
+
+    def test_mode_must_be_a_bound_mode(self):
+        """A mode's string value used to run the lines sweep under any label."""
+        with pytest.raises(InvalidSpec, match="mode must be a BoundMode"):
+            SweepConfig(2, 2, "sections")
+
 
 class TestHarvest:
     def test_generated_family_rediscovered(self):
