@@ -40,12 +40,16 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name: str):
-    if name in _EXPORTS:
-        return import_module(f"{__name__}.{name}")
-    if name not in _OWNER:
+    module = _OWNER.get(name, name)
+    if module not in _EXPORTS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f"{__name__}.{_OWNER[name]}"), name)
-    globals()[name] = value
+    value = globals().get(module)  # this package's own submodule, once imported
+    if value is None:
+        if import_module(__name__).__dict__ is not globals():  # sys.modules holds another copy
+            raise ImportError(f"{__name__}.{module} would come from another copy of {__name__}")
+        value = import_module(f"{__name__}.{module}")
+    if module != name:
+        value = globals()[name] = getattr(value, name)
     return value
 
 

@@ -12,7 +12,9 @@ A polygon is held on one integer grid (scale, xs, ys): vertex i is
 (xs[i]/scale, ys[i]/scale), scale the lcm of the vertex denominators.  All
 predicates and constructions run on those ints (a sum on the lcm of both
 scales) and divide once at the end; the Point2 vertices are built on first
-use, so a sum that is only measured never builds them.
+use, so a sum that is only measured never builds them.  Vertices are checked
+only where they come in, by the constructor: sums, stretches and compressions
+built here are stored as built, and the tests put them through it.
 """
 
 from __future__ import annotations
@@ -41,9 +43,17 @@ class ConvexPolygon:
     def __init__(self, vertices: Iterable):
         verts = [_as_point(v) for v in vertices]
         scale, (xs, ys) = common_scale([v[0] for v in verts], [v[1] for v in verts])
-        halves = [_angle_key(e) for e in self._set_grid(scale, list(zip(xs, ys)))._edges()]
+        pts = list(zip(xs, ys))  # checked only here: _on_grid stores what the module builds
+        if len(pts) < 2:
+            raise InvalidSpec("a polygon needs at least 2 vertices")
+        if len(set(pts)) != len(pts):
+            raise InvalidSpec("duplicate vertices")
+        if len(pts) > 2 and any(_turn(a, b, c) <= 0 for a, b, c in
+                                zip(pts, pts[1:] + pts[:1], pts[2:] + pts[:2])):
+            raise InvalidSpec("vertices must be strictly convex in CCW order")
+        halves = [_angle_key(e) for e in self._set_grid(scale, pts)._edges()]
         winds = sum(h > k for h, k in zip(halves, halves[1:] + halves[:1]))  # edges past +x
-        if winds != 1:  # strict left turns admit stars; _on_grid's results wind once
+        if winds != 1:  # strict left turns admit stars
             raise InvalidSpec(f"vertices must wind once around, not {winds} times")
 
     @classmethod
@@ -52,14 +62,7 @@ class ConvexPolygon:
         return object.__new__(cls)._set_grid(scale, pts)
 
     def _set_grid(self, scale: int, pts: list) -> "ConvexPolygon":
-        """Validate pts and store them from the canonical start, on the reduced scale."""
-        if len(pts) < 2:
-            raise InvalidSpec("a polygon needs at least 2 vertices")
-        if len(set(pts)) != len(pts):
-            raise InvalidSpec("duplicate vertices")
-        if len(pts) > 2 and any(_turn(a, b, c) <= 0 for a, b, c in
-                                zip(pts, pts[1:] + pts[:1], pts[2:] + pts[:2])):
-            raise InvalidSpec("vertices must be strictly convex in CCW order")
+        """Store pts, unchecked, from the canonical start, on the reduced scale."""
         start = pts.index(min(pts, key=itemgetter(1, 0)))
         xs, ys = zip(*(pts[start:] + pts[:start]))
         g = gcd(scale, *xs, *ys) if scale > 1 else 1
@@ -116,7 +119,7 @@ class ConvexPolygon:
         return ConvexPolygon([v + delta for v in self.vertices])
 
     def scale(self, factor: Rational) -> "ConvexPolygon":
-        if factor <= 0:
+        if rat(factor) <= 0:
             raise InvalidSpec("scale factor must be positive")
         return ConvexPolygon([v.scale(factor) for v in self.vertices])
 
@@ -181,21 +184,17 @@ def from_chains(lower: Iterable[Point2], upper: Iterable[Point2]) -> ConvexPolyg
 
     Coinciding chains collapse to the 2-vertex segment they describe.
     """
-    lower, upper = [_as_point(v) for v in lower], [_as_point(v) for v in upper]
-    pts = lower + upper
-    scale, (xs, ys) = common_scale([v[0] for v in pts], [v[1] for v in pts])
-    grid = list(zip(xs, ys))
-    return _grid_from_chains(scale, grid[:len(lower)], grid[len(lower):])
+    return ConvexPolygon(_chain_cycle([_as_point(v) for v in lower], [_as_point(v) for v in upper]))
 
 
-def _grid_from_chains(scale: int, lower: list, upper: list) -> ConvexPolygon:
+def _chain_cycle(lower: list, upper: list) -> list:
+    """The vertex cycle of two boundary graphs, or a segment's two ends."""
     pts = lower + upper
     base = pts[0]
     ref = next((p for p in pts if p != base), None)
     if ref is not None and all(_turn(base, ref, p) == 0 for p in pts):
-        ends = sorted(set(pts))
-        return ConvexPolygon._on_grid(scale, [ends[0], ends[-1]])
-    return ConvexPolygon._on_grid(scale, _merge_collinear(lower + upper[::-1]))
+        return [min(pts), max(pts)]
+    return _merge_collinear(lower + upper[::-1])
 
 
 # ---------------------------------------------------------------------------
@@ -302,8 +301,8 @@ def stretch_vertical(p: ConvexPolygon, h: Rational) -> ConvexPolygon:
         x, (lo, hi) = p._xs[0] * k, sorted(p._ys)
         return ConvexPolygon._on_grid(scale, [(x, lo * k), (x, hi * k + lift)])
     lower, upper = p._chains()
-    return _grid_from_chains(scale, [(x * k, y * k) for x, y in lower],
-                             [(x * k, y * k + lift) for x, y in upper])
+    return ConvexPolygon._on_grid(scale, _chain_cycle([(x * k, y * k) for x, y in lower],
+                                                      [(x * k, y * k + lift) for x, y in upper]))
 
 
 @dataclass(frozen=True)
@@ -324,7 +323,7 @@ def decompose_vertical(p: ConvexPolygon) -> StretchDecomposition:
     if amount == 0:
         return StretchDecomposition(p, 0)
     dropped = [(x, y - amount) for x, y in upper]
-    return StretchDecomposition(_grid_from_chains(p._scale, lower, dropped),
+    return StretchDecomposition(ConvexPolygon._on_grid(p._scale, _chain_cycle(lower, dropped)),
                                 _unscale(amount, p._scale))
 
 

@@ -34,7 +34,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from itertools import combinations, product
-from operator import getitem
+from operator import attrgetter, getitem
 from typing import NamedTuple, Optional
 
 from .bounds import BoundMode, bound, chain_diagnostic, rhs_num_den
@@ -182,10 +182,6 @@ def _mirror_table(subs: list[_Subset], width: int, height: int) -> list[int]:
     return table
 
 
-def _mode_m(sub: _Subset, mode: BoundMode) -> int:
-    return sub.sections_m if mode is BoundMode.SECTIONS_GS else sub.lines_m
-
-
 def _parallel(da: Optional[tuple], db: Optional[tuple]) -> bool:
     """parallel_directions on analyzed directions (None: 2D; (0, 0): any)."""
     return da is not None and db is not None and parallel_directions(da, db)
@@ -257,6 +253,7 @@ def sweep(config: SweepConfig) -> SweepReport:
 def _sweep(config: SweepConfig, orbits: Optional[tuple[int, int]] = None) -> SweepReport:
     """config's shard, or for orbits = (k, c) every A whose rep is k mod c."""
     mode, width, height = config.mode, config.grid_width, config.grid_height
+    mode_m = attrgetter("sections_m" if mode is BoundMode.SECTIONS_GS else "lines_m")
     cap_a = config.max_size_a
     cap_b = cap_a if mode is BoundMode.DOUBLING else config.max_size_b
     # one enumeration; a list with a smaller cap filters it, in the same order
@@ -270,7 +267,7 @@ def _sweep(config: SweepConfig, orbits: Optional[tuple[int, int]] = None) -> Swe
     classes: dict[tuple, int] = {}  # (|B|, m_B), in 1d also B's direction -> index
     rows_b, masks_b = [], []  # lane t: (index of B, B, class index); mask(B), column x at x*stride
     for j, b in enumerate(() if mode is BoundMode.DOUBLING else subs):  # doubling's B is A
-        m_b = _mode_m(b, mode)
+        m_b = mode_m(b)
         if m_b < config.min_mn or (cap_b is not None and b.size > cap_b) \
                 or (one_d and b.direction is None):
             continue
@@ -286,7 +283,7 @@ def _sweep(config: SweepConfig, orbits: Optional[tuple[int, int]] = None) -> Swe
         """(pairs checked, hits) of A = subs[i]; a hit is (index of B, outcome)."""
         a = subs[i]
         keys_a = lattice_keys(a.pts, stride)
-        m_a = _mode_m(a, mode)
+        m_a = mode_m(a)
         if mode is BoundMode.DOUBLING:
             num, den = rhs_num_den(mode, a.size, m_a, a.size, m_a)
             lhs = sumset_mask(keys_a, bit_mask(keys_a)).bit_count()
@@ -320,7 +317,7 @@ def _sweep(config: SweepConfig, orbits: Optional[tuple[int, int]] = None) -> Swe
     # shards split the unfiltered A list, so every shard keeps its pairs
     for pos, i in enumerate(ids_a):
         a = subs[i]
-        if _mode_m(a, mode) < config.min_mn:
+        if mode_m(a) < config.min_mn:
             continue
         images = mirror[4 * i:4 * i + 4]
         rep = min(images)

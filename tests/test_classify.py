@@ -1118,16 +1118,31 @@ class TestShiftsPastTheEpsRange:
         assert classify_thm2(a, b).verdict is Verdict.TRAPEZOID_PAIR
         assert classify_thm3(a, b).to_json_dict() == {"verdict": "ExtremalUnclassified"}
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: classify_thm3 matches no family "
+                                           "for a shift at h - c (T(3,4,1,2) in row form)")
+    def test_smallest_pair_is_a_family_pair(self):
+        """The verdict the theorem asks for: some family, with a witness
+        that replays.  It passes once item 1 is settled."""
+        a = gen_trapezoid(TrapezoidSpec(2, 3, 1, 2))
+        b = gen_trapezoid(TrapezoidSpec(3, 4, 1, 2))
+        cls = classify_thm3(a, b)
+        assert cls.verdict in (Verdict.TRAPEZOID_PAIR, Verdict.EPS_TRAPEZOID_PAIR,
+                               Verdict.CASE_C_PAIR) and replay(a, b, cls)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
     def test_shift_at_h_minus_c_classifies_reflected(self, n):
         """T(4,16,1,2) with its rows y >= 15 moved right by 1, against the
-        partner T(n, 2n - 1, 1, 2): reflected in both axes it is the shifted
-        trapezoid eps(T(4,13,2,1), {4})."""
+        partner T(n, 2n - 1, 1, 2): the pair is extremal, and reflected in
+        both axes it is the shifted trapezoid eps(T(4,13,2,1), {4}), a
+        witness that replays."""
         t = gen_trapezoid(TrapezoidSpec(4, 16, 1, 2))
         a = PointSet2D((x + (y >= 15), y) for x, y in t)
         b = gen_trapezoid(TrapezoidSpec(n, 2 * n - 1, 1, 2))
+        assert bound(BoundMode.SECTIONS_GS, a, b).extremal
+        cls = classify_thm3(a, b)
+        assert replay(a, b, cls)
         identity = {"a11": "1", "a12": "0", "a21": "0", "a22": "1", "tx": "0", "ty": "0"}
-        assert classify_thm3(a, b).to_json_dict() == {
+        assert cls.to_json_dict() == {
             "verdict": "EpsTrapezoidPair",
             "eps_spec": {"base": {"m": 4, "h": 13, "c": "2", "d": "1"}, "ones": [4]},
             "partner": {"m": n, "h": n, "c": "2", "d": "1"},

@@ -1,6 +1,9 @@
+import importlib.util
 import random
+import sys
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -447,6 +450,13 @@ class TestPolygonValidationAndIO:
         with pytest.raises(TypeError, match="^float .* rejected"):
             UNIT_SQUARE.translate((0.5, 0))
 
+    def test_scale_parses_strings(self):
+        assert TRI_BIG.scale("1/2") == TRI_BIG.scale(Fraction(1, 2)) == TRI_SMALL
+        with pytest.raises(InvalidSpec, match="^scale factor must be positive$"):
+            TRI_BIG.scale("-1")
+        with pytest.raises(TypeError, match="^float .* rejected"):
+            TRI_BIG.scale(0.5)
+
     def test_canonical_start(self):
         p = ConvexPolygon([(1, 1), (0, 1), (0, 0), (1, 0)])
         assert p.vertices[0] == Point2(0, 0)
@@ -489,6 +499,65 @@ class TestExhaustiveContinuousOracle:
         polys = lattice_polygons(3)
         extremal = [(p, q) for p in polys for q in polys if convex._classified(p, q)[0].extremal]
         assert (len(polys), len(extremal)) == (129, 231)
+
+
+class TestBuiltPolygonsPassTheConstructor:
+    """ConvexPolygon.__init__ is the only vertex check; what the module builds
+    itself is stored as built, so these tests stand in for a runtime check."""
+
+    @staticmethod
+    def assert_valid(r):
+        assert ConvexPolygon(r.vertices) == r
+
+    def test_every_construction_on_the_reference_inputs(self):
+        rng = random.Random(5)
+        polys = reference_inputs()
+        for p, q in list(zip(polys, polys[1:])) + [(p, p) for p in polys[::2]]:
+            self.assert_valid(poly_minkowski_sum(p, q))
+        for p in polys:
+            self.assert_valid(stretch_vertical(p, Fraction(rng.randint(1, 9), rng.randint(1, 4))))
+            if p.width() == 0:
+                continue
+            self.assert_valid(decompose_vertical(p).core)
+            ch = p.chains()
+            x0, x1 = ch.lower[0].x, ch.lower[-1].x
+            self.assert_valid(clip_vertical_slab(p, x0, x0 + (x1 - x0) * Fraction(rng.randint(1, 4), 4)))
+            self.assert_valid(from_chains(ch.lower, ch.upper))
+            self.assert_valid(from_chains(ch.lower, ch.lower))
+
+    def test_every_sum_in_the_3x3_box(self):
+        polys = lattice_polygons(3)
+        for p in polys:
+            for q in polys:
+                self.assert_valid(poly_minkowski_sum(p, q))
+        assert len(polys) ** 2 == 16641
+
+    def test_sum_makes_no_turn_test(self):
+        """The perfbench seed-1 zonogon pair: the 312 vertices of its sum are
+        stored as merged, with no convexity re-check."""
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        with mock.patch.dict(sys.modules, {spec.name: workloads}):  # its dataclasses look it up
+            spec.loader.exec_module(workloads)
+        rng = random.Random(1)
+        p, q = (ConvexPolygon(workloads.zonogon_vertices(workloads.zonogon_edges(rng, k)))
+                for k in (100, 75))
+        with mock.patch.object(convex, "_turn", wraps=convex._turn) as turn:
+            s = poly_minkowski_sum(p, q)
+        assert (len(p.vertices), len(q.vertices), len(s.vertices)) == (200, 150, 312)
+        assert turn.call_count == 0
+
+    @pytest.mark.parametrize("lower,upper,message", [
+        ([(0, 0), (2, 0)], [(0, 0), (1, Fraction(1, 4)), (2, 1)],
+         "vertices must be strictly convex in CCW order"),
+        ([(0, 0), (5, 3), (-1, 3)], [(2, 5), (4, 0)],  # the pentagram's cycle
+         "vertices must wind once around, not 2 times"),
+    ], ids=["convex-upper-chain", "star"])
+    def test_outside_chains_are_still_checked(self, lower, upper, message):
+        with pytest.raises(InvalidSpec) as exc:
+            from_chains(lower, upper)
+        assert str(exc.value) == message
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,12 @@ built only to be counted: `len(minkowski_sum(...))` builds every point of the
 sum, where sumset_size counts it.  No use of PointSet2D's grid layout outside
 core: its slots, the (sx, sy, xs, ys) grid that `_ints` returns and
 `_on_grid` takes, and the helpers that fill them are core's, and other
-modules build and read sets through its methods.  No section put on
-integers outside core: `common_scale` is referenced only in core, which
-hands a pair's sections over as grid ints, and in convex, which keeps its
-own polygon grid.
+modules build and read sets through its methods.  No unchecked polygon
+outside convex: `ConvexPolygon._on_grid` and `_set_grid` store vertices
+without checking them, so other modules build polygons through the
+constructor.  No section put on integers outside core: `common_scale` is
+referenced only in core, which hands a pair's sections over as grid ints,
+and in convex, which keeps its own polygon grid.
 """
 
 import ast
@@ -23,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+from sumsetlab.convex import ConvexPolygon
 from sumsetlab.core import PointSet2D
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "sumsetlab"
@@ -184,14 +187,14 @@ LAYOUT = (*PointSet2D.__slots__, "_fill", "_ints", "_line_counts")
 LAYOUT_CONSTRUCTORS = ("_on_grid",)
 
 
-def layout_uses(sources: dict, names, constructors) -> list[str]:
+def layout_uses(sources: dict, names, constructors, home="core", owner="PointSet2D") -> list[str]:
     """`module:line` of each attribute named in names, or in constructors on
-    the name PointSet2D, in a module other than core; sources maps module
-    -> text."""
-    return [f"{module}:{node.lineno}" for module, source in sources.items() if module != "core"
+    the name owner, in a module other than home; sources maps module ->
+    text."""
+    return [f"{module}:{node.lineno}" for module, source in sources.items() if module != home
             for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Attribute)
             and (node.attr in names or node.attr in constructors
-                 and isinstance(node.value, ast.Name) and node.value.id == "PointSet2D")]
+                 and isinstance(node.value, ast.Name) and node.value.id == owner)]
 
 
 def test_point_set_layout_is_used_only_in_core():
@@ -209,6 +212,29 @@ def test_layout_use_is_found():
     assert layout_uses(sources, ("_pts", "_grid", "_ints"), LAYOUT_CONSTRUCTORS) == \
         ["a:2", "a:3", "b:2", "b:3", "c:1"]
     assert all(name in dir(PointSet2D) for name in LAYOUT + LAYOUT_CONSTRUCTORS)
+
+
+# ConvexPolygon's unchecked store: _on_grid and _set_grid keep what convex
+# builds as built, so only convex may call them; vertices from anywhere else
+# go through the constructor, which checks them
+POLYGON_STORE = ("_set_grid",)
+
+
+def test_unchecked_polygon_store_is_used_only_in_convex():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert layout_uses(sources, POLYGON_STORE, LAYOUT_CONSTRUCTORS, "convex", "ConvexPolygon") == []
+
+
+def test_unchecked_polygon_store_use_is_found():
+    sources = {
+        "convex": "def f(p):\n    return p._set_grid(1, []), ConvexPolygon._on_grid(1, [])\n",
+        "cli": "from .convex import ConvexPolygon\np = ConvexPolygon._on_grid(2, [(0, 0), (1, 0)])\n",
+        "classify": "def g(p):\n    return object.__new__(ConvexPolygon)._set_grid(1, [])\n",
+        "core": "s = PointSet2D._on_grid(1, 1, (0,), (0,))\n",
+    }
+    assert layout_uses(sources, POLYGON_STORE, LAYOUT_CONSTRUCTORS, "convex", "ConvexPolygon") == \
+        ["cli:2", "classify:2"]
+    assert all(name in dir(ConvexPolygon) for name in POLYGON_STORE + LAYOUT_CONSTRUCTORS)
 
 
 SCALING_MODULES = {"core", "convex"}

@@ -3,6 +3,7 @@ replaced, resolved on first use."""
 
 import importlib.util
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -101,3 +102,40 @@ def test_patch_and_restore_through_the_package_binding():
     assert tracer.calls["bounds.bound"] == 1
     assert sumsetlab.bound is original
     assert sumsetlab.bounds.bound is original
+
+
+TWO_TREES = """
+import sys
+first_root, second_root = sys.argv[1:]
+sys.path.insert(0, first_root)
+import sumsetlab as first
+first.core  # binds the first tree's core on its package
+for name in [n for n in sys.modules if n == "sumsetlab" or n.startswith("sumsetlab.")]:
+    del sys.modules[name]
+sys.path[0] = second_root
+import sumsetlab as second
+assert second is not first and second.__file__.startswith(second_root)
+print(first.PointSet2D is first.core.PointSet2D, first.core.__file__.startswith(first_root))
+try:
+    first.bound
+except ImportError as exc:
+    print("ImportError:", exc)
+print(second.bound is second.bounds.bound, second.bounds.__file__.startswith(second_root))
+"""
+
+
+def test_namespace_never_serves_another_trees_objects(tmp_path):
+    """Two copies of the package imported one after the other in a process,
+    with the sumsetlab entries of sys.modules deleted in between: the first
+    package reads a name through its own submodule, and raises ImportError
+    where it has none rather than return the second tree's object."""
+    roots = [tmp_path / "first", tmp_path / "second"]
+    for root in roots:
+        shutil.copytree(ROOT / "src" / "sumsetlab", root / "sumsetlab",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    out = subprocess.run([sys.executable, "-c", TWO_TREES, *map(str, roots)],
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == [
+        "True True",
+        "ImportError: sumsetlab.bounds would come from another copy of sumsetlab",
+        "True True"]

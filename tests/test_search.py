@@ -209,6 +209,11 @@ def test_bitset_sumset_size_matches_set_comprehension(case):
     assert lhs == len({(xa + xb, ya + yb) for xa, ya in a for xb, yb in b})
 
 
+def _mode_m(sub, mode):
+    """search._mode_m, copied as it was before _sweep read the field itself."""
+    return sub.sections_m if mode is BoundMode.SECTIONS_GS else sub.lines_m
+
+
 def _reference_bound_holds_tight(mode, a, b, lhs):
     """(violated, extremal) via exact integer cross-multiplication."""
     if mode is BoundMode.ONE_DIMENSIONAL:
@@ -219,7 +224,7 @@ def _reference_bound_holds_tight(mode, a, b, lhs):
         lhs_m = lhs * m
         rhs_m = (2 * a.size - m) * (2 * m - 1)
         return lhs_m < rhs_m, lhs_m == rhs_m
-    m, n = search._mode_m(a, mode), search._mode_m(b, mode)
+    m, n = _mode_m(a, mode), _mode_m(b, mode)
     lhs_mn = lhs * m * n
     rhs_mn = (a.size * n + b.size * m - m * n) * (m + n - 1)
     return lhs_mn < rhs_mn, lhs_mn == rhs_mn
@@ -282,8 +287,8 @@ def reference_sweep(config):
                 da, db = a.direction, b.direction
                 if da != (0, 0) and db != (0, 0) and da[0] * db[1] - da[1] * db[0] != 0:
                     continue
-            if config.min_mn > 1 and (search._mode_m(a, config.mode) < config.min_mn
-                                      or search._mode_m(b, config.mode) < config.min_mn):
+            if config.min_mn > 1 and (_mode_m(a, config.mode) < config.min_mn
+                                      or _mode_m(b, config.mode) < config.min_mn):
                 continue
             report.pairs_checked += 1
             lhs = len({p + x * k + y for p in enc_a for x, y in b.pts})
@@ -331,7 +336,7 @@ def _raw_rhs(mode, a, size_b, m_b):
     """Bound rhs num/den (den > 0) for A and a B of class (|B|, m_B); doubling is lines with B = A."""
     if mode is BoundMode.ONE_DIMENSIONAL:
         return a.size + size_b - 1, 1
-    m = search._mode_m(a, mode)
+    m = _mode_m(a, mode)
     return (a.size * m_b + size_b * m - m * m_b) * (m + m_b - 1), m * m_b
 
 
@@ -369,13 +374,13 @@ def raw_sweep(config):
     # shards split the unfiltered A list, so every shard keeps its pairs
     chosen_a = [a for idx, a in enumerate(subs_a)
                 if idx % config.shard_count == config.shard_index
-                and search._mode_m(a, mode) >= config.min_mn]
+                and _mode_m(a, mode) >= config.min_mn]
 
     stride = 2 * config.grid_height - 1
     classes = {}  # (|B|, m_B) -> index
     rows_b = []  # (B, mask(B), class index), in enumeration order
     for b in subs_b:
-        m_b = search._mode_m(b, mode)
+        m_b = _mode_m(b, mode)
         if m_b >= config.min_mn:
             cls = classes.setdefault((b.size, m_b), len(classes))
             rows_b.append((b, bit_mask(lattice_keys(b.pts, stride)), cls))
@@ -384,7 +389,7 @@ def raw_sweep(config):
     for a in chosen_a:
         keys_a = lattice_keys(a.pts, stride)
         if mode is BoundMode.DOUBLING:
-            rows = [(a, bit_mask(keys_a), classes[a.size, search._mode_m(a, mode)])]
+            rows = [(a, bit_mask(keys_a), classes[a.size, _mode_m(a, mode)])]
         elif mode is BoundMode.ONE_DIMENSIONAL:
             rows = [row for row in rows_b if search._parallel(a.direction, row[0].direction)]
         else:
