@@ -13,8 +13,8 @@ A polygon is held on one integer grid (scale, xs, ys): vertex i is
 predicates and constructions run on those ints (a sum on the lcm of both
 scales) and divide once at the end; the Point2 vertices are built on first
 use, so a sum that is only measured never builds them.  Vertices are checked
-only where they come in, by the constructor: sums, stretches and compressions
-built here are stored as built, and the tests put them through it.
+only where they come in, by the constructor: sums, stretches, compressions,
+translates and scalings built here are stored as built, and tests check them.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from math import gcd, lcm
 from operator import itemgetter, mul
 from typing import Iterable, Optional
 
-from .core import (Point2, Rational, _as_point, _point, _points, _turn, _unscale, common_scale,
-                   parse_point_lines, rat, rat_str)
+from .core import (Point2, Rational, _as_point, _exact_pair, _point, _points, _regrid, _turn,
+                   _unscale, common_scale, parse_point_lines, rat, rat_str)
 from .errors import (ConsistencyError, DegenerateProjection, EmptySet,
                      HypothesisViolated, InvalidAmount, InvalidSpec, ParseError)
 
@@ -116,12 +116,18 @@ class ConvexPolygon:
         return _unscale(max(self._xs) - min(self._xs), self._scale)
 
     def translate(self, delta: Point2) -> "ConvexPolygon":
-        return ConvexPolygon([v + delta for v in self.vertices])
+        dx, dy = _exact_pair(delta, "point arithmetic")
+        s = lcm(self._scale, dx.denominator, dy.denominator)
+        return ConvexPolygon._on_grid(s, list(zip(_regrid(self._xs, self._scale, s, dx),
+                                                  _regrid(self._ys, self._scale, s, dy))))
 
     def scale(self, factor: Rational) -> "ConvexPolygon":
-        if rat(factor) <= 0:
+        factor = rat(factor)
+        if factor <= 0:
             raise InvalidSpec("scale factor must be positive")
-        return ConvexPolygon([v.scale(factor) for v in self.vertices])
+        k = factor.numerator
+        return ConvexPolygon._on_grid(self._scale * factor.denominator,
+                                      [(x * k, y * k) for x, y in zip(self._xs, self._ys)])
 
     def _chains(self) -> tuple[list, list]:
         """The lower and upper boundary graphs as grid points, left to right."""

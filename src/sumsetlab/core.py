@@ -4,8 +4,8 @@ Every coordinate is an exact rational: either a plain ``int`` or a
 ``fractions.Fraction`` (always reduced, positive denominator).  There is no
 floating point anywhere; equalities tested downstream are exact, so none of
 the usual epsilon machinery exists.  Every PointSet2D, an affine image too, is
-born on one integer grid, read by the sumset kernel, line walk and grid_sections
-(the one home of a pair's sections on ints); its Point2s are built when read.
+born on one integer grid, read by the line walk, grid_sections (a pair's sections
+on ints) and the sumset kernel (whole column runs, inherited by translates).
 """
 
 from __future__ import annotations
@@ -140,12 +140,12 @@ class PointSet2D:
 
     Every set is held on one integer grid: per-axis scales sx, sy and ints
     xs, ys in canonical order, point i being (xs[i]/sx, ys[i]/sy).  A sum
-    decodes its grid from its keys on first use; the Point2s and the
-    line_counts are built on first use.  A grid need not be reduced (a sum
-    of half-integer sets may be integral), so == and hash compare points.
+    decodes its grid from its keys; the Point2s, line_counts and column runs
+    are built on first use.  A grid need not be reduced (a sum of
+    half-integer sets may be integral), so == and hash compare points.
     """
 
-    __slots__ = ("_len", "_pts", "_grid", "_counts")
+    __slots__ = ("_len", "_pts", "_grid", "_counts", "_runs")
 
     def __init__(self, points: Iterable = ()):
         pts = {_as_point(p) for p in points}
@@ -159,9 +159,9 @@ class PointSet2D:
 
     def _fill(self, size: int, grid) -> "PointSet2D":
         """Set every slot; grid is (sx, sy, xs, ys), or a sum's decoder returning it."""
-        put = object.__setattr__  # four calls, not a loop: __init__ runs on every small set
+        put = object.__setattr__  # five calls, not a loop: __init__ runs on every small set
         put(self, "_len", size), put(self, "_pts", None)
-        put(self, "_grid", grid), put(self, "_counts", None)
+        put(self, "_grid", grid), put(self, "_counts", None), put(self, "_runs", None)
         return self
 
     @classmethod
@@ -181,6 +181,19 @@ class PointSet2D:
             grid = grid()
             object.__setattr__(self, "_grid", grid)
         return grid
+
+    def _column_runs(self, lo: int, hi: int) -> list:
+        """The maximal column runs (x, y, k), grid points (x, y + i) for i < k; kept with lo, hi."""
+        runs, px, ny, k = [], None, None, 0
+        for x, y in zip(*self._ints()[2:]):
+            if y != ny or x != px:  # a new run: close the last one
+                if k:
+                    runs.append((px, ny - k, k))
+                px, k = x, 0
+            k, ny = k + 1, y + 1
+        runs.append((px, ny - k, k))
+        object.__setattr__(self, "_runs", (runs, lo, hi))
+        return runs
 
     def _line_counts(self) -> tuple:
         """line_counts of the nonempty grid, walked once per set."""
@@ -239,12 +252,18 @@ class PointSet2D:
         raise AttributeError("PointSet2D is immutable")
 
     def translate(self, delta: Point2) -> "PointSet2D":
-        """The set moved by delta, a pair of ints or Fractions (strings are
-        not parsed here), on a grid made finer only where delta needs it."""
+        """The set moved by delta, a pair of ints or Fractions (strings are not parsed
+        here), on a grid made finer only where delta needs it, else with the runs moved."""
         dx, dy = _exact_pair(delta, "translate")
         sx, sy, xs, ys = self._ints()
         nx, ny = lcm(sx, dx.denominator), lcm(sy, dy.denominator)
-        return PointSet2D._on_grid(nx, ny, _regrid(xs, sx, nx, dx), _regrid(ys, sy, ny, dy))
+        moved = PointSet2D._on_grid(nx, ny, _regrid(xs, sx, nx, dx), _regrid(ys, sy, ny, dy))
+        if self._runs is not None and nx == sx and ny == sy:
+            runs, lo, hi = self._runs
+            ix, iy = dx.numerator * (sx // dx.denominator), dy.numerator * (sy // dy.denominator)
+            object.__setattr__(moved, "_runs", ([(x + ix, y + iy, k) for x, y, k in runs],
+                                                lo + iy, hi + iy))
+        return moved
 
     def columns(self) -> dict[Rational, list[Rational]]:
         """x-value -> ascending y-values on that vertical line."""
@@ -351,15 +370,15 @@ class AffineMap2D:
 # A sum whose bounding box has more cells than there are pairs (p, q) is
 # summed as a set of keys instead of a bitset.  This is a fixed rule on the
 # input's shape: it keeps far-apart or large-denominator points from
-# allocating a huge mask, and it is where the two ways cost about the same
-# (|A| shifts of a cells-bit mask against |A|·|B| set insertions).
+# allocating a huge mask.  The dense side costs about log2(k) shifts of a
+# cells-bit mask per column run of k points of A, against |A|·|B| insertions.
 DENSE_CELLS_PER_PAIR = 1
 
 
-def lattice_keys(pts: Iterable, stride: int, x0: int = 0, y0: int = 0) -> list[int]:
-    """The key (x - x0)*stride + (y - y0) of each int point (x, y), for a
-    stride above every y - y0; ascending keys are ascending (x, y)."""
-    return [(x - x0) * stride + y - y0 for x, y in pts]
+def lattice_keys(pts: Iterable, stride: int) -> list[int]:
+    """The key x*stride + y of each int point (x, y), for a stride above
+    every y >= 0; ascending keys are ascending (x, y)."""
+    return [x * stride + y for x, y in pts]
 
 
 def bit_mask(keys: Iterable[int]) -> int:
@@ -414,39 +433,49 @@ def _packed_sum(a: PointSet2D, b: PointSet2D, caller: str) -> PointSet2D:
     Both sets go on the lcm of their x- and of their y-scales, each moved to
     its own minimum x and y, and (x, y) gets the key x*S + y for the stride
     S = height(A) + height(B) + 1, so no y of a sum carries into the next
-    column.  The keys are mask(B) shifted by each key of A and ORed or, when
-    the sum's bounding box has more than DENSE_CELLS_PER_PAIR cells per pair
-    (p, q), the set of the same keys added pairwise."""
+    column.  A column run of k points is k bits q apart (q the set's y-refinement):
+    mask(B) is one block per run of B, and mask(A + B) ORs mask(B) spread over
+    each run of A by doubling shifts, or, past DENSE_CELLS_PER_PAIR cells per
+    pair (p, q), the keys are the set of pairwise sums, and no runs are walked."""
     if len(a) == 0 or len(b) == 0:
         raise EmptySet(f"{caller} needs nonempty sets")
-    sx, sy, (xs_a, ys_a), (xs_b, ys_b) = _common_grid(a, b)
-    x0_a, x0_b = xs_a[0], xs_b[0]  # points are sorted by x first
-    y0_a, y0_b = min(ys_a), min(ys_b)
-    stride = max(ys_a) - y0_a + max(ys_b) - y0_b + 1
-    keys_a = lattice_keys(zip(xs_a, ys_a), stride, x0_a, y0_a)
-    keys_b = lattice_keys(zip(xs_b, ys_b), stride, x0_b, y0_b)
-    cells = (xs_a[-1] - x0_a + xs_b[-1] - x0_b + 1) * stride
-    if is_sparse(cells, len(a), len(b)):
-        keys = {ka + kb for ka in keys_a for kb in keys_b}
+    (sxa, sya, xs_a, ys_a), (sxb, syb, xs_b, ys_b), ra, rb = a._ints(), b._ints(), a._runs, b._runs
+    sx, sy = lcm(sxa, sxb), lcm(sya, syb)
+    pa, pb, qa, qb = sx // sxa, sx // sxb, sy // sya, sy // syb  # onto the common grid
+    lo_a, hi_a = (ra[1], ra[2]) if ra else (min(ys_a), max(ys_a))
+    lo_b, hi_b = (rb[1], rb[2]) if rb else (min(ys_b), max(ys_b))
+    stride = (hi_a - lo_a) * qa + (hi_b - lo_b) * qb + 1
+    ca, cb = pa * stride, pb * stride  # the key step of one x of a set's own grid
+    base_a, base_b = xs_a[0] * ca + lo_a * qa, xs_b[0] * cb + lo_b * qb  # so keys start at 0
+    if is_sparse((xs_a[-1] - xs_a[0]) * ca + (xs_b[-1] - xs_b[0]) * cb + stride, len(a), len(b)):
+        keys_a = [x * ca + y * qa - base_a for x, y in zip(xs_a, ys_a)]
+        keys_b = [x * cb + y * qb - base_b for x, y in zip(xs_b, ys_b)]
+        keys = {u + w for u in keys_a for w in keys_b}
     else:
-        keys = sumset_mask(keys_a, bit_mask(keys_b))
+        mask_b, keys = 0, 0
+        for x, y, k in rb[0] if rb else b._column_runs(lo_b, hi_b):
+            block = 1 if k == 1 else ((1 << k * qb) - 1) // ((1 << qb) - 1)  # k bits, qb apart
+            mask_b |= block << (x * cb + y * qb - base_b)
+        for x, y, k in a._runs[0] if a._runs else a._column_runs(lo_a, hi_a):  # b's, if a is b
+            spread, done = mask_b, 1  # mask_b at steps 0, ..., k - 1: ceil(log2(k)) shifts
+            while done < k:  # double, then add the rest
+                step = min(done, k - done)
+                spread |= spread << step * qa
+                done += step
+            keys |= spread << (x * ca + y * qa - base_a)
     return object.__new__(PointSet2D)._fill(
         len(keys) if keys.__class__ is set else keys.bit_count(),
-        partial(_unpack, keys, stride, x0_a + x0_b, y0_a + y0_b, sx, sy))
-
-
-def _common_grid(a: PointSet2D, b: PointSet2D) -> tuple:
-    """(sx, sy, (xs_a, ys_a), (xs_b, ys_b)): a, b on the lcms of their x- and y-scales."""
-    (sxa, sya, xs_a, ys_a), (sxb, syb, xs_b, ys_b) = a._ints(), b._ints()
-    sx, sy = lcm(sxa, sxb), lcm(sya, syb)
-    return (sx, sy, (_regrid(xs_a, sxa, sx), _regrid(ys_a, sya, sy)),
-            (_regrid(xs_b, sxb, sx), _regrid(ys_b, syb, sy)))
+        partial(_unpack, keys, stride, xs_a[0] * pa + xs_b[0] * pb, lo_a * qa + lo_b * qb, sx, sy))
 
 
 def grid_sections(a: PointSet2D, b: PointSet2D, rows: bool) -> tuple[int, int, dict, dict]:
     """(level scale, value scale, sections of a, sections of b) on the pair's common
-    grid: each row (level y) or column (level x) as grid level -> ascending grid values."""
-    sx, sy, grid_a, grid_b = _common_grid(a, b)
+    grid, the lcms of their x- and y-scales: each row (level y) or column (level x)
+    as grid level -> ascending grid values."""
+    (sxa, sya, xs_a, ys_a), (sxb, syb, xs_b, ys_b) = a._ints(), b._ints()
+    sx, sy = lcm(sxa, sxb), lcm(sya, syb)
+    grid_a = _regrid(xs_a, sxa, sx), _regrid(ys_a, sya, sy)
+    grid_b = _regrid(xs_b, sxb, sx), _regrid(ys_b, syb, sy)
     if rows:  # levels y, values x: ascending within each row in canonical order
         sx, sy, grid_a, grid_b = sy, sx, grid_a[::-1], grid_b[::-1]
     return sx, sy, _sections(*grid_a), _sections(*grid_b)

@@ -450,10 +450,22 @@ class TestPolygonValidationAndIO:
         with pytest.raises(TypeError, match="^float .* rejected"):
             UNIT_SQUARE.translate((0.5, 0))
 
+    @pytest.mark.parametrize("delta,message", [
+        ((0.5, 0), "float 0.5 rejected; point arithmetic takes ints and Fractions"),
+        ((0, "1"), "str '1' rejected; point arithmetic takes ints and Fractions"),
+        ("12", "str '1' rejected; point arithmetic takes ints and Fractions"),
+        ((1, 2, 3), "point arithmetic takes a pair (x, y), got (1, 2, 3)"),
+    ], ids=["float", "str-entry", "str", "3-tuple"])
+    def test_translation_takes_a_pair_of_exact_numbers(self, delta, message):
+        with pytest.raises(TypeError) as exc:
+            UNIT_SQUARE.translate(delta)
+        assert str(exc.value) == message
+
     def test_scale_parses_strings(self):
         assert TRI_BIG.scale("1/2") == TRI_BIG.scale(Fraction(1, 2)) == TRI_SMALL
-        with pytest.raises(InvalidSpec, match="^scale factor must be positive$"):
-            TRI_BIG.scale("-1")
+        for factor in ("-1", 0, Fraction(-1, 2)):
+            with pytest.raises(InvalidSpec, match="^scale factor must be positive$"):
+                TRI_BIG.scale(factor)
         with pytest.raises(TypeError, match="^float .* rejected"):
             TRI_BIG.scale(0.5)
 
@@ -532,21 +544,49 @@ class TestBuiltPolygonsPassTheConstructor:
                 self.assert_valid(poly_minkowski_sum(p, q))
         assert len(polys) ** 2 == 16641
 
-    def test_sum_makes_no_turn_test(self):
-        """The perfbench seed-1 zonogon pair: the 312 vertices of its sum are
-        stored as merged, with no convexity re-check."""
+    @staticmethod
+    def perfbench_zonogons():
+        """The perfbench seed-1 zonogon pair, a 200-gon and a 150-gon."""
         spec = importlib.util.spec_from_file_location(
             "perfbench_workloads", Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py")
         workloads = importlib.util.module_from_spec(spec)
         with mock.patch.dict(sys.modules, {spec.name: workloads}):  # its dataclasses look it up
             spec.loader.exec_module(workloads)
         rng = random.Random(1)
-        p, q = (ConvexPolygon(workloads.zonogon_vertices(workloads.zonogon_edges(rng, k)))
-                for k in (100, 75))
+        return [ConvexPolygon(workloads.zonogon_vertices(workloads.zonogon_edges(rng, k)))
+                for k in (100, 75)]
+
+    def test_sum_makes_no_turn_test(self):
+        """The 312 vertices of the zonogon pair's sum are stored as merged,
+        with no convexity re-check."""
+        p, q = self.perfbench_zonogons()
         with mock.patch.object(convex, "_turn", wraps=convex._turn) as turn:
             s = poly_minkowski_sum(p, q)
         assert (len(p.vertices), len(q.vertices), len(s.vertices)) == (200, 150, 312)
         assert turn.call_count == 0
+
+    def test_translate_and_scale_make_no_turn_test(self):
+        p = self.perfbench_zonogons()[0]
+        with mock.patch.object(convex, "_turn", wraps=convex._turn) as turn:
+            moved, scaled = p.translate((1, 2)), p.scale(Fraction(3, 2))
+        assert turn.call_count == 0
+        assert moved == ConvexPolygon([v + (1, 2) for v in p.vertices])
+        assert scaled == ConvexPolygon([v.scale(Fraction(3, 2)) for v in p.vertices])
+
+    def test_translates_and_scalings(self):
+        """Seeded int and Fraction deltas and factors on the reference inputs
+        and the 3x3-box polygons: each result is the polygon of the moved or
+        scaled vertices, and passes the constructor."""
+        rng = random.Random(17)
+        for i, p in enumerate(reference_inputs() + lattice_polygons(3)):
+            den = (lambda: rng.randint(1, 6)) if i % 2 else (lambda: 1)  # Fractions, or ints
+            delta = (rat(Fraction(rng.randint(-9, 9), den())), rat(Fraction(rng.randint(-9, 9), den())))
+            factor = rat(Fraction(rng.randint(1, 9), den()))
+            for r, verts in ((p.translate(delta), [v + delta for v in p.vertices]),
+                             (p.translate(Point2(*delta)), [v + delta for v in p.vertices]),
+                             (p.scale(factor), [v.scale(factor) for v in p.vertices])):
+                self.assert_valid(r)
+                assert r == ConvexPolygon(verts) and r.vertices == ConvexPolygon(verts).vertices
 
     @pytest.mark.parametrize("lower,upper,message", [
         ([(0, 0), (2, 0)], [(0, 0), (1, Fraction(1, 4)), (2, 1)],

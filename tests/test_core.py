@@ -94,6 +94,21 @@ sparse_sets = st.lists(st.tuples(far_int, far_int), max_size=4).map(
     lambda pts: PointSet2D(pts + [(0, 0), (10**9, 0)]))
 
 
+@st.composite
+def run_sets(draw):
+    """Columns of up to 40 consecutive points on a grid of per-axis scales
+    1-6, a column sometimes split in two runs; each set's grid is its own."""
+    sx, sy = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cols = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-20, 20), st.integers(1, 40)),
+                         min_size=1, max_size=3))
+    return PointSet2D((Fraction(x, sx), Fraction(y + i, sy)) for x, y, k in cols for i in range(k))
+
+
+# deltas whose denominators refine a grid of scale up to 6
+refining_pairs = st.tuples(st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)),
+                           st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)))
+
+
 def assert_same_sumset(a, b):
     got, want = minkowski_sum(a, b), reference_minkowski_sum(a, b)
     assert got == want and hash(got) == hash(want)
@@ -110,14 +125,51 @@ class TestKernelMatchesReference:
     @given(sparse_sets, st.one_of(sparse_sets, kernel_sets))
     @settings(max_examples=150, deadline=None)
     def test_sparse_path(self, a, b):
-        with mock.patch.object(core, "sumset_mask", side_effect=AssertionError("dense path")):
+        with mock.patch.object(core, "sumset_mask", side_effect=AssertionError("dense path")), \
+                mock.patch.object(PointSet2D, "_column_runs", side_effect=AssertionError("runs")):
             assert_same_sumset(a, b)
+        assert a._runs is None and b._runs is None
 
     def test_dense_path_is_taken_on_a_full_grid(self):
+        """The run path: the grid's runs are walked once, and no point's key
+        is taken."""
         grid = ps(*[(x, y) for x in range(4) for y in range(3)])
-        with mock.patch.object(core, "sumset_mask", wraps=core.sumset_mask) as kernel:
+        with mock.patch.object(PointSet2D, "_column_runs", autospec=True,
+                               side_effect=PointSet2D._column_runs) as walk, \
+                mock.patch.object(core, "lattice_keys", side_effect=AssertionError("keys")), \
+                mock.patch.object(core, "sumset_mask", side_effect=AssertionError("per-key path")):
             assert_same_sumset(grid, grid)
-        assert kernel.call_count == 1
+            assert core.sumset_size(grid, grid) == 35  # the 7x5 grid
+        assert [c.args[0] for c in walk.call_args_list] == [grid]
+        assert grid._runs == ([(x, 0, 3) for x in range(4)], 0, 2)
+
+    @given(run_sets(), run_sets(), st.one_of(st.tuples(far_int, small_int), refining_pairs))
+    @settings(max_examples=150, deadline=None)
+    def test_run_heavy_sets(self, a, b, delta):
+        """Long column runs on different grids, translates of sets whose runs
+        are known, and sums fed back as inputs."""
+        assert_same_sumset(a, b)
+        assert core.sumset_size(a, b) == len(reference_minkowski_sum(a, b))
+        t = a.translate(delta)
+        assert (t._runs is not None) == (a._runs is not None and t._ints()[:2] == a._ints()[:2])
+        assert_same_sumset(t, b)
+        s = minkowski_sum(b, a)
+        small = ps(*a.points[:3])
+        assert_same_sumset(s, small)
+        assert core.sumset_size(small, s) == len(reference_minkowski_sum(small, s))
+
+    def test_translate_inherits_runs(self):
+        """Once big's runs are known, a translate on its grid inherits them:
+        no walk and no point's key."""
+        big = gen_trapezoid(TrapezoidSpec(10, 61, 0, 1))
+        assert core.sumset_size(big, big) == 2128
+        with mock.patch.object(PointSet2D, "_column_runs", side_effect=AssertionError("walk")), \
+                mock.patch.object(core, "lattice_keys", side_effect=AssertionError("keys")):
+            moved = big.translate((3, -2))
+            assert core.sumset_size(moved, big) == 2128
+        assert moved._runs == ([(x + 3, y - 2, k) for x, y, k in big._runs[0]],
+                               big._runs[1] - 2, big._runs[2] - 2)
+        assert minkowski_sum(moved, big) == minkowski_sum(big, big).translate((3, -2))
 
 
 class TestSumsetSize:

@@ -183,7 +183,7 @@ def test_counted_sum_is_found():
 
 # PointSet2D's layout, rejected outside core on any object; its grid constructor
 # is rejected only on the class, as ConvexPolygon has an _on_grid of its own
-LAYOUT = (*PointSet2D.__slots__, "_fill", "_ints", "_line_counts")
+LAYOUT = (*PointSet2D.__slots__, "_fill", "_ints", "_line_counts", "_column_runs")
 LAYOUT_CONSTRUCTORS = ("_on_grid",)
 
 
@@ -204,13 +204,15 @@ def test_point_set_layout_is_used_only_in_core():
 
 def test_layout_use_is_found():
     sources = {
-        "core": "def f(s):\n    return s._grid, s._ints(), PointSet2D._on_grid(1, 1, [], [])\n",
+        "core": "def f(s):\n    return s._grid, s._ints(), PointSet2D._on_grid(1, 1, [], [])\n"
+                "r = s._column_runs(0, 2)\n",
         "a": "def g(s):\n    n = s._ints()\n    return s._pts[0], n\n",
         "b": "from .core import PointSet2D\nPointSet2D._grid = None\nx = [t._grid for t in ()]\n",
         "c": "y = PointSet2D._on_grid(1, 1, (0,), (0,))\nz = ConvexPolygon._on_grid(1, [])\n",
+        "d": "def h(s, lo, hi):\n    return len(s._column_runs(lo, hi))\n",
     }
-    assert layout_uses(sources, ("_pts", "_grid", "_ints"), LAYOUT_CONSTRUCTORS) == \
-        ["a:2", "a:3", "b:2", "b:3", "c:1"]
+    assert layout_uses(sources, ("_pts", "_grid", "_ints", "_column_runs"), LAYOUT_CONSTRUCTORS) == \
+        ["a:2", "a:3", "b:2", "b:3", "c:1", "d:2"]
     assert all(name in dir(PointSet2D) for name in LAYOUT + LAYOUT_CONSTRUCTORS)
 
 
