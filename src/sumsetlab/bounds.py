@@ -16,6 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate
+from operator import sub
 
 from .core import (PointSet2D, Rational, bit_mask, collinear_direction,
                    cover_stats, grid_sections, is_sparse, minkowski_sum,
@@ -57,8 +59,9 @@ def rhs_num_den(mode: BoundMode, size_a: int, m: int, size_b: int, n: int) -> tu
     return (size_a * n + size_b * m - m * n) * (m + n - 1), m * n
 
 
-def bound(mode: BoundMode, a: PointSet2D, b: PointSet2D) -> BoundReport:
-    """Evaluate the chosen lower bound exactly; lhs is |A+B| by enumeration."""
+def bound(mode: BoundMode, a: PointSet2D, b: PointSet2D, *, _size=None) -> BoundReport:
+    """Evaluate the chosen lower bound exactly; lhs is |A+B| by enumeration,
+    or _size when the caller has counted it (oracle_pair_check)."""
     if mode.__class__ is not BoundMode:
         raise InvalidSpec(f"mode must be a BoundMode, got {mode!r}")
     if len(a) == 0 or len(b) == 0:
@@ -80,7 +83,7 @@ def bound(mode: BoundMode, a: PointSet2D, b: PointSet2D) -> BoundReport:
         else:  # lines, and doubling as lines with B = A
             m, n = sa.vertical_line_count, sb.vertical_line_count
     rhs = Fraction(*rhs_num_den(mode, len(a), m, len(b), n))
-    lhs = Fraction(len(minkowski_sum(a, b)))
+    lhs = Fraction(len(minkowski_sum(a, b)) if _size is None else _size)
     gap = lhs - rhs
     return BoundReport(mode, m, n, rat(lhs), rat(rhs), rat(gap), gap == 0)
 
@@ -155,16 +158,55 @@ def averaging_report(a: SupportedSequence, b: SupportedSequence) -> AveragingRep
                            rhs=rat(rhs), equality=full_mean == rhs, ap_condition=ap)
 
 
+# Up to this many pairs of levels (any two sets of at most 8 points), the
+# maxima taken pair by pair on sizes cost less than checking for the merge
+MERGE_PAIRS = 64
+
+
 def _section_chain_sums(sa: dict, sb: dict) -> tuple[int, int]:
     """The middle terms of a section chain, given both sets' sections as
     grid ints from core.grid_sections: the sums over t of max |A_i + B_j|
     and of max (|A_i| + |B_j| - 1), each maximum over the levels i + j = t.
 
-    Each section is moved to start at 0, so A_i + B_j lies in [0, end_i +
-    end_j] and has at most ub = min(|A_i|·|B_j|, end_i + end_j + 1) points.
-    A pair whose ub cannot beat the best count at i + j is skipped; when ub
-    is the Cauchy-Davenport bound |A_i| + |B_j| - 1 it is the count (runs,
-    singletons).  Only the other pairs go through core's kernel or, under
+    When every section of two or more values is a progression with one step
+    shared by both sets (runs, singletons), so is each A_i + B_j, of |A_i| +
+    |B_j| - 1 values: both sums are read off the sizes, and nothing is
+    summed.  On levels that are progressions of one shared step, with
+    concave sizes (every trapezoid with integer slopes), the maxima are the
+    (max, +) convolution of the sizes: the first sizes' sum, climbing by both
+    sets' size differences merged in descending order.  Otherwise, or on at
+    most MERGE_PAIRS pairs of levels, they are taken pair by pair."""
+    step = None
+    for vs in (*sa.values(), *sb.values()):
+        k = len(vs)
+        if k > 1:
+            step = step or vs[1] - vs[0]
+            if vs[-1] - vs[0] != (k - 1) * step \
+                    or k > 2 and step > 1 and vs != list(range(vs[0], vs[-1] + 1, step)):
+                return _pairwise_chain_sums(sa, sb)
+    if len(sa) * len(sb) > MERGE_PAIRS:
+        ka, kb = [len(vs) for vs in sa.values()], [len(vs) for vs in sb.values()]
+        da, db = list(map(sub, ka[1:], ka)), list(map(sub, kb[1:], kb))
+        if shared_difference([list(sa), list(sb)])[0] \
+                and da == sorted(da, reverse=True) and db == sorted(db, reverse=True):
+            v = sum(accumulate(sorted(da + db, reverse=True), initial=ka[0] + kb[0]))
+            return (v - len(ka) - len(kb) + 1,) * 2
+    best: dict = {}
+    for i, va in sa.items():
+        p = len(va)
+        for j, vb in sb.items():
+            t, v = i + j, p + len(vb)
+            if v > best.get(t, 0):
+                best[t] = v
+    return (sum(best.values()) - len(best),) * 2
+
+
+def _pairwise_chain_sums(sa: dict, sb: dict) -> tuple[int, int]:
+    """_section_chain_sums by counting: each section is moved to start at 0,
+    so A_i + B_j lies in [0, end_i + end_j] and has at most ub = min(|A_i|·|B_j|,
+    end_i + end_j + 1) points.  A pair whose ub cannot beat the best count at
+    i + j is skipped; when ub is the Cauchy-Davenport bound |A_i| + |B_j| - 1
+    it is the count.  Only the other pairs go through core's kernel or, under
     its sparse rule, a key set."""
     sections_b = [(j, len(vb), vb[-1] - vb[0], vb) for j, vb in sb.items()]
     masks: dict = {}  # level of B -> bitset of its section moved to 0
@@ -198,7 +240,7 @@ def _section_chain_sums(sa: dict, sb: dict) -> tuple[int, int]:
     return sum(best_sum.values()), sum(best_card.values())
 
 
-def chain_diagnostic(a: PointSet2D, b: PointSet2D) -> list[Rational]:
+def chain_diagnostic(a: PointSet2D, b: PointSet2D, *, _size=None, _sections=None) -> list[Rational]:
     """The vertical-section inequality chain down to the lines-mode rhs.
 
     Returns [ |A+B|,
@@ -206,12 +248,13 @@ def chain_diagnostic(a: PointSet2D, b: PointSet2D) -> list[Rational]:
               sum over t of max (|A_i| + |B_{t-i}| - 1),
               lines-mode rhs ],
     each value >= the next.  A lines-mode extremal pair forces all four equal.
-    |A+B| is counted with core.sumset_size, never built.
+    |A+B| is counted with core.sumset_size, never built; oracle_pair_check
+    hands over its count and grid_sections(a, b, rows=False) instead.
     """
     if len(a) == 0 or len(b) == 0:
         raise EmptySet("chain_diagnostic needs nonempty sets")
-    _, _, ca, cb = grid_sections(a, b, rows=False)
-    v1 = sumset_size(a, b)
+    _, _, ca, cb = _sections or grid_sections(a, b, rows=False)
+    v1 = sumset_size(a, b) if _size is None else _size
     v2, v3 = _section_chain_sums(ca, cb)
     v4 = rat(Fraction(*rhs_num_den(BoundMode.LINES_GS, len(a), len(ca), len(b), len(cb))))
     return [v1, v2, v3, v4]

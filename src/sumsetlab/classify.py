@@ -115,22 +115,25 @@ def _trapezoid(starts, counts, unit: int = 1) -> Optional[TrapezoidSpec]:
     return TrapezoidSpec(len(starts), counts[0], d + (widen or 0), d)
 
 
-def _extremal(mode: BoundMode, a: PointSet2D, m: int, b: PointSet2D, n: int) -> bool:
-    """bound(mode, a, b).extremal for the mode's counts m, n, counting A+B only."""
+def _extremal(mode: BoundMode, a: PointSet2D, m: int, b: PointSet2D, n: int,
+              size: Optional[int] = None) -> bool:
+    """bound(mode, a, b).extremal for the mode's counts m, n and |A+B| = size,
+    counting A+B only when size is None."""
     num, den = rhs_num_den(mode, len(a), m, len(b), n)
-    return sumset_size(a, b) * den == num
+    return (sumset_size(a, b) if size is None else size) * den == num
 
 
 # ---------------------------------------------------------------------------
 # one-dimensional characterization
 # ---------------------------------------------------------------------------
 
-def classify_1d(a: PointSet2D, b: PointSet2D) -> Classification:
+def classify_1d(a: PointSet2D, b: PointSet2D, *, _size=None) -> Classification:
     """The torsion-free one-dimensional case: |A+B| >= |A| + |B| - 1 with
     equality iff min(|A|, |B|) = 1 or both are APs with a common difference.
 
-    equality is core's own count of A+B against |A| + |B| - 1, independent
-    of the AP test; b is not tested as an AP when a is not one."""
+    equality is core's own count of A+B (or oracle_pair_check's, _size)
+    against |A| + |B| - 1, independent of the AP test; b is not tested as an
+    AP when a is not one."""
     if len(a) == 0 or len(b) == 0:
         raise EmptySet("classify_1d needs nonempty sets")
     da, db = collinear_direction(a), collinear_direction(b)
@@ -148,7 +151,7 @@ def classify_1d(a: PointSet2D, b: PointSet2D) -> Classification:
     return Classification(
         verdict=Verdict.ONE_DIMENSIONAL,
         details={
-            "equality": sumset_size(a, b) == len(a) + len(b) - 1,
+            "equality": (sumset_size(a, b) if _size is None else _size) == len(a) + len(b) - 1,
             "min_case": min_case,
             "ap_case": ap_case,
             "common_difference": delta_a if (ap_case and len(a) > 1) else (delta_b if ap_case else None),
@@ -160,16 +163,17 @@ def classify_1d(a: PointSet2D, b: PointSet2D) -> Classification:
 # lines-mode characterization (diagonal group)
 # ---------------------------------------------------------------------------
 
-def classify_thm2(a: PointSet2D, b: PointSet2D) -> Classification:
+def classify_thm2(a: PointSet2D, b: PointSet2D, *, _size=None, _sections=None) -> Classification:
+    """oracle_pair_check hands over |A+B| and grid_sections(a, b, rows=False)."""
     if len(a) == 0 or len(b) == 0:
         raise EmptySet("classify_thm2 needs nonempty sets")
     da, db = collinear_direction(a), collinear_direction(b)
     if da is not None or db is not None:
         if da is None or db is None or not parallel_directions(da, db):
             raise HypothesisViolated("thm2 needs two 2D sets or collinear sets on parallel lines")
-        return classify_1d(a, b)
-    sx, sy, cols_a, cols_b = grid_sections(a, b, rows=False)
-    if not _extremal(BoundMode.LINES_GS, a, len(cols_a), b, len(cols_b)):
+        return classify_1d(a, b, _size=_size)
+    sx, sy, cols_a, cols_b = _sections or grid_sections(a, b, rows=False)
+    if not _extremal(BoundMode.LINES_GS, a, len(cols_a), b, len(cols_b), _size):
         return Classification(Verdict.NOT_EXTREMAL)
 
     # (1) x-projections and (2) vertical sections: APs with shared differences
@@ -211,36 +215,49 @@ def _match_trapezoid(runs, mode_m: int) -> Optional[TrapezoidSpec]:
     return _trapezoid([ys[0] for ys in cols], [len(ys) for ys in cols])
 
 
-def _match_eps(runs, mode_m: int) -> Optional[EpsilonSpec]:
-    """Recognize the set with these integer runs (min x = 0) as a shifted
-    trapezoid.
+def _eps_base(counts, mode_m: int) -> Optional[tuple]:
+    """(base, starts) for a set whose rows, bottom up, hold these counts,
+    mode_m the longest, when it can be a shifted trapezoid, else None.
 
-    mode_m must be the length of the longest run, else None.  The base
-    T(mode_m, h, c, d), c, d >= 0, has a full row, and its row y runs from
-    x = max(0, ceil((y-h+1)/c)) to min(mode_m-1, floor(y/d)).  Shifts keep
-    the row counts, so they fix the one candidate: d and c are the lengths
-    of the bottom and top runs of one-point rows, h = height - (mode_m-1)c.
-    The set matches when each run is as long as the base row and starts at
-    the base row's start plus a shift that climbs by 0 or 1 per row from 0;
-    the rows where it climbs are the spec's ones.
+    The base T(mode_m, h, c, d), c, d >= 0, has a full row, and its row y runs
+    from x = max(0, ceil((y-h+1)/c)) to min(mode_m-1, floor(y/d)).  Shifts
+    keep the row counts, so they fix the one candidate: d and c are the
+    lengths of the bottom and top runs of one-point rows, h = height -
+    (mode_m-1)c.  Every count must be its base row's; starts holds the base
+    rows' first x.
     """
-    counts = [k for _, _, k in runs]
     if mode_m < 2 or max(counts) != mode_m:
         return None
     d = next(i for i, k in enumerate(counts) if k > 1)
     c = next(i for i, k in enumerate(reversed(counts)) if k > 1)
-    h = len(runs) - (mode_m - 1) * c
+    h = len(counts) - (mode_m - 1) * c
     try:
         base = TrapezoidSpec(mode_m, h, c, d)
     except InvalidSpec:
         return None
-    ones = []
-    shift = 0
-    for y, x, k in runs:
+    starts = []
+    for y, k in enumerate(counts):
         lo = 0 if c == 0 else max(0, -((h - 1 - y) // c))
         hi = mode_m - 1 if d == 0 else min(mode_m - 1, y // d)
         if k != hi - lo + 1:
             return None
+        starts.append(lo)
+    return base, starts
+
+
+def _match_eps(runs, mode_m: int, base: Optional[tuple] = None) -> Optional[EpsilonSpec]:
+    """Recognize the set with these integer runs (min x = 0), mode_m the
+    longest, as a shifted trapezoid on base, _eps_base of its row counts,
+    read here unless the caller holds it.  The set matches when each run
+    starts at the base row's start plus a shift that climbs by 0 or 1 per
+    row from 0; the rows where it climbs are the spec's ones.
+    """
+    base = base or _eps_base([k for _, _, k in runs], mode_m)
+    if base is None:
+        return None
+    ones = []
+    shift = 0
+    for (y, x, _), lo in zip(runs, base[1]):
         step = x - lo - shift
         if step == 1:
             ones.append(y)
@@ -248,7 +265,7 @@ def _match_eps(runs, mode_m: int) -> Optional[EpsilonSpec]:
         elif step != 0:
             return None
     try:
-        return EpsilonSpec(base, frozenset(ones))
+        return EpsilonSpec(base[0], frozenset(ones))
     except InvalidSpec:
         return None
 
@@ -334,9 +351,14 @@ def _match_standard(a3, b3, m: int, n: int) -> Optional[dict]:
     return None
 
 
-def _match_shifted(a3, b3, m: int, n: int) -> Optional[dict]:
-    for sa, sb, mm, nn, swapped in ((a3, b3, m, n, False), (b3, a3, n, m, True)):
-        eps = _match_eps(sa, mm)
+def _match_shifted(a3, b3, m: int, n: int, bases: dict, ry: bool) -> Optional[dict]:
+    """bases[ry] holds the _eps_base of a3's and of b3's row counts, read at
+    the first candidate of each y-reflection: shears and x-reflections keep them."""
+    if ry not in bases:
+        bases[ry] = [_eps_base([k for _, _, k in runs], mm) for runs, mm in ((a3, m), (b3, n))]
+    for sa, sb, mm, nn, base, swapped in ((a3, b3, m, n, bases[ry][0], False),
+                                          (b3, a3, n, m, bases[ry][1], True)):
+        eps = base and _match_eps(sa, mm, base)
         if eps is not None:
             partner = _match_trapezoid(sb, nn)
             want_h = (nn - 1) * int(eps.base.d) + 1
@@ -353,26 +375,50 @@ def _match_wedge(a3, b3, forms: list) -> Optional[dict]:
     return None
 
 
-def classify_thm3(a: PointSet2D, b: PointSet2D, *, verdict_only: bool = False) -> Classification:
+# Up to this many pairs (p, q), the input pair's count, even as a key set of
+# sheared sums, costs no more than building the normalized sets to count,
+# and it lets a pair that is not extremal skip the scan
+NORMALIZED_COUNT_PAIRS = 150
+
+
+def classify_thm3(a: PointSet2D, b: PointSet2D, *, verdict_only: bool = False,
+                  _size=None, _sections=None) -> Classification:
     """With verdict_only the scan stops at the first standard match and leaves
-    out also_matches; the verdict, its details and witness are unchanged."""
+    out also_matches; the verdict, its details and witness are unchanged.
+
+    |A+B| is counted once.  A pair of at most NORMALIZED_COUNT_PAIRS pairs
+    (p, q) is counted first, as it is.  A larger one is counted after the
+    hypothesis checks and steps (1)-(3): on the verdict's normalized runs,
+    which are the pair's image under the witness map up to translations,
+    so the count is the same and takes the kernel's run path however the
+    pair is sheared; on the input pair only when nothing matched.
+    oracle_pair_check hands over its count and grid_sections(a, b,
+    rows=True) as _size and _sections."""
     if len(a) == 0 or len(b) == 0:
         raise EmptySet("classify_thm3 needs nonempty sets")
-    sy, sx, rows_a, rows_b = grid_sections(a, b, rows=True)
+    sy, sx, rows_a, rows_b = _sections or grid_sections(a, b, rows=True)
     m, n = (max(map(len, rows.values())) for rows in (rows_a, rows_b))
     if m < 2 or n < 2:
         raise HypothesisViolated("sections-mode characterization needs m, n >= 2 "
                                  "(the m = 1 regime admits wild extremal pairs)")
     if len(rows_a) == 1 or len(rows_b) == 1:  # with m, n >= 2, one row is a line
         raise HypothesisViolated("sections-mode characterization needs two-dimensional sets")
-    if not _extremal(BoundMode.SECTIONS_GS, a, m, b, n):
+    num, den = rhs_num_den(BoundMode.SECTIONS_GS, len(a), m, len(b), n)
+    if _size is None and len(a) * len(b) <= NORMALIZED_COUNT_PAIRS:
+        _size = sumset_size(a, b)
+    if _size is not None and _size * den != num:
         return Classification(Verdict.NOT_EXTREMAL)
+
+    def unmatched() -> Classification:
+        size = sumset_size(a, b) if _size is None else _size
+        return Classification(Verdict.EXTREMAL_UNCLASSIFIED if size * den == num
+                              else Verdict.NOT_EXTREMAL)
 
     # (1) level sets and (2) rows: APs with shared differences dy and dx;
     # rescaled, the levels are 0, 1, ... and every row is a run
     steps = _axis_steps(rows_a, rows_b, sx)
     if steps is None:
-        return Classification(Verdict.EXTREMAL_UNCLASSIFIED)
+        return unmatched()
     dy, dx = steps  # grid steps; the runs keep their grid starts, on the scale dx
     runs_a, runs_b = ([(y, xs[0], len(xs)) for y, xs in enumerate(rows.values())]
                       for rows in (rows_a, rows_b))
@@ -383,24 +429,30 @@ def classify_thm3(a: PointSet2D, b: PointSet2D, *, verdict_only: bool = False) -
     # so the verdict is the first family, in the specificity order of
     # families (tag, verdict, matcher), that matched at any candidate.
     wedges = _case_c_forms(runs_a, runs_b, m, n)
-    families = (("a", Verdict.TRAPEZOID_PAIR, lambda a3, b3: _match_standard(a3, b3, m, n)),
-                ("b", Verdict.EPS_TRAPEZOID_PAIR, lambda a3, b3: _match_shifted(a3, b3, m, n)),
-                ("c", Verdict.CASE_C_PAIR, lambda a3, b3: _match_wedge(a3, b3, wedges)))
-    found: dict = {}  # tag -> (details, (rx, ry, g))
+    bases: dict = {}  # _match_shifted's eps bases per y-reflection
+    families = (("a", Verdict.TRAPEZOID_PAIR, lambda a3, b3, ry: _match_standard(a3, b3, m, n)),
+                ("b", Verdict.EPS_TRAPEZOID_PAIR,
+                 lambda a3, b3, ry: _match_shifted(a3, b3, m, n, bases, ry)),
+                ("c", Verdict.CASE_C_PAIR, lambda a3, b3, ry: _match_wedge(a3, b3, wedges)))
+    found: dict = {}  # tag -> (details, (rx, ry, g), a3, b3)
     tries = ((tag, match, cand) for cand in _normalized_candidates(runs_a, runs_b, dx)
              for tag, _, match in families)
     for tag, match, (a3, b3, rx, ry, g) in tries:
-        got = None if tag in found else match(a3, b3)
+        got = None if tag in found else match(a3, b3, ry)
         if got is not None:
-            found[tag] = (got, (rx, ry, g))
+            found[tag] = (got, (rx, ry, g), a3, b3)
             if len(found) == len(families) or verdict_only and tag == "a":
                 break
     hits = [(tag, verdict) for tag, verdict, _ in families if tag in found]
     if not hits:
-        return Classification(Verdict.EXTREMAL_UNCLASSIFIED)
-
+        return unmatched()
     tag, verdict = hits[0]
-    got, (rx, ry, g) = found[tag]
+    got, (rx, ry, g), a3, b3 = found[tag]
+    if _size is None:  # as column runs, a3 and b3 are their transposes, whose sum is as large
+        _size = sumset_size(PointSet2D._of_runs(a3), PointSet2D._of_runs(b3))
+    if _size * den != num:
+        return Classification(Verdict.NOT_EXTREMAL)
+
     details = dict(got)
     if len(hits) > 1 and not verdict_only:
         details["also_matches"] = [t for t, _ in hits[1:]]

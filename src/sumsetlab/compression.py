@@ -17,7 +17,7 @@ def compress(x: PointSet2D) -> PointSet2D:
     return x._compressed()
 
 
-def compression_chain(a: PointSet2D, b: PointSet2D) -> list[Rational]:
+def compression_chain(a: PointSet2D, b: PointSet2D, *, _size=None, _sections=None) -> list[Rational]:
     """The horizontal-section chain ending at the compressed sumset size.
 
     Returns [ |A+B|,
@@ -25,11 +25,12 @@ def compression_chain(a: PointSet2D, b: PointSet2D) -> list[Rational]:
               sum over t of max (|A_i| + |B_j| - 1),
               |compress(A) + compress(B)| ],
     monotone non-increasing, with the last two entries always equal.  Both
-    sizes are counted with core.sumset_size, the last independently.
+    sizes are counted with core.sumset_size, the last independently;
+    oracle_pair_check hands over |A+B| and grid_sections(a, b, rows=True).
     """
     if len(a) == 0 or len(b) == 0:
         raise EmptySet("compression_chain needs nonempty sets")
-    v1 = sumset_size(a, b)
-    v2, v3 = _section_chain_sums(*grid_sections(a, b, rows=True)[2:])
+    v1 = sumset_size(a, b) if _size is None else _size
+    v2, v3 = _section_chain_sums(*(_sections or grid_sections(a, b, rows=True))[2:])
     v4 = sumset_size(compress(a), compress(b))
     return [v1, v2, v3, v4]

@@ -174,6 +174,16 @@ class PointSet2D:
         """The set of the nonempty, distinct int points pts, in canonical order."""
         return cls._on_grid(1, 1, *zip(*pts))
 
+    @classmethod
+    def _of_runs(cls, runs) -> "PointSet2D":
+        """The int set of the column runs (x, y, k), points (x, y + i) for i < k,
+        given one per x in ascending x; the kernel reads the runs as given."""
+        out = cls._on_grid(1, 1, [x for x, _, k in runs for _ in range(k)],
+                           [y for _, y0, k in runs for y in range(y0, y0 + k)])
+        object.__setattr__(out, "_runs", (runs, min(y for _, y, _ in runs),
+                                          max(y + k for _, y, k in runs) - 1))
+        return out
+
     def _ints(self) -> tuple:
         """(sx, sy, xs, ys): this set on its integer grid."""
         grid = self._grid

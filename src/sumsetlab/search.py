@@ -41,7 +41,8 @@ from .bounds import BoundMode, bound, chain_diagnostic, rhs_num_den
 from .classify import Verdict, classify_1d, classify_thm2, classify_thm3
 from .compression import compression_chain
 from .core import (PointSet2D, _primitive, bit_mask, collinear_direction, cover_stats,
-                   dumps_points, lattice_keys, parallel_directions, sumset_mask, sumset_size)
+                   dumps_points, grid_sections, lattice_keys, parallel_directions,
+                   sumset_mask, sumset_size)
 from .errors import ConsistencyError, InvalidSpec
 
 OUT_OF_HYPOTHESIS = "OutOfHypothesis"
@@ -386,29 +387,35 @@ def oracle_pair_check(a: PointSet2D, b: PointSet2D) -> dict:
 
     This is the reference oracle: sumset size, every applicable bound report,
     both inequality chains, and whichever classification verdicts apply.
+    |A+B| is counted once and the pair's sections read once per axis, and
+    each bound, chain and classifier is handed them.
     """
+    size = sumset_size(a, b)
     record: dict = {
         "size_a": len(a),
         "size_b": len(b),
-        "sumset_size": sumset_size(a, b),
+        "sumset_size": size,
         "bounds": {},
         "classifications": {},
     }
+    rows, cols = (grid_sections(a, b, axis) for axis in (True, False))
     da, db = collinear_direction(a), collinear_direction(b)
     applicable = [BoundMode.LINES_GS, BoundMode.SECTIONS_GS]
-    if a == b:
+    if rows[2] == rows[3]:  # A = B, compared on the pair's common grid: B's work is A's
+        b = a
         applicable.append(BoundMode.DOUBLING)
     if da is not None and db is not None and parallel_directions(da, db):
         applicable.append(BoundMode.ONE_DIMENSIONAL)
     for mode in applicable:
-        record["bounds"][mode.value] = bound(mode, a, b).to_json_dict()
-    record["chain_diagnostic"] = [str(v) for v in chain_diagnostic(a, b)]
-    record["compression_chain"] = [str(v) for v in compression_chain(a, b)]
-    stats_a, stats_b = cover_stats(a), cover_stats(b)
+        record["bounds"][mode.value] = bound(mode, a, b, _size=size).to_json_dict()
+    for name, chain, sections in (("chain_diagnostic", chain_diagnostic, cols),
+                                  ("compression_chain", compression_chain, rows)):
+        record[name] = [str(v) for v in chain(a, b, _size=size, _sections=sections)]
+    stats_a, stats_b, verdicts = cover_stats(a), cover_stats(b), record["classifications"]
     if stats_a.is_two_dimensional and stats_b.is_two_dimensional:
-        record["classifications"]["thm2"] = classify_thm2(a, b).to_json_dict()
+        verdicts["thm2"] = classify_thm2(a, b, _size=size, _sections=cols).to_json_dict()
         if stats_a.max_horizontal_section >= 2 and stats_b.max_horizontal_section >= 2:
-            record["classifications"]["thm3"] = classify_thm3(a, b).to_json_dict()
+            verdicts["thm3"] = classify_thm3(a, b, _size=size, _sections=rows).to_json_dict()
     if BoundMode.ONE_DIMENSIONAL in applicable:
-        record["classifications"]["1d"] = classify_1d(a, b).to_json_dict()
+        verdicts["1d"] = classify_1d(a, b, _size=size).to_json_dict()
     return record

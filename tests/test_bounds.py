@@ -1,6 +1,8 @@
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 from operator import itemgetter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -9,9 +11,10 @@ import hypothesis.strategies as st
 from conftest import nonempty_pairs, point_sets
 from sumsetlab import (AffineMap2D, BoundMode, EmptySet, InvalidSpec, ModeMismatch,
                        PointSet2D, SupportedSequence, apply_map, averaging_report, bound,
-                       chain_diagnostic, compress,
+                       chain_diagnostic, compress, compression_chain,
                        gen_trapezoid, gen_wild, u_values)
-from sumsetlab.bounds import _section_chain_sums, rhs_num_den
+from sumsetlab import bounds
+from sumsetlab.bounds import _pairwise_chain_sums, _section_chain_sums, rhs_num_den
 from sumsetlab.core import grid_sections
 from sumsetlab.families import TrapezoidSpec
 
@@ -206,15 +209,31 @@ def both(sets):
     return st.tuples(sets, sets)
 
 
+BIG = gen_trapezoid(TrapezoidSpec(10, 61, 0, 1))
+
 # trapezoids with integer slopes: every row and every column is a run
 chain_trapezoids = st.builds(lambda m, h, d, k: gen_trapezoid(TrapezoidSpec(m, h, d + k, d)),
                              st.integers(1, 5), st.integers(1, 6), st.integers(-2, 2),
                              st.integers(0, 2))
 
+# a set whose rows are runs (x0, k) on up to 6 distinct levels in [-6, 6]
+gapped_runs = st.dictionaries(st.integers(-6, 6), st.tuples(chain_coord, st.integers(1, 4)),
+                              min_size=1, max_size=6).map(
+    lambda rows: PointSet2D((x0 + i, y) for y, (x0, k) in rows.items() for i in range(k)))
+
+# two trapezoids with integer slopes, the second stacked on top of the first:
+# every row a run, and the row sizes need not be concave
+stacked_trapezoids = st.builds(
+    lambda lower, upper, x: PointSet2D([*lower, *(p + (x, 1 + max(q.y for q in lower)) for p in upper)]),
+    chain_trapezoids.filter(lambda t: len(t.rows()) > 1),
+    chain_trapezoids.filter(lambda t: len(t.rows()) > 1), st.integers(-2, 2))
+
 # pair kind -> pairs (A, B); "step" maps both sets by (x, y) -> (g x + 1, g y),
 # so the offsets of every section share the step g > 1, "runs" puts two
-# trapezoids under one diagonal map, and in "singletons" every row and every
-# column holds one point
+# trapezoids under one diagonal map, in "singletons" every row and every
+# column holds one point, "gapped" has run rows on gapped levels,
+# "stacked" run rows whose sizes are not concave, and "translate" is
+# T(10,61,0,1) against its (1/5, 0) translate, rows of step 5 on the grid
 chain_pairs = {
     "int": both(chain_sets(chain_coord)),
     "rational": both(chain_sets(chain_rational)),
@@ -227,6 +246,9 @@ chain_pairs = {
                       st.builds(AffineMap2D.diagonal, chain_nonzero, chain_nonzero,
                                 chain_rational, chain_rational)),
     "singletons": both(chain_sets(chain_coord, unique_by=(itemgetter(0), itemgetter(1)))),
+    "gapped": both(gapped_runs),
+    "stacked": both(stacked_trapezoids),
+    "translate": st.just((BIG, BIG.translate((Fraction(1, 5), 0)))),
 }
 
 
@@ -250,14 +272,70 @@ class TestSectionChainSums:
             assert [[(Fraction(k, level_scale), [Fraction(v, value_scale) for v in vs])
                      for k, vs in g.items()] for g in (ga, gb)] == [list(sa.items()),
                                                                      list(sb.items())]
-            assert _section_chain_sums(ga, gb) == reference_section_chain_sums(sa, sb)
+            assert _section_chain_sums(ga, gb) == _pairwise_chain_sums(ga, gb) \
+                == reference_section_chain_sums(sa, sb)
 
     def test_matches_reference_on_a_large_trapezoid(self):
-        t = gen_trapezoid(TrapezoidSpec(10, 61, 0, 1))
+        t = BIG
         for rows, sections in ((True, PointSet2D.rows), (False, PointSet2D.columns)):
             s = sections(t)
             _, _, g, _ = grid_sections(t, t, rows)
             assert _section_chain_sums(g, g) == reference_section_chain_sums(s, s)
+
+    @pytest.mark.parametrize("case, merged", [
+        ("gapped", False), ("stacked", False), ("singletons", None), ("translate", True)])
+    def test_each_progression_branch(self, case, merged):
+        """Four pairs whose sections are all progressions of one shared step:
+        run rows on gapped levels and run rows of non-concave sizes take the
+        pairwise loop on sizes, a small singleton-only pair sums nothing, and
+        T(10,61,0,1) against its (1/5, 0) translate, whose rows are
+        progressions of step 5 on the grid, merges the size differences on
+        both axes.  The first two are read on their rows, the last two on
+        both axes; none goes to the counting loop, and each gets its answer."""
+        low, partner = gen_trapezoid(TrapezoidSpec(3, 5, 0, 1)), gen_trapezoid(TrapezoidSpec(2, 8, 0, 1))
+        pairs = {  # the first two have 9 x 8 and 10 x 8 pairs of rows, over MERGE_PAIRS
+            "gapped": (PointSet2D((x, y + 3 * (y > 4)) for x, y in
+                                  gen_trapezoid(TrapezoidSpec(3, 9, 0, 1))), partner),
+            "stacked": (PointSet2D([*low, *(p + (0, 5) for p in low)]), partner),
+            "singletons": (PointSet2D([(0, 0), (1, 2), (3, 1)]), PointSet2D([(2, 0), (-1, 5)])),
+            "translate": (BIG, BIG.translate((Fraction(1, 5), 0))),
+        }
+        a, b = pairs[case]
+        for rows in (True, False) if case in ("singletons", "translate") else (True,):
+            _, _, ga, gb = grid_sections(a, b, rows)
+            with mock.patch.object(bounds, "_pairwise_chain_sums") as loop, \
+                    mock.patch.object(bounds, "accumulate", wraps=accumulate) as merge:
+                got = _section_chain_sums(ga, gb)
+            assert loop.call_count == 0
+            assert merged is None or merge.called is merged
+            assert got == _pairwise_chain_sums(ga, gb)
+
+    def test_a_row_that_spans_like_a_progression_is_counted(self):
+        """Row 1 of A, {0, 1, 4}, spans two steps of row 0's 2 but is no
+        progression, so its sums with B's {0, 2} go to the counting loop:
+        six points, not the four of two progressions."""
+        a, b = ps((0, 0), (2, 0), (4, 0), (0, 1), (1, 1), (4, 1)), ps((0, 0), (2, 0))
+        _, _, ga, gb = grid_sections(a, b, True)
+        assert _section_chain_sums(ga, gb) == reference_section_chain_sums(a.rows(), b.rows()) \
+            == (10, 8)
+
+    def test_large_trapezoid_rows_make_no_kernel_call(self):
+        """T(10,61,0,1)'s rows are runs: both chains on it against a translate
+        and against its (1/5, 0) translate take no pair of rows through the
+        counting loop or the kernel.  The loop itself, on the latter's rows,
+        calls sumset_mask."""
+        fifth = BIG.translate((Fraction(1, 5), 0))
+        with mock.patch.object(bounds, "sumset_mask", wraps=bounds.sumset_mask) as kernel, \
+                mock.patch.object(bounds, "_pairwise_chain_sums") as loop:
+            assert compression_chain(BIG.translate((3, -2)), BIG) == [2128] * 4
+            assert chain_diagnostic(BIG.translate((3, -2)), BIG) == [2128] * 4
+            assert compression_chain(BIG, fifth)[1:] == [2128, 2128, 2128]
+            assert chain_diagnostic(BIG, fifth)[1:3] == [2128, 2128]
+        assert (kernel.call_count, loop.call_count) == (0, 0)
+        _, _, ga, gb = grid_sections(BIG, fifth, True)
+        with mock.patch.object(bounds, "sumset_mask", wraps=bounds.sumset_mask) as kernel:
+            assert _pairwise_chain_sums(ga, gb) == (2128, 2128)
+        assert kernel.call_count > 0
 
 
 class TestModeRelations:

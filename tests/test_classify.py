@@ -9,13 +9,14 @@ from unittest import mock
 import pytest
 
 import sumsetlab.classify as library
+from sumsetlab import core
 from sumsetlab import (AffineMap2D, BoundMode, EmptySet, HypothesisViolated,
                        NotCollinear, Point2, PointSet2D, SweepConfig, Verdict,
                        apply_map, classify_1d, classify_thm2, classify_thm3,
                        bound, collinear_direction, cover_stats, rat,
                        split_check, sweep)
 from sumsetlab.classify import Classification
-from sumsetlab.core import Rational, _point, shared_difference
+from sumsetlab.core import Rational, _point, shared_difference, sumset_size
 from sumsetlab.errors import InvalidSpec
 from sumsetlab.families import (CaseCSpec, EpsilonSpec, TrapezoidSpec,
                                 gen_case_c, gen_eps_trapezoid, gen_trapezoid,
@@ -926,23 +927,104 @@ class TestSplitCheck:
             split_check(*gen_wild(4))
 
 
+def round_trip_cases():
+    """(A, B, verdict) for one pair of each family shape that TestRoundTrip covers."""
+    cases = []
+    for spec in [TrapezoidSpec(2, 3, 0, 1), TrapezoidSpec(3, 3, 1, 1),
+                 TrapezoidSpec(4, 8, 0, 2)]:
+        partner = TrapezoidSpec(2, 2 + int(spec.d), spec.c, spec.d)
+        cases.append((gen_trapezoid(spec), gen_trapezoid(partner),
+                      Verdict.TRAPEZOID_PAIR))
+    eps = EpsilonSpec(TrapezoidSpec(2, 6, 1, 2), frozenset({4}))
+    cases.append((gen_eps_trapezoid(eps),
+                  gen_trapezoid(TrapezoidSpec(3, 5, 1, 2)),
+                  Verdict.EPS_TRAPEZOID_PAIR))
+    for mn in [(2, 2, 1), (3, 2, 5), (2, 4, 3)]:
+        a, b = gen_case_c(CaseCSpec(*mn))
+        cases.append((a, b, Verdict.CASE_C_PAIR))
+    return cases
+
+
 class TestRoundTrip:
     def test_every_family_classifies_to_itself(self):
-        cases = []
-        for spec in [TrapezoidSpec(2, 3, 0, 1), TrapezoidSpec(3, 3, 1, 1),
-                     TrapezoidSpec(4, 8, 0, 2)]:
-            partner = TrapezoidSpec(2, 2 + int(spec.d), spec.c, spec.d)
-            cases.append((gen_trapezoid(spec), gen_trapezoid(partner),
-                          Verdict.TRAPEZOID_PAIR))
-        eps = EpsilonSpec(TrapezoidSpec(2, 6, 1, 2), frozenset({4}))
-        cases.append((gen_eps_trapezoid(eps),
-                      gen_trapezoid(TrapezoidSpec(3, 5, 1, 2)),
-                      Verdict.EPS_TRAPEZOID_PAIR))
-        for mn in [(2, 2, 1), (3, 2, 5), (2, 4, 3)]:
-            a, b = gen_case_c(CaseCSpec(*mn))
-            cases.append((a, b, Verdict.CASE_C_PAIR))
-        for a, b, want in cases:
+        for a, b, want in round_trip_cases():
             assert classify_thm3(a, b).verdict is want
+
+
+class TestCountOnTheNormalizedRuns:
+    """classify_thm3 counts |A+B| once, after its scan: on the verdict's
+    normalized runs when a family matched, else on the input pair."""
+
+    @staticmethod
+    def normalized_sizes(a, b, **kwargs):
+        """(classification, the sizes of the sums classify_thm3 counted on
+        other sets than its input), with no pair small enough to be counted
+        on its input."""
+        with counting(library, "sumset_size") as counts, \
+                mock.patch.object(library, "NORMALIZED_COUNT_PAIRS", 0):
+            cls = classify_thm3(a, b, **kwargs)
+        return cls, [sumset_size(x, y) for x, y in (c.args for c in counts.call_args_list)
+                     if x is not a or y is not b]
+
+    def test_equals_the_input_count(self):
+        """On every pair of the 3x3 sections sweep that classify_thm3 accepts
+        (the extremal pairs with m, n >= 2), on every round-trip case, and on
+        seeded sheared images of both, a family verdict costs one count on the
+        normalized runs, equal to sumset_size(a, b); the verdict and its JSON
+        are the parent's (TestSingleScanMatchesTwoScans pins those)."""
+        rng = random.Random(26)
+        pairs = sweep_pairs_for_thm3(3, 3) + [(a, b) for a, b, _ in round_trip_cases()]
+        pairs += [(apply_map(a, m), apply_map(b, m))
+                  for a, b in pairs[-7:] for m in [seeded_map(rng, upper_triangular=True)]]
+        verdicts = Counter()
+        for a, b in pairs:
+            for verdict_only in (False, True):
+                cls, sizes = self.normalized_sizes(a, b, verdict_only=verdict_only)
+                verdicts[cls.verdict] += 1
+                assert sizes == [sumset_size(a, b)], (a, b)
+        assert len(pairs) == 164 and set(verdicts) == {
+            Verdict.TRAPEZOID_PAIR, Verdict.EPS_TRAPEZOID_PAIR, Verdict.CASE_C_PAIR}
+
+    def test_unmatched_and_small_pairs_are_counted_on_their_input(self):
+        """No family matches an extremal pair of ROADMAP item 1, a pair whose
+        rows are no progressions, or a rectangle against a trapezoid, and a
+        pair of at most NORMALIZED_COUNT_PAIRS pairs (p, q) costs less to
+        count as it is: each is counted once, on its input pair, and the
+        two that are not extremal are not scanned."""
+        a, b = gen_trapezoid(TrapezoidSpec(2, 3, 1, 2)), gen_trapezoid(TrapezoidSpec(3, 4, 1, 2))
+        gapped = ps((0, 0), (1, 0), (3, 0), (0, 1), (1, 1))
+        tall = gen_trapezoid(TrapezoidSpec(2, 5, 0, 0))
+        small = gen_case_c(CaseCSpec(2, 3, 3))
+        assert len(small[0]) * len(small[1]) == library.NORMALIZED_COUNT_PAIRS
+        for pair, verdict in (((a, b), Verdict.EXTREMAL_UNCLASSIFIED),
+                              ((gapped, gapped), Verdict.NOT_EXTREMAL),
+                              ((tall, a), Verdict.NOT_EXTREMAL),
+                              (small, Verdict.CASE_C_PAIR)):
+            with counting(library, "sumset_size") as counts, \
+                    counting(library, "_normalized_candidates") as scan:
+                cls = classify_thm3(*pair)
+            assert cls.verdict is verdict and counts.call_args_list == [mock.call(*pair)]
+            assert scan.called is (verdict is not Verdict.NOT_EXTREMAL)
+
+    def test_sheared_large_pair_makes_no_sparse_count(self, monkeypatch):
+        """T(10,61,0,1) twice under one shear: the input pair spans over a
+        million grid cells and would be summed as a key set (565 x 565 pairs);
+        the normalized runs take the kernel's dense path."""
+        mp = AffineMap2D.upper_triangular(Fraction(3, 2), Fraction(-5, 3), Fraction(4, 3),
+                                          1, Fraction(1, 7))
+        big = gen_trapezoid(TrapezoidSpec(10, 61, 0, 1))
+        a, b = apply_map(big, mp), apply_map(big, mp)
+        sparse = []
+
+        def recording(cells, size_a, size_b):
+            sparse.append(is_sparse(cells, size_a, size_b))
+            return sparse[-1]
+
+        is_sparse = core.is_sparse
+        monkeypatch.setattr(core, "is_sparse", recording)
+        cls = classify_thm3(a, b)
+        assert cls.verdict is Verdict.TRAPEZOID_PAIR and sparse == [False]
+        assert sumset_size(a, b) == 2128 and sparse == [False, True]
 
 
 class TestWitnessMaps:

@@ -268,3 +268,32 @@ def test_scaling_use_is_found():
         "classify": "from .core import common_scale as scale\n",
     }
     assert scaling_uses(sources) == ["bounds:1", "bounds:6", "classify:1"]
+
+
+# oracle_pair_check counts |A+B| and reads the pair's sections in one place
+# each, and hands them to its bounds, chains and classifiers; a second call
+# site would count or section the pair again
+ONCE_PER_RECORD = ("sumset_size", "grid_sections")
+
+
+def repeated_calls(source: str, function: str, names) -> list[str]:
+    """Each of names that the top-level function's body calls from more than
+    one place, as a name or as an attribute."""
+    body = next(stmt for stmt in ast.parse(source).body
+                if isinstance(stmt, ast.FunctionDef) and stmt.name == function)
+    calls = Counter(getattr(node.func, "id", getattr(node.func, "attr", None))
+                    for node in ast.walk(body) if isinstance(node, ast.Call))
+    return [name for name in names if calls[name] > 1]
+
+
+def test_oracle_record_counts_and_sections_the_pair_once():
+    source = (SRC / "search.py").read_text(encoding="utf-8")
+    assert repeated_calls(source, "oracle_pair_check", ONCE_PER_RECORD) == []
+
+
+def test_repeated_call_is_found():
+    source = ("def oracle_pair_check(a, b):\n    n = sumset_size(a, b)\n"
+              "    rows = [grid_sections(a, b, r) for r in (True, False)]\n"
+              "    return n, rows, core.sumset_size(a, b)\n\n\n"
+              "def other(a, b):\n    return sumset_size(a, b), grid_sections(a, b, True)\n")
+    assert repeated_calls(source, "oracle_pair_check", ONCE_PER_RECORD) == ["sumset_size"]

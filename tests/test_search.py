@@ -1,5 +1,7 @@
+import json
 import random
 from dataclasses import replace
+from fractions import Fraction
 from math import gcd
 from types import SimpleNamespace
 from unittest import mock
@@ -8,15 +10,17 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import example, given, settings
 
-from sumsetlab import (BoundMode, InvalidSpec, SweepConfig,
-                       encode_pair, gen_trapezoid, gen_wild, merge_reports,
-                       oracle_pair_check, run_sharded, search, sweep)
+from conftest import nonempty_pairs, point_sets
+from sumsetlab import (BoundMode, InvalidSpec, SweepConfig, bound, chain_diagnostic, compress,
+                       compression_chain, encode_pair, figure_sets, gen_trapezoid, gen_wild,
+                       merge_reports, oracle_pair_check, run_sharded, search, sweep)
 from sumsetlab import core
 from sumsetlab.classify import Verdict, classify_1d, classify_thm2, classify_thm3
 from sumsetlab.core import (Point2, PointSet2D, bit_mask, collinear_direction, cover_stats,
-                            lattice_keys, parallel_directions, sumset_mask)
+                            lattice_keys, parallel_directions, sumset_mask, sumset_size)
 from sumsetlab.errors import ConsistencyError
 from sumsetlab.families import CaseCSpec, EpsilonSpec, TrapezoidSpec, gen_case_c, gen_eps_trapezoid
+from test_core import counting
 
 
 def cfg(**kw):
@@ -174,6 +178,63 @@ class TestOraclePairCheck:
         record = oracle_pair_check(t, t)
         assert record["chain_diagnostic"] == ["9", "9", "9", "9"]
         assert record["compression_chain"] == ["9", "9", "9", "9"]
+
+    @pytest.mark.parametrize("name", ["figure 1 doubled", "figure 2", "figure 3 (case-C(4,4,7))",
+                                      "T(10,61,0,1) and its (1/5, 0) translate"])
+    def test_one_count_and_one_sections_pass_per_axis(self, name):
+        """A record makes one count of (A, B) plus the compression chain's count
+        of the compressed pair, and reads the pair's sections once per axis
+        (grid_sections calls on other sets, such as the cached case-C forms,
+        are not the record's); its JSON is the reference record's."""
+        big = gen_trapezoid(TrapezoidSpec(10, 61, 0, 1))
+        a, b = {"figure 1 doubled": [figure_sets(1)[0][1]] * 2,
+                "figure 2": [s for _, s in figure_sets(2)],
+                "figure 3 (case-C(4,4,7))": gen_case_c(CaseCSpec(4, 4, 7)),
+                "T(10,61,0,1) and its (1/5, 0) translate":
+                    (big, big.translate((Fraction(1, 5), 0)))}[name]
+        a, b = a.translate((2, -3)), b.translate((2, -3))
+        with counting(core, "_packed_sum") as counts, counting(core, "grid_sections") as sections:
+            record = oracle_pair_check(a, b)
+        assert [c.args[:2] for c in counts.call_args_list] == [(a, b), (compress(a), compress(b))]
+        axes = [c.args[2] for c in sections.call_args_list if c.args[0] is a and c.args[1] is b]
+        assert sorted(axes) == [False, True]
+        assert json.dumps(record) == json.dumps(reference_oracle_pair_check(a, b))
+
+    @given(pair=st.one_of(nonempty_pairs, point_sets.map(lambda s: (s, PointSet2D(s.points)))))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_record(self, pair):
+        """Every record, equal sets included, is the reference's, byte for byte."""
+        assert json.dumps(oracle_pair_check(*pair)) == json.dumps(reference_oracle_pair_check(*pair))
+
+
+def reference_oracle_pair_check(a: PointSet2D, b: PointSet2D) -> dict:
+    """search.oracle_pair_check before it counted once: each bound, chain and
+    classifier counts |A+B| and reads the pair's sections itself."""
+    record: dict = {
+        "size_a": len(a),
+        "size_b": len(b),
+        "sumset_size": sumset_size(a, b),
+        "bounds": {},
+        "classifications": {},
+    }
+    da, db = collinear_direction(a), collinear_direction(b)
+    applicable = [BoundMode.LINES_GS, BoundMode.SECTIONS_GS]
+    if a == b:
+        applicable.append(BoundMode.DOUBLING)
+    if da is not None and db is not None and parallel_directions(da, db):
+        applicable.append(BoundMode.ONE_DIMENSIONAL)
+    for mode in applicable:
+        record["bounds"][mode.value] = bound(mode, a, b).to_json_dict()
+    record["chain_diagnostic"] = [str(v) for v in chain_diagnostic(a, b)]
+    record["compression_chain"] = [str(v) for v in compression_chain(a, b)]
+    stats_a, stats_b = cover_stats(a), cover_stats(b)
+    if stats_a.is_two_dimensional and stats_b.is_two_dimensional:
+        record["classifications"]["thm2"] = classify_thm2(a, b).to_json_dict()
+        if stats_a.max_horizontal_section >= 2 and stats_b.max_horizontal_section >= 2:
+            record["classifications"]["thm3"] = classify_thm3(a, b).to_json_dict()
+    if BoundMode.ONE_DIMENSIONAL in applicable:
+        record["classifications"]["1d"] = classify_1d(a, b).to_json_dict()
+    return record
 
 
 # ---------------------------------------------------------------------------
