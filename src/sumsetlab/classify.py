@@ -40,7 +40,7 @@ from typing import Optional
 
 from .bounds import BoundMode, rhs_num_den
 from .core import (AffineMap2D, Point2, PointSet2D, _point, _unscale,
-                   arithmetic_progression_of, collinear_direction, grid_sections,
+                   arithmetic_progression_of, collinear_direction, grid_sections, is_sparse,
                    parallel_directions, rat_str, shared_difference, sumset_size)
 from .errors import EmptySet, HypothesisViolated, InvalidSpec, ModeMismatch, NotCollinear
 from .families import CaseCSpec, EpsilonSpec, TrapezoidSpec, gen_case_c
@@ -381,19 +381,26 @@ def _match_wedge(a3, b3, forms: list) -> Optional[dict]:
 NORMALIZED_COUNT_PAIRS = 150
 
 
+def _sum_cells(rows_a: dict, rows_b: dict) -> int:
+    """The cells of A + B's bounding box, which is_sparse reads, from core.grid_sections' rows."""
+    (wa, ha), (wb, hb) = ((max(vs[-1] for vs in rows.values()) - min(vs[0] for vs in rows.values()),
+                           max(rows) - min(rows)) for rows in (rows_a, rows_b))
+    return (wa + wb + 1) * (ha + hb + 1)
+
+
 def classify_thm3(a: PointSet2D, b: PointSet2D, *, verdict_only: bool = False,
                   _size=None, _sections=None) -> Classification:
     """With verdict_only the scan stops at the first standard match and leaves
     out also_matches; the verdict, its details and witness are unchanged.
 
     |A+B| is counted once.  A pair of at most NORMALIZED_COUNT_PAIRS pairs
-    (p, q) is counted first, as it is.  A larger one is counted after the
-    hypothesis checks and steps (1)-(3): on the verdict's normalized runs,
-    which are the pair's image under the witness map up to translations,
-    so the count is the same and takes the kernel's run path however the
-    pair is sheared; on the input pair only when nothing matched.
-    oracle_pair_check hands over its count and grid_sections(a, b,
-    rows=True) as _size and _sections."""
+    (p, q), or one that the kernel sums densely, is counted first, as it is.
+    Any other pair is counted after the hypothesis checks and steps (1)-(3):
+    on the verdict's normalized runs, which are the pair's image under the
+    witness map up to translations, so the count is the same and takes the
+    kernel's run path however the pair is sheared; on the input pair only
+    when nothing matched.  oracle_pair_check hands over its count and
+    grid_sections(a, b, rows=True) as _size and _sections."""
     if len(a) == 0 or len(b) == 0:
         raise EmptySet("classify_thm3 needs nonempty sets")
     sy, sx, rows_a, rows_b = _sections or grid_sections(a, b, rows=True)
@@ -404,7 +411,8 @@ def classify_thm3(a: PointSet2D, b: PointSet2D, *, verdict_only: bool = False,
     if len(rows_a) == 1 or len(rows_b) == 1:  # with m, n >= 2, one row is a line
         raise HypothesisViolated("sections-mode characterization needs two-dimensional sets")
     num, den = rhs_num_den(BoundMode.SECTIONS_GS, len(a), m, len(b), n)
-    if _size is None and len(a) * len(b) <= NORMALIZED_COUNT_PAIRS:
+    if _size is None and (len(a) * len(b) <= NORMALIZED_COUNT_PAIRS
+                          or not is_sparse(_sum_cells(rows_a, rows_b), len(a), len(b))):
         _size = sumset_size(a, b)
     if _size is not None and _size * den != num:
         return Classification(Verdict.NOT_EXTREMAL)

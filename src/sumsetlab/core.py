@@ -385,12 +385,6 @@ class AffineMap2D:
 DENSE_CELLS_PER_PAIR = 1
 
 
-def lattice_keys(pts: Iterable, stride: int) -> list[int]:
-    """The key x*stride + y of each int point (x, y), for a stride above
-    every y >= 0; ascending keys are ascending (x, y)."""
-    return [x * stride + y for x, y in pts]
-
-
 def bit_mask(keys: Iterable[int]) -> int:
     """The bitset with bit k set for each key k >= 0."""
     mask = 0
@@ -399,14 +393,19 @@ def bit_mask(keys: Iterable[int]) -> int:
     return mask
 
 
-def sumset_mask(keys_a: Iterable[int], mask_b: int) -> int:
-    """mask(A + B) from A's keys and B's bitset: the OR of mask_b shifted by
-    each key of A.  Keys add like the points they pack only when no sum
-    carries out of its row, which the callers' strides guarantee."""
-    mask = 0
-    for k in keys_a:
-        mask |= mask_b << k
-    return mask
+def _spread(mask: int, runs: Iterable, step_x: int, step_y: int, base: int) -> int:
+    """mask(A + B) for mask = mask(B): mask shifted to the key x*step_x + (y + i)*step_y
+    - base of each cell i < k of each run (x, y, k) of A and ORed, ceil(log2(k))
+    doublings per run.  The callers' strides keep sums from carrying out of a column."""
+    out = 0
+    for x, y, k in runs:
+        spread, done = mask, 1  # mask at steps 0, ..., k - 1
+        while done < k:  # double, then add the rest
+            step = min(done, k - done)
+            spread |= spread << step * step_y
+            done += step
+        out |= spread << (x * step_x + y * step_y - base)
+    return out
 
 
 def is_sparse(cells: int, size_a: int, size_b: int) -> bool:
@@ -444,9 +443,9 @@ def _packed_sum(a: PointSet2D, b: PointSet2D, caller: str) -> PointSet2D:
     its own minimum x and y, and (x, y) gets the key x*S + y for the stride
     S = height(A) + height(B) + 1, so no y of a sum carries into the next
     column.  A column run of k points is k bits q apart (q the set's y-refinement):
-    mask(B) is one block per run of B, and mask(A + B) ORs mask(B) spread over
-    each run of A by doubling shifts, or, past DENSE_CELLS_PER_PAIR cells per
-    pair (p, q), the keys are the set of pairwise sums, and no runs are walked."""
+    mask(B) is one block per run of B, and mask(A + B) is mask(B) spread over
+    A's runs by _spread, or, past DENSE_CELLS_PER_PAIR cells per pair (p, q),
+    the keys are the set of pairwise sums, and no runs are walked."""
     if len(a) == 0 or len(b) == 0:
         raise EmptySet(f"{caller} needs nonempty sets")
     (sxa, sya, xs_a, ys_a), (sxb, syb, xs_b, ys_b), ra, rb = a._ints(), b._ints(), a._runs, b._runs
@@ -462,17 +461,12 @@ def _packed_sum(a: PointSet2D, b: PointSet2D, caller: str) -> PointSet2D:
         keys_b = [x * cb + y * qb - base_b for x, y in zip(xs_b, ys_b)]
         keys = {u + w for u in keys_a for w in keys_b}
     else:
-        mask_b, keys = 0, 0
+        mask_b = 0
         for x, y, k in rb[0] if rb else b._column_runs(lo_b, hi_b):
             block = 1 if k == 1 else ((1 << k * qb) - 1) // ((1 << qb) - 1)  # k bits, qb apart
             mask_b |= block << (x * cb + y * qb - base_b)
-        for x, y, k in a._runs[0] if a._runs else a._column_runs(lo_a, hi_a):  # b's, if a is b
-            spread, done = mask_b, 1  # mask_b at steps 0, ..., k - 1: ceil(log2(k)) shifts
-            while done < k:  # double, then add the rest
-                step = min(done, k - done)
-                spread |= spread << step * qa
-                done += step
-            keys |= spread << (x * ca + y * qa - base_a)
+        runs_a = a._runs[0] if a._runs else a._column_runs(lo_a, hi_a)  # b's, if a is b
+        keys = _spread(mask_b, runs_a, ca, qa, base_a)
     return object.__new__(PointSet2D)._fill(
         len(keys) if keys.__class__ is set else keys.bit_count(),
         partial(_unpack, keys, stride, xs_a[0] * pa + xs_b[0] * pb, lo_a * qa + lo_b * qb, sx, sy))

@@ -18,14 +18,15 @@ to (A, g.B) for A = g.rep.  A shard of sweep() computes every rep it needs,
 so its report equals the raw enumeration's; run_sharded() makes one pass, or
 its workers split the orbits.
 
-A row counts |A+B| against every kept B at once: cell (x, y) is key x*S + y
-with stride S = 2H - 1, so mask(A+B) spans at most (2W-1)(2H-1) <= 49 bits,
-one 64-bit lane of _Lanes per B.  The right-hand side depends on the sets only
-through the classes (|A|, m_A) and (|B|, m_B), in 1d mode also their
-directions, so each A class gets one exact num/den and limit floor(num/den)
-per B class; only lanes at or below their limit take the exact test, in lane
-(enumeration) order.  Only verdicts are tallied, so classify_thm3 stops at its
-first standard match; each classifier re-checks extremality by core's count.
+A row counts |A+B| against every kept B at once: mask(B) has cell (x, y) at
+bit x*(2H-1) + y, so mask(A+B) spans at most (2W-1)(2H-1) <= 49 bits, one
+64-bit lane of _Lanes per B, all spread over A's cells by core's _spread.
+The right-hand side depends on the sets only through the classes (|A|, m_A)
+and (|B|, m_B), in 1d mode also their directions, so each A class gets one
+exact num/den and limit floor(num/den) per B class; only lanes at or below
+their limit take the exact test, in lane (enumeration) order.  Only verdicts
+are tallied, so classify_thm3 stops at its first standard match; each
+classifier re-checks extremality by core's count.
 """
 
 from __future__ import annotations
@@ -40,9 +41,8 @@ from typing import NamedTuple, Optional
 from .bounds import BoundMode, bound, chain_diagnostic, rhs_num_den
 from .classify import Verdict, classify_1d, classify_thm2, classify_thm3
 from .compression import compression_chain
-from .core import (PointSet2D, _primitive, bit_mask, collinear_direction, cover_stats,
-                   dumps_points, grid_sections, lattice_keys, parallel_directions,
-                   sumset_mask, sumset_size)
+from .core import (PointSet2D, _primitive, _spread, bit_mask, collinear_direction,
+                   cover_stats, dumps_points, grid_sections, parallel_directions, sumset_size)
 from .errors import ConsistencyError, InvalidSpec
 
 OUT_OF_HYPOTHESIS = "OutOfHypothesis"
@@ -226,12 +226,10 @@ class _Lanes:
                                         for byte in (b"\x55", b"\x33", b"\x0f"))
         self._guard = int.from_bytes(b"\x80" * self.count, "little")
 
-    def counts(self, keys: list[int]) -> bytes:
-        """Byte t is sumset_mask(keys, mask t).bit_count(), for keys whose sums
-        with every mask stay below bit 64 (a lane's fold spills to bytes 0-6 only)."""
-        x = 0
-        for k in keys:
-            x |= self.packed << k
+    def counts(self, cells: list, stride: int) -> bytes:
+        """Byte t is |A + B_t| for A's cells (x, y, 1), mask t having B_t's cell (x, y)
+        at bit x*stride + y, for sums below bit 64 (a fold spills to bytes 0-6 only)."""
+        x = _spread(self.packed, cells, stride, 1, 0)
         x -= (x >> 1) & self._m1
         x = (x & self._m2) + ((x >> 2) & self._m2)
         x = (x + (x >> 4)) & self._m4
@@ -283,11 +281,11 @@ def _sweep(config: SweepConfig, orbits: Optional[tuple[int, int]] = None) -> Swe
     def row(i: int) -> tuple[int, tuple]:
         """(pairs checked, hits) of A = subs[i]; a hit is (index of B, outcome)."""
         a = subs[i]
-        keys_a = lattice_keys(a.pts, stride)
+        cells = [(x, y, 1) for x, y in a.pts]  # A's cells as one-point runs
         m_a = mode_m(a)
         if mode is BoundMode.DOUBLING:
             num, den = rhs_num_den(mode, a.size, m_a, a.size, m_a)
-            lhs = sumset_mask(keys_a, bit_mask(keys_a)).bit_count()
+            lhs = _spread(_spread(1, cells, stride, 1, 0), cells, stride, 1, 0).bit_count()  # A + A
             if lhs * den > num:
                 return 1, ()
             return 1, ((i, _VIOLATION if lhs * den < num else _classify_extremal(mode, a, a)),)
@@ -304,7 +302,7 @@ def _sweep(config: SweepConfig, orbits: Optional[tuple[int, int]] = None) -> Swe
         rhs, limits, pairs = limits_of[key]
         if not pairs:
             return 0, ()
-        counts = lanes.counts(keys_a)
+        counts = lanes.counts(cells, stride)
         hits = []
         for t in lanes.at_most(counts, limits):  # so counts[t] * den <= num
             j, b, cls = rows_b[t]

@@ -16,7 +16,7 @@ from sumsetlab import (AffineMap2D, BoundMode, EmptySet, HypothesisViolated,
                        bound, collinear_direction, cover_stats, rat,
                        split_check, sweep)
 from sumsetlab.classify import Classification
-from sumsetlab.core import Rational, _point, shared_difference, sumset_size
+from sumsetlab.core import Rational, _point, grid_sections, shared_difference, sumset_size
 from sumsetlab.errors import InvalidSpec
 from sumsetlab.families import (CaseCSpec, EpsilonSpec, TrapezoidSpec,
                                 gen_case_c, gen_eps_trapezoid, gen_trapezoid,
@@ -958,10 +958,11 @@ class TestCountOnTheNormalizedRuns:
     @staticmethod
     def normalized_sizes(a, b, **kwargs):
         """(classification, the sizes of the sums classify_thm3 counted on
-        other sets than its input), with no pair small enough to be counted
-        on its input."""
+        other sets than its input), with no pair small enough, or dense
+        enough, to be counted on its input."""
         with counting(library, "sumset_size") as counts, \
-                mock.patch.object(library, "NORMALIZED_COUNT_PAIRS", 0):
+                mock.patch.object(library, "NORMALIZED_COUNT_PAIRS", 0), \
+                mock.patch.object(library, "is_sparse", return_value=True):
             cls = classify_thm3(a, b, **kwargs)
         return cls, [sumset_size(x, y) for x, y in (c.args for c in counts.call_args_list)
                      if x is not a or y is not b]
@@ -1025,6 +1026,25 @@ class TestCountOnTheNormalizedRuns:
         cls = classify_thm3(a, b)
         assert cls.verdict is Verdict.TRAPEZOID_PAIR and sparse == [False]
         assert sumset_size(a, b) == 2128 and sparse == [False, True]
+
+    def test_large_dense_pair_is_counted_before_the_scan(self):
+        """T(10,57,0,0) against T(10,61,0,1): 570 x 565 pairs, not extremal.
+        Its sum's box has fewer cells than pairs, so the kernel sums it
+        densely, and it is counted first, on its input, with no scan.  A
+        sheared image of it is sparse: it is scanned, and counted after."""
+        a, b = gen_trapezoid(TrapezoidSpec(10, 57, 0, 0)), gen_trapezoid(TrapezoidSpec(10, 61, 0, 1))
+        mp = AffineMap2D.upper_triangular(Fraction(3, 2), Fraction(-5, 3), Fraction(4, 3), 1, 2)
+        for pair, scanned in (((a, b), False), ((apply_map(a, mp), apply_map(b, mp)), True)):
+            with counting(library, "sumset_size") as counts, \
+                    counting(library, "_normalized_candidates") as scan:
+                cls = classify_thm3(*pair)
+            assert cls.verdict is Verdict.NOT_EXTREMAL
+            assert (scan.call_count, counts.call_args_list) == (int(scanned), [mock.call(*pair)])
+            with mock.patch.object(core, "is_sparse", wraps=core.is_sparse) as kernel_rule:
+                sumset_size(*pair)
+            cells = library._sum_cells(*grid_sections(*pair, rows=True)[2:])
+            assert kernel_rule.call_args == mock.call(cells, *map(len, pair))  # the kernel's box
+            assert core.is_sparse(cells, *map(len, pair)) is scanned
 
 
 class TestWitnessMaps:

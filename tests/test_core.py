@@ -12,7 +12,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from conftest import nonempty_pairs, point_sets, points
@@ -70,6 +70,44 @@ def reference_minkowski_sum(a, b):
     return PointSet2D(Point2(x, y) for x, y in pts)
 
 
+# core.lattice_keys and core.sumset_mask as they were before core._spread
+# took over every shift-OR: the per-key reference loop, verbatim
+def lattice_keys(pts, stride: int) -> list[int]:
+    """The key x*stride + y of each int point (x, y), for a stride above
+    every y >= 0; ascending keys are ascending (x, y)."""
+    return [x * stride + y for x, y in pts]
+
+
+def sumset_mask(keys_a, mask_b: int) -> int:
+    """mask(A + B) from A's keys and B's bitset: the OR of mask_b shifted by
+    each key of A.  Keys add like the points they pack only when no sum
+    carries out of its row, which the callers' strides guarantee."""
+    mask = 0
+    for k in keys_a:
+        mask |= mask_b << k
+    return mask
+
+
+class TestSpread:
+    """core._spread against the per-key loop on the keys of every cell of
+    the runs: masks that overlap their own shifts, runs of one and of many
+    cells, and key steps above 1."""
+
+    @given(st.integers(1, 1 << 40),
+           st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6), st.integers(1, 12)),
+                    max_size=6),
+           st.integers(1, 40), st.integers(1, 5))
+    @example(0b1011, [(0, 0, 1), (1, 3, 1), (4, 0, 1)], 9, 1)  # one-cell runs
+    @example(0b111, [(0, 0, 7), (1, -2, 5)], 11, 1)  # mask wider than a step
+    @example(1 << 9 | 1, [(0, 0, 4), (2, 1, 3)], 7, 3)  # steps above 1
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_key_reference(self, mask, runs, step_x, step_y):
+        keys = [x * step_x + (y + i) * step_y for x, y, k in runs for i in range(k)]
+        base = min(keys, default=0)  # so every key is >= 0
+        assert core._spread(mask, runs, step_x, step_y, base) == \
+            sumset_mask([k - base for k in keys], mask)
+
+
 small_int = st.integers(min_value=-6, max_value=6)
 mixed_rational = st.one_of(small_int, st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12)))
 far_int = st.integers(min_value=-10**12, max_value=10**12)
@@ -125,29 +163,30 @@ class TestKernelMatchesReference:
     @given(sparse_sets, st.one_of(sparse_sets, kernel_sets))
     @settings(max_examples=150, deadline=None)
     def test_sparse_path(self, a, b):
-        with mock.patch.object(core, "sumset_mask", side_effect=AssertionError("dense path")), \
+        with mock.patch.object(core, "_spread", side_effect=AssertionError("dense path")), \
                 mock.patch.object(PointSet2D, "_column_runs", side_effect=AssertionError("runs")):
             assert_same_sumset(a, b)
         assert a._runs is None and b._runs is None
 
     def test_dense_path_is_taken_on_a_full_grid(self):
-        """The run path: the grid's runs are walked once, and no point's key
-        is taken."""
+        """The run path: the grid's runs are walked once, and each sum spreads
+        mask(B) over A's 4 runs, not over the keys of its 12 points."""
         grid = ps(*[(x, y) for x in range(4) for y in range(3)])
         with mock.patch.object(PointSet2D, "_column_runs", autospec=True,
                                side_effect=PointSet2D._column_runs) as walk, \
-                mock.patch.object(core, "lattice_keys", side_effect=AssertionError("keys")), \
-                mock.patch.object(core, "sumset_mask", side_effect=AssertionError("per-key path")):
+                mock.patch.object(core, "_spread", wraps=core._spread) as spread:
             assert_same_sumset(grid, grid)
             assert core.sumset_size(grid, grid) == 35  # the 7x5 grid
         assert [c.args[0] for c in walk.call_args_list] == [grid]
         assert grid._runs == ([(x, 0, 3) for x in range(4)], 0, 2)
+        assert [c.args[1] for c in spread.call_args_list] == [grid._runs[0]] * 2
 
     @given(run_sets(), run_sets(), st.one_of(st.tuples(far_int, small_int), refining_pairs))
     @settings(max_examples=150, deadline=None)
     def test_run_heavy_sets(self, a, b, delta):
         """Long column runs on different grids, translates of sets whose runs
-        are known, and sums fed back as inputs."""
+        are known, sums fed back as inputs, and diagonal images, whose
+        columns are progressions of a step above 1."""
         assert_same_sumset(a, b)
         assert core.sumset_size(a, b) == len(reference_minkowski_sum(a, b))
         t = a.translate(delta)
@@ -157,16 +196,30 @@ class TestKernelMatchesReference:
         small = ps(*a.points[:3])
         assert_same_sumset(s, small)
         assert core.sumset_size(small, s) == len(reference_minkowski_sum(small, s))
+        stretch = AffineMap2D.diagonal(2, 3)
+        assert_same_sumset(apply_map(a, stretch), b)
+        assert_same_sumset(apply_map(a, stretch), apply_map(b, stretch))
+
+    def test_diagonal_image_has_one_point_runs(self):
+        """Under diag(2, 3), T(10,61,0,1)'s columns are progressions of step 3
+        on the image's grid: 565 runs of one point, summed by the run path."""
+        big = gen_trapezoid(TrapezoidSpec(10, 61, 0, 1))
+        image = apply_map(big, AffineMap2D.diagonal(2, 3))
+        assert core.sumset_size(image, image) == 2128
+        assert len(image._runs[0]) == 565 and {k for _, _, k in image._runs[0]} == {1}
+        assert minkowski_sum(image, image) == apply_map(minkowski_sum(big, big),
+                                                        AffineMap2D.diagonal(2, 3))
 
     def test_translate_inherits_runs(self):
         """Once big's runs are known, a translate on its grid inherits them:
-        no walk and no point's key."""
+        no walk, and the kernel spreads over the inherited runs."""
         big = gen_trapezoid(TrapezoidSpec(10, 61, 0, 1))
         assert core.sumset_size(big, big) == 2128
         with mock.patch.object(PointSet2D, "_column_runs", side_effect=AssertionError("walk")), \
-                mock.patch.object(core, "lattice_keys", side_effect=AssertionError("keys")):
+                mock.patch.object(core, "_spread", wraps=core._spread) as spread:
             moved = big.translate((3, -2))
             assert core.sumset_size(moved, big) == 2128
+        assert [c.args[1] for c in spread.call_args_list] == [moved._runs[0]]
         assert moved._runs == ([(x + 3, y - 2, k) for x, y, k in big._runs[0]],
                                big._runs[1] - 2, big._runs[2] - 2)
         assert minkowski_sum(moved, big) == minkowski_sum(big, big).translate((3, -2))

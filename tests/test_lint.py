@@ -15,7 +15,11 @@ outside convex: `ConvexPolygon._on_grid` and `_set_grid` store vertices
 without checking them, so other modules build polygons through the
 constructor.  No section put on integers outside core: `common_scale` is
 referenced only in core, which hands a pair's sections over as grid ints,
-and in convex, which keeps its own polygon grid.
+and in convex, which keeps its own polygon grid.  No shift-OR spread outside
+the kernel: an augmented `|=` of a `<<` value, the loop that ORs a mask
+shifted to each cell of a set, appears only in core's `_spread` and in the
+named exceptions of SPREAD_ALLOWED, so every count of A+B goes through the
+one spread routine.
 """
 
 import ast
@@ -297,3 +301,50 @@ def test_repeated_call_is_found():
               "    return n, rows, core.sumset_size(a, b)\n\n\n"
               "def other(a, b):\n    return sumset_size(a, b), grid_sections(a, b, True)\n")
     assert repeated_calls(source, "oracle_pair_check", ONCE_PER_RECORD) == ["sumset_size"]
+
+
+# The shift-ORs that may stay outside core._spread, each with its reason
+SPREAD_ALLOWED = {
+    "core._spread": "the one spread routine",
+    "core.bit_mask": "sets one bit per key: the mask a spread starts from, not a spread",
+    "core._packed_sum": "mask(B) as one closed-form block per run of B, which measured "
+                        "faster than spreading 1 over B's runs",
+}
+
+
+def shift_ors(sources: dict) -> list[str]:
+    """`module.name` of each top-level function, `module.Class.name` of each
+    method (`<class>` for other class-level code) and `module.<module>` for
+    each other top-level statement that holds an augmented `|=` whose value
+    is a `<<`; sources maps module -> text."""
+    found = []
+    for module, source in sources.items():
+        for stmt in ast.parse(source).body:
+            owners = [(getattr(stmt, "name", "<module>"), stmt)]
+            if isinstance(stmt, ast.ClassDef):
+                owners = [(f"{stmt.name}.{getattr(node, 'name', '<class>')}", node)
+                          for node in stmt.body]
+            found += [f"{module}.{name}" for name, node in owners
+                      if any(isinstance(n, ast.AugAssign) and isinstance(n.op, ast.BitOr)
+                             and isinstance(n.value, ast.BinOp)
+                             and isinstance(n.value.op, ast.LShift) for n in ast.walk(node))]
+    return found
+
+
+def test_no_shift_or_spread_outside_the_kernel():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert set(shift_ors(sources)) == set(SPREAD_ALLOWED)
+
+
+def test_shift_or_spread_is_found():
+    sources = {
+        "search": "class _Lanes:\n    def counts(self, keys):\n        x = 0\n"
+                  "        for k in keys:\n            x |= self.packed << k\n        return x\n\n\n"
+                  "def row(a):\n    def inner(m):\n        m |= m << 1\n        return m\n"
+                  "    return inner(a)\n",
+        "bounds": "m = 0\nfor k in (1, 2):\n    m |= 1 << k\nm |= 3\nm = m | 1 << 2\nm <<= 1\n",
+        "core": "def _spread(mask, keys):\n    out = 0\n    for k in keys:\n"
+                "        out |= mask << k\n    return out\n",
+    }
+    assert shift_ors(sources) == ["search._Lanes.counts", "search.row", "bounds.<module>",
+                                  "core._spread"]

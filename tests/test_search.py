@@ -16,11 +16,11 @@ from sumsetlab import (BoundMode, InvalidSpec, SweepConfig, bound, chain_diagnos
                        merge_reports, oracle_pair_check, run_sharded, search, sweep)
 from sumsetlab import core
 from sumsetlab.classify import Verdict, classify_1d, classify_thm2, classify_thm3
-from sumsetlab.core import (Point2, PointSet2D, bit_mask, collinear_direction, cover_stats,
-                            lattice_keys, parallel_directions, sumset_mask, sumset_size)
+from sumsetlab.core import (Point2, PointSet2D, _spread, bit_mask, collinear_direction,
+                            cover_stats, parallel_directions, sumset_size)
 from sumsetlab.errors import ConsistencyError
 from sumsetlab.families import CaseCSpec, EpsilonSpec, TrapezoidSpec, gen_case_c, gen_eps_trapezoid
-from test_core import counting
+from test_core import counting, lattice_keys, sumset_mask
 
 
 def cfg(**kw):
@@ -266,7 +266,8 @@ FULL_16X1 = [(x, 0) for x in range(16)]
 def test_bitset_sumset_size_matches_set_comprehension(case):
     height, a, b = case
     stride = 2 * height - 1
-    lhs = sumset_mask(lattice_keys(a, stride), bit_mask(lattice_keys(b, stride))).bit_count()
+    cells_a = [(x, y, 1) for x, y in a]  # A's cells as one-point runs, as _Lanes spreads
+    lhs = _spread(bit_mask(lattice_keys(b, stride)), cells_a, stride, 1, 0).bit_count()
     assert lhs == len({(xa + xb, ya + yb) for xa, ya in a for xb, yb in b})
 
 
@@ -459,7 +460,7 @@ def raw_sweep(config):
         rhs = [_raw_rhs(mode, a, size_b, m_b) for size_b, m_b in classes]
         lo = [num // den for num, den in rhs]
         for b, mask_b, cls in rows:
-            lhs = search.sumset_mask(keys_a, mask_b).bit_count()
+            lhs = sumset_mask(keys_a, mask_b).bit_count()
             if lhs > lo[cls]:
                 continue
             num, den = rhs[cls]
@@ -477,16 +478,18 @@ def raw_sweep(config):
 
 def test_quotient_computes_one_row_per_orbit(monkeypatch):
     # 3x3 has 400 normalized subsets in 138 reflection orbits; the sweep
-    # counts a row in one lane-packed pass, raw_sweep with one kernel call per B
-    rows, keys_seen = [], []
-    counts, kernel = search._Lanes.counts, search.sumset_mask
+    # counts a row in one lane-packed spread, raw_sweep with one per-key
+    # reference call per B
+    rows, spreads, keys_seen = [], [], []
+    counts, spread, kernel = search._Lanes.counts, search._spread, sumset_mask
     monkeypatch.setattr(search._Lanes, "counts",
-                        lambda lanes, keys: rows.append(1) or counts(lanes, keys))
-    monkeypatch.setattr(search, "sumset_mask",
+                        lambda lanes, cells, stride: rows.append(1) or counts(lanes, cells, stride))
+    monkeypatch.setattr(search, "_spread", lambda *args: spreads.append(1) or spread(*args))
+    monkeypatch.setitem(globals(), "sumset_mask",  # raw_sweep's reference
                         lambda keys, mask: keys_seen.append(tuple(keys)) or kernel(keys, mask))
     config = cfg(grid_width=3, grid_height=3)
     rep = sweep(config)
-    assert (len(rows), len(keys_seen)) == (138, 0)
+    assert (len(rows), len(spreads), len(keys_seen)) == (138, 138, 0)
     want = raw_sweep(config)
     assert (len(set(keys_seen)), len(keys_seen)) == (400, 400 * 400)
     assert rep == want
@@ -515,13 +518,14 @@ def test_lane_counts_match_the_kernel(grid):
     everyone = list(range(len(masks)))
     for a in subsets:
         keys_a = lattice_keys(a, stride)
-        counts = lanes.counts(keys_a)
+        counts = lanes.counts([(x, y, 1) for x, y in a], stride)
         assert list(counts) == [sumset_mask(keys_a, m).bit_count() for m in masks]
         limits = bytes(rng.randint(0, 127) for _ in masks)
         assert lanes.at_most(counts, limits) == [t for t in everyone if counts[t] <= limits[t]]
         assert lanes.at_most(counts, counts) == everyone
         assert lanes.at_most(counts, bytes(c - 1 for c in counts)) == []
-    assert lanes.counts(lattice_keys(cells, stride))[0] == (2 * width - 1) * (2 * height - 1)
+    assert lanes.counts([(x, y, 1) for x, y in cells], stride)[0] == \
+        (2 * width - 1) * (2 * height - 1)
 
 
 @pytest.mark.parametrize("grid,caps,want", [
