@@ -40,7 +40,7 @@ from typing import Optional
 
 from .bounds import BoundMode, rhs_num_den
 from .core import (AffineMap2D, Point2, PointSet2D, _point, _unscale,
-                   arithmetic_progression_of, collinear_direction, grid_sections, is_sparse,
+                   arithmetic_progression_of, collinear_direction, grid_sections,
                    parallel_directions, rat_str, shared_difference, sumset_size)
 from .errors import EmptySet, HypothesisViolated, InvalidSpec, ModeMismatch, NotCollinear
 from .families import CaseCSpec, EpsilonSpec, TrapezoidSpec, gen_case_c
@@ -375,67 +375,14 @@ def _match_wedge(a3, b3, forms: list) -> Optional[dict]:
     return None
 
 
-# Up to this many pairs (p, q), the input pair's count, even as a key set of
-# sheared sums, costs no more than building the normalized sets to count,
-# and it lets a pair that is not extremal skip the scan
-NORMALIZED_COUNT_PAIRS = 150
-
-
-def _sum_cells(rows_a: dict, rows_b: dict) -> int:
-    """The cells of A + B's bounding box, which is_sparse reads, from core.grid_sections' rows."""
-    (wa, ha), (wb, hb) = ((max(vs[-1] for vs in rows.values()) - min(vs[0] for vs in rows.values()),
-                           max(rows) - min(rows)) for rows in (rows_a, rows_b))
-    return (wa + wb + 1) * (ha + hb + 1)
-
-
-def classify_thm3(a: PointSet2D, b: PointSet2D, *, verdict_only: bool = False,
-                  _size=None, _sections=None) -> Classification:
-    """With verdict_only the scan stops at the first standard match and leaves
-    out also_matches; the verdict, its details and witness are unchanged.
-
-    |A+B| is counted once.  A pair of at most NORMALIZED_COUNT_PAIRS pairs
-    (p, q), or one that the kernel sums densely, is counted first, as it is.
-    Any other pair is counted after the hypothesis checks and steps (1)-(3):
-    on the verdict's normalized runs, which are the pair's image under the
-    witness map up to translations, so the count is the same and takes the
-    kernel's run path however the pair is sheared; on the input pair only
-    when nothing matched.  oracle_pair_check hands over its count and
-    grid_sections(a, b, rows=True) as _size and _sections."""
-    if len(a) == 0 or len(b) == 0:
-        raise EmptySet("classify_thm3 needs nonempty sets")
-    sy, sx, rows_a, rows_b = _sections or grid_sections(a, b, rows=True)
-    m, n = (max(map(len, rows.values())) for rows in (rows_a, rows_b))
-    if m < 2 or n < 2:
-        raise HypothesisViolated("sections-mode characterization needs m, n >= 2 "
-                                 "(the m = 1 regime admits wild extremal pairs)")
-    if len(rows_a) == 1 or len(rows_b) == 1:  # with m, n >= 2, one row is a line
-        raise HypothesisViolated("sections-mode characterization needs two-dimensional sets")
-    num, den = rhs_num_den(BoundMode.SECTIONS_GS, len(a), m, len(b), n)
-    if _size is None and (len(a) * len(b) <= NORMALIZED_COUNT_PAIRS
-                          or not is_sparse(_sum_cells(rows_a, rows_b), len(a), len(b))):
-        _size = sumset_size(a, b)
-    if _size is not None and _size * den != num:
-        return Classification(Verdict.NOT_EXTREMAL)
-
-    def unmatched() -> Classification:
-        size = sumset_size(a, b) if _size is None else _size
-        return Classification(Verdict.EXTREMAL_UNCLASSIFIED if size * den == num
-                              else Verdict.NOT_EXTREMAL)
-
-    # (1) level sets and (2) rows: APs with shared differences dy and dx;
-    # rescaled, the levels are 0, 1, ... and every row is a run
-    steps = _axis_steps(rows_a, rows_b, sx)
-    if steps is None:
-        return unmatched()
-    dy, dx = steps  # grid steps; the runs keep their grid starts, on the scale dx
-    runs_a, runs_b = ([(y, xs[0], len(xs)) for y, xs in enumerate(rows.values())]
+def _scan(rows_a: dict, rows_b: dict, m: int, n: int, dx: int, verdict_only: bool) -> list:
+    """(3) one scan over every reflection and candidate shear: (tag, verdict,
+    details, (rx, ry, g), a3, b3) per family that matched, at its first
+    matching candidate, in the specificity order of families (tag, verdict,
+    matcher).  The families can overlap up to the group (a standard pair may
+    be a shifted pair in sheared coordinates), so the verdict is the first."""
+    runs_a, runs_b = ([(y, xs[0], len(xs)) for y, xs in enumerate(rows.values())]  # starts on dx
                       for rows in (rows_a, rows_b))
-
-    # (3) one scan over every reflection and candidate shear, keeping each
-    # family's first matching candidate.  The families can overlap up to the
-    # group (a standard pair may be a shifted pair in sheared coordinates),
-    # so the verdict is the first family, in the specificity order of
-    # families (tag, verdict, matcher), that matched at any candidate.
     wedges = _case_c_forms(runs_a, runs_b, m, n)
     bases: dict = {}  # _match_shifted's eps bases per y-reflection
     families = (("a", Verdict.TRAPEZOID_PAIR, lambda a3, b3, ry: _match_standard(a3, b3, m, n)),
@@ -451,21 +398,55 @@ def classify_thm3(a: PointSet2D, b: PointSet2D, *, verdict_only: bool = False,
             found[tag] = (got, (rx, ry, g), a3, b3)
             if len(found) == len(families) or verdict_only and tag == "a":
                 break
-    hits = [(tag, verdict) for tag, verdict, _ in families if tag in found]
-    if not hits:
-        return unmatched()
-    tag, verdict = hits[0]
-    got, (rx, ry, g), a3, b3 = found[tag]
-    if _size is None:  # as column runs, a3 and b3 are their transposes, whose sum is as large
-        _size = sumset_size(PointSet2D._of_runs(a3), PointSet2D._of_runs(b3))
-    if _size * den != num:
+    return [(tag, verdict, *found[tag]) for tag, verdict, _ in families if tag in found]
+
+
+def classify_thm3(a: PointSet2D, b: PointSet2D, *, verdict_only: bool = False,
+                  _size=None, _sections=None) -> Classification:
+    """With verdict_only the scan stops at the first standard match and leaves
+    out also_matches; the verdict, its details and witness are unchanged.
+
+    |A+B| is counted once.  A pair that the kernel sums densely is counted
+    first, as it is, so one that is not extremal skips the scan.  Any other
+    pair is counted after the hypothesis checks and steps (1)-(3): on the
+    verdict's normalized runs, which are the pair's image under the witness
+    map up to translations, so the count is the same and takes the kernel's
+    run path however the pair is sheared; on the input pair when nothing
+    matched.  oracle_pair_check hands over its count and
+    grid_sections(a, b, rows=True) as _size and _sections."""
+    if len(a) == 0 or len(b) == 0:
+        raise EmptySet("classify_thm3 needs nonempty sets")
+    sy, sx, rows_a, rows_b = _sections or grid_sections(a, b, rows=True)
+    m, n = (max(map(len, rows.values())) for rows in (rows_a, rows_b))
+    if m < 2 or n < 2:
+        raise HypothesisViolated("sections-mode characterization needs m, n >= 2 "
+                                 "(the m = 1 regime admits wild extremal pairs)")
+    if len(rows_a) == 1 or len(rows_b) == 1:  # with m, n >= 2, one row is a line
+        raise HypothesisViolated("sections-mode characterization needs two-dimensional sets")
+    num, den = rhs_num_den(BoundMode.SECTIONS_GS, len(a), m, len(b), n)
+    if _size is None:
+        _size = sumset_size(a, b, _dense_only=True)
+    if _size is not None and _size * den != num:
         return Classification(Verdict.NOT_EXTREMAL)
 
+    # (1) level sets and (2) rows: APs with shared differences dy and dx;
+    # rescaled, the levels are 0, 1, ... and every row is a run
+    steps = _axis_steps(rows_a, rows_b, sx)
+    hits = [] if steps is None else _scan(rows_a, rows_b, m, n, steps[1], verdict_only)
+    if _size is None:  # as column runs, a3 and b3 are their transposes, whose sum is as large
+        _size = sumset_size(*map(PointSet2D._of_runs, hits[0][4:])) if hits else sumset_size(a, b)
+    if _size * den != num:
+        return Classification(Verdict.NOT_EXTREMAL)
+    if not hits:
+        return Classification(Verdict.EXTREMAL_UNCLASSIFIED)
+
+    (_, verdict, got, (rx, ry, g), _, _), *rest = hits
     details = dict(got)
-    if len(hits) > 1 and not verdict_only:
-        details["also_matches"] = [t for t, _ in hits[1:]]
+    if rest and not verdict_only:
+        details["also_matches"] = [tag for tag, *_ in rest]
     details["reflection"] = {"x": rx, "y": ry}
     # witness: shear(g/dx) . reflection . diag(sx/dx, sy/dy), linear part
+    dy, dx = steps
     fx, fy = -sx if rx else sx, -sy if ry else sy
     witness = AffineMap2D.upper_triangular(Fraction(fx, dx), Fraction(-g * fy, dx * dy),
                                            Fraction(fy, dy))

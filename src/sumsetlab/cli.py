@@ -210,6 +210,8 @@ def _cmd_sweep(args) -> int:
         require_two_dimensional=args.require_2d, min_mn=args.min_mn,
         shard_index=args.shard_index or 0, shard_count=args.shards,
     )
+    if args.jobs < 1:  # run_sharded's own check, which a single shard does not reach
+        raise InvalidSpec("jobs must be >= 1")
     report = sweep(config) if args.shard_index is not None else run_sharded(config, args.jobs)
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:

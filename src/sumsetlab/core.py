@@ -435,9 +435,10 @@ def _unscale(value: int, scale: int) -> Rational:
     return q if r == 0 else Fraction(value, scale)
 
 
-def _packed_sum(a: PointSet2D, b: PointSet2D, caller: str) -> PointSet2D:
+def _packed_sum(a: PointSet2D, b: PointSet2D, caller: str, dense_only: bool = False) -> Optional[PointSet2D]:
     """A + B of a nonempty pair, born on one grid: its size is the key count,
-    and _unpack decodes its keys when its grid is first read.
+    and _unpack decodes its keys when its grid is first read; None, with
+    dense_only, where it would be summed as a key set.
 
     Both sets go on the lcm of their x- and of their y-scales, each moved to
     its own minimum x and y, and (x, y) gets the key x*S + y for the stride
@@ -457,6 +458,8 @@ def _packed_sum(a: PointSet2D, b: PointSet2D, caller: str) -> PointSet2D:
     ca, cb = pa * stride, pb * stride  # the key step of one x of a set's own grid
     base_a, base_b = xs_a[0] * ca + lo_a * qa, xs_b[0] * cb + lo_b * qb  # so keys start at 0
     if is_sparse((xs_a[-1] - xs_a[0]) * ca + (xs_b[-1] - xs_b[0]) * cb + stride, len(a), len(b)):
+        if dense_only:
+            return None
         keys_a = [x * ca + y * qa - base_a for x, y in zip(xs_a, ys_a)]
         keys_b = [x * cb + y * qb - base_b for x, y in zip(xs_b, ys_b)]
         keys = {u + w for u in keys_a for w in keys_b}
@@ -485,9 +488,11 @@ def grid_sections(a: PointSet2D, b: PointSet2D, rows: bool) -> tuple[int, int, d
     return sx, sy, _sections(*grid_a), _sections(*grid_b)
 
 
-def sumset_size(a: PointSet2D, b: PointSet2D) -> int:
-    """|A + B| by minkowski_sum's kernel, without building its points."""
-    return len(_packed_sum(a, b, "sumset_size"))
+def sumset_size(a: PointSet2D, b: PointSet2D, *, _dense_only: bool = False) -> Optional[int]:
+    """|A + B| by minkowski_sum's kernel, without building its points; with
+    _dense_only, None where the kernel would sum the pair as a key set."""
+    total = _packed_sum(a, b, "sumset_size", _dense_only)
+    return None if total is None else len(total)
 
 
 def minkowski_sum(a: PointSet2D, b: PointSet2D) -> PointSet2D:

@@ -16,7 +16,7 @@ from sumsetlab import (AffineMap2D, BoundMode, EmptySet, HypothesisViolated,
                        bound, collinear_direction, cover_stats, rat,
                        split_check, sweep)
 from sumsetlab.classify import Classification
-from sumsetlab.core import Rational, _point, grid_sections, shared_difference, sumset_size
+from sumsetlab.core import Rational, _point, shared_difference, sumset_size
 from sumsetlab.errors import InvalidSpec
 from sumsetlab.families import (CaseCSpec, EpsilonSpec, TrapezoidSpec,
                                 gen_case_c, gen_eps_trapezoid, gen_trapezoid,
@@ -952,20 +952,28 @@ class TestRoundTrip:
 
 
 class TestCountOnTheNormalizedRuns:
-    """classify_thm3 counts |A+B| once, after its scan: on the verdict's
-    normalized runs when a family matched, else on the input pair."""
+    """classify_thm3 counts |A+B| once, by the kernel's own dense/sparse rule:
+    a pair the kernel sums densely on its input, before the scan; any other
+    after the scan, on the verdict's normalized runs when a family matched,
+    else on the input pair."""
 
     @staticmethod
-    def normalized_sizes(a, b, **kwargs):
-        """(classification, the sizes of the sums classify_thm3 counted on
-        other sets than its input), with no pair small enough, or dense
-        enough, to be counted on its input."""
-        with counting(library, "sumset_size") as counts, \
-                mock.patch.object(library, "NORMALIZED_COUNT_PAIRS", 0), \
-                mock.patch.object(library, "is_sparse", return_value=True):
+    def counted(a, b, dense=True, **kwargs):
+        """(classification, the pairs whose sums classify_thm3 counted, the
+        number of scans); with dense False the kernel's dense-only count is
+        withheld, so every pair is counted after its scan."""
+        made = []
+
+        def count(x, y, _dense_only=False):
+            size = None if _dense_only and not dense else sumset_size(x, y, _dense_only=_dense_only)
+            if size is not None:
+                made.append((x, y))
+            return size
+
+        with mock.patch.object(library, "sumset_size", side_effect=count), \
+                counting(library, "_normalized_candidates") as scan:
             cls = classify_thm3(a, b, **kwargs)
-        return cls, [sumset_size(x, y) for x, y in (c.args for c in counts.call_args_list)
-                     if x is not a or y is not b]
+        return cls, made, scan.call_count
 
     def test_equals_the_input_count(self):
         """On every pair of the 3x3 sections sweep that classify_thm3 accepts
@@ -980,37 +988,58 @@ class TestCountOnTheNormalizedRuns:
         verdicts = Counter()
         for a, b in pairs:
             for verdict_only in (False, True):
-                cls, sizes = self.normalized_sizes(a, b, verdict_only=verdict_only)
+                cls, made, _ = self.counted(a, b, dense=False, verdict_only=verdict_only)
                 verdicts[cls.verdict] += 1
-                assert sizes == [sumset_size(a, b)], (a, b)
+                assert len(made) == 1 and made[0][0] is not a, (a, b)
+                assert sumset_size(*made[0]) == sumset_size(a, b), (a, b)
         assert len(pairs) == 164 and set(verdicts) == {
             Verdict.TRAPEZOID_PAIR, Verdict.EPS_TRAPEZOID_PAIR, Verdict.CASE_C_PAIR}
 
-    def test_unmatched_and_small_pairs_are_counted_on_their_input(self):
+    def test_sparse_pair_is_counted_once_after_the_scan(self):
+        """Each pair of the 3x3 sections sweep is counted once: the 86 that the
+        kernel sums densely on their input, the 64 others on their normalized
+        runs.  A sparse one, 3 x 5 points whose sum's box has 16 cells, is
+        only asked for a dense count before its scan."""
+        pairs = sweep_pairs_for_thm3(3, 3)
+        dense = [sumset_size(a, b, _dense_only=True) is not None for a, b in pairs]
+        assert (dense.count(True), dense.count(False)) == (86, 64)
+        for (a, b), on_input in zip(pairs, dense):
+            _, made, scans = self.counted(a, b, verdict_only=True)
+            assert scans == 1 and len(made) == 1 and (made[0] == (a, b)) is on_input
+        a, b = ps((0, 0), (0, 1), (1, 0)), ps((0, 1), (0, 2), (1, 0), (1, 1), (2, 0))
+        with counting(library, "sumset_size") as counts:
+            cls = classify_thm3(a, b)
+        assert cls.verdict is Verdict.TRAPEZOID_PAIR and (a, b) in pairs
+        assert counts.call_args_list[0] == mock.call(a, b, _dense_only=True)
+        assert len(counts.call_args_list) == 2 and counts.call_args_list[1].args[0] is not a
+
+    def test_unmatched_pairs_are_counted_on_their_input(self):
         """No family matches an extremal pair of ROADMAP item 1, a pair whose
-        rows are no progressions, or a rectangle against a trapezoid, and a
-        pair of at most NORMALIZED_COUNT_PAIRS pairs (p, q) costs less to
-        count as it is: each is counted once, on its input pair, and the
-        two that are not extremal are not scanned."""
+        rows are no progressions, or a rectangle against a trapezoid.  Each
+        is counted once, on its input pair: before the scan as it is, which
+        the kernel sums densely, so the two that are not extremal are not
+        scanned; after the scan under a shear, which makes it sparse.  The
+        gapped pair fails step (2) and is never scanned."""
         a, b = gen_trapezoid(TrapezoidSpec(2, 3, 1, 2)), gen_trapezoid(TrapezoidSpec(3, 4, 1, 2))
         gapped = ps((0, 0), (1, 0), (3, 0), (0, 1), (1, 1))
         tall = gen_trapezoid(TrapezoidSpec(2, 5, 0, 0))
-        small = gen_case_c(CaseCSpec(2, 3, 3))
-        assert len(small[0]) * len(small[1]) == library.NORMALIZED_COUNT_PAIRS
-        for pair, verdict in (((a, b), Verdict.EXTREMAL_UNCLASSIFIED),
-                              ((gapped, gapped), Verdict.NOT_EXTREMAL),
-                              ((tall, a), Verdict.NOT_EXTREMAL),
-                              (small, Verdict.CASE_C_PAIR)):
-            with counting(library, "sumset_size") as counts, \
-                    counting(library, "_normalized_candidates") as scan:
-                cls = classify_thm3(*pair)
-            assert cls.verdict is verdict and counts.call_args_list == [mock.call(*pair)]
-            assert scan.called is (verdict is not Verdict.NOT_EXTREMAL)
+        mp = AffineMap2D.upper_triangular(Fraction(3, 2), Fraction(-5, 3), Fraction(4, 3), 1, 2)
+        for (x, y), verdict in (((a, b), Verdict.EXTREMAL_UNCLASSIFIED),
+                                ((gapped, gapped), Verdict.NOT_EXTREMAL),
+                                ((tall, a), Verdict.NOT_EXTREMAL)):
+            for sheared in (False, True):
+                pair = (apply_map(x, mp), apply_map(y, mp)) if sheared else (x, y)
+                assert (sumset_size(*pair, _dense_only=True) is None) is sheared
+                cls, made, scans = self.counted(*pair)
+                assert cls.verdict is verdict and made == [pair]
+                scanned = x is not gapped and (sheared or verdict is not Verdict.NOT_EXTREMAL)
+                assert scans == int(scanned), (x, y, sheared)
 
     def test_sheared_large_pair_makes_no_sparse_count(self, monkeypatch):
         """T(10,61,0,1) twice under one shear: the input pair spans over a
-        million grid cells and would be summed as a key set (565 x 565 pairs);
-        the normalized runs take the kernel's dense path."""
+        million grid cells and would be summed as a key set (565 x 565 pairs),
+        so the kernel declines it before the scan; the normalized runs take
+        its dense path."""
         mp = AffineMap2D.upper_triangular(Fraction(3, 2), Fraction(-5, 3), Fraction(4, 3),
                                           1, Fraction(1, 7))
         big = gen_trapezoid(TrapezoidSpec(10, 61, 0, 1))
@@ -1023,28 +1052,24 @@ class TestCountOnTheNormalizedRuns:
 
         is_sparse = core.is_sparse
         monkeypatch.setattr(core, "is_sparse", recording)
-        cls = classify_thm3(a, b)
-        assert cls.verdict is Verdict.TRAPEZOID_PAIR and sparse == [False]
-        assert sumset_size(a, b) == 2128 and sparse == [False, True]
+        cls, made, _ = self.counted(a, b)
+        assert cls.verdict is Verdict.TRAPEZOID_PAIR and sparse == [True, False]
+        assert len(made) == 1 and made[0][0] is not a
+        assert sumset_size(a, b) == 2128 and sparse == [True, False, True]
 
     def test_large_dense_pair_is_counted_before_the_scan(self):
         """T(10,57,0,0) against T(10,61,0,1): 570 x 565 pairs, not extremal.
         Its sum's box has fewer cells than pairs, so the kernel sums it
         densely, and it is counted first, on its input, with no scan.  A
-        sheared image of it is sparse: it is scanned, and counted after."""
+        sheared image of it is sparse: it is scanned, and counted after, on
+        its input, as no family matches."""
         a, b = gen_trapezoid(TrapezoidSpec(10, 57, 0, 0)), gen_trapezoid(TrapezoidSpec(10, 61, 0, 1))
         mp = AffineMap2D.upper_triangular(Fraction(3, 2), Fraction(-5, 3), Fraction(4, 3), 1, 2)
         for pair, scanned in (((a, b), False), ((apply_map(a, mp), apply_map(b, mp)), True)):
-            with counting(library, "sumset_size") as counts, \
-                    counting(library, "_normalized_candidates") as scan:
-                cls = classify_thm3(*pair)
+            cls, made, scans = self.counted(*pair)
             assert cls.verdict is Verdict.NOT_EXTREMAL
-            assert (scan.call_count, counts.call_args_list) == (int(scanned), [mock.call(*pair)])
-            with mock.patch.object(core, "is_sparse", wraps=core.is_sparse) as kernel_rule:
-                sumset_size(*pair)
-            cells = library._sum_cells(*grid_sections(*pair, rows=True)[2:])
-            assert kernel_rule.call_args == mock.call(cells, *map(len, pair))  # the kernel's box
-            assert core.is_sparse(cells, *map(len, pair)) is scanned
+            assert (scans, made) == (int(scanned), [pair])
+            assert (sumset_size(*pair, _dense_only=True) is None) is scanned
 
 
 class TestWitnessMaps:

@@ -177,9 +177,10 @@ class TestSweepCommand:
         assert (code, out) == (2, "")
         assert capsys.readouterr().err == "error: max_size_a and max_size_b must be >= 1\n"
 
-    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    @pytest.mark.parametrize("jobs", [["0"], ["-3"], ["0", "--shard-index", "0"]],
+                             ids=" ".join)
     def test_jobs_below_one_exit_2(self, jobs, capsys):
-        code, out = run_cli(["sweep", "--grid", "2x2", "--mode", "lines", "--jobs", jobs])
+        code, out = run_cli(["sweep", "--grid", "2x2", "--mode", "lines", "--jobs", *jobs])
         assert (code, out) == (2, "")
         assert capsys.readouterr().err == "error: jobs must be >= 1\n"
 

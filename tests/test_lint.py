@@ -19,7 +19,11 @@ and in convex, which keeps its own polygon grid.  No shift-OR spread outside
 the kernel: an augmented `|=` of a `<<` value, the loop that ORs a mask
 shifted to each cell of a set, appears only in core's `_spread` and in the
 named exceptions of SPREAD_ALLOWED, so every count of A+B goes through the
-one spread routine.
+one spread routine.  No dense/sparse rule outside the kernel: `is_sparse`
+and `DENSE_CELLS_PER_PAIR` are referenced only in core and at the sites of
+SPARSE_RULE_ALLOWED, so a caller that wants |A+B| only when the kernel sums
+it densely asks core (`sumset_size(..., _dense_only=True)`) instead of
+copying the kernel's bounding box.
 """
 
 import ast
@@ -29,6 +33,7 @@ from pathlib import Path
 
 import pytest
 
+from sumsetlab import core
 from sumsetlab.convex import ConvexPolygon
 from sumsetlab.core import PointSet2D
 
@@ -348,3 +353,49 @@ def test_shift_or_spread_is_found():
     }
     assert shift_ors(sources) == ["search._Lanes.counts", "search.row", "bounds.<module>",
                                   "core._spread"]
+
+
+# The kernel's dense/sparse rule.  core owns it; outside core it may be read
+# only at these sites, each with its reason
+SPARSE_RULE = ("is_sparse", "DENSE_CELLS_PER_PAIR")
+SPARSE_RULE_ALLOWED = {
+    "bounds._pairwise_chain_sums": "counts pairs of sections that are no point sets, each "
+                                   "as a bitset or a key set by the kernel's own rule",
+    "bounds.<module>": "the import that _pairwise_chain_sums reads the rule through",
+}
+
+
+def sparse_rule_uses(sources: dict) -> list[str]:
+    """`module.name` of each top-level function or class, and `module.<module>`
+    of each other top-level statement, outside core that refers to a name in
+    SPARSE_RULE, as a name, an attribute or an import; sources maps module ->
+    text."""
+    return [f"{module}.{getattr(stmt, 'name', '<module>')}"
+            for module, source in sources.items() if module != "core"
+            for stmt in ast.parse(source).body
+            if any(isinstance(n, ast.Name) and n.id in SPARSE_RULE
+                   or isinstance(n, ast.Attribute) and n.attr in SPARSE_RULE
+                   or isinstance(n, ast.alias) and n.name in SPARSE_RULE for n in ast.walk(stmt))]
+
+
+def test_dense_sparse_rule_is_used_only_in_the_kernel():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert set(sparse_rule_uses(sources)) == set(SPARSE_RULE_ALLOWED)
+    assert all(hasattr(core, name) for name in SPARSE_RULE)
+
+
+def test_dense_sparse_rule_use_is_found():
+    sources = {
+        "core": "DENSE_CELLS_PER_PAIR = 1\n\n\ndef is_sparse(cells, a, b):\n"
+                "    return cells > DENSE_CELLS_PER_PAIR * a * b\n",
+        "bounds": "from .core import is_sparse\n\n\ndef _pairwise_chain_sums(sa, sb):\n"
+                  "    return is_sparse(3, 1, 2)\n",
+        "classify": "from .core import (rat,\n    is_sparse as dense)\n\n\n"
+                    "def _sum_cells(rows_a, rows_b):\n    return 9\n\n\n"
+                    "def classify_thm3(a, b):\n"
+                    "    return core.is_sparse(_sum_cells(a, b), len(a), len(b))\n\n\n"
+                    "class Counts:\n    per_pair = core.DENSE_CELLS_PER_PAIR\n",
+    }
+    assert sparse_rule_uses(sources) == ["bounds.<module>", "bounds._pairwise_chain_sums",
+                                         "classify.<module>", "classify.classify_thm3",
+                                         "classify.Counts"]

@@ -726,13 +726,26 @@ def test_classifier_recheck_catches_a_wrong_count(monkeypatch, mode, two_dimensi
     """The classifiers re-check each extremal pair the lanes find by core's own
     count of A+B; a count that is off by one must raise, not pass.  classify_1d
     counts too, and its re-check fires first on a grid with collinear pairs,
-    so the thm2/thm3 cases sweep two-dimensional subsets only."""
+    so the thm2/thm3 cases sweep two-dimensional subsets only.  classify_thm3
+    counts a pair the kernel sums densely before its scan (_dense_only) and
+    any other after it: each shard of two stops at its first extremal pair,
+    dense in shard 0 and sparse in shard 1, so the patch reaches both counts."""
     from sumsetlab import classify
-    count = classify.sumset_size
-    monkeypatch.setattr(classify, "sumset_size", lambda a, b: count(a, b) + 1)
-    with pytest.raises(ConsistencyError, match=f"sweep extremality disagrees with {checker}$"):
-        sweep(cfg(grid_width=3, grid_height=3, mode=mode,
-                  require_two_dimensional=two_dimensional))
+    count, altered = classify.sumset_size, []
+
+    def off_by_one(a, b, **dense_only):
+        size = count(a, b, **dense_only)
+        if size is None:  # the kernel declined a sparse pair: no count was made
+            return None
+        altered.append(bool(dense_only))
+        return size + 1
+
+    monkeypatch.setattr(classify, "sumset_size", off_by_one)
+    for index in range(2):
+        with pytest.raises(ConsistencyError, match=f"sweep extremality disagrees with {checker}$"):
+            sweep(cfg(grid_width=3, grid_height=3, mode=mode, shard_index=index, shard_count=2,
+                      require_two_dimensional=two_dimensional))
+    assert altered == ([True, False] if mode is BoundMode.SECTIONS_GS else [False, False])
 
 
 def test_sweep_reaches_eps_and_case_c_families():
