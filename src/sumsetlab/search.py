@@ -4,9 +4,10 @@ universally, harvest extremal pairs, and cross-check the classifiers.
 Enumeration covers the translation-normalized subsets of a W x H grid
 (min x = min y = 0), every checked quantity being translation-invariant.  A
 subset is its cell mask, cell (x, y) at bit x*H + y, walked column by column
-in ascending order; per-column tables give its points, size and row counts,
-and a table of the grid's collinear masks its direction, the raw step
-pts[1] - pts[0] (parallelism ignores its scale).
+in ascending order; per-column tables give its points, size, row counts and
+lane mask, and a table of the grid's collinear masks its direction, the raw
+step pts[1] - pts[0] (parallelism ignores its scale).  Each sweep builds
+them, their mirror table and orbit reps once, and frees them on return.
 
 The sweep is quotiented by H = {id, x-reflection, y-reflection, both}, each
 image re-translated to min x = min y = 0: one g in H applied to both sets is
@@ -18,9 +19,10 @@ to (A, g.B) for A = g.rep.  A shard of sweep() computes every rep it needs,
 so its report equals the raw enumeration's; run_sharded() makes one pass, or
 its workers split the orbits.
 
-A row counts |A+B| against every kept B at once: mask(B) has cell (x, y) at
-bit x*(2H-1) + y, so mask(A+B) spans at most (2W-1)(2H-1) <= 49 bits, one
-64-bit lane of _Lanes per B, all spread over A's cells by core's _spread.
+A row counts |A+B| against every kept B at once: B's lane mask has cell (x, y)
+at bit x*(2H-1) + y, so mask(A+B) spans at most (2W-1)(2H-1) <= 49 bits, one
+lane of _Lanes per B, of the bytes that span needs (4 on 3x3, 5 on 3x4), all
+spread over A's cells by core's _spread.
 The right-hand side depends on the sets only through the classes (|A|, m_A)
 and (|B|, m_B), in 1d mode also their directions, so each A class gets one
 exact num/den and limit floor(num/den) per B class; only lanes at or below
@@ -120,6 +122,7 @@ class _Subset(NamedTuple):
     two_dimensional: bool
     direction: Optional[tuple]  # line step pts[1] - pts[0], (0, 0) wildcard, or None
     mask: int  # cell (x, y) at bit x*H + y of the W x H grid
+    lane: int  # cell (x, y) at bit x*(2H-1) + y: mask(B) in the sweep's lanes
 
 
 def enumerate_subsets(width: int, height: int, max_size: Optional[int] = None,
@@ -144,7 +147,10 @@ def enumerate_subsets(width: int, height: int, max_size: Optional[int] = None,
     for high in product(cols, repeat=width - 1):
         high = high[::-1]  # column x at high[x - 1]
         size = sum(map(int.bit_count, high))
+        if size >= cap:
+            continue  # column 0 is nonempty, so every subset here is over the cap
         base = sum(c << x * height for x, c in enumerate(high, 1))
+        lane = sum(c << x * (2 * height - 1) for x, c in enumerate(high, 1))
         pts = sum(map(getitem, pts_of[1:], high), ())
         rows = sum(map(rows_of.__getitem__, high)).to_bytes(height, "little")
         top = max(rows)  # the longest high row, which column 0 lengthens at most by 1
@@ -155,7 +161,7 @@ def enumerate_subsets(width: int, height: int, max_size: Optional[int] = None,
                 continue
             out.append(new(_Subset, (pts_of[0][c0] + pts, size + c0.bit_count(),
                                      width - high.count(0), top + bool(c0 & full),
-                                     step is None, step, base | c0)))
+                                     step is None, step, base | c0, lane | c0)))
     return out
 
 
@@ -217,24 +223,26 @@ def _record(report: SweepReport, a: _Subset, b: _Subset, outcome) -> None:
 
 
 class _Lanes:
-    """Bitsets packed one per 64-bit lane of one int, lane t at bits 64t and up."""
+    """Bitsets packed one per lane of one int, lane t at byte t*width and up."""
 
-    def __init__(self, masks: list[int]):
-        self.count = len(masks)
-        self.packed = int.from_bytes(b"".join(m.to_bytes(8, "little") for m in masks), "little")
-        self._m1, self._m2, self._m4 = (int.from_bytes(byte * (8 * self.count), "little")
+    def __init__(self, masks: list[int], span: int):
+        self.count, self.width = len(masks), -(-span // 8)  # the bytes a sum of span bits needs
+        self.packed = int.from_bytes(b"".join(m.to_bytes(self.width, "little") for m in masks), "little")
+        self._m1, self._m2, self._m4 = (int.from_bytes(byte * (self.width * self.count), "little")
                                         for byte in (b"\x55", b"\x33", b"\x0f"))
         self._guard = int.from_bytes(b"\x80" * self.count, "little")
+        self._ones = int.from_bytes(b"\x01" * self.width, "little")
 
     def counts(self, cells: list, stride: int) -> bytes:
         """Byte t is |A + B_t| for A's cells (x, y, 1), mask t having B_t's cell (x, y)
-        at bit x*stride + y, for sums below bit 64 (a fold spills to bytes 0-6 only)."""
+        at bit x*stride + y, for sums below bit 8*width (a fold spills below the next top byte)."""
         x = _spread(self.packed, cells, stride, 1, 0)
         x -= (x >> 1) & self._m1
         x = (x & self._m2) + ((x >> 2) & self._m2)
         x = (x + (x >> 4)) & self._m4
-        # bytes <= 8: x * 0x0101010101010101 sums each lane carry-free into its byte 7
-        return (x * 0x0101010101010101).to_bytes(8 * self.count + 7, "little")[7::8]
+        # bytes <= 8: x * 0x0101...01 sums each lane carry-free into its top byte
+        top = self.width - 1
+        return (x * self._ones).to_bytes(self.width * self.count + top, "little")[top::self.width]
 
     def at_most(self, counts: bytes, limits: bytes) -> list[int]:
         """The lanes t with counts[t] <= limits[t], ascending; every byte < 128, so
@@ -259,12 +267,13 @@ def _sweep(config: SweepConfig, orbits: Optional[tuple[int, int]] = None) -> Swe
     subs = enumerate_subsets(width, height, None if cap_a is None or cap_b is None
                              else max(cap_a, cap_b), config.require_two_dimensional)
     mirror = _mirror_table(subs, width, height)
+    reps = list(map(min, mirror[::4], mirror[1::4], mirror[2::4], mirror[3::4]))
     ids_a = (i for i, s in enumerate(subs) if cap_a is None or s.size <= cap_a)
 
-    stride, column = 2 * height - 1, (1 << height) - 1
+    stride = 2 * height - 1
     one_d = mode is BoundMode.ONE_DIMENSIONAL
     classes: dict[tuple, int] = {}  # (|B|, m_B), in 1d also B's direction -> index
-    rows_b, masks_b = [], []  # lane t: (index of B, B, class index); mask(B), column x at x*stride
+    rows_b = []  # lane t: (index of B, B, class index)
     for j, b in enumerate(() if mode is BoundMode.DOUBLING else subs):  # doubling's B is A
         m_b = mode_m(b)
         if m_b < config.min_mn or (cap_b is not None and b.size > cap_b) \
@@ -272,8 +281,7 @@ def _sweep(config: SweepConfig, orbits: Optional[tuple[int, int]] = None) -> Swe
             continue
         key = (b.size, m_b, _primitive(b.direction)) if one_d else (b.size, m_b)
         rows_b.append((j, b, classes.setdefault(key, len(classes))))
-        masks_b.append(sum((b.mask >> x * height & column) << x * stride for x in range(width)))
-    lanes = _Lanes(masks_b)
+    lanes = _Lanes([b.lane for _, b, _ in rows_b], (2 * width - 1) * stride)
     lane_classes = bytes(cls for _, _, cls in rows_b)
     class_sizes = [lane_classes.count(cls) for cls in range(len(classes))]
     limits_of: dict[tuple, tuple] = {}  # A's class -> (num, den) per B class, limits, pairs
@@ -318,8 +326,7 @@ def _sweep(config: SweepConfig, orbits: Optional[tuple[int, int]] = None) -> Swe
         a = subs[i]
         if mode_m(a) < config.min_mn:
             continue
-        images = mirror[4 * i:4 * i + 4]
-        rep = min(images)
+        rep = reps[i]
         if (rep if orbits else pos) % parts != part:
             continue
         if rep not in memo:
@@ -329,7 +336,7 @@ def _sweep(config: SweepConfig, orbits: Optional[tuple[int, int]] = None) -> Swe
         memo[rep][3] += 1
         listed = memo[rep][2]
         if listed and rep != i:
-            g = images.index(rep)  # g.A = rep, so A = g.rep
+            g = mirror[4 * i:4 * i + 4].index(rep)  # g.A = rep, so A = g.rep
             listed = sorted((mirror[4 * j + g], outcome) for j, outcome in listed)
         for j, outcome in listed:
             _record(report, a, subs[j], outcome)

@@ -23,7 +23,10 @@ one spread routine.  No dense/sparse rule outside the kernel: `is_sparse`
 and `DENSE_CELLS_PER_PAIR` are referenced only in core and at the sites of
 SPARSE_RULE_ALLOWED, so a caller that wants |A+B| only when the kernel sums
 it densely asks core (`sumset_size(..., _dense_only=True)`) instead of
-copying the kernel's bounding box.
+copying the kernel's bounding box.  Every functools cache is an lru_cache
+with an int-literal maxsize, at a site of CACHE_ALLOWED: a cache holds its
+values for the life of the process, so its size is bounded and chosen where
+it is declared.
 """
 
 import ast
@@ -399,3 +402,67 @@ def test_dense_sparse_rule_use_is_found():
     assert sparse_rule_uses(sources) == ["bounds.<module>", "bounds._pairwise_chain_sums",
                                          "classify.<module>", "classify.classify_thm3",
                                          "classify.Counts"]
+
+
+# The functools caches, each with its reason
+CACHE_ALLOWED = {
+    "classify._case_c_runs": "one case-C spec's runs, reread by classify_thm3 for every "
+                             "pair that the spec's forms are matched against",
+}
+CACHES = ("cache", "lru_cache")
+
+
+def caches(sources: dict) -> list[tuple[str, bool]]:
+    """(`module.name`, bounded) for each use of functools' cache or lru_cache,
+    as `functools.X` or as a name imported from functools: name is the
+    function it decorates, or `<call>` for a use outside a decorator list.
+    Bounded when it is lru_cache called with an int-literal maxsize (first
+    positional or keyword); sources maps module -> text."""
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        imported = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module == "functools"
+                    for alias in node.names}
+        uses = [(f.name, d) for f in ast.walk(tree)
+                if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)) for d in f.decorator_list]
+        decorators = {id(d) for _, d in uses}
+        uses += [("<call>", n) for n in ast.walk(tree)
+                 if isinstance(n, ast.Call) and id(n) not in decorators]
+        for name, node in uses:
+            ref = node.func if isinstance(node, ast.Call) else node
+            label = (ref.attr if isinstance(ref, ast.Attribute) and isinstance(ref.value, ast.Name)
+                     and ref.value.id == "functools" else
+                     imported.get(ref.id) if isinstance(ref, ast.Name) else None)
+            if label not in CACHES:
+                continue
+            size = None if not isinstance(node, ast.Call) else (
+                node.args[0] if node.args else
+                next((k.value for k in node.keywords if k.arg == "maxsize"), None))
+            found.append((f"{module}.{name}", label == "lru_cache"
+                          and isinstance(size, ast.Constant) and type(size.value) is int))
+    return found
+
+
+def test_caches_are_bounded_and_listed():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    found = caches(sources)
+    assert {site for site, _ in found} == set(CACHE_ALLOWED)
+    assert [site for site, bounded in found if not bounded] == []
+
+
+def test_unbounded_cache_is_found():
+    sources = {
+        "search": "import functools\nfrom functools import lru_cache, cache as memo\n\n\n"
+                  "@lru_cache(maxsize=4)\ndef _a(w, h):\n    return w\n\n\n"
+                  "@functools.lru_cache(8)\ndef _b():\n    return 1\n\n\n"
+                  "@lru_cache\ndef _c():\n    return 1\n\n\n"
+                  "@lru_cache(maxsize=None)\ndef _d():\n    return 1\n\n\n"
+                  "@functools.cache\ndef _e():\n    return 1\n\n\n"
+                  "class T:\n    @memo\n    def f(self):\n        return 1\n\n\n"
+                  "g = lru_cache(maxsize=True)(len)\n"
+                  "cache = {}\nobj = T()\nobj.cache = cache\nobj.lru_cache(1)\n",
+    }
+    assert caches(sources) == [("search._a", True), ("search._b", True), ("search._c", False),
+                               ("search._d", False), ("search._e", False), ("search.f", False),
+                               ("search.<call>", False)]

@@ -503,10 +503,11 @@ def test_lane_width_covers_every_grid():
         cfg(grid_width=1, grid_height=33)
 
 
-@pytest.mark.parametrize("grid", [(1, 16), (16, 1), (2, 8), (3, 5), (4, 4)],
+@pytest.mark.parametrize("grid", [(1, 16), (16, 1), (2, 8), (3, 3), (3, 4), (3, 5), (4, 4)],
                          ids=lambda g: "%dx%d" % g)
 def test_lane_counts_match_the_kernel(grid):
-    # full grids reach the widest spans: 49 bits on 4x4, 31 on 1x16 and 16x1
+    # full grids reach the widest spans: 49 bits on 4x4 in 7-byte lanes, 31 on
+    # 1x16 and 16x1 in 4-byte lanes, 25 and 35 on the sweep's 3x3 and 3x4
     width, height = grid
     rng = random.Random(width * 17 + height)
     cells = [(x, y) for x in range(width) for y in range(height)]
@@ -514,7 +515,7 @@ def test_lane_counts_match_the_kernel(grid):
     subsets = [cells, cells[:1], cells[-1:]]
     subsets += [rng.sample(cells, rng.randint(1, len(cells))) for _ in range(60)]
     masks = [bit_mask(lattice_keys(b, stride)) for b in subsets]
-    lanes = search._Lanes(masks)
+    lanes = search._Lanes(masks, (2 * width - 1) * stride)
     everyone = list(range(len(masks)))
     for a in subsets:
         keys_a = lattice_keys(a, stride)
@@ -619,6 +620,46 @@ def test_setup_matches_point_tuple_reference(grid, max_size, two_d):
     assert [s[:6] for s in subs] == want
     assert [s.mask for s in subs] == [bit_mask(lattice_keys(s[0], grid[1])) for s in want]
     assert search._mirror_table(subs, *grid) == reference_mirror_table(want, *grid)
+
+
+def reference_lane(sub, width, height):
+    """B's lane mask as _sweep built it per B before enumerate_subsets emitted
+    it: each column of the cell mask moved to bit x*(2H-1)."""
+    stride, column = 2 * height - 1, (1 << height) - 1
+    return sum((sub.mask >> x * height & column) << x * stride for x in range(width))
+
+
+@pytest.mark.parametrize("grid", GRID_SHAPES, ids=lambda g: "%dx%d" % g)
+def test_lane_mask_matches_the_per_b_reference(grid):
+    width, height = grid
+    for sub in search.enumerate_subsets(width, height):
+        assert sub.lane == reference_lane(sub, width, height) \
+            == bit_mask(lattice_keys(sub.pts, 2 * height - 1)), sub.pts
+
+
+# perfbench's sweep configs and a doubling and a 2-D one, each with the
+# (W, H, cap, 2-D) of its enumeration: the larger cap, or none if either is
+@pytest.mark.parametrize("config,key", [
+    (cfg(grid_width=3, grid_height=3, mode=BoundMode.LINES_GS), (3, 3, None, False)),
+    (cfg(grid_width=3, grid_height=3, mode=BoundMode.SECTIONS_GS, shard_count=3),
+     (3, 3, None, False)),
+    (cfg(grid_width=3, grid_height=4, mode=BoundMode.SECTIONS_GS, min_mn=2, max_size_b=3),
+     (3, 4, None, False)),
+    (cfg(grid_width=3, grid_height=4, mode=BoundMode.SECTIONS_GS, min_mn=2,
+         max_size_a=5, max_size_b=5), (3, 4, 5, False)),
+    (cfg(grid_width=3, grid_height=3, mode=BoundMode.DOUBLING, max_size_a=4), (3, 3, 4, False)),
+    (cfg(grid_width=3, grid_height=3, require_two_dimensional=True, max_size_a=4, max_size_b=2),
+     (3, 3, 4, True)),
+], ids=["3x3-lines", "3x3-3-shards", "3x4-max-b-3", "3x4-5-5", "doubling-max-4", "2d-4-2"])
+def test_each_sweep_enumerates_its_grid_once(config, key):
+    """run_sharded and every shard of sweep() enumerate the subsets once per
+    call, and no table outlives the call: a second run enumerates again."""
+    with mock.patch.object(search, "enumerate_subsets", wraps=search.enumerate_subsets) as spy:
+        for _ in range(2):
+            run_sharded(config)
+        for index in range(config.shard_count):
+            sweep(replace(config, shard_index=index))
+    assert [call.args for call in spy.call_args_list] == [key] * (2 + config.shard_count)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
