@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional
 
 from .bounds import BoundMode, rhs_num_den
@@ -43,7 +42,7 @@ from .core import (AffineMap2D, Point2, PointSet2D, _point, _unscale,
                    arithmetic_progression_of, collinear_direction, grid_sections,
                    parallel_directions, rat_str, shared_difference, sumset_size)
 from .errors import EmptySet, HypothesisViolated, InvalidSpec, ModeMismatch, NotCollinear
-from .families import CaseCSpec, EpsilonSpec, TrapezoidSpec, gen_case_c
+from .families import CaseCSpec, EpsilonSpec, TrapezoidSpec, case_c_rows
 
 
 class Verdict(Enum):
@@ -270,25 +269,21 @@ def _match_eps(runs, mode_m: int, base: Optional[tuple] = None) -> Optional[Epsi
         return None
 
 
-@lru_cache(maxsize=64)
-def _case_c_runs(spec: CaseCSpec) -> tuple:
-    """gen_case_c(spec)'s two sets as runs (each row is cut out by bounds on x)."""
-    return tuple(tuple((y, xs[0], len(xs)) for y, xs in rows.items())
-                 for rows in grid_sections(*gen_case_c(spec), rows=True)[2:])
-
-
 def _case_c_forms(runs_a, runs_b, m: int, n: int) -> list:
     """(spec, want_a, want_b, roles_swapped) per role in which the pair can
-    be case C, want_a and want_b as the runs of (a3, b3).  k depends only
-    on the height, which reflections and shears keep, so one instance per
-    role serves the scan."""
+    be case C, want_a and want_b the family's rows (case_c_rows), as the runs
+    of (a3, b3).  Reflections and shears keep k, read off the height, and the
+    partner's height, B's 4n - 3 rows, so one instance per role serves the scan."""
     forms = []
-    for runs, mm, nn, swapped in ((runs_a, m, n, False), (runs_b, n, m, True)):
+    for runs, partner, mm, nn, swapped in ((runs_a, runs_b, m, n, False),
+                                           (runs_b, runs_a, n, m, True)):
+        if len(partner) != 4 * nn - 3:
+            continue
         try:
             spec = CaseCSpec(mm, nn, len(runs) - 4 * mm + 4)
         except InvalidSpec:
             continue
-        ga, gb = _case_c_runs(spec)
+        ga, gb = case_c_rows(spec)
         forms.append((spec, gb, ga, True) if swapped else (spec, ga, gb, False))
     return forms
 

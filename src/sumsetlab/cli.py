@@ -73,16 +73,19 @@ def _read_source(path: str | None) -> str:
         return fh.read()
 
 
-def _load_pair(args, loader):
-    """Two inputs from --a/--b files or a two-chunk stdin stream."""
-    if args.a is not None and args.b is not None:
-        return loader(_read_source(args.a)), loader(_read_source(args.b))
+def _load_pair(args, loader, alone: bool = False):
+    """Two inputs from --a/--b files or a two-chunk stdin stream; with alone,
+    A alone (--a only, or a one-chunk stream) stands for both."""
+    if args.a is not None and (args.b is not None or alone):
+        a = loader(_read_source(args.a))
+        return a, a if args.b is None else loader(_read_source(args.b))
     if args.a is not None or args.b is not None:
         raise ParseError("provide both --a and --b, or neither (stdin stream)")
     chunks = _split_stream(sys.stdin.read())
-    if len(chunks) < 2:
+    if len(chunks) < 2 and not alone:
         raise ParseError("stdin stream must carry two sets (use `# set:` markers)")
-    return loader(chunks[0][1]), loader(chunks[1][1])
+    a = loader(chunks[0][1])
+    return a, a if len(chunks) < 2 else loader(chunks[1][1])
 
 
 def _load_single(args, loader):
@@ -120,16 +123,7 @@ def _cmd_sumset(args) -> int:
 def _cmd_bound(args) -> int:
     from .bounds import BoundMode, bound
     mode = BoundMode(args.mode)
-    if mode is BoundMode.DOUBLING and args.b is None and args.a is not None:
-        a = loads_points(_read_source(args.a))
-        b = a
-    elif mode is BoundMode.DOUBLING and args.a is None and args.b is None:
-        chunks = _split_stream(sys.stdin.read())
-        a = loads_points(chunks[0][1])
-        b = loads_points(chunks[1][1]) if len(chunks) > 1 else a
-    else:
-        a, b = _load_pair(args, loads_points)
-    rep = bound(mode, a, b)
+    rep = bound(mode, *_load_pair(args, loads_points, alone=mode is BoundMode.DOUBLING))
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write("mode,m,n,lhs,rhs,gap,extremal\n")
@@ -403,7 +397,7 @@ def main(argv=None) -> int:
     except ConsistencyError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    except (SumsetError, OSError) as exc:
+    except (SumsetError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -162,13 +162,10 @@ def _interp(chain: tuple[Point2, ...], x: Rational) -> Rational:
     x = rat(x)
     if x < chain[0].x or x > chain[-1].x:
         raise InvalidSpec(f"x = {rat_str(x)} outside chain domain")
-    for a, b in zip(chain, chain[1:]):
-        if a.x <= x <= b.x:
-            if a.x == b.x:
-                return a.y
+    for a, b in zip(chain, chain[1:]):  # x rises strictly along a chain
+        if x <= b.x:
             t = Fraction(x - a.x) / Fraction(b.x - a.x)
             return rat(a.y + t * (b.y - a.y))
-    return chain[-1].y
 
 
 def _merge_collinear(verts: list) -> list:

@@ -109,16 +109,21 @@ class CaseCSpec:
         return {"m": self.m, "n": self.n, "k": self.k}
 
 
+def case_c_rows(spec: CaseCSpec) -> tuple[tuple, tuple]:
+    """The case-C pair as rows (y, x, k), the row {x, ..., x+k-1} at level y = 0, 1, ...,
+    of A = {x >= 0, y >= 2x, y <= x + top, y <= 2x + 2m - 1}, top = 2m + (k-5)/2,
+    and B = {x >= 0, y >= 2x, y <= x + 2n - 2}: every row ends at x = floor(y/2)."""
+    m, n = spec.m, spec.n
+    top = 2 * m + (spec.k - 5) // 2  # k odd, so (k-5)/2 is exact
+    a = [max(0, y - top, y // 2 - m + 1) for y in range(2 * top + 1)]  # y//2-m+1 = ceil((y-2m+1)/2)
+    b = [max(0, y - 2 * n + 2) for y in range(4 * n - 3)]
+    return tuple(tuple((y, x, y // 2 - x + 1) for y, x in enumerate(starts)) for starts in (a, b))
+
+
 def gen_case_c(spec: CaseCSpec) -> tuple[PointSet2D, PointSet2D]:
-    """The lattice pair
-    A = {x >= 0, y >= 2x, y <= x + 2m + (k-5)/2, y <= 2x + 2m - 1},
-    B = {x >= 0, y >= 2x, y <= x + 2n - 2}, anchored at the origin corner.
-    Column x of A is nonempty for x <= 2m + (k-5)/2, that of B for x <= 2n - 2."""
-    m, n, k = spec.m, spec.n, spec.k
-    top = 2 * m + (k - 5) // 2  # k odd, so (k-5)/2 is exact
-    a = [(x, y) for x in range(top + 1) for y in range(2 * x, min(x + top, 2 * x + 2 * m - 1) + 1)]
-    b = [(x, y) for x in range(2 * n - 1) for y in range(2 * x, x + 2 * n - 1)]
-    return PointSet2D(a), PointSet2D(b)
+    """The case-C pair (A, B), anchored at the origin corner, built from case_c_rows."""
+    return tuple(PointSet2D((x, y) for y, x0, k in rows for x in range(x0, x0 + k))
+                 for rows in case_c_rows(spec))
 
 
 def gen_wild(x: Rational) -> tuple[PointSet2D, PointSet2D]:

@@ -359,3 +359,20 @@ class TestModeRelations:
         a, b = pair
         assert bound(BoundMode.LINES_GS, a, b).gap >= 0
         assert bound(BoundMode.SECTIONS_GS, a, b).gap >= 0
+
+
+# input checks no other test reaches: name -> (call, exception type, message)
+INPUT_CHECKS = {
+    "bound": (lambda: bound(BoundMode.LINES_GS, PointSet2D(), ps((0, 0))),
+              EmptySet, "bound needs nonempty sets"),
+    "chain_diagnostic": (lambda: chain_diagnostic(ps((0, 0)), PointSet2D()),
+                         EmptySet, "chain_diagnostic needs nonempty sets"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INPUT_CHECKS))
+def test_input_checks(name):
+    call, error, message = INPUT_CHECKS[name]
+    with pytest.raises(error) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)

@@ -9,16 +9,16 @@ from unittest import mock
 import pytest
 
 import sumsetlab.classify as library
-from sumsetlab import core
-from sumsetlab import (AffineMap2D, BoundMode, EmptySet, HypothesisViolated,
+from sumsetlab import core, families
+from sumsetlab import (AffineMap2D, BoundMode, EmptySet, HypothesisViolated, ModeMismatch,
                        NotCollinear, Point2, PointSet2D, SweepConfig, Verdict,
                        apply_map, classify_1d, classify_thm2, classify_thm3,
                        bound, collinear_direction, cover_stats, rat,
                        split_check, sweep)
 from sumsetlab.classify import Classification
-from sumsetlab.core import Rational, _point, shared_difference, sumset_size
+from sumsetlab.core import Rational, _point, grid_sections, shared_difference, sumset_size
 from sumsetlab.errors import InvalidSpec
-from sumsetlab.families import (CaseCSpec, EpsilonSpec, TrapezoidSpec,
+from sumsetlab.families import (CaseCSpec, EpsilonSpec, TrapezoidSpec, case_c_rows,
                                 gen_case_c, gen_eps_trapezoid, gen_trapezoid,
                                 gen_wild)
 from test_core import counting
@@ -765,22 +765,92 @@ def test_trapezoid_width_exit_agrees_with_frozen_matcher():
     assert outcomes[True, True] > 0 and outcomes[False, True] > 0 and outcomes[False, False] > 0
 
 
-def test_case_c_forms_are_built_once_per_spec():
-    """classify_thm3 generates each case-C instance it compares with once:
-    two calls on case-C(4,4,7) and one on a sheared image of it make at most
-    one gen_case_c call per CaseCSpec, and answer as the first call did."""
-    a, b = gen_case_c(CaseCSpec(4, 4, 7))
-    shear = AffineMap2D.upper_triangular(Fraction(1, 2), Fraction(-3, 2), 2, 1, 0)
-    library._case_c_runs.cache_clear()
-    with counting(library, "gen_case_c") as generated:
-        first = classify_thm3(a, b)
-        again = classify_thm3(a, b)
-        image = classify_thm3(apply_map(a, shear), apply_map(b, shear))
-    specs = [call.args[0] for call in generated.call_args_list]
-    assert specs and len(specs) == len(set(specs))
-    assert first.verdict is Verdict.CASE_C_PAIR and again.to_json_dict() == first.to_json_dict()
-    assert image.verdict is first.verdict and image.details["spec"] == first.details["spec"]
-    assert library._case_c_runs.cache_info().maxsize is not None
+def frozen_gen_case_c(spec: CaseCSpec) -> tuple[PointSet2D, PointSet2D]:
+    """gen_case_c as it was before it read case_c_rows: both sets cut out
+    column by column."""
+    m, n, k = spec.m, spec.n, spec.k
+    top = 2 * m + (k - 5) // 2
+    a = [(x, y) for x in range(top + 1) for y in range(2 * x, min(x + top, 2 * x + 2 * m - 1) + 1)]
+    b = [(x, y) for x in range(2 * n - 1) for y in range(2 * x, x + 2 * n - 1)]
+    return PointSet2D(a), PointSet2D(b)
+
+
+def frozen_case_c_runs(spec: CaseCSpec) -> tuple:
+    """The case-C forms as classify_thm3 read them before case_c_rows: the
+    grid rows of the column-form pair, as runs (y, x, k)."""
+    return tuple(tuple((y, xs[0], len(xs)) for y, xs in rows.items())
+                 for rows in grid_sections(*frozen_gen_case_c(spec), rows=True)[2:])
+
+
+def half_plane_rows(spec: CaseCSpec) -> tuple:
+    """Each set's rows (y, x, k), found by testing every lattice point of a box
+    around the pair against the half-planes of case_c_rows' docstring; every
+    nonempty row must be one run."""
+    m, n, k = spec.m, spec.n, spec.k
+    top = 2 * m + (k - 5) // 2
+    inside = (lambda x, y: x >= 0 and y >= 2 * x and y <= x + top and y <= 2 * x + 2 * m - 1,
+              lambda x, y: x >= 0 and y >= 2 * x and y <= x + 2 * n - 2)
+    out = []
+    for member in inside:
+        rows = []
+        for y in range(-2, 2 * top + 4 * n):
+            xs = [x for x in range(-2, top + 2 * n) if member(x, y)]
+            if xs:
+                assert xs == list(range(xs[0], xs[-1] + 1)), (spec, y)
+                rows.append((y, xs[0], len(xs)))
+        out.append(tuple(rows))
+    return tuple(out)
+
+
+# m, n in 2..8 and odd k <= 29
+CASE_C_SPECS = [CaseCSpec(m, n, k) for m in range(2, 9) for n in range(2, 9) for k in range(1, 30, 2)]
+
+
+class TestCaseCRows:
+    """Case C is written once, as case_c_rows: gen_case_c builds its sets
+    from the rows and classify_thm3 compares with them."""
+
+    def test_rows_match_the_column_form_and_the_half_planes(self):
+        assert len(CASE_C_SPECS) == 735
+        for spec in CASE_C_SPECS:
+            rows = case_c_rows(spec)
+            assert rows == frozen_case_c_runs(spec) == half_plane_rows(spec), spec
+
+    def test_generator_matches_the_column_form(self):
+        for spec in CASE_C_SPECS:
+            got, want = gen_case_c(spec), frozen_gen_case_c(spec)
+            assert [s.points for s in got] == [s.points for s in want], spec
+
+    def test_forms_build_no_set(self):
+        """On case-C(4,4,7) and a sheared image of it, classify_thm3 calls
+        neither gen_case_c nor PointSet2D.__init__."""
+        a, b = gen_case_c(CaseCSpec(4, 4, 7))
+        shear = AffineMap2D.upper_triangular(Fraction(1, 2), Fraction(-3, 2), 2, 1, 0)
+        pairs = [(a, b), (apply_map(a, shear), apply_map(b, shear))]
+        with counting(families, "gen_case_c") as generated, \
+                mock.patch.object(PointSet2D, "__init__", autospec=True,
+                                  side_effect=PointSet2D.__init__) as built:
+            classes = [classify_thm3(*pair) for pair in pairs]
+        assert [(c.verdict, c.details["spec"]) for c in classes] \
+            == [(Verdict.CASE_C_PAIR, CaseCSpec(4, 4, 7))] * 2
+        assert (generated.call_count, built.call_count) == (0, 0)
+
+    def test_family_edges_classify(self):
+        """For m, n in 2..5 and odd k <= 9 the pair is case C with its own
+        spec, as generated and under a seeded upper-triangular map after
+        each axis reflection; without A's top row it is not case C."""
+        rng = random.Random(30)
+        specs = [CaseCSpec(m, n, k) for m in range(2, 6) for n in range(2, 6) for k in range(1, 10, 2)]
+        for spec in specs:
+            a, b = gen_case_c(spec)
+            maps = [AffineMap2D.diagonal(fx, fy).compose(seeded_map(rng, upper_triangular=True))
+                    for fx in (1, -1) for fy in (1, -1)]
+            for sa, sb in [(a, b)] + [(apply_map(a, mp), apply_map(b, mp)) for mp in maps]:
+                cls = classify_thm3(sa, sb)
+                assert (cls.verdict, cls.details.get("spec")) == (Verdict.CASE_C_PAIR, spec)
+            top = max(p.y for p in a)
+            cut = classify_thm3(PointSet2D(p for p in a if p.y != top), b)
+            assert cut.verdict is not Verdict.CASE_C_PAIR, spec
 
 
 class TestThm2MatchesReference:
@@ -1340,3 +1410,24 @@ class TestTrapezoidZones:
     def test_positive_slope_rejected(self):
         with pytest.raises(HypothesisViolated):
             TrapezoidZones.of(TrapezoidSpec(4, 16, 1, 2))
+
+
+# input checks no other test reaches: name -> (call, exception type, message)
+INPUT_CHECKS = {
+    "classify_1d empty": (lambda: classify_1d(PointSet2D(), ps((0, 0))), EmptySet,
+                          "classify_1d needs nonempty sets"),
+    "classify_thm2 empty": (lambda: classify_thm2(ps((0, 0)), PointSet2D()), EmptySet,
+                            "classify_thm2 needs nonempty sets"),
+    "classify_thm3 empty": (lambda: classify_thm3(PointSet2D(), ps((0, 0))), EmptySet,
+                            "classify_thm3 needs nonempty sets"),
+    "classify_1d crossing lines": (lambda: classify_1d(ps((0, 0), (1, 0)), ps((0, 0), (0, 1))),
+                                   ModeMismatch, "1d mode requires the two lines to be parallel"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INPUT_CHECKS))
+def test_input_checks(name):
+    call, error, message = INPUT_CHECKS[name]
+    with pytest.raises(error) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)

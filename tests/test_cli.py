@@ -9,9 +9,10 @@ from unittest import mock
 
 import pytest
 
-from sumsetlab import (BoundMode, BoundReport, bound, gen_wild, loads_points,
+from sumsetlab import (BoundMode, BoundReport, bound, dumps_points, gen_wild, loads_points,
                        minkowski_sum)
 from sumsetlab.cli import _MODE_CHOICES, main
+from sumsetlab.errors import ConsistencyError
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -340,6 +341,100 @@ class TestErrors:
         assert capsys.readouterr().err.startswith("error: --approx: ")
         code, out = run_cli(argv, stdin_text)
         assert code == 0 and json.loads(out)
+
+
+class TestInputPaths:
+    """CLI input paths and error exits that no other test reaches."""
+    SQUARE = "0 0\n1 0\n0 1\n1 1\n"
+
+    def doubling_report(self):
+        square = loads_points(self.SQUARE)
+        return json.dumps(bound(BoundMode.DOUBLING, square, square).to_json_dict(), indent=2) + "\n"
+
+    def test_doubling_reads_a_alone(self, tmp_path):
+        path = tmp_path / "a.txt"
+        path.write_text(self.SQUARE)
+        want = (0, self.doubling_report())
+        assert run_cli(["bound", "--mode", "doubling", "--a", str(path)]) == want
+        assert run_cli(["bound", "--mode", "doubling"], self.SQUARE) == want
+        two = f"# set: A\n{self.SQUARE}# set: B\n{self.SQUARE}"
+        assert run_cli(["bound", "--mode", "doubling"], two) == want
+
+    def test_doubling_with_b_alone_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "b.txt"
+        path.write_text(self.SQUARE)
+        assert run_cli(["bound", "--mode", "doubling", "--b", str(path)]) == (2, "")
+        assert capsys.readouterr().err == \
+            "error: provide both --a and --b, or neither (stdin stream)\n"
+
+    def test_bound_csv_bytes(self, tmp_path):
+        path = tmp_path / "bound.csv"
+        _, stream = run_cli(["gen", "wild", "--x", "4"])
+        code, _ = run_cli(["bound", "--mode", "sections", "--csv", str(path)], stream)
+        assert code == 0
+        assert path.read_bytes() == b"mode,m,n,lhs,rhs,gap,extremal\nsections,1,4,17,17,0,True\n"
+
+    def test_sumset_out_file(self, tmp_path):
+        path = tmp_path / "sum.txt"
+        _, stream = run_cli(["gen", "wild", "--x", "4"])
+        code, out = run_cli(["sumset", "--out", str(path)], stream)
+        assert code == 0
+        assert path.read_text() == json.loads(out)["points"] == dumps_points(minkowski_sum(*gen_wild(4)))
+
+    def test_grid_without_height_exit_2(self, capsys):
+        assert run_cli(["sweep", "--grid", "3x", "--mode", "lines"]) == (2, "")
+        assert capsys.readouterr().err == "error: --grid expects WxH, got '3x'\n"
+
+    def test_lemma_avg_entries(self, capsys):
+        plain = run_cli(["lemma-avg", "--a", "0=1,1=3", "--b", "0=2"])
+        assert plain[0] == 0
+        assert run_cli(["lemma-avg", "--a", "0=1, ,1=3,", "--b", "0=2"]) == plain
+        assert run_cli(["lemma-avg", "--a", "0=1,5", "--b", "0=2"]) == (2, "")
+        assert capsys.readouterr().err == "error: sequence entries look like index=value, got '5'\n"
+
+    def test_poly_stretch_reads_one_chunk(self, capsys):
+        triangle = "0 0\n1 0\n0 1\n"
+        assert run_cli(["poly", "stretch", "--amount", "1"], triangle) \
+            == (0, "# set: A\n0 0\n1 0\n1 1\n0 2\n")
+        two = f"# set: A\n{triangle}# set: B\n{triangle}"
+        assert run_cli(["poly", "stretch", "--amount", "1"], two) == (2, "")
+        assert capsys.readouterr().err == "error: expected exactly one set on stdin\n"
+
+    def test_pair_command_on_one_chunk_exit_2(self, capsys):
+        assert run_cli(["sumset"], "0 0\n1 0\n") == (2, "")
+        assert capsys.readouterr().err == \
+            "error: stdin stream must carry two sets (use `# set:` markers)\n"
+
+    def test_consistency_error_exit_1(self, monkeypatch, capsys):
+        def broken(args):
+            raise ConsistencyError("sum disagrees")
+        monkeypatch.setattr("sumsetlab.cli._cmd_sumset", broken)
+        assert run_cli(["sumset"]) == (1, "")
+        assert capsys.readouterr().err == "verification failure: sum disagrees\n"
+
+
+class TestUndecodableInput:
+    """Bytes that are not UTF-8 are malformed input: exit 2 with one error line."""
+
+    def assert_one_error_line(self, proc):
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        err = proc.stderr.decode()
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+    def test_file(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xff\n")
+        proc = subprocess.run([sys.executable, "-m", "sumsetlab", "sumset", "--a", str(path),
+                               "--b", str(path)], capture_output=True,
+                              env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120)
+        self.assert_one_error_line(proc)
+
+    def test_stdin_decoded_strictly(self):
+        env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONIOENCODING="utf-8")
+        proc = subprocess.run([sys.executable, "-m", "sumsetlab", "sumset"], input=b"\xff\n",
+                              capture_output=True, env=env, timeout=120)
+        self.assert_one_error_line(proc)
 
 
 # The stderr argparse printed for an unknown mode before the choices became a

@@ -99,3 +99,18 @@ def test_compression_never_grows_sumsets_exhaustive_3x3():
             plain = len({p + q for p in ea for q in eb})
             squeezed = len({p + q for p in ca for q in cb})
             assert squeezed <= plain
+
+
+# input checks no other test reaches: name -> (call, exception type, message)
+INPUT_CHECKS = {
+    "compression_chain": (lambda: compression_chain(PointSet2D(), ps((0, 0))),
+                          EmptySet, "compression_chain needs nonempty sets"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INPUT_CHECKS))
+def test_input_checks(name):
+    call, error, message = INPUT_CHECKS[name]
+    with pytest.raises(error) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)

@@ -9,7 +9,7 @@ from unittest import mock
 import pytest
 
 from conftest import convex_hull, random_convex_polygon, random_rational_convex_polygon
-from sumsetlab import (BoundaryChains, ConvexPolygon, DegenerateProjection,
+from sumsetlab import (BoundaryChains, ConvexPolygon, DegenerateProjection, EmptySet,
                        StretchDecomposition, rat,
                        HypothesisViolated, InvalidAmount, InvalidSpec, ParseError, Point2,
                        bonnesen_report, clip_vertical_slab,
@@ -859,3 +859,28 @@ class TestGridMatchesReference:
         with pytest.raises(InvalidSpec) as got:
             ConvexPolygon(verts)
         assert str(got.value) == str(want.value)
+
+
+TRIANGLE = ConvexPolygon([(0, 0), (2, 0), (0, 2)])
+
+# input checks no other test reaches: name -> (call, exception type, message)
+INPUT_CHECKS = {
+    "loads_polygon empty": (lambda: loads_polygon(""), EmptySet,
+                            "polygon file has no vertices"),
+    "clip x0 >= x1": (lambda: clip_vertical_slab(TRIANGLE, 1, 1), InvalidSpec, "need x0 < x1"),
+    "clip outside": (lambda: clip_vertical_slab(TRIANGLE, 1, 3), InvalidSpec,
+                     "slab outside the polygon's projection"),
+    "partition k = 0": (lambda: partition_check(TRIANGLE, TRIANGLE, 0), InvalidSpec,
+                        "k must be a positive integer"),
+    "graph body of zero area": (
+        lambda: graph_body_bounds(ConvexPolygon([(0, 0), (2, 0)]), TRIANGLE),
+        HypothesisViolated, "graph body needs positive area"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INPUT_CHECKS))
+def test_input_checks(name):
+    call, error, message = INPUT_CHECKS[name]
+    with pytest.raises(error) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)

@@ -1033,3 +1033,21 @@ class TestEqualityAcrossBirths:
         total = minkowski_sum(a, b)
         assert total._ints()[:2] == (2, 2)  # the summands' grid, not reduced
         assert_same_set([total] + births(total), ps((1, 0), (2, 0), (0, 2), (1, 2)))
+
+
+# input checks no other test reaches: name -> (call, exception type, message)
+INPUT_CHECKS = {
+    "cover_stats": (lambda: cover_stats(PointSet2D()), EmptySet, "cover_stats needs a nonempty set"),
+    "collinear_direction": (lambda: collinear_direction(PointSet2D()),
+                            EmptySet, "collinear_direction needs a nonempty set"),
+    "arithmetic_progression_of": (lambda: arithmetic_progression_of(PointSet2D()),
+                                  EmptySet, "arithmetic_progression_of needs a nonempty set"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INPUT_CHECKS))
+def test_input_checks(name):
+    call, error, message = INPUT_CHECKS[name]
+    with pytest.raises(error) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)

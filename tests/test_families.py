@@ -165,3 +165,24 @@ class TestFamilyExtremality:
         b = gen_trapezoid(TrapezoidSpec(4, 7, 1, 2))
         rep = bound(BoundMode.SECTIONS_GS, a, b)
         assert rep.rhs == 133 and rep.extremal
+
+
+# input checks no other test reaches: name -> (call, exception type, message)
+INPUT_CHECKS = {
+    "TrapezoidSpec m < 1": (lambda: TrapezoidSpec(0, 3, 0, 0), InvalidSpec,
+                            "m must be a positive integer"),
+    "TrapezoidSpec h < 1": (lambda: TrapezoidSpec(2, 0, 0, 0), InvalidSpec,
+                            "h must be a positive integer"),
+    "EpsilonSpec rational slopes": (
+        lambda: EpsilonSpec(TrapezoidSpec(2, 4, Fraction(3, 2), Fraction(1, 2))),
+        InvalidSpec, "epsilon trapezoid needs integer slopes"),
+    "CaseCSpec m < 2": (lambda: CaseCSpec(1, 3, 3), InvalidSpec, "case-c needs m, n >= 2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INPUT_CHECKS))
+def test_input_checks(name):
+    call, error, message = INPUT_CHECKS[name]
+    with pytest.raises(error) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)

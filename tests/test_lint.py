@@ -26,7 +26,7 @@ it densely asks core (`sumset_size(..., _dense_only=True)`) instead of
 copying the kernel's bounding box.  Every functools cache is an lru_cache
 with an int-literal maxsize, at a site of CACHE_ALLOWED: a cache holds its
 values for the life of the process, so its size is bounded and chosen where
-it is declared.
+it is declared.  CACHE_ALLOWED is empty, so no module keeps a cache.
 """
 
 import ast
@@ -405,10 +405,7 @@ def test_dense_sparse_rule_use_is_found():
 
 
 # The functools caches, each with its reason
-CACHE_ALLOWED = {
-    "classify._case_c_runs": "one case-C spec's runs, reread by classify_thm3 for every "
-                             "pair that the spec's forms are matched against",
-}
+CACHE_ALLOWED: dict[str, str] = {}
 CACHES = ("cache", "lru_cache")
 
 

@@ -862,3 +862,22 @@ def test_analyze_matches_point_set_stats(grid):
     for sa, wa in pairs.items():
         for sb, wb in pairs.items():
             assert search._parallel(sa, sb) == reference_parallel(wa, wb), (sa, sb)
+
+
+# input checks no other test reaches: name -> (call, exception type, message);
+# figures has no test module of its own, and its sets are checked here
+INPUT_CHECKS = {
+    "SweepConfig side 0": (lambda: SweepConfig(0, 3, BoundMode.LINES_GS),
+                           InvalidSpec, "grid dimensions must be positive"),
+    "SweepConfig min_mn 0": (lambda: SweepConfig(3, 3, BoundMode.SECTIONS_GS, min_mn=0),
+                             InvalidSpec, "min_mn must be >= 1"),
+    "figure_sets(4)": (lambda: figure_sets(4), InvalidSpec, "no built-in figure 4"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INPUT_CHECKS))
+def test_input_checks(name):
+    call, error, message = INPUT_CHECKS[name]
+    with pytest.raises(error) as info:
+        call()
+    assert (type(info.value), str(info.value)) == (error, message)
