@@ -17,17 +17,19 @@ steps, and no point set is rebuilt on the way:
   level, for the row {x, ..., x+k-1}.  The candidate walk runs on integers:
   the starts x are grid ints on the scale dx, the grid row step, a shear
   lands a run on integers when its scaled shift divides by dx, and only the
-  reported shear turns back into a rational.  The candidate shears are the
-  consecutive row-minimum and row-maximum differences of either set.  One
-  scan over the reflections and candidate shears tries every family not yet
-  matched at each candidate.  The verdict is the most specific family that
-  matches at any candidate (standard, then shifted trapezoids, then case C),
-  witnessed by its first matching candidate; the others that match are
-  listed in also_matches.  A verdict-only scan, the sweep's, stops at the
-  first standard match, which is the verdict.  Shear candidates plus
-  reflections are exhaustive because every family's row-extreme sequences
-  are piecewise arithmetic with a flat piece; the exhaustive sweep
-  cross-validates this (an escape would surface as ExtremalUnclassified).
+  reported shear turns back into a rational.  The candidate shears are 0
+  and the consecutive row-minimum and row-maximum differences of either set;
+  with the reflections they are exhaustive, as every family's row-extreme
+  sequences are piecewise arithmetic with a flat piece (the exhaustive sweep
+  cross-validates this: an escape would surface as ExtremalUnclassified).
+  One scan tries each family not yet matched only at the shears it admits,
+  a condition that its own matcher needs: every row inside a longest one
+  for standard trapezoids (an interval per set); the shifted set's row 1 at
+  its base's start or one past it for shifted trapezoids (two per role);
+  row 1 where the family's row 1 starts for case C (one per form).  The
+  verdict is the most specific family that matches (standard, shifted, case
+  C), witnessed by its first matching candidate; the others that match are
+  in also_matches.  A verdict-only scan stops at the first standard match.
 """
 
 from __future__ import annotations
@@ -244,16 +246,13 @@ def _eps_base(counts, mode_m: int) -> Optional[tuple]:
     return base, starts
 
 
-def _match_eps(runs, mode_m: int, base: Optional[tuple] = None) -> Optional[EpsilonSpec]:
+def _match_eps(runs, mode_m: int, base: tuple) -> Optional[EpsilonSpec]:
     """Recognize the set with these integer runs (min x = 0), mode_m the
-    longest, as a shifted trapezoid on base, _eps_base of its row counts,
-    read here unless the caller holds it.  The set matches when each run
-    starts at the base row's start plus a shift that climbs by 0 or 1 per
-    row from 0; the rows where it climbs are the spec's ones.
+    longest, as a shifted trapezoid on base, the _eps_base of its row counts.
+    The set matches when each run starts at the base row's start plus a shift
+    that climbs by 0 or 1 per row from 0; the rows where it climbs are the
+    spec's ones.
     """
-    base = base or _eps_base([k for _, _, k in runs], mode_m)
-    if base is None:
-        return None
     ones = []
     shift = 0
     for (y, x, _), lo in zip(runs, base[1]):
@@ -315,30 +314,6 @@ def _reflect(runs, rx: bool, ry: bool, scale: int) -> list:
     return runs
 
 
-def _normalized_candidates(runs_a, runs_b, scale: int):
-    """Yield (a3, b3, rx, ry, g), a3 and b3 as integer runs, for every
-    reflection and candidate shear gamma = g/scale that lands both sets on
-    integers; runs_a and runs_b carry their starts scaled by scale.
-
-    The candidates are 0 and the slopes between consecutive row minima and
-    between consecutive row maxima of either set, negated when one axis is
-    reflected, in the order of (|gamma|, gamma).  b is not sheared when a
-    already fails."""
-    slopes = {0}
-    for runs in (runs_a, runs_b):
-        for (_, x0, k0), (_, x1, k1) in zip(runs, runs[1:]):
-            slopes.add(x1 - x0)
-            slopes.add(x1 - x0 + scale * (k1 - k0))
-    for rx, ry in ((False, False), (True, False), (False, True), (True, True)):
-        ra, rb = (_reflect(runs, rx, ry, scale) for runs in (runs_a, runs_b))
-        sign = -1 if rx != ry else 1
-        for g in sorted({sign * g for g in slopes}, key=lambda v: (abs(v), v)):
-            a3 = _sheared_form(ra, g, scale)
-            b3 = None if a3 is None else _sheared_form(rb, g, scale)
-            if b3 is not None:
-                yield a3, b3, rx, ry, g
-
-
 def _match_standard(a3, b3, m: int, n: int) -> Optional[dict]:
     ta, tb = _match_trapezoid(a3, m), _match_trapezoid(b3, n)
     if ta is not None and tb is not None and ta.c == tb.c and ta.d == tb.d:
@@ -346,14 +321,12 @@ def _match_standard(a3, b3, m: int, n: int) -> Optional[dict]:
     return None
 
 
-def _match_shifted(a3, b3, m: int, n: int, bases: dict, ry: bool) -> Optional[dict]:
-    """bases[ry] holds the _eps_base of a3's and of b3's row counts, read at
-    the first candidate of each y-reflection: shears and x-reflections keep them."""
-    if ry not in bases:
-        bases[ry] = [_eps_base([k for _, _, k in runs], mm) for runs, mm in ((a3, m), (b3, n))]
-    for sa, sb, mm, nn, base, swapped in ((a3, b3, m, n, bases[ry][0], False),
-                                          (b3, a3, n, m, bases[ry][1], True)):
-        eps = base and _match_eps(sa, mm, base)
+def _match_shifted(a3, b3, m: int, n: int, roles: list) -> Optional[dict]:
+    """roles: (swapped, base) per role that admits this candidate, base the
+    _eps_base of the row counts of its shifted set, b3 when swapped."""
+    for swapped, base in roles:
+        sa, sb, mm, nn = (b3, a3, n, m) if swapped else (a3, b3, m, n)
+        eps = _match_eps(sa, mm, base)
         if eps is not None:
             partner = _match_trapezoid(sb, nn)
             want_h = (nn - 1) * int(eps.base.d) + 1
@@ -370,30 +343,90 @@ def _match_wedge(a3, b3, forms: list) -> Optional[dict]:
     return None
 
 
+def _width_interval(runs, mode_m: int, scale: int) -> tuple[int, int]:
+    """(lo, hi): _match_trapezoid's width exit passes on these runs (starts on
+    scale) sheared by g/scale only if each run (y, x, k) lies in a longest one
+    at (yl, xl): v <= g*(y - yl) <= u, u = x - xl, v = u + scale*(k - mode_m)."""
+    yl, xl, _ = runs[[k for _, _, k in runs].index(mode_m)]  # the first longest run
+    lows, highs = [], []
+    for y, x, k in runs:
+        t, u, v = y - yl, x - xl, x - xl + scale * (k - mode_m)
+        if t:  # dividing by t < 0 swaps the ends
+            lows.append(-(-(v if t > 0 else u) // t))
+            highs.append((u if t > 0 else v) // t)
+    return max(lows), min(highs)
+
+
 def _scan(rows_a: dict, rows_b: dict, m: int, n: int, dx: int, verdict_only: bool) -> list:
-    """(3) one scan over every reflection and candidate shear: (tag, verdict,
-    details, (rx, ry, g), a3, b3) per family that matched, at its first
-    matching candidate, in the specificity order of families (tag, verdict,
-    matcher).  The families can overlap up to the group (a standard pair may
-    be a shifted pair in sheared coordinates), so the verdict is the first."""
+    """(3) one scan over every reflection and candidate shear g/dx: (tag,
+    verdict, details, (rx, ry, g), a3, b3) per family that matched, at its
+    first matching candidate, in the specificity order of families, so the
+    verdict is the first.  A family is tried only at the g it admits, read at
+    its first try in a reflection, each a necessary condition of its matcher:
+    (a) g in both sets' _width_interval, negated if one axis is reflected;
+    (b) per role, g = x_1 - x_0 - dx*(lo_1 + 0 or 1), as _match_eps holds run 0
+        at x = 0 and run 1 at the base's lo_1 plus a shift of 0 or 1; and (a)
+        for the partner; (c) per case-C form, the g that starts a3's run 1
+        where want_a's starts."""
     runs_a, runs_b = ([(y, xs[0], len(xs)) for y, xs in enumerate(rows.values())]  # starts on dx
                       for rows in (rows_a, rows_b))
-    wedges = _case_c_forms(runs_a, runs_b, m, n)
-    bases: dict = {}  # _match_shifted's eps bases per y-reflection
-    families = (("a", Verdict.TRAPEZOID_PAIR, lambda a3, b3, ry: _match_standard(a3, b3, m, n)),
-                ("b", Verdict.EPS_TRAPEZOID_PAIR,
-                 lambda a3, b3, ry: _match_shifted(a3, b3, m, n, bases, ry)),
-                ("c", Verdict.CASE_C_PAIR, lambda a3, b3, ry: _match_wedge(a3, b3, wedges)))
+    slopes = {0}
+    for runs in (runs_a, runs_b):
+        for (_, x0, k0), (_, x1, k1) in zip(runs, runs[1:]):
+            slopes.add(x1 - x0)
+            slopes.add(x1 - x0 + dx * (k1 - k0))
+    width = (alo, ahi), (blo, bhi) = _width_interval(runs_a, m, dx), _width_interval(runs_b, n, dx)
+    forms, bases = _case_c_forms(runs_a, runs_b, m, n), {}  # bases: both sets' per y-reflection
+
+    def shifted(ra, rb, ry, sign):  # g -> the roles (swapped, base) that admit it
+        if ry not in bases:  # shears and x-reflections keep the row counts
+            bases[ry] = [_eps_base([k for _, _, k in runs], mm) for runs, mm in ((ra, m), (rb, n))]
+        roles: dict = {}
+        for runs, base, (lo, hi), swapped in ((ra, bases[ry][0], width[1], False),
+                                              (rb, bases[ry][1], width[0], True)):
+            for step in (0, 1) if base else ():
+                g = runs[1][1] - runs[0][1] - dx * (base[1][1] + step)
+                if lo <= sign * g <= hi:
+                    roles.setdefault(g, []).append((swapped, base))
+        return roles.get
+
+    def wedge(ra, rb, ry, sign):  # g -> the forms that admit it
+        shears: dict = {}
+        for form in forms:
+            want = form[1]
+            shears.setdefault(ra[1][1] - ra[0][1] - dx * (want[1][1] - want[0][1]), []).append(form)
+        return shears.get
+
+    families = (("a", Verdict.TRAPEZOID_PAIR, None, lambda a3, b3, _: _match_standard(a3, b3, m, n)),
+                ("b", Verdict.EPS_TRAPEZOID_PAIR, shifted,
+                 lambda a3, b3, roles: _match_shifted(a3, b3, m, n, roles)),
+                ("c", Verdict.CASE_C_PAIR, wedge, _match_wedge))
     found: dict = {}  # tag -> (details, (rx, ry, g), a3, b3)
-    tries = ((tag, match, cand) for cand in _normalized_candidates(runs_a, runs_b, dx)
-             for tag, _, match in families)
-    for tag, match, (a3, b3, rx, ry, g) in tries:
-        got = None if tag in found else match(a3, b3, ry)
-        if got is not None:
-            found[tag] = (got, (rx, ry, g), a3, b3)
-            if len(found) == len(families) or verdict_only and tag == "a":
-                break
-    return [(tag, verdict, *found[tag]) for tag, verdict, _ in families if tag in found]
+    for rx, ry in ((False, False), (True, False), (False, True), (True, True)):
+        ra, rb = (_reflect(runs, rx, ry, dx) for runs in (runs_a, runs_b))
+        sign = -1 if rx != ry else 1
+        admits = {"a": lambda g: () if alo <= sign * g <= ahi and blo <= sign * g <= bhi else None}
+        for g in sorted({sign * g for g in slopes}, key=lambda v: (abs(v), v)):
+            sheared = None  # (a3, b3), b3 None when a set does not land on integers
+            for tag, _, admit, match in families:
+                if tag in found:
+                    continue
+                if tag not in admits:
+                    admits[tag] = admit(ra, rb, ry, sign)
+                arg = admits[tag](g)
+                if arg is None:
+                    continue
+                if sheared is None:
+                    a3 = _sheared_form(ra, g, dx)
+                    sheared = a3, None if a3 is None else _sheared_form(rb, g, dx)
+                if sheared[1] is None:
+                    break
+                got = match(*sheared, arg)
+                if got is not None:
+                    found[tag] = (got, (rx, ry, g), *sheared)
+                    if len(found) == len(families) or verdict_only and tag == "a":
+                        return [(t, v, *found[t]) for t, v, *_ in families if t in found]
+    return [(tag, verdict, *found[tag]) for tag, verdict, *_ in families if tag in found]
 
 
 def classify_thm3(a: PointSet2D, b: PointSet2D, *, verdict_only: bool = False,

@@ -177,9 +177,9 @@ class PointSet2D:
     @classmethod
     def _of_runs(cls, runs) -> "PointSet2D":
         """The int set of the column runs (x, y, k), points (x, y + i) for i < k,
-        given one per x in ascending x; the kernel reads the runs as given."""
-        out = cls._on_grid(1, 1, [x for x, _, k in runs for _ in range(k)],
-                           [y for _, y0, k in runs for y in range(y0, y0 + k)])
+        given one per x in ascending x; the kernel reads the runs, not the grid."""
+        out = object.__new__(cls)._fill(sum(k for _, _, k in runs), lambda: (
+            1, 1, [x for x, _, k in runs for _ in range(k)], [y + i for _, y, k in runs for i in range(k)]))
         object.__setattr__(out, "_runs", (runs, min(y for _, y, _ in runs),
                                           max(y + k for _, y, k in runs) - 1))
         return out
@@ -187,10 +187,19 @@ class PointSet2D:
     def _ints(self) -> tuple:
         """(sx, sy, xs, ys): this set on its integer grid."""
         grid = self._grid
-        if grid.__class__ is not tuple:  # a sum's keys, decoded once
+        if grid.__class__ is not tuple:  # a sum's keys or _of_runs' runs, decoded once
             grid = grid()
             object.__setattr__(self, "_grid", grid)
         return grid
+
+    def _frame(self) -> tuple:
+        """(sx, sy, first x, last x, lowest y, highest y) of a nonempty set, off its
+        runs when it has them: with its grid not yet decoded, it is _of_runs' on 1, 1."""
+        if self._runs is None:
+            sx, sy, xs, ys = self._ints()
+            return sx, sy, xs[0], xs[-1], min(ys), max(ys)
+        (runs, lo, hi), grid = self._runs, self._grid
+        return (*(grid[:2] if grid.__class__ is tuple else (1, 1)), runs[0][0], runs[-1][0], lo, hi)
 
     def _column_runs(self, lo: int, hi: int) -> list:
         """The maximal column runs (x, y, k), grid points (x, y + i) for i < k; kept with lo, hi."""
@@ -449,30 +458,28 @@ def _packed_sum(a: PointSet2D, b: PointSet2D, caller: str, dense_only: bool = Fa
     the keys are the set of pairwise sums, and no runs are walked."""
     if len(a) == 0 or len(b) == 0:
         raise EmptySet(f"{caller} needs nonempty sets")
-    (sxa, sya, xs_a, ys_a), (sxb, syb, xs_b, ys_b), ra, rb = a._ints(), b._ints(), a._runs, b._runs
+    (sxa, sya, xa, xa_end, lo_a, hi_a), (sxb, syb, xb, xb_end, lo_b, hi_b) = a._frame(), b._frame()
     sx, sy = lcm(sxa, sxb), lcm(sya, syb)
     pa, pb, qa, qb = sx // sxa, sx // sxb, sy // sya, sy // syb  # onto the common grid
-    lo_a, hi_a = (ra[1], ra[2]) if ra else (min(ys_a), max(ys_a))
-    lo_b, hi_b = (rb[1], rb[2]) if rb else (min(ys_b), max(ys_b))
     stride = (hi_a - lo_a) * qa + (hi_b - lo_b) * qb + 1
     ca, cb = pa * stride, pb * stride  # the key step of one x of a set's own grid
-    base_a, base_b = xs_a[0] * ca + lo_a * qa, xs_b[0] * cb + lo_b * qb  # so keys start at 0
-    if is_sparse((xs_a[-1] - xs_a[0]) * ca + (xs_b[-1] - xs_b[0]) * cb + stride, len(a), len(b)):
+    base_a, base_b = xa * ca + lo_a * qa, xb * cb + lo_b * qb  # so keys start at 0
+    if is_sparse((xa_end - xa) * ca + (xb_end - xb) * cb + stride, len(a), len(b)):
         if dense_only:
             return None
-        keys_a = [x * ca + y * qa - base_a for x, y in zip(xs_a, ys_a)]
-        keys_b = [x * cb + y * qb - base_b for x, y in zip(xs_b, ys_b)]
+        keys_a = [x * ca + y * qa - base_a for x, y in zip(*a._ints()[2:])]
+        keys_b = [x * cb + y * qb - base_b for x, y in zip(*b._ints()[2:])]
         keys = {u + w for u in keys_a for w in keys_b}
     else:
         mask_b = 0
-        for x, y, k in rb[0] if rb else b._column_runs(lo_b, hi_b):
+        for x, y, k in b._runs[0] if b._runs else b._column_runs(lo_b, hi_b):
             block = 1 if k == 1 else ((1 << k * qb) - 1) // ((1 << qb) - 1)  # k bits, qb apart
             mask_b |= block << (x * cb + y * qb - base_b)
         runs_a = a._runs[0] if a._runs else a._column_runs(lo_a, hi_a)  # b's, if a is b
         keys = _spread(mask_b, runs_a, ca, qa, base_a)
     return object.__new__(PointSet2D)._fill(
         len(keys) if keys.__class__ is set else keys.bit_count(),
-        partial(_unpack, keys, stride, xs_a[0] * pa + xs_b[0] * pb, lo_a * qa + lo_b * qb, sx, sy))
+        partial(_unpack, keys, stride, xa * pa + xb * pb, lo_a * qa + lo_b * qb, sx, sy))
 
 
 def grid_sections(a: PointSet2D, b: PointSet2D, rows: bool) -> tuple[int, int, dict, dict]:
