@@ -19,9 +19,9 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import sub
 
-from .core import (PointSet2D, Rational, _spread, bit_mask, collinear_direction,
-                   cover_stats, grid_sections, is_sparse, minkowski_sum,
-                   parallel_directions, rat, rat_str, shared_difference, sumset_size)
+from .core import (PointSet2D, Rational, _line_sum_size, collinear_direction, cover_stats,
+                   grid_sections, minkowski_sum, parallel_directions, rat, rat_str,
+                   shared_difference, sumset_size)
 from .errors import EmptySet, InvalidSpec, ModeMismatch
 
 
@@ -205,15 +205,13 @@ def _pairwise_chain_sums(sa: dict, sb: dict) -> tuple[int, int]:
     so A_i + B_j lies in [0, end_i + end_j] and has at most ub = min(|A_i|·|B_j|,
     end_i + end_j + 1) points.  A pair whose ub cannot beat the best count at
     i + j is skipped; when ub is the Cauchy-Davenport bound |A_i| + |B_j| - 1
-    it is the count.  Only the other pairs are counted: mask(B_j) spread over
-    A_i's values by core's _spread or, under its sparse rule, a key set."""
+    it is the count.  Only the other pairs are counted, by core's
+    _line_sum_size."""
     sections_b = [(j, len(vb), vb[-1] - vb[0], vb) for j, vb in sb.items()]
-    masks: dict = {}  # level of B -> bitset of its section moved to 0
     best_sum: dict = {}
     best_card: dict = {}
     for i, va in sa.items():
         size_a, end_a = len(va), va[-1] - va[0]
-        runs_a = None
         for j, size_b, end_b, vb in sections_b:
             t = i + j
             card = size_a + size_b - 1
@@ -226,14 +224,7 @@ def _pairwise_chain_sums(sa: dict, sb: dict) -> tuple[int, int]:
             if count <= have:
                 continue
             if count > card:
-                if is_sparse(cells, size_a, size_b):
-                    count = len({u + w for u in va for w in vb})
-                else:
-                    if runs_a is None:  # A_i's values as one-point runs
-                        runs_a = [(v, 0, 1) for v in va]
-                    if j not in masks:
-                        masks[j] = bit_mask(v - vb[0] for v in vb)
-                    count = _spread(masks[j], runs_a, 1, 1, va[0]).bit_count()
+                count = _line_sum_size(va, vb)
             if count > have:
                 best_sum[t] = count
     return sum(best_sum.values()), sum(best_card.values())

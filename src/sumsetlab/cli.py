@@ -229,29 +229,28 @@ def _cmd_poly(args) -> int:
         _write_stream([("A", convex.dumps_polygon(s))])
         return 0
     p, q = _load_pair(args, convex.loads_polygon)
+    ok = True
     if args.op == "sum":
         s = convex.poly_minkowski_sum(p, q)
-        if args.json:
-            _emit_json({"area": rat_str(s.area()), "projection": rat_str(s.width()),
-                        "vertices": convex.dumps_polygon(s)})
-        else:
+        if not args.json:
             _write_stream([("A+B", convex.dumps_polygon(s))])
-        return 0
-    if args.op == "report":
-        _emit_json(convex.bonnesen_report(p, q).to_json_dict(), approx=args.approx)
-        return 0
-    if args.op == "decompose":
+            return 0
+        out = {"area": rat_str(s.area()), "projection": rat_str(s.width()),
+               "vertices": convex.dumps_polygon(s)}
+    elif args.op == "report":
+        out = convex.bonnesen_report(p, q).to_json_dict()
+    elif args.op == "decompose":
         cert = convex.decompose_and_classify(p, q)
-        _emit_json({"certificate": None if cert is None else cert.to_json_dict()})
-        return 0
-    if args.op == "partition":
+        out = {"certificate": None if cert is None else cert.to_json_dict()}
+    elif args.op == "partition":
         ok = convex.partition_check(p, q, args.k)
-        _emit_json({"k": args.k, "all_extremal": ok})
-        return 0 if ok else 1
-    delta, gap_bound = convex.graph_body_bounds(p, q)
-    _emit_json({"delta": rat_str(delta),
-                "slope_gap_bound": None if gap_bound is None else rat_str(gap_bound)})
-    return 0
+        out = {"k": args.k, "all_extremal": ok}
+    else:
+        delta, gap_bound = convex.graph_body_bounds(p, q)
+        out = {"delta": rat_str(delta),
+               "slope_gap_bound": None if gap_bound is None else rat_str(gap_bound)}
+    _emit_json(out, approx=args.approx and args.op == "report")
+    return 0 if ok else 1
 
 
 def _parse_sequence(text: str):

@@ -405,7 +405,8 @@ def bit_mask(keys: Iterable[int]) -> int:
 def _spread(mask: int, runs: Iterable, step_x: int, step_y: int, base: int) -> int:
     """mask(A + B) for mask = mask(B): mask shifted to the key x*step_x + (y + i)*step_y
     - base of each cell i < k of each run (x, y, k) of A and ORed, ceil(log2(k))
-    doublings per run.  The callers' strides keep sums from carrying out of a column."""
+    doublings per run.  Callers (_packed_sum, _line_sum_size, search's sweep rows) space
+    their keys so that no sum carries out of a column."""
     out = 0
     for x, y, k in runs:
         spread, done = mask, 1  # mask at steps 0, ..., k - 1
@@ -480,6 +481,15 @@ def _packed_sum(a: PointSet2D, b: PointSet2D, caller: str, dense_only: bool = Fa
     return object.__new__(PointSet2D)._fill(
         len(keys) if keys.__class__ is set else keys.bit_count(),
         partial(_unpack, keys, stride, xa * pa + xb * pb, lo_a * qa + lo_b * qb, sx, sy))
+
+
+def _line_sum_size(va: list, vb: list) -> int:
+    """|A + B| for two nonempty ascending lists of ints, by _packed_sum's rule:
+    the set of pairwise sums where the sum's span is sparse, else mask(B - b0)
+    spread over A's values as one-point runs."""
+    if is_sparse(va[-1] - va[0] + vb[-1] - vb[0] + 1, len(va), len(vb)):
+        return len({u + w for u in va for w in vb})
+    return _spread(bit_mask(w - vb[0] for w in vb), [(v, 0, 1) for v in va], 1, 1, va[0]).bit_count()
 
 
 def grid_sections(a: PointSet2D, b: PointSet2D, rows: bool) -> tuple[int, int, dict, dict]:

@@ -119,7 +119,6 @@ class _Subset(NamedTuple):
     size: int
     lines_m: int
     sections_m: int
-    two_dimensional: bool
     direction: Optional[tuple]  # line step pts[1] - pts[0], (0, 0) wildcard, or None
     mask: int  # cell (x, y) at bit x*H + y of the W x H grid
     lane: int  # cell (x, y) at bit x*(2H-1) + y: mask(B) in the sweep's lanes
@@ -161,7 +160,7 @@ def enumerate_subsets(width: int, height: int, max_size: Optional[int] = None,
                 continue
             out.append(new(_Subset, (pts_of[0][c0] + pts, size + c0.bit_count(),
                                      width - high.count(0), top + bool(c0 & full),
-                                     step is None, step, base | c0, lane | c0)))
+                                     step, base | c0, lane | c0)))
     return out
 
 
@@ -198,7 +197,7 @@ def _classify_extremal(mode: BoundMode, a: _Subset, b: _Subset):
     """An extremal pair's outcome: _WILD, or the tag it is tallied under."""
     if mode is BoundMode.SECTIONS_GS and (a.sections_m == 1 or b.sections_m == 1):
         return _WILD
-    if a.two_dimensional and b.two_dimensional:
+    if a.direction is None and b.direction is None:
         ps_a, ps_b = PointSet2D._of_sorted_ints(a.pts), PointSet2D._of_sorted_ints(b.pts)
         cls = classify_thm2(ps_a, ps_b) if mode in (BoundMode.LINES_GS, BoundMode.DOUBLING) \
             else classify_thm3(ps_a, ps_b, verdict_only=True)

@@ -322,11 +322,10 @@ class TestSectionChainSums:
     def test_large_trapezoid_rows_make_no_kernel_call(self):
         """T(10,61,0,1)'s rows are runs: both chains on it against a translate
         and against its (1/5, 0) translate take no pair of rows through the
-        counting loop or the kernel's spread (bounds' binding of core._spread,
-        so |A+B|'s own count is not seen).  The loop itself, on the latter's
-        rows, spreads."""
+        counting loop or core's one-line count (bounds' binding of
+        core._line_sum_size).  The loop itself, on the latter's rows, counts."""
         fifth = BIG.translate((Fraction(1, 5), 0))
-        with mock.patch.object(bounds, "_spread", wraps=bounds._spread) as kernel, \
+        with mock.patch.object(bounds, "_line_sum_size", wraps=bounds._line_sum_size) as kernel, \
                 mock.patch.object(bounds, "_pairwise_chain_sums") as loop:
             assert compression_chain(BIG.translate((3, -2)), BIG) == [2128] * 4
             assert chain_diagnostic(BIG.translate((3, -2)), BIG) == [2128] * 4
@@ -334,7 +333,7 @@ class TestSectionChainSums:
             assert chain_diagnostic(BIG, fifth)[1:3] == [2128, 2128]
         assert (kernel.call_count, loop.call_count) == (0, 0)
         _, _, ga, gb = grid_sections(BIG, fifth, True)
-        with mock.patch.object(bounds, "_spread", wraps=bounds._spread) as kernel:
+        with mock.patch.object(bounds, "_line_sum_size", wraps=bounds._line_sum_size) as kernel:
             assert _pairwise_chain_sums(ga, gb) == (2128, 2128)
         assert kernel.call_count > 0
 

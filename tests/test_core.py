@@ -1,6 +1,7 @@
 import copy
 import os
 import pickle
+import random
 import subprocess
 import sys
 import time
@@ -106,6 +107,61 @@ class TestSpread:
         base = min(keys, default=0)  # so every key is >= 0
         assert core._spread(mask, runs, step_x, step_y, base) == \
             sumset_mask([k - base for k in keys], mask)
+
+
+def boundary_lists(rng, p: int, q: int, cells: int):
+    """Seeded ascending int lists of p and q values whose sum spans cells
+    cells, each moved by an offset in [-50, 50]; None when no such lists
+    exist (two singletons span one cell)."""
+    spans = [s for s in range(cells) if (s >= p - 1 if p > 1 else s == 0)
+             and (cells - 1 - s >= q - 1 if q > 1 else s == cells - 1)]
+    if not spans:
+        return None
+    span_a = rng.choice(spans)
+    out = []
+    for k, span in ((p, span_a), (q, cells - 1 - span_a)):
+        inner = rng.sample(range(1, span), k - 2) if k > 1 else []
+        shift = rng.randint(-50, 50)
+        out.append(sorted(v + shift for v in {0, span, *inner}))
+    return out
+
+
+def boundary_cases():
+    """(A, B, cells) for every pair of sizes 1-6, four seeded draws at
+    cells = |A|·|B|, the densest sum, and four at one cell more."""
+    rng = random.Random(32)
+    return [(*pair, cells) for p in range(1, 7) for q in range(1, 7)
+            for cells in (p * q, p * q + 1) for _ in range(4)
+            if (pair := boundary_lists(rng, p, q, cells)) is not None]
+
+
+class TestLineSumSize:
+    """core._line_sum_size, the count of one pair of sections, against the
+    set of pairwise sums on seeded ascending int lists, at the sparse rule's
+    boundary: cells = |A|·|B| is dense, one cell more is sparse.  Singletons
+    and negative values are among them."""
+
+    def test_matches_pairwise_sums_at_the_rule_boundary(self):
+        cases = boundary_cases()
+        for va, vb, cells in cases:
+            assert va[-1] - va[0] + vb[-1] - vb[0] + 1 == cells
+            assert core._line_sum_size(va, vb) == len({u + w for u in va for w in vb}), (va, vb)
+        assert {(len(va), len(vb)) for va, vb, _ in cases} == \
+            {(p, q) for p in range(1, 7) for q in range(1, 7)}
+        assert {cells > len(va) * len(vb) for va, vb, cells in cases} == {False, True}
+        assert any(va[0] < 0 for va, _, _ in cases) and any(vb[0] < 0 for _, vb, _ in cases)
+
+    def test_builds_a_key_set_exactly_when_the_rule_says_sparse(self):
+        """The rule is asked once, on the sum's cells and both sizes; the
+        count spreads mask(B) only where it answers dense, so it sums the
+        key set exactly where it answers sparse."""
+        for va, vb, cells in boundary_cases():
+            with mock.patch.object(core, "is_sparse", wraps=core.is_sparse) as rule, \
+                    mock.patch.object(core, "_spread", wraps=core._spread) as spread:
+                core._line_sum_size(va, vb)
+            assert rule.call_args_list == [mock.call(cells, len(va), len(vb))]
+            assert spread.called is not core.is_sparse(cells, len(va), len(vb))
+            assert core.is_sparse(cells, len(va), len(vb)) is (cells > len(va) * len(vb))
 
 
 small_int = st.integers(min_value=-6, max_value=6)

@@ -19,11 +19,14 @@ and in convex, which keeps its own polygon grid.  No shift-OR spread outside
 the kernel: an augmented `|=` of a `<<` value, the loop that ORs a mask
 shifted to each cell of a set, appears only in core's `_spread` and in the
 named exceptions of SPREAD_ALLOWED, so every count of A+B goes through the
-one spread routine.  No dense/sparse rule outside the kernel: `is_sparse`
-and `DENSE_CELLS_PER_PAIR` are referenced only in core and at the sites of
-SPARSE_RULE_ALLOWED, so a caller that wants |A+B| only when the kernel sums
-it densely asks core (`sumset_size(..., _dense_only=True)`) instead of
-copying the kernel's bounding box.  Every functools cache is an lru_cache
+one spread routine.  No spread outside the kernel and the sweep: `_spread`
+and the `bit_mask` it starts from are referenced only in core and in
+search, whose lanes spread many sets at once.  No dense/sparse rule outside
+the kernel: `is_sparse` and `DENSE_CELLS_PER_PAIR` are referenced only in
+core, as SPARSE_RULE_ALLOWED is empty.  A caller that wants |A+B| only when
+the kernel sums it densely asks core (`sumset_size(..., _dense_only=True)`),
+and the section chains count a pair of sections by `core._line_sum_size`,
+instead of copying the kernel's bounding box.  Every functools cache is an lru_cache
 with an int-literal maxsize, at a site of CACHE_ALLOWED: a cache holds its
 values for the life of the process, so its size is bounded and chosen where
 it is declared.  CACHE_ALLOWED is empty, so no module keeps a cache.
@@ -254,21 +257,21 @@ def test_unchecked_polygon_store_use_is_found():
 SCALING_MODULES = {"core", "convex"}
 
 
-def scaling_uses(sources: dict) -> list[str]:
-    """`module:line` of each reference to common_scale, as a name, an
-    attribute or an import, in a module outside SCALING_MODULES; sources
-    maps module -> text."""
+def name_uses(sources: dict, names, homes) -> list[str]:
+    """`module:line` of each reference to a name in names, as a name, an
+    attribute or an import, in a module outside homes; sources maps module
+    -> text."""
     return [f"{module}:{node.lineno}" for module, source in sources.items()
-            if module not in SCALING_MODULES for node in ast.walk(ast.parse(source))
-            if isinstance(node, ast.Name) and node.id == "common_scale"
-            or isinstance(node, ast.Attribute) and node.attr == "common_scale"
+            if module not in homes for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Name) and node.id in names
+            or isinstance(node, ast.Attribute) and node.attr in names
             or isinstance(node, ast.ImportFrom)
-            and any(alias.name == "common_scale" for alias in node.names)]
+            and any(alias.name in names for alias in node.names)]
 
 
 def test_sections_are_scaled_only_in_core():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
-    assert scaling_uses(sources) == []
+    assert name_uses(sources, ("common_scale",), SCALING_MODULES) == []
 
 
 def test_scaling_use_is_found():
@@ -279,7 +282,8 @@ def test_scaling_use_is_found():
                   "    return core.common_scale(v)\n",
         "classify": "from .core import common_scale as scale\n",
     }
-    assert scaling_uses(sources) == ["bounds:1", "bounds:6", "classify:1"]
+    assert name_uses(sources, ("common_scale",), SCALING_MODULES) == \
+        ["bounds:1", "bounds:6", "classify:1"]
 
 
 # oracle_pair_check counts |A+B| and reads the pair's sections in one place
@@ -358,14 +362,34 @@ def test_shift_or_spread_is_found():
                                   "core._spread"]
 
 
+# The spread routine and the mask it starts from: core's kernel and the
+# sweep's lanes in search are their only users
+SPREAD_NAMES = ("_spread", "bit_mask")
+SPREAD_MODULES = {"core", "search"}
+
+
+def test_spread_is_used_only_in_core_and_search():
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    assert name_uses(sources, SPREAD_NAMES, SPREAD_MODULES) == []
+    assert all(hasattr(core, name) for name in SPREAD_NAMES)
+
+
+def test_spread_use_is_found():
+    sources = {
+        "core": "def _spread(mask, runs):\n    return bit_mask(runs)\n",
+        "search": "from .core import _spread, bit_mask\nx = _spread(bit_mask([1]), [])\n",
+        "bounds": "from .core import (rat,\n    _spread)\n\n\ndef f(v):\n"
+                  "    return core.bit_mask(v)\n",
+        "classify": "from .core import bit_mask as mask\ny = mask\n",
+    }
+    assert name_uses(sources, SPREAD_NAMES, SPREAD_MODULES) == ["bounds:1", "bounds:6",
+                                                               "classify:1"]
+
+
 # The kernel's dense/sparse rule.  core owns it; outside core it may be read
 # only at these sites, each with its reason
 SPARSE_RULE = ("is_sparse", "DENSE_CELLS_PER_PAIR")
-SPARSE_RULE_ALLOWED = {
-    "bounds._pairwise_chain_sums": "counts pairs of sections that are no point sets, each "
-                                   "as a bitset or a key set by the kernel's own rule",
-    "bounds.<module>": "the import that _pairwise_chain_sums reads the rule through",
-}
+SPARSE_RULE_ALLOWED: dict[str, str] = {}
 
 
 def sparse_rule_uses(sources: dict) -> list[str]:

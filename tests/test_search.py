@@ -294,7 +294,7 @@ def _reference_bound_holds_tight(mode, a, b, lhs):
 
 def _reference_classify_extremal(mode, a, b, report):
     ps_a, ps_b = PointSet2D(a.pts), PointSet2D(b.pts)
-    both_2d = a.two_dimensional and b.two_dimensional
+    both_2d = a.direction is None and b.direction is None
     both_1d_parallel = (
         a.direction is not None and b.direction is not None
         and parallel_directions(Point2(*a.direction), Point2(*b.direction))
@@ -407,7 +407,7 @@ def _raw_classify_extremal(mode, a, b, report):
         report.wild_regime_count += 1
         return
     tag = search.OUT_OF_HYPOTHESIS  # needs no point sets, so none are built for it
-    if a.two_dimensional and b.two_dimensional:
+    if a.direction is None and b.direction is None:
         ps_a, ps_b = PointSet2D(a.pts), PointSet2D(b.pts)
         cls = search.classify_thm2(ps_a, ps_b) if mode in (BoundMode.LINES_GS, BoundMode.DOUBLING) \
             else search.classify_thm3(ps_a, ps_b)
@@ -617,7 +617,7 @@ def test_setup_matches_point_tuple_reference(grid, max_size, two_d):
     with the same fields and mirror table, as the frozen point-tuple one."""
     subs = search.enumerate_subsets(*grid, max_size, two_d)
     want = reference_enumerate_subsets(*grid, max_size, two_d)
-    assert [s[:6] for s in subs] == want
+    assert [(*s[:4], s.direction is None, s.direction) for s in subs] == want
     assert [s.mask for s in subs] == [bit_mask(lattice_keys(s[0], grid[1])) for s in want]
     assert search._mirror_table(subs, *grid) == reference_mirror_table(want, *grid)
 
@@ -848,9 +848,9 @@ def test_analyze_matches_point_set_stats(grid):
         ps = PointSet2D(sub.pts)
         d = collinear_direction(ps)
         stats = cover_stats(ps)
-        assert (sub.size, sub.lines_m, sub.sections_m, sub.two_dimensional) == \
+        assert (sub.size, sub.lines_m, sub.sections_m, sub.direction is None) == \
             (want.size, want.lines_m, want.sections_m, want.two_dimensional)
-        assert sub.two_dimensional == stats.is_two_dimensional
+        assert (sub.direction is None) == stats.is_two_dimensional
         assert (sub.size, sub.lines_m, sub.sections_m) == \
             (len(ps), stats.vertical_line_count, stats.max_horizontal_section)
         if sub.direction is None:
